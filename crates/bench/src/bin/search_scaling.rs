@@ -26,8 +26,7 @@
 //! 5. **Lane-batched miss path** — the same memo-bypassed group pool as
 //!    the miss-path study, scored whole-batch through
 //!    `Evaluator::evaluate_uncached_batch` (8-lane synthesis + batched
-//!    projection under the `batch` feature), against the scalar SoA
-//!    unit.
+//!    projection), against the scalar SoA unit.
 //! 6. **Hierarchical partition-first scaling** — `hgga-hier` wall-clock
 //!    on clustered programs of 1k/5k/10k kernels (the regime where the
 //!    flat solver is DNF), a like-for-like flat-vs-hier wall comparison
@@ -137,7 +136,7 @@ struct MissPoint {
 /// Lane-batched miss-path throughput: the same group pool as
 /// [`MissPoint`], scored whole-batch through
 /// [`Evaluator::evaluate_uncached_batch`] (8-lane synthesis + batched
-/// projection under the `batch` feature; the scalar fallback otherwise).
+/// projection).
 #[derive(Serialize, Clone)]
 struct BatchPoint {
     kernels: usize,
@@ -654,7 +653,7 @@ fn individuals_scored(cfg: &HggaConfig, stats: &kfuse_core::pipeline::SolveStats
     if stats.islands.is_empty() {
         cfg.population as u64 * (1 + stats.generations as u64)
     } else {
-        let pop_t = (cfg.population / cfg.islands).max(cfg.elitism + 2).max(4) as u64;
+        let pop_t = (cfg.population / cfg.islands).max(4) as u64;
         stats
             .islands
             .iter()

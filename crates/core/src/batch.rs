@@ -13,9 +13,8 @@
 //!   slot per compact array id, epoch-stamped like [`SynthScratch`], with
 //!   all eight lanes of a column initialized on an array's *first* touch
 //!   by any lane (a vector splat) so per-lane clearing is free.
-//! * [`synthesize_batch`] (feature `batch`) — the scalar
-//!   [`SynthTables::synthesize_into`] pipeline run lane-wise, returning a
-//!   borrowed [`BatchView`].
+//! * [`synthesize_batch`] — the scalar [`SynthTables::synthesize_into`]
+//!   pipeline run lane-wise, returning a borrowed [`BatchView`].
 //! * [`score_into`] — the full per-candidate scoring sequence of the
 //!   evaluator's miss path (structure check → synthesis → capacity limits
 //!   → model projection → profitability gate), batched.
@@ -39,24 +38,17 @@
 //!   member-major sweep: both only consult *produced* pivots, whose
 //!   `smem` flag the read-only-cache demotion never touches.
 //!
-//! With the `batch` feature disabled every entry point falls back to the
-//! scalar sequence ([`score_scalar`]), which is the definition of the
-//! memoized miss path — identity is then trivial. The differential suite
-//! pins the lane path against the scalar path, the legacy oracle and the
-//! verifier on three GPU specs.
+//! [`score_scalar`] is the definition of the memoized miss path; the
+//! differential suite pins the lane path against it, the legacy oracle
+//! and the verifier on three GPU specs.
 
-#[cfg(feature = "batch")]
 use crate::metadata::ProgramInfo;
 use crate::model::PerfModel;
 use crate::plan::PlanContext;
-use crate::synth::SynthScratch;
-#[cfg(feature = "batch")]
-use crate::synth::{SynthTables, NO_SLOT, READS, WRITES};
+use crate::spec::{GroupSpec, PivotSpec};
+use crate::synth::{SynthScratch, SynthTables, NO_SLOT, READS, WRITES};
 use kfuse_ir::KernelId;
 use std::time::Instant;
-
-#[cfg(feature = "batch")]
-use crate::spec::{GroupSpec, PivotSpec};
 
 /// Fixed lane width of the batched evaluator. Eight f64/u64 lanes fill
 /// one AVX-512 register or two AVX2 registers; ragged final chunks score
@@ -138,8 +130,7 @@ impl CandidateBatch {
 /// `BatchesScored` / `BatchLanesFilled` observability counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchStats {
-    /// Lane sweeps executed (1 per chunk of up to [`LANES`] candidates;
-    /// 1 per candidate under the scalar fallback).
+    /// Lane sweeps executed (1 per chunk of up to [`LANES`] candidates).
     pub batches: u64,
     /// Candidates actually scored through those sweeps.
     pub lanes: u64,
@@ -161,8 +152,8 @@ impl BatchStats {
 /// Returns the projected time (`f64::INFINITY` when infeasible or
 /// unprofitable) and the nanoseconds spent in synthesis.
 ///
-/// This is the single definition both the memoizing evaluator and the
-/// `batch`-feature fallback run, so "scalar" means one thing everywhere.
+/// This is the single scalar definition: the memoizing evaluator runs it
+/// and the lane path ([`score_into`]) is tested bitwise against it.
 pub fn score_scalar(
     ctx: &PlanContext,
     model: &dyn PerfModel,
@@ -185,50 +176,10 @@ pub fn score_scalar(
     (t, synth_ns)
 }
 
-/// Reusable lane-batched synthesis scratch (scalar-fallback flavor: just
-/// the embedded [`SynthScratch`]).
-#[cfg(not(feature = "batch"))]
-#[derive(Debug, Default)]
-pub struct BatchScratch {
-    scalar: SynthScratch,
-}
-
-#[cfg(not(feature = "batch"))]
-impl BatchScratch {
-    /// An empty scratch; it sizes itself on first use.
-    pub fn new() -> Self {
-        BatchScratch::default()
-    }
-}
-
-/// Score every candidate of `batch` into `out[i]` (projected seconds;
-/// `f64::INFINITY` for infeasible or unprofitable groups). Scalar
-/// fallback: the exact per-candidate sequence, one candidate per "lane".
-#[cfg(not(feature = "batch"))]
-pub fn score_into(
-    ctx: &PlanContext,
-    model: &dyn PerfModel,
-    batch: &CandidateBatch,
-    s: &mut BatchScratch,
-    out: &mut Vec<f64>,
-) -> BatchStats {
-    let mut stats = BatchStats::default();
-    out.clear();
-    for i in 0..batch.len() {
-        let (t, synth_ns) = score_scalar(ctx, model, batch.group(i), &mut s.scalar);
-        out.push(t);
-        stats.batches += 1;
-        stats.lanes += 1;
-        stats.synth_ns += synth_ns;
-    }
-    stats
-}
-
 /// Per-array `u32` lane aggregates, packed so one array's whole scalar
 /// state spans four consecutive cache lines instead of seven scattered
 /// ones — the aggregation sweep and the pivot phases are latency-bound
 /// on these columns once the program's array count outgrows L1.
-#[cfg(feature = "batch")]
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LaneAgg {
     pub(crate) touch_count: [u32; LANES],
@@ -246,7 +197,6 @@ pub(crate) struct LaneAgg {
 /// `write_refs` is Σ (`k_read_refs` − own pivot read) over the lane's
 /// *writing* uses (collapses the halo-widening member scan of the
 /// projected-bytes model likewise).
-#[cfg(feature = "batch")]
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LaneSums {
     pub(crate) load_min: [u64; LANES],
@@ -261,7 +211,6 @@ pub(crate) struct LaneSums {
 /// output buffers a [`BatchView`] borrows; plus an embedded
 /// [`SynthScratch`] for the structural (bitset) checks. Warm once per
 /// program, then allocation free — the counting-allocator test pins this.
-#[cfg(feature = "batch")]
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     gen: u32,
@@ -296,7 +245,6 @@ pub struct BatchScratch {
     scalar: SynthScratch,
 }
 
-#[cfg(feature = "batch")]
 impl BatchScratch {
     /// An empty scratch; it sizes itself to the tables on first use.
     pub fn new() -> Self {
@@ -359,7 +307,6 @@ impl BatchScratch {
 /// [`crate::synth::SpecView`]. Lane `l < fill()` describes the `l`-th
 /// candidate passed to [`synthesize_batch`]; each lane's fields are
 /// bit-for-bit the scalar synthesis of that candidate.
-#[cfg(feature = "batch")]
 pub struct BatchView<'a> {
     pub(crate) tables: &'a SynthTables,
     fill: usize,
@@ -379,7 +326,6 @@ pub struct BatchView<'a> {
     barriers: [u32; LANES],
 }
 
-#[cfg(feature = "batch")]
 impl BatchView<'_> {
     /// Number of populated lanes (1..=[`LANES`]).
     pub fn fill(&self) -> usize {
@@ -463,7 +409,6 @@ impl BatchView<'_> {
 /// `cands`) lane-parallel into `s`, returning a borrowed [`BatchView`].
 /// Each lane reproduces [`SynthTables::synthesize_into`] decision for
 /// decision; see the module docs for the determinism rules.
-#[cfg(feature = "batch")]
 pub fn synthesize_batch<'s>(
     tables: &'s SynthTables,
     info: &ProgramInfo,
@@ -944,7 +889,6 @@ pub fn synthesize_batch<'s>(
 /// never waste a lane — and chunks of up to [`LANES`] run through
 /// [`synthesize_batch`], capacity limits, the model's `project_batch`
 /// and the profitability gate.
-#[cfg(feature = "batch")]
 pub fn score_into(
     ctx: &PlanContext,
     model: &dyn PerfModel,
@@ -979,7 +923,6 @@ pub fn score_into(
 
 /// One lane sweep of [`score_into`]: synthesis, per-lane capacity limits,
 /// batched projection, profitability gate.
-#[cfg(feature = "batch")]
 fn score_chunk(
     ctx: &PlanContext,
     model: &dyn PerfModel,
@@ -1023,120 +966,114 @@ fn score_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{ProposedModel, RooflineModel, SimpleModel};
+    use crate::pipeline::prepare;
+    use kfuse_gpu::{FpPrecision, GpuSpec};
+    use kfuse_ir::builder::ProgramBuilder;
+    use kfuse_ir::stencil::Offset;
+    use kfuse_ir::{Expr, Program};
 
-    #[cfg(feature = "batch")]
-    mod lanes {
-        use super::super::*;
-        use crate::metadata::ProgramInfo;
-        use crate::model::{ProposedModel, RooflineModel, SimpleModel};
-        use crate::pipeline::prepare;
-        use kfuse_gpu::{FpPrecision, GpuSpec};
-        use kfuse_ir::builder::ProgramBuilder;
-        use kfuse_ir::stencil::Offset;
-        use kfuse_ir::{Expr, Program};
+    /// Producer chain with radius reads: B halo 2, C halo 1 fused.
+    fn chain_program() -> Program {
+        let mut pb = ProgramBuilder::new("chain", [128, 64, 8]);
+        let a = pb.array("A");
+        let b = pb.array("B");
+        let c = pb.array("C");
+        let d = pb.array("D");
+        pb.kernel("k0")
+            .write(b, Expr::at(a) * Expr::lit(2.0))
+            .build();
+        pb.kernel("k1")
+            .write(c, Expr::load(b, Offset::new(1, 0, 0)))
+            .build();
+        pb.kernel("k2")
+            .write(d, Expr::load(c, Offset::new(1, 0, 0)))
+            .build();
+        pb.build()
+    }
 
-        /// Producer chain with radius reads: B halo 2, C halo 1 fused.
-        fn chain_program() -> Program {
-            let mut pb = ProgramBuilder::new("chain", [128, 64, 8]);
-            let a = pb.array("A");
-            let b = pb.array("B");
-            let c = pb.array("C");
-            let d = pb.array("D");
-            pb.kernel("k0")
-                .write(b, Expr::at(a) * Expr::lit(2.0))
-                .build();
-            pb.kernel("k1")
-                .write(c, Expr::load(b, Offset::new(1, 0, 0)))
-                .build();
-            pb.kernel("k2")
-                .write(d, Expr::load(c, Offset::new(1, 0, 0)))
-                .build();
-            pb.build()
-        }
-
-        /// Every subset of the chain program, packed 8 per batch, must
-        /// synthesize lane-for-lane identical to the scalar sweep, and
-        /// `score_into` must reproduce `score_scalar` bitwise.
-        #[test]
-        fn lanes_match_scalar_on_all_subsets() {
-            for gpu in [GpuSpec::k20x(), GpuSpec::k40(), GpuSpec::gtx750ti()] {
-                let p = chain_program();
-                let info = ProgramInfo::extract(&p, &gpu, FpPrecision::Double);
-                let tables = SynthTables::build(&info);
-                let n = info.kernels.len() as u32;
-                let mut batch = CandidateBatch::new();
-                let mut groups = Vec::new();
-                for mask in 1u32..(1 << n) {
-                    let g: Vec<KernelId> = (0..n)
-                        .filter(|i| mask & (1 << i) != 0)
-                        .map(KernelId)
-                        .collect();
-                    batch.push(&g);
-                    groups.push(g);
-                }
-                let mut bs = BatchScratch::new();
-                let mut ss = SynthScratch::new();
-                for first in (0..groups.len()).step_by(LANES) {
-                    let cands: Vec<usize> = (first..(first + LANES).min(groups.len())).collect();
-                    let view = synthesize_batch(&tables, &info, &batch, &cands, &mut bs);
-                    for (l, &gi) in cands.iter().enumerate() {
-                        let sv = tables.synthesize_into(&info, &groups[gi], &mut ss);
-                        let (a, b) = (view.lane_spec(l), sv.to_spec());
-                        assert_eq!(a.members, b.members, "{} {gi}", gpu.name);
-                        assert_eq!(a.pivots, b.pivots, "{} {gi}", gpu.name);
-                        assert_eq!(a.barrier_before, b.barrier_before, "{} {gi}", gpu.name);
-                        assert_eq!(a.smem_bytes, b.smem_bytes, "{} {gi}", gpu.name);
-                        assert_eq!(a.projected_regs, b.projected_regs, "{} {gi}", gpu.name);
-                        assert_eq!(a.flops, b.flops, "{} {gi}", gpu.name);
-                        assert_eq!(a.halo_bytes, b.halo_bytes, "{} {gi}", gpu.name);
-                        assert_eq!(a.ro_bytes, b.ro_bytes, "{} {gi}", gpu.name);
-                        assert_eq!(a.active_threads, b.active_threads, "{} {gi}", gpu.name);
-                        assert_eq!(a.complex, b.complex, "{} {gi}", gpu.name);
-                    }
-                }
-            }
-        }
-
-        /// `score_into` == `score_scalar` bitwise under every model,
-        /// including structurally infeasible and unprofitable candidates.
-        #[test]
-        fn score_into_matches_score_scalar() {
+    /// Every subset of the chain program, packed 8 per batch, must
+    /// synthesize lane-for-lane identical to the scalar sweep, and
+    /// `score_into` must reproduce `score_scalar` bitwise.
+    #[test]
+    fn lanes_match_scalar_on_all_subsets() {
+        for gpu in [GpuSpec::k20x(), GpuSpec::k40(), GpuSpec::gtx750ti()] {
             let p = chain_program();
-            let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
-            let models: [Box<dyn PerfModel>; 3] = [
-                Box::new(RooflineModel),
-                Box::new(SimpleModel),
-                Box::new(ProposedModel::default()),
-            ];
-            let n = ctx.n_kernels() as u32;
+            let info = ProgramInfo::extract(&p, &gpu, FpPrecision::Double);
+            let tables = SynthTables::build(&info);
+            let n = info.kernels.len() as u32;
             let mut batch = CandidateBatch::new();
+            let mut groups = Vec::new();
             for mask in 1u32..(1 << n) {
                 let g: Vec<KernelId> = (0..n)
                     .filter(|i| mask & (1 << i) != 0)
                     .map(KernelId)
                     .collect();
                 batch.push(&g);
+                groups.push(g);
             }
             let mut bs = BatchScratch::new();
             let mut ss = SynthScratch::new();
-            let mut out = Vec::new();
-            let structural: usize = (0..batch.len())
-                .filter(|&i| {
-                    ctx.check_group_structure(batch.group(i), 0, &mut ss)
-                        .is_ok()
-                })
-                .count();
-            for m in &models {
-                let stats = score_into(&ctx, m.as_ref(), &batch, &mut bs, &mut out);
-                assert_eq!(stats.lanes as usize, structural);
-                for (i, &got) in out.iter().enumerate() {
-                    let (want, _) = score_scalar(&ctx, m.as_ref(), batch.group(i), &mut ss);
-                    assert!(
-                        want.total_cmp(&got).is_eq(),
-                        "{} cand {i}: batch {got} != scalar {want}",
-                        m.name(),
-                    );
+            for first in (0..groups.len()).step_by(LANES) {
+                let cands: Vec<usize> = (first..(first + LANES).min(groups.len())).collect();
+                let view = synthesize_batch(&tables, &info, &batch, &cands, &mut bs);
+                for (l, &gi) in cands.iter().enumerate() {
+                    let sv = tables.synthesize_into(&info, &groups[gi], &mut ss);
+                    let (a, b) = (view.lane_spec(l), sv.to_spec());
+                    assert_eq!(a.members, b.members, "{} {gi}", gpu.name);
+                    assert_eq!(a.pivots, b.pivots, "{} {gi}", gpu.name);
+                    assert_eq!(a.barrier_before, b.barrier_before, "{} {gi}", gpu.name);
+                    assert_eq!(a.smem_bytes, b.smem_bytes, "{} {gi}", gpu.name);
+                    assert_eq!(a.projected_regs, b.projected_regs, "{} {gi}", gpu.name);
+                    assert_eq!(a.flops, b.flops, "{} {gi}", gpu.name);
+                    assert_eq!(a.halo_bytes, b.halo_bytes, "{} {gi}", gpu.name);
+                    assert_eq!(a.ro_bytes, b.ro_bytes, "{} {gi}", gpu.name);
+                    assert_eq!(a.active_threads, b.active_threads, "{} {gi}", gpu.name);
+                    assert_eq!(a.complex, b.complex, "{} {gi}", gpu.name);
                 }
+            }
+        }
+    }
+
+    /// `score_into` == `score_scalar` bitwise under every model,
+    /// including structurally infeasible and unprofitable candidates.
+    #[test]
+    fn score_into_matches_score_scalar() {
+        let p = chain_program();
+        let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+        let models: [Box<dyn PerfModel>; 3] = [
+            Box::new(RooflineModel),
+            Box::new(SimpleModel),
+            Box::new(ProposedModel::default()),
+        ];
+        let n = ctx.n_kernels() as u32;
+        let mut batch = CandidateBatch::new();
+        for mask in 1u32..(1 << n) {
+            let g: Vec<KernelId> = (0..n)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(KernelId)
+                .collect();
+            batch.push(&g);
+        }
+        let mut bs = BatchScratch::new();
+        let mut ss = SynthScratch::new();
+        let mut out = Vec::new();
+        let structural: usize = (0..batch.len())
+            .filter(|&i| {
+                ctx.check_group_structure(batch.group(i), 0, &mut ss)
+                    .is_ok()
+            })
+            .count();
+        for m in &models {
+            let stats = score_into(&ctx, m.as_ref(), &batch, &mut bs, &mut out);
+            assert_eq!(stats.lanes as usize, structural);
+            for (i, &got) in out.iter().enumerate() {
+                let (want, _) = score_scalar(&ctx, m.as_ref(), batch.group(i), &mut ss);
+                assert!(
+                    want.total_cmp(&got).is_eq(),
+                    "{} cand {i}: batch {got} != scalar {want}",
+                    m.name(),
+                );
             }
         }
     }

@@ -25,7 +25,6 @@
 //! All models return the **measured** runtime for single-member groups
 //! (an unfused kernel keeps its observed performance).
 
-#[cfg(feature = "batch")]
 use crate::batch::{BatchView, LANES};
 use crate::metadata::ProgramInfo;
 use crate::spec::{GroupSpec, PivotSpec};
@@ -57,7 +56,6 @@ pub trait PerfModel: Sync {
     /// materialized spec. The default materializes each lane; the
     /// built-in models override it with allocation-free lane arithmetic
     /// over the batch's per-array aggregates.
-    #[cfg(feature = "batch")]
     fn project_batch(&self, info: &ProgramInfo, view: &BatchView<'_>, out: &mut [f64; LANES]) {
         for (l, slot) in out.iter_mut().enumerate().take(view.fill()) {
             *slot = self.project(info, &view.lane_spec(l));
@@ -196,7 +194,6 @@ pub fn projected_fused_bytes_view(info: &ProgramInfo, view: &SpecView<'_>) -> u6
 /// halo-widening term collapsed into the `write_refs` per-array aggregate
 /// gathered during the batch aggregation sweep (an exact `u64`
 /// distribution of `ring` over the same term multiset).
-#[cfg(feature = "batch")]
 fn projected_fused_bytes_batch(info: &ProgramInfo, view: &BatchView<'_>) -> [u64; LANES] {
     let t = view.tables;
     let grid = u64::from(info.blocks) * u64::from(info.nz);
@@ -254,7 +251,6 @@ fn projected_fused_bytes_batch(info: &ProgramInfo, view: &BatchView<'_>) -> [u64
 /// [`projected_smem_bytes_moved_view`] for every lane of a batch: the
 /// per-pivot member scan becomes one multiply against the `read_tl`
 /// per-array aggregate (exact `u64` distribution of `sites · elem`).
-#[cfg(feature = "batch")]
 fn projected_smem_bytes_moved_batch(info: &ProgramInfo, view: &BatchView<'_>) -> [u64; LANES] {
     let t = view.tables;
     let elem = info.elem_bytes();
@@ -308,7 +304,6 @@ impl PerfModel for RooflineModel {
         roofline_time(info, projected_fused_bytes_view(info, view), view.flops)
     }
 
-    #[cfg(feature = "batch")]
     fn project_batch(&self, info: &ProgramInfo, view: &BatchView<'_>, out: &mut [f64; LANES]) {
         let bytes = projected_fused_bytes_batch(info, view);
         for (l, o) in out.iter_mut().enumerate().take(view.fill()) {
@@ -340,7 +335,6 @@ impl PerfModel for SimpleModel {
         simple_time(info, view.members, view.pivots)
     }
 
-    #[cfg(feature = "batch")]
     fn project_batch(&self, info: &ProgramInfo, view: &BatchView<'_>, out: &mut [f64; LANES]) {
         for (l, o) in out.iter_mut().enumerate().take(view.fill()) {
             *o = simple_time(info, view.members(l), view.pivots(l));
@@ -642,7 +636,6 @@ impl PerfModel for ProposedModel {
         self.breakdown_view(info, view).t_pro
     }
 
-    #[cfg(feature = "batch")]
     fn project_batch(&self, info: &ProgramInfo, view: &BatchView<'_>, out: &mut [f64; LANES]) {
         let bytes = projected_fused_bytes_batch(info, view);
         let smem = projected_smem_bytes_moved_batch(info, view);

@@ -63,9 +63,8 @@ pub struct SolveStats {
     /// Nanoseconds of `miss_ns` spent inside group synthesis proper.
     pub synth_ns: u64,
     /// Average candidate lanes per batched-evaluator sweep
-    /// (`BatchLanesFilled / BatchesScored`): up to 8 with the `batch`
-    /// feature, 1.0 under the scalar fallback, 0.0 when the run never
-    /// scored a batch.
+    /// (`BatchLanesFilled / BatchesScored`): up to 8, 0.0 when the run
+    /// never scored a batch.
     pub avg_batch_fill: f64,
     /// Per-island breakdown when the solver ran in island mode.
     pub islands: Vec<IslandStats>,

@@ -15,20 +15,15 @@
 //!   ([`MetricsSnapshot::to_json`]), and a human table
 //!   ([`MetricsSnapshot::render_table`]).
 //!
-//! ## Disablement, twice
+//! ## Disablement
 //!
-//! Tracing must cost nothing where it isn't wanted, so it can be turned
-//! off at two layers:
-//!
-//! * **Runtime** (the default): an [`ObsHandle::disabled`] handle records
-//!   nothing, takes no timestamps and allocates nothing — one branch per
-//!   call site. The `alloc_free` test in `kfuse-search` proves the
-//!   memo-miss hot path stays allocation-free under a disabled handle.
-//! * **Compile time**: build with `--no-default-features` (dropping the
-//!   `trace` feature) and [`ObsHandle`]/[`SpanGuard`] become zero-sized
-//!   types with empty inline methods; the whole span layer compiles out.
-//!   The [`MetricsRegistry`] stays on either way — its counters are the
-//!   same relaxed atomics the planner always maintained.
+//! Tracing must cost nothing where it isn't wanted. The one off-switch is
+//! at runtime and is the default: an [`ObsHandle::disabled`] handle
+//! records nothing, takes no timestamps and allocates nothing — one
+//! branch per call site. The `alloc_free` test in `kfuse-search` proves
+//! the memo-miss hot path stays allocation-free under a disabled handle.
+//! The [`MetricsRegistry`] stays on either way — its counters are the
+//! same relaxed atomics the planner always maintained.
 //!
 //! ## Track convention
 //!

@@ -1,7 +1,8 @@
 //! The metrics registry: one fixed-slot home for every planner counter
 //! and gauge, replacing the per-solver hand-rolled stat structs.
 //!
-//! [`MetricsRegistry`] is always on (independent of the `trace` feature):
+//! [`MetricsRegistry`] is always on (a disabled [`crate::ObsHandle`] does
+//! not touch it):
 //! its counters are single relaxed atomic adds, exactly what the old
 //! scattered `AtomicU64`s in the evaluator cost. Derived views — the
 //! legacy `SolveStats`, the flat JSON dump, the human table — are computed

@@ -2,16 +2,11 @@
 //! [`ObsHandle`], RAII [`SpanGuard`]s, and the thread-safe sharded
 //! [`InMemoryRecorder`].
 //!
-//! The design splits "is observability on?" into two layers:
-//!
-//! * **Runtime**: an [`ObsHandle`] either carries a `&dyn Recorder` or is
-//!   disabled. Disabled handles never take a timestamp, never allocate and
-//!   cost one predictable branch per call site — cheap enough to live
-//!   inside the evaluation-memo miss path (proven by the
-//!   `alloc_free` test in `kfuse-search`).
-//! * **Compile time**: with the crate's `trace` feature off, [`ObsHandle`]
-//!   and [`SpanGuard`] are zero-sized and every method body is empty, so
-//!   the whole subsystem compiles to nothing.
+//! "Is observability on?" is one runtime question: an [`ObsHandle`]
+//! either carries a `&dyn Recorder` or is disabled. Disabled handles never
+//! take a timestamp, never allocate and cost one predictable branch per
+//! call site — cheap enough to live inside the evaluation-memo miss path
+//! (proven by the `alloc_free` test in `kfuse-search`).
 
 use crate::event::{Gauge, SpanId, TraceEvent};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -168,13 +163,11 @@ impl Recorder for InMemoryRecorder {
 /// The handle planner code records through. `Copy`, pointer-sized, and
 /// safe to pass into rayon workers. A disabled handle (the default) makes
 /// every call a no-op that takes no timestamp and performs no allocation.
-#[cfg(feature = "trace")]
 #[derive(Clone, Copy, Default)]
 pub struct ObsHandle<'a> {
     rec: Option<&'a dyn Recorder>,
 }
 
-#[cfg(feature = "trace")]
 impl<'a> ObsHandle<'a> {
     /// A handle that records nothing.
     pub const fn disabled() -> Self {
@@ -246,12 +239,10 @@ impl<'a> ObsHandle<'a> {
 /// RAII guard for an open span: records the span (with its measured
 /// duration) into the recorder when dropped. On a disabled handle the
 /// guard is inert and held no timestamp.
-#[cfg(feature = "trace")]
 pub struct SpanGuard<'a> {
     inner: Option<SpanInner<'a>>,
 }
 
-#[cfg(feature = "trace")]
 struct SpanInner<'a> {
     rec: &'a dyn Recorder,
     id: SpanId,
@@ -260,7 +251,6 @@ struct SpanInner<'a> {
     args: [u64; 2],
 }
 
-#[cfg(feature = "trace")]
 impl SpanGuard<'_> {
     /// Set numeric argument `i` (0 or 1; see [`SpanId::arg_names`]).
     /// Arguments may be set any time before the guard drops.
@@ -272,7 +262,6 @@ impl SpanGuard<'_> {
     }
 }
 
-#[cfg(feature = "trace")]
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(inner) = &self.inner {
@@ -285,80 +274,4 @@ impl Drop for SpanGuard<'_> {
             );
         }
     }
-}
-
-/// Compiled-out stand-in for [`ObsHandle`] when the `trace` feature is
-/// off: zero-sized, every method empty.
-#[cfg(not(feature = "trace"))]
-#[derive(Clone, Copy, Default)]
-pub struct ObsHandle<'a> {
-    _ghost: std::marker::PhantomData<&'a ()>,
-}
-
-#[cfg(not(feature = "trace"))]
-impl<'a> ObsHandle<'a> {
-    /// A handle that records nothing (the only kind in this build).
-    pub const fn disabled() -> Self {
-        ObsHandle {
-            _ghost: std::marker::PhantomData,
-        }
-    }
-
-    /// Accepted for API parity; the recorder is ignored in this build.
-    pub fn new(_rec: &'a dyn Recorder) -> Self {
-        Self::disabled()
-    }
-
-    /// Always false: the `trace` feature is compiled out.
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// No-op span (compiled out).
-    #[inline(always)]
-    pub fn span(&self, _id: SpanId) -> SpanGuard<'a> {
-        SpanGuard {
-            _ghost: std::marker::PhantomData,
-        }
-    }
-
-    /// No-op span (compiled out).
-    #[inline(always)]
-    pub fn span_on(&self, _id: SpanId, _track: u32) -> SpanGuard<'a> {
-        self.span(_id)
-    }
-
-    /// No-op span record (compiled out).
-    #[inline(always)]
-    pub fn record_span(
-        &self,
-        _id: SpanId,
-        _track: u32,
-        _start: Instant,
-        _dur: Duration,
-        _args: [u64; 2],
-    ) {
-    }
-
-    /// No-op gauge sample (compiled out).
-    #[inline(always)]
-    pub fn value(&self, _gauge: Gauge, _value: f64) {}
-
-    /// No-op gauge sample (compiled out).
-    #[inline(always)]
-    pub fn value_on(&self, _gauge: Gauge, _track: u32, _value: f64) {}
-}
-
-/// Compiled-out stand-in for [`SpanGuard`] when the `trace` feature is
-/// off.
-#[cfg(not(feature = "trace"))]
-pub struct SpanGuard<'a> {
-    _ghost: std::marker::PhantomData<&'a ()>,
-}
-
-#[cfg(not(feature = "trace"))]
-impl SpanGuard<'_> {
-    /// No-op (compiled out).
-    #[inline(always)]
-    pub fn set_arg(&mut self, _i: usize, _v: u64) {}
 }

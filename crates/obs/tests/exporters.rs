@@ -167,9 +167,6 @@ fn metrics_dump_round_trips_and_lists_every_counter() {
     assert_eq!(v["gauges"]["cache_hit_rate"].as_f64(), Some(0.75));
 }
 
-// With the `trace` feature compiled out, `ObsHandle::new` is deliberately
-// inert — recording assertions only hold in `trace` builds.
-#[cfg(feature = "trace")]
 #[test]
 fn handle_records_spans_with_args_through_guard() {
     let rec = InMemoryRecorder::new();

@@ -187,8 +187,7 @@ impl<'a> Evaluator<'a> {
 
     /// Average number of candidate lanes occupied per batched scoring
     /// sweep, `BatchLanesFilled / BatchesScored`: up to
-    /// [`kfuse_core::batch::LANES`] with the `batch` feature, exactly 1
-    /// under the scalar fallback, 0 while nothing has been batch-scored.
+    /// [`kfuse_core::batch::LANES`], 0 while nothing has been batch-scored.
     pub fn avg_batch_fill(&self) -> f64 {
         ratio(
             self.metrics.get(Counter::BatchLanesFilled),
@@ -522,8 +521,7 @@ impl<'a> Evaluator<'a> {
 
     /// The raw batched objective with no memo interaction and no stat
     /// counters: every candidate of `batch` scored through the
-    /// lane-batched path (or the scalar fallback when the `batch` feature
-    /// is off) into `out`. This is the allocation-free unit the
+    /// lane-batched path into `out`. This is the allocation-free unit the
     /// `search_scaling` batch miss-path benchmark times.
     pub fn evaluate_uncached_batch(
         &self,

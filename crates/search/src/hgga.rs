@@ -30,7 +30,7 @@
 //! sub-populations, each evolved concurrently with its own RNG stream
 //! (derived deterministically from [`HggaConfig::seed`]), and every
 //! [`HggaConfig::migration_interval`] generations each island sends clones
-//! of its [`HggaConfig::migration_size`] best individuals to its successor
+//! of its two best individuals to its successor
 //! on a ring, replacing the receiver's worst. Islands share the sharded
 //! evaluation memo, so a group scored on one island is a cache hit on all
 //! others. The run remains deterministic for any island count; with
@@ -59,14 +59,6 @@ pub struct HggaConfig {
     pub max_generations: u32,
     /// Stop after this many generations without improvement.
     pub stall_generations: u32,
-    /// Tournament size for selection.
-    pub tournament: usize,
-    /// Probability of crossover (else the fitter parent is cloned).
-    pub crossover_rate: f64,
-    /// Probability of mutating each offspring.
-    pub mutation_rate: f64,
-    /// Elites copied unchanged into the next generation.
-    pub elitism: usize,
     /// Probability of applying the hill-climbing local-improvement step to
     /// an offspring (the "hybrid" of Falkenauer's HGGA).
     pub local_search_rate: f64,
@@ -78,9 +70,18 @@ pub struct HggaConfig {
     pub islands: usize,
     /// Generations between ring migrations (island mode only).
     pub migration_interval: u32,
-    /// Individuals each island sends to its ring successor per migration.
-    pub migration_size: usize,
 }
+
+/// Tournament size for selection.
+pub(crate) const TOURNAMENT: usize = 3;
+/// Probability of crossover (else the fitter parent is cloned).
+pub(crate) const CROSSOVER_RATE: f64 = 0.85;
+/// Probability of mutating each offspring.
+pub(crate) const MUTATION_RATE: f64 = 0.35;
+/// Elites copied unchanged into the next generation.
+pub(crate) const ELITISM: usize = 2;
+/// Individuals each island sends to its ring successor per migration.
+const MIGRATION_SIZE: usize = 2;
 
 impl Default for HggaConfig {
     fn default() -> Self {
@@ -88,15 +89,10 @@ impl Default for HggaConfig {
             population: 100,
             max_generations: 2000,
             stall_generations: 60,
-            tournament: 3,
-            crossover_rate: 0.85,
-            mutation_rate: 0.35,
-            elitism: 2,
             local_search_rate: 0.3,
             seed: 0xC0FFEE,
             islands: 1,
             migration_interval: 10,
-            migration_size: 2,
         }
     }
 }
@@ -400,9 +396,9 @@ impl HggaSolver {
         solve_span.set_arg(1, n_islands as u64);
         // Split the population budget; keep every island large enough for
         // elitism plus actual selection pressure.
-        let pop_target = (cfg.population / n_islands).max(cfg.elitism + 2).max(4);
+        let pop_target = (cfg.population / n_islands).max(ELITISM + 2);
         let interval = cfg.migration_interval.max(1);
-        let emigrants = cfg.migration_size.min(pop_target - 1);
+        let emigrants = MIGRATION_SIZE.min(pop_target - 1);
 
         let mut islands: Vec<Island> = (0..n_islands)
             .map(|i| Island {
@@ -668,21 +664,21 @@ fn step_generation(
 ) {
     let mut offspring: Vec<Individual> = Vec::with_capacity(pop_target);
     // Elites survive unchanged.
-    for e in pop.iter().take(cfg.elitism) {
+    for e in pop.iter().take(ELITISM) {
         offspring.push(e.clone());
     }
     while offspring.len() < pop_target {
         if !offspring.is_empty() && deadline.is_some_and(|d| Instant::now() >= d) {
             break;
         }
-        let pa = tournament(pop, cfg.tournament, rng);
-        let pb = tournament(pop, cfg.tournament, rng);
-        let mut child = if rng.gen_bool(cfg.crossover_rate) {
+        let pa = tournament(pop, rng);
+        let pb = tournament(pop, rng);
+        let mut child = if rng.gen_bool(CROSSOVER_RATE) {
             crossover(ev, &pop[pa].chromo, &pop[pb].chromo, rng, scratch)
         } else {
             pop[pa.min(pb)].chromo.clone()
         };
-        if rng.gen_bool(cfg.mutation_rate) {
+        if rng.gen_bool(MUTATION_RATE) {
             child = mutate(ev, child, rng, scratch);
         }
         if rng.gen_bool(cfg.local_search_rate) {
@@ -695,8 +691,8 @@ fn step_generation(
     *pop = offspring;
 }
 
-fn tournament(pop: &[Individual], k: usize, rng: &mut SmallRng) -> usize {
-    (0..k.max(1))
+fn tournament(pop: &[Individual], rng: &mut SmallRng) -> usize {
+    (0..TOURNAMENT)
         .map(|_| rng.gen_range(0..pop.len()))
         .min_by(|&a, &b| pop[a].cost().total_cmp(&pop[b].cost()))
         .unwrap()
@@ -1350,7 +1346,6 @@ mod tests {
             config: HggaConfig {
                 islands: 3,
                 migration_interval: 2,
-                migration_size: 2,
                 max_generations: 20,
                 stall_generations: 20,
                 ..quick_config(5)

@@ -254,11 +254,12 @@ pub struct HggaHierSolver {
     pub config: HggaConfig,
     /// Decomposition mode.
     pub partition: PartitionMode,
-    /// Minimum coupling for an agglomeration merge.
-    pub min_coupling: f64,
-    /// Maximum stitching sweeps over the cross-region candidates.
-    pub stitch_passes: usize,
 }
+
+/// Minimum coupling for an agglomeration merge.
+pub(crate) const MIN_COUPLING: f64 = 1e-3;
+/// Maximum stitching sweeps over the cross-region candidates.
+const STITCH_PASSES: usize = 4;
 
 impl HggaHierSolver {
     /// Programs below this size solve flat under [`PartitionMode::Auto`]:
@@ -282,8 +283,6 @@ impl HggaHierSolver {
                 ..HggaConfig::default()
             },
             partition: PartitionMode::Auto,
-            min_coupling: 1e-3,
-            stitch_passes: 4,
         }
     }
 
@@ -317,7 +316,7 @@ impl HggaHierSolver {
         // 1. Partition pass.
         let part = {
             let t0 = Instant::now();
-            let part = partition_regions(ctx, max_region, self.min_coupling);
+            let part = partition_regions(ctx, max_region, MIN_COUPLING);
             obs.record_span(
                 SpanId::PartitionPass,
                 0,
@@ -571,7 +570,7 @@ impl HggaHierSolver {
         let mut candidates_seen = 0u64;
         let mut merges = 0u64;
 
-        for _pass in 0..self.stitch_passes {
+        for _pass in 0..STITCH_PASSES {
             // Candidate pairs for this sweep, in deterministic order.
             let mut cands: Vec<(u32, u32)> = Vec::new();
             for t in &cut_sets {

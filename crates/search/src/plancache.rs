@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Entry format version; bump on any incompatible field change so old
 /// caches age out instead of deserializing garbage.
@@ -60,6 +60,13 @@ fn file_lock(path: &Path) -> Arc<Mutex<()>> {
         .lock()
         .expect("plan-cache lock registry poisoned");
     map.entry(path.to_path_buf()).or_default().clone()
+}
+
+/// Take a [`file_lock`], recovering from poisoning: the guarded value is
+/// `()`, so a holder that panicked left nothing invalid behind it, and a
+/// half-written line on disk is the corruption-tolerant loader's job.
+fn hold(lock: &Mutex<()>) -> MutexGuard<'_, ()> {
+    lock.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One cached solve: the best plan found for a program fingerprint.
@@ -225,7 +232,7 @@ impl PlanCache {
         };
         let path = dir.join(CACHE_FILE);
         let lock = file_lock(&path);
-        let guard = lock.lock().expect("plan-cache file lock poisoned");
+        let guard = hold(&lock);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(_) => return cache,
@@ -361,7 +368,7 @@ impl PlanCache {
         buf.push('\n');
         let path = self.dir.join(CACHE_FILE);
         let lock = file_lock(&path);
-        let _guard = lock.lock().expect("plan-cache file lock poisoned");
+        let _guard = hold(&lock);
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -388,7 +395,7 @@ impl PlanCache {
         std::fs::create_dir_all(&self.dir)?;
         let path = self.dir.join(CACHE_FILE);
         let lock = file_lock(&path);
-        let _guard = lock.lock().expect("plan-cache file lock poisoned");
+        let _guard = hold(&lock);
         let mut out = String::new();
         if let Ok(existing) = std::fs::read_to_string(&path) {
             for line in existing.lines() {
@@ -432,7 +439,7 @@ impl PlanCache {
     pub fn flush(&mut self) -> std::io::Result<()> {
         let path = self.dir.join(CACHE_FILE);
         let lock = file_lock(&path);
-        let _guard = lock.lock().expect("plan-cache file lock poisoned");
+        let _guard = hold(&lock);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(_) => return Ok(()),
@@ -506,6 +513,29 @@ mod tests {
         );
         assert!(reloaded.region_fps().contains(&77));
         assert!(reloaded.region_fps().contains(&1));
+    }
+
+    /// One panicking holder must not wedge every later cache operation on
+    /// the same file (the daemon shares it across workers).
+    #[test]
+    fn poisoned_file_lock_is_recovered() {
+        let dir = tmpdir("poisoned");
+        let lock = file_lock(&dir.join(CACHE_FILE));
+        let holder = std::thread::spawn({
+            let lock = lock.clone();
+            move || {
+                let _guard = lock.lock().unwrap();
+                panic!("holder dies with the file lock held");
+            }
+        });
+        assert!(holder.join().is_err());
+        assert!(lock.is_poisoned());
+
+        let mut cache = PlanCache::open(&dir, "K20X", "Double");
+        cache.insert(entry(1, 0.5)).unwrap();
+        cache.insert(entry(1, 0.3)).unwrap(); // better: takes the rewrite path
+        cache.flush().unwrap();
+        assert_eq!(PlanCache::open(&dir, "K20X", "Double").len(), 1);
     }
 
     #[test]

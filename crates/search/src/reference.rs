@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::time::Instant;
 
-use crate::hgga::HggaConfig;
+use crate::hgga::{HggaConfig, CROSSOVER_RATE, ELITISM, MUTATION_RATE, TOURNAMENT};
 
 /// A plan with its cached objective.
 #[derive(Clone)]
@@ -433,18 +433,18 @@ pub fn solve(cfg: &HggaConfig, ctx: &PlanContext, model: &dyn PerfModel) -> Solv
     for gen in 1..=cfg.max_generations {
         generations = gen;
         let mut offspring: Vec<FusionPlan> = Vec::with_capacity(cfg.population);
-        for e in pop.iter().take(cfg.elitism) {
+        for e in pop.iter().take(ELITISM) {
             offspring.push(e.plan.clone());
         }
         while offspring.len() < cfg.population {
-            let pa = tournament(&pop, cfg.tournament, &mut rng);
-            let pb = tournament(&pop, cfg.tournament, &mut rng);
-            let mut child = if rng.gen_bool(cfg.crossover_rate) {
+            let pa = tournament(&pop, TOURNAMENT, &mut rng);
+            let pb = tournament(&pop, TOURNAMENT, &mut rng);
+            let mut child = if rng.gen_bool(CROSSOVER_RATE) {
                 crossover(ctx, &ev, &pop[pa].plan, &pop[pb].plan, &mut rng)
             } else {
                 pop[pa.min(pb)].plan.clone()
             };
-            if rng.gen_bool(cfg.mutation_rate) {
+            if rng.gen_bool(MUTATION_RATE) {
                 child = mutate(ctx, &ev, &child, &mut rng);
             }
             if rng.gen_bool(cfg.local_search_rate) {

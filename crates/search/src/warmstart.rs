@@ -30,7 +30,7 @@
 use crate::eval::Evaluator;
 use crate::greedy::GreedySolver;
 use crate::hgga::SolveControls;
-use crate::partition::{partition_regions, HggaHierSolver};
+use crate::partition::{partition_regions, HggaHierSolver, MIN_COUPLING};
 use crate::plancache::{CacheEntry, PlanCache, CACHE_VERSION};
 use kfuse_core::fingerprint::{
     kernel_colors, kernel_signatures, program_fingerprint_with, region_fingerprint,
@@ -179,15 +179,9 @@ impl WarmSolver {
             reg.incr(Counter::CacheProbes);
             let mut outcome_code = PROBE_MISS;
 
-            let (exact, near, region_fps, n_entries) = {
+            let (exact, n_entries) = {
                 let c = lock(shared);
-                (
-                    c.lookup_exact(fp).cloned(),
-                    c.lookup_near(fp, &sigs, self.min_overlap)
-                        .map(|(e, _overlap)| e.clone()),
-                    c.region_fps(),
-                    c.len() as u64,
-                )
+                (c.lookup_exact(fp).cloned(), c.len() as u64)
             };
 
             if let Some(entry) = &exact {
@@ -211,6 +205,17 @@ impl WarmSolver {
                     outcome_code = PROBE_NEAR;
                 }
             }
+            // Only a solve consumes the near entry (a scan over every
+            // resident entry) and the region set, so an exact hit that
+            // served never pays for them under the cache mutex.
+            let (near, region_fps) = {
+                let c = lock(shared);
+                (
+                    c.lookup_near(fp, &sigs, self.min_overlap)
+                        .map(|(e, _overlap)| e.clone()),
+                    c.region_fps(),
+                )
+            };
             if controls.seeds.is_empty() {
                 if let Some(entry) = &near {
                     if let Some(seed) = remap_entry(entry, &sigs) {
@@ -257,7 +262,7 @@ impl WarmSolver {
                 self.inner.effective_max_region(ctx.n_kernels()),
                 &ctx.program,
             ) {
-                (Some(m), Some(_)) => partition_regions(ctx, m, self.inner.min_coupling)
+                (Some(m), Some(_)) => partition_regions(ctx, m, MIN_COUPLING)
                     .regions
                     .iter()
                     .filter(|r| r.len() >= 2)

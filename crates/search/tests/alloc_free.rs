@@ -8,9 +8,8 @@
 //! amortized storage, not per-evaluation work.
 //!
 //! The observability rework adds a second guarantee: with tracing
-//! disabled ([`ObsHandle::disabled`], or the `trace` feature off — both
-//! land in the same no-op path), the memo *hit* path with its always-on
-//! registry counters must also stay allocation-free.
+//! disabled ([`ObsHandle::disabled`]), the memo *hit* path with its
+//! always-on registry counters must also stay allocation-free.
 
 use kfuse_core::batch::{BatchScratch, CandidateBatch};
 use kfuse_core::model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};
@@ -118,8 +117,7 @@ fn batched_miss_path_is_allocation_free_once_warm() {
     // The lane-batched analogue of the scalar guarantee above: once the
     // candidate queue, lane scratch, and output vector have sized
     // themselves, re-scoring whole batches through
-    // [`Evaluator::evaluate_uncached_batch`] must not allocate — under
-    // the 8-lane `batch` feature and the scalar fallback alike.
+    // [`Evaluator::evaluate_uncached_batch`] must not allocate.
     let p = kfuse_workloads::synth::scaling(60);
     let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
     let model = ProposedModel::default();

@@ -5,7 +5,7 @@
 //! and each synthesized lane must agree field-for-field with the
 //! verifier's independent [`PlanChecker::derive_spec`].
 
-use kfuse_core::batch::{BatchScratch, CandidateBatch};
+use kfuse_core::batch::{synthesize_batch, BatchScratch, CandidateBatch};
 use kfuse_core::model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};
 use kfuse_core::pipeline::prepare;
 use kfuse_core::plan::PlanContext;
@@ -13,7 +13,6 @@ use kfuse_core::synth::SynthScratch;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::KernelId;
 use kfuse_search::eval::{BatchProbe, Evaluator};
-#[cfg(feature = "batch")]
 use kfuse_verify::PlanChecker;
 use kfuse_workloads::synth::{generate, SynthConfig};
 use proptest::prelude::*;
@@ -159,10 +158,8 @@ fn group_batch_matches_sequential_group_probes() {
 /// Every lane of `synthesize_batch` must agree field-for-field with the
 /// verifier's independently written `derive_spec` — the same oracle the
 /// scalar path is pinned against — including ragged fills 1..=8.
-#[cfg(feature = "batch")]
 #[test]
 fn lane_specs_match_verifier_derive_spec() {
-    use kfuse_core::batch::synthesize_batch;
     for gpu in &gpus() {
         let ctx = context(12, 0x5EC5 ^ splitmix64(gpu.name.len() as u64), gpu);
         let n = ctx.n_kernels();

@@ -75,12 +75,8 @@ fn partition_off_matches_flat_on_every_builtin() {
     for (name, program) in builtins() {
         let ctx = prepared(&program);
         let hier = HggaHierSolver {
-            partition: PartitionMode::Off,
-            ..HggaHierSolver::with_seed(17)
-        };
-        let hier = HggaHierSolver {
             config: quick_config(17),
-            ..hier
+            partition: PartitionMode::Off,
         };
         let flat = HggaSolver {
             config: quick_config(17),
@@ -106,7 +102,6 @@ fn hier_is_deterministic_across_thread_counts() {
     let solver = HggaHierSolver {
         config: quick_config(23),
         partition: PartitionMode::MaxRegion(16),
-        ..HggaHierSolver::with_seed(23)
     };
     let baseline = solver.solve(&ctx, &model);
     assert!(baseline.objective.is_finite());
@@ -150,7 +145,6 @@ proptest! {
         let solver = HggaHierSolver {
             config: quick_config(seed),
             partition: PartitionMode::MaxRegion(8),
-            ..HggaHierSolver::with_seed(seed)
         };
         let out = solver.solve(&ctx, &model);
         prop_assert!(out.objective.is_finite());

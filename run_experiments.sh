@@ -143,17 +143,14 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
   cargo fmt --check
   echo "== cargo clippy --workspace --all-targets -- -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
-  # Feature matrix: the workspace clippy above covers the default build
-  # (batch on x trace on); the per-crate --no-default-features builds
-  # cover the scalar fallback (batch off) and the compiled-out recorder
-  # (trace off). Feature unification re-enables a default feature the
-  # moment any selected crate asks for it, so each off-axis is linted at
-  # the crate that owns the gate.
-  echo "== clippy feature matrix: batch off (scalar fallback), trace off"
-  cargo clippy -p kfuse-core --no-default-features --all-targets -- -D warnings
-  cargo clippy -p kfuse-search --no-default-features --all-targets -- -D warnings
-  cargo clippy -p kfuse-serve --no-default-features --all-targets -- -D warnings
-  cargo clippy -p kfuse-obs --no-default-features --all-targets -- -D warnings
+  # One build, one configuration: a cargo feature doubles what every
+  # gate below has to cover, so none may come back unnoticed.
+  echo "== no cargo features outside vendor/"
+  if grep -rnE 'cfg(_attr|!)?\(.*feature' crates src tests examples \
+    || grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
+    echo "FAIL: cargo feature gate found (see DESIGN.md §13.4)"
+    exit 1
+  fi
   echo "== cargo doc --no-deps (missing_docs gate)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 fi
@@ -227,8 +224,6 @@ PY
 done
 echo "-- disabled-path allocation freedom (alloc_free)"
 cargo test --release -q -p kfuse-search --test alloc_free
-echo "-- obs crate with the trace feature compiled out"
-cargo test --release -q -p kfuse-obs --no-default-features
 
 bins=(table1 fig3_motivating table5 fig5a fig5b table6 fig6 fig7_8 fig9 table7 smem_whatif fusion_efficiency ablation blocksize_study weak_scaling)
 for b in "${bins[@]}"; do

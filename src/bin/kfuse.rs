@@ -64,6 +64,17 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Numeric value of `flag`, or `default` when the flag is absent. A value
+/// that does not parse is an error, never a silent fallback.
+fn flag_num(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
+    match flag_value(args, flag) {
+        None => Ok(default),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("{flag} expects a number, got `{s}`")),
+    }
+}
+
 fn load_program(path: &str) -> Result<Program, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let p: Program =
@@ -133,9 +144,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     // run under `--fuse`.
     let fused;
     let analyzed: &Program = if args.iter().any(|a| a == "--fuse") {
-        let seed = flag_value(args, "--seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(17u64);
+        let seed = flag_num(args, "--seed", 17)?;
         let model = ProposedModel::default();
         let solver = HggaSolver::with_seed(seed);
         let r = pipeline::run(&p, &gpu, gpu.default_precision(), &model, &solver)
@@ -264,12 +273,8 @@ fn cmd_fuse(args: &[String]) -> Result<(), String> {
     };
     let p = load_program(path)?;
     let gpu = parse_gpu(args);
-    let seed = flag_value(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(17u64);
-    let islands = flag_value(args, "--islands")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1usize);
+    let seed = flag_num(args, "--seed", 17)?;
+    let islands = flag_num(args, "--islands", 1)? as usize;
 
     let model = ProposedModel::default();
     let mut solver = HggaSolver::with_seed(seed);
@@ -353,12 +358,8 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
             .ok_or_else(|| format!("`{target}` is neither a file nor a built-in example"))?
     };
     let gpu = parse_gpu(args);
-    let seed = flag_value(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(17u64);
-    let islands = flag_value(args, "--islands")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1usize);
+    let seed = flag_num(args, "--seed", 17)?;
+    let islands = flag_num(args, "--islands", 1)? as usize;
 
     let partition = match flag_value(args, "--partition") {
         Some(v) => Some(v.parse::<PartitionMode>()?),
@@ -377,44 +378,32 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
     // generations to cut short.
     let reuse = cache_dir.is_some() || budget.is_some();
 
-    let hgga;
-    let hier;
-    let warm;
-    let exhaustive;
-    let solver: &dyn Solver = match flag_value(args, "--solver").as_deref() {
+    let requested = flag_value(args, "--solver");
+    // `hgga` is `hgga-hier` with partitioning off (that mode delegates to
+    // the flat GA bit for bit); `--partition` asks for the decomposition
+    // layer whichever name was given.
+    let flat = partition.is_none() && matches!(requested.as_deref(), None | Some("hgga"));
+    let solver: Box<dyn Solver> = match requested.as_deref() {
         Some(other @ ("greedy" | "exhaustive")) if reuse => {
             return Err(format!(
                 "--cache-dir/--budget-ms require a GA solver; `{other}` does not support them"
             ));
         }
-        // `--partition` implies the hierarchical solver: it is the only
-        // one with a decomposition layer to configure.
-        None | Some("hgga") if partition.is_none() && !reuse => {
-            let mut s = HggaSolver::with_seed(seed);
-            s.config.islands = islands;
-            hgga = s;
-            &hgga
-        }
         None | Some("hgga") | Some("hgga-hier") => {
             let mut s = HggaHierSolver::with_seed(seed);
             s.config.islands = islands;
-            if let Some(mode) = partition {
-                s.partition = mode;
-            } else if !matches!(flag_value(args, "--solver").as_deref(), Some("hgga-hier")) {
-                // Plain `hgga` + cache/budget: keep the flat search
-                // trajectory (the hier solver with partitioning off
-                // delegates to the flat GA bit-for-bit).
-                s.partition = PartitionMode::Off;
-            }
+            s.partition = match partition {
+                Some(mode) => mode,
+                None if flat => PartitionMode::Off,
+                None => PartitionMode::Auto,
+            };
             if reuse {
-                warm = WarmSolver::new(s, cache_dir, budget);
-                &warm
+                Box::new(WarmSolver::new(s, cache_dir, budget))
             } else {
-                hier = s;
-                &hier
+                Box::new(s)
             }
         }
-        Some("greedy") => &GreedySolver,
+        Some("greedy") => Box::new(GreedySolver),
         Some("exhaustive") => {
             let s = ExhaustiveSolver::default();
             if p.kernels.len() > s.max_kernels {
@@ -426,10 +415,15 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
                     p.kernels.len()
                 ));
             }
-            exhaustive = s;
-            &exhaustive
+            Box::new(s)
         }
         Some(other) => return Err(format!("unknown solver `{other}`")),
+    };
+    // Report the solver the user named, not the type that carries it.
+    let name = if flat && !reuse {
+        "hgga"
+    } else {
+        solver.name()
     };
 
     let (_, ctx) = pipeline::prepare(&p, &gpu, gpu.default_precision());
@@ -445,7 +439,7 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
     if full_output {
         println!(
             "solver {}: objective {:.6e} over {} kernels in {} groups ({:?})",
-            solver.name(),
+            name,
             out.objective,
             ctx.n_kernels(),
             out.plan.groups.len(),
@@ -455,8 +449,7 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
     }
     print!("{}", out.metrics.render_table());
     // Derived view over the batch counters: average candidate lanes per
-    // scoring sweep (up to 8 with the `batch` feature, 1 under the scalar
-    // fallback, 0 when the run never batch-scored).
+    // scoring sweep (up to 8, 0 when the run never batch-scored).
     println!(
         "{:<20}  {:>20.6}",
         "avg_batch_fill", out.stats.avg_batch_fill
@@ -563,9 +556,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         let opts = kfuse_codegen::CodegenOptions::default();
         if args.iter().any(|a| a == "--fuse") {
             let gpu = parse_gpu(args);
-            let seed = flag_value(args, "--seed")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(17u64);
+            let seed = flag_num(args, "--seed", 17)?;
             let model = ProposedModel::default();
             let solver = HggaSolver::with_seed(seed);
             let r = pipeline::run(&p, &gpu, gpu.default_precision(), &model, &solver)
@@ -596,21 +587,13 @@ fn cmd_codegen(args: &[String]) -> Result<(), String> {
 /// protocol is documented in SERVING.md. `--workers 1` (the default) is
 /// the deterministic mode: same request stream, same byte stream.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let num = |flag: &str, default: u64| -> Result<u64, String> {
-        match flag_value(args, flag) {
-            None => Ok(default),
-            Some(s) => s
-                .parse()
-                .map_err(|_| format!("{flag} expects a number, got `{s}`")),
-        }
-    };
     let cfg = kfuse_serve::ServeConfig {
-        workers: num("--workers", 1)? as usize,
-        queue_depth: num("--queue-depth", 64)?.max(1) as usize,
+        workers: flag_num(args, "--workers", 1)? as usize,
+        queue_depth: flag_num(args, "--queue-depth", 64)?.max(1) as usize,
         cache_dir: flag_value(args, "--cache-dir").map(std::path::PathBuf::from),
         gpu: flag_value(args, "--gpu").unwrap_or_else(|| "k20x".into()),
-        seed: num("--seed", 17)?,
-        retry_after_ms: num("--retry-after-ms", 50)?,
+        seed: flag_num(args, "--seed", 17)?,
+        retry_after_ms: flag_num(args, "--retry-after-ms", 50)?,
     };
     if GpuSpec::by_name(&cfg.gpu).is_none() {
         return Err(format!("unknown gpu `{}`", cfg.gpu));

@@ -243,6 +243,74 @@ fn solve_budget_flag_is_ga_only() {
     assert!(String::from_utf8_lossy(&bad_ms.stderr).contains("whole milliseconds"));
 }
 
+/// `--solver hgga` is `hgga-hier` with partitioning off: same objective,
+/// group count and generation count, and each run reports the solver the
+/// user named.
+#[test]
+fn solve_hgga_is_hier_with_partition_off() {
+    let run = |args: &[&str]| -> String {
+        let out = kfuse(args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // Everything after "solver <name>: " up to the wall-time parenthesis,
+    // plus the `generations` row of the metrics table.
+    let key = |text: &str, name: &str| -> (String, String) {
+        let head = text.lines().next().unwrap();
+        let head = head
+            .strip_prefix(&format!("solver {name}: "))
+            .unwrap_or_else(|| panic!("expected `solver {name}:`, got `{head}`"));
+        let generations = text
+            .lines()
+            .find(|l| l.starts_with("generations"))
+            .expect("metrics table has a generations row");
+        (
+            head.split(" (").next().unwrap().to_string(),
+            generations.to_string(),
+        )
+    };
+    let flat = run(&["solve", "rk3", "--solver", "hgga", "--seed", "17"]);
+    let hier = run(&[
+        "solve",
+        "rk3",
+        "--solver",
+        "hgga-hier",
+        "--partition",
+        "off",
+        "--seed",
+        "17",
+    ]);
+    assert_eq!(key(&flat, "hgga"), key(&hier, "hgga-hier"));
+}
+
+/// A numeric flag that does not parse is an error on every subcommand,
+/// never a silent fall back to the default.
+#[test]
+fn unparseable_seed_and_islands_are_errors() {
+    let path = tmp("rk3_badflags.json");
+    let dump = kfuse(&["example", "rk3"]);
+    std::fs::write(&path, &dump.stdout).unwrap();
+    let path = path.to_str().unwrap();
+    for args in [
+        vec!["solve", "rk3", "--seed", "abc"],
+        vec!["solve", "rk3", "--islands", "two"],
+        vec!["stats", "rk3", "--seed", "abc"],
+        vec!["fuse", path, "--seed", "abc"],
+        vec!["fuse", path, "--islands", "two"],
+        vec!["analyze", path, "--fuse", "--seed", "abc"],
+        vec!["lint", path, "--fuse", "--seed", "abc"],
+    ] {
+        let out = kfuse(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("expects a number, got"), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn lint_flags_broken_cuda_file() {
     let src = tmp("rk3_broken.cu");
