@@ -1,20 +1,14 @@
-//! Search-layer scaling study: evaluator throughput and island-model
-//! wall-clock on synthetic workloads of 20/40/60 kernels.
+//! Search-layer scaling study on synthetic workloads of 20/40/60 kernels.
+//! Every stage times a path the solvers execute:
 //!
-//! Two questions, answered side by side:
-//!
-//! 1. **Evaluator throughput** — plan evaluations per second of the
-//!    sharded, allocation-lean memo versus the retained pre-rework
-//!    evaluator (single global `RwLock<HashMap>` with an allocating key
-//!    per lookup), hammered from 1/2/4/8 threads over a fixed pool of
-//!    candidate plans. This isolates the memo hit path, which dominates
-//!    HGGA runtime once the population converges.
-//! 2. **Neighbor-move scoring** — the cost of evaluating a one-kernel
-//!    move from a current plan: the pre-refactor path (clone the groups,
-//!    rebuild a `FusionPlan`, re-evaluate from scratch) on both the legacy
-//!    and sharded evaluators, against the delta path
-//!    (`Chromosome::move_kernel` + incremental `rescore`). This is the
-//!    inner-loop currency of mutation and local search.
+//! 1. **Miss path** — the memo-bypassed per-group evaluation unit
+//!    (`Evaluator::evaluate_uncached`: SoA synthesis + view projection)
+//!    against the materializing legacy unit, over the distinct groups of
+//!    a fixed candidate-plan pool, plus a cold-memo solver run's miss
+//!    accounting.
+//! 2. **Lane-batched miss path** — the same group pool scored whole-batch
+//!    through `Evaluator::evaluate_uncached_batch` (8-lane synthesis +
+//!    batched projection), against the scalar SoA unit.
 //! 3. **Island scaling** — HGGA wall-clock and solution quality at
 //!    1/2/4/8 islands with everything else fixed.
 //! 4. **Solver variants** — whole-search throughput (individuals scored
@@ -23,11 +17,7 @@
 //!    condensation-check counts per variant. Both trajectories are
 //!    bit-identical (see the pinning tests), so any wall-clock delta is
 //!    pure representation overhead.
-//! 5. **Lane-batched miss path** — the same memo-bypassed group pool as
-//!    the miss-path study, scored whole-batch through
-//!    `Evaluator::evaluate_uncached_batch` (8-lane synthesis + batched
-//!    projection), against the scalar SoA unit.
-//! 6. **Hierarchical partition-first scaling** — `hgga-hier` wall-clock
+//! 5. **Hierarchical partition-first scaling** — `hgga-hier` wall-clock
 //!    on clustered programs of 1k/5k/10k kernels (the regime where the
 //!    flat solver is DNF), a like-for-like flat-vs-hier wall comparison
 //!    at 250/500 kernels under a reduced GA budget, and solution-quality
@@ -37,8 +27,10 @@
 //! Results go to `results/search_scaling.json`; the machine-readable
 //! headline for the regression gate goes to `BENCH_search.json` in the
 //! working directory (the repo root when driven by `run_experiments.sh`).
-//! `--check-against <file>` compares the fresh flat-solver evals/s against
-//! a committed baseline and exits non-zero on a >20% regression.
+//! `--check-against <file>` compares the fresh flat-solver, miss-path and
+//! lane-batch rates against a committed baseline and exits non-zero on a
+//! regression of more than 20%, or on a failed hierarchical
+//! scaling/quality gate.
 //! `--trace` additionally records one traced HGGA run per workload (via
 //! `kfuse-obs`) and writes Perfetto-loadable chrome-trace JSON to
 //! `results/search_scaling_trace_<kernels>.json`, so BENCH runs carry
@@ -52,25 +44,15 @@ use kfuse_core::plan::{FusionPlan, PlanContext};
 use kfuse_gpu::GpuSpec;
 use kfuse_ir::KernelId;
 use kfuse_obs::{InMemoryRecorder, ObsHandle};
-use kfuse_search::eval::legacy::LegacyEvaluator;
 use kfuse_search::{Evaluator, HggaConfig, HggaHierSolver, HggaSolver, PartitionMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::time::Instant;
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const ISLAND_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const KERNEL_COUNTS: [usize; 3] = [20, 40, 60];
 const PLAN_POOL: usize = 48;
-
-#[derive(Serialize)]
-struct EvaluatorPoint {
-    threads: usize,
-    legacy_evals_per_sec: f64,
-    sharded_evals_per_sec: f64,
-    speedup: f64,
-}
 
 #[derive(Serialize)]
 struct SolverPoint {
@@ -79,16 +61,6 @@ struct SolverPoint {
     objective: f64,
     generations: u32,
     evaluations: u64,
-}
-
-#[derive(Serialize)]
-struct NeighborPoint {
-    threads: usize,
-    full_legacy_per_sec: f64,
-    full_sharded_per_sec: f64,
-    delta_per_sec: f64,
-    speedup_vs_legacy: f64,
-    speedup_vs_sharded: f64,
 }
 
 #[derive(Serialize)]
@@ -195,8 +167,6 @@ struct HierSection {
 #[derive(Serialize)]
 struct WorkloadReport {
     kernels: usize,
-    evaluator: Vec<EvaluatorPoint>,
-    neighbor: Vec<NeighborPoint>,
     miss_path: MissPoint,
     batch: BatchPoint,
     solver: Vec<SolverPoint>,
@@ -216,22 +186,11 @@ struct BenchFile {
     benchmark: String,
     population: usize,
     max_generations: u32,
-    neighbor: Vec<BenchNeighbor>,
     miss_path: Vec<MissPoint>,
     batch: Vec<BatchPoint>,
     variants: Vec<BenchVariant>,
     hier: HierSection,
     headline: Headline,
-}
-
-#[derive(Serialize)]
-struct BenchNeighbor {
-    kernels: usize,
-    threads: usize,
-    full_legacy_per_sec: f64,
-    full_sharded_per_sec: f64,
-    delta_per_sec: f64,
-    speedup_vs_legacy: f64,
 }
 
 #[derive(Serialize)]
@@ -247,12 +206,9 @@ struct BenchVariant {
 #[derive(Serialize)]
 struct Headline {
     kernels: usize,
+    /// Threads the headline workload runs on (one per island of the
+    /// 8-island flat solver).
     threads: usize,
-    /// Delta neighbor-move scoring rate (the tentpole metric).
-    delta_evals_per_sec: f64,
-    /// Pre-refactor neighbor scoring rate (legacy evaluator, full rebuild).
-    full_legacy_evals_per_sec: f64,
-    speedup: f64,
     solver: SolverHeadline,
     miss: MissHeadline,
     batch: BatchHeadline,
@@ -343,139 +299,6 @@ fn plan_pool(ctx: &PlanContext, ev: &Evaluator<'_>, rng: &mut SmallRng) -> Vec<F
             FusionPlan::new(groups.into_iter().filter(|g| !g.is_empty()).collect())
         })
         .collect()
-}
-
-/// Hammer `eval` over `plans` from `threads` OS threads; returns plan
-/// evaluations per second. The memo is pre-warmed by the caller, so this
-/// measures the steady-state hit path.
-fn throughput<F>(threads: usize, iters: usize, plans: &[FusionPlan], eval: F) -> f64
-where
-    F: Fn(&FusionPlan) -> f64 + Sync,
-{
-    let t = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                for _ in 0..iters {
-                    for p in plans {
-                        std::hint::black_box(eval(p));
-                    }
-                }
-            });
-        }
-    });
-    let total = (threads * iters * plans.len()) as f64;
-    total / t.elapsed().as_secs_f64()
-}
-
-/// One sharing-graph-guided neighbor move: relocate `k` into the group of
-/// one of its sharing neighbors (the move class mutation and local search
-/// draw from).
-fn apply_neighbor_move(groups: &mut Vec<Vec<KernelId>>, k: KernelId, m: KernelId) {
-    let si = groups
-        .iter()
-        .position(|g| g.contains(&k))
-        .expect("kernel is in some group");
-    let gi = groups
-        .iter()
-        .position(|g| g.contains(&m))
-        .expect("neighbor is in some group");
-    if si == gi {
-        return;
-    }
-    let vi = groups[si].iter().position(|&x| x == k).unwrap();
-    groups[si].remove(vi);
-    groups[gi].push(k);
-    if groups[si].is_empty() {
-        groups.remove(si);
-    }
-}
-
-/// Score one-kernel-move neighbors the pre-refactor way: mutate a
-/// Vec-of-Vecs state, clone it, rebuild a `FusionPlan`, re-evaluate from
-/// scratch. Returns neighbor evaluations per second.
-fn neighbor_full<F>(
-    threads: usize,
-    iters: usize,
-    plans: &[FusionPlan],
-    ctx: &PlanContext,
-    eval: F,
-) -> f64
-where
-    F: Fn(&FusionPlan) -> f64 + Sync,
-{
-    let n = ctx.n_kernels();
-    let t = Instant::now();
-    std::thread::scope(|s| {
-        for tid in 0..threads {
-            let eval = &eval;
-            s.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(0xF00D + tid as u64);
-                let mut states: Vec<Vec<Vec<KernelId>>> =
-                    plans.iter().map(|p| p.groups.clone()).collect();
-                for _ in 0..iters {
-                    for st in states.iter_mut() {
-                        let k = rng.gen_range(0..n);
-                        let neigh = ctx.share.neighbors(KernelId(k as u32));
-                        if !neigh.is_empty() {
-                            let m = neigh[rng.gen_range(0..neigh.len())] as usize;
-                            apply_neighbor_move(st, KernelId(k as u32), KernelId(m as u32));
-                        }
-                        let plan = FusionPlan::new(st.clone());
-                        std::hint::black_box(eval(&plan));
-                    }
-                }
-            });
-        }
-    });
-    (threads * iters * plans.len()) as f64 / t.elapsed().as_secs_f64()
-}
-
-/// The same neighbor walk through the flat chromosome: `move_kernel`
-/// marks the two touched groups dirty, `rescore` re-resolves only those
-/// and re-checks the condensation incrementally.
-fn neighbor_delta(
-    threads: usize,
-    iters: usize,
-    plans: &[FusionPlan],
-    ctx: &PlanContext,
-    ev: &Evaluator<'_>,
-) -> f64 {
-    let n = ctx.n_kernels();
-    let t = Instant::now();
-    std::thread::scope(|s| {
-        for tid in 0..threads {
-            s.spawn(move || {
-                let mut scratch = kfuse_search::chromo::OpScratch::new();
-                let mut rng = SmallRng::seed_from_u64(0xF00D + tid as u64);
-                let mut states: Vec<kfuse_search::chromo::Chromosome> = plans
-                    .iter()
-                    .map(|p| {
-                        let mut ch = kfuse_search::chromo::Chromosome::from_plan(p, ev);
-                        ch.rescore(ev, &mut scratch);
-                        ch
-                    })
-                    .collect();
-                for _ in 0..iters {
-                    for ch in states.iter_mut() {
-                        let k = rng.gen_range(0..n);
-                        let k = KernelId(k as u32);
-                        let neigh = ctx.share.neighbors(k);
-                        if !neigh.is_empty() {
-                            let m = neigh[rng.gen_range(0..neigh.len())] as usize;
-                            let m = KernelId(m as u32);
-                            if ch.slot_of(k) != ch.slot_of(m) {
-                                let to = ch.position_of_slot(ch.slot_of(m));
-                                ch.move_kernel(k, to);
-                            }
-                        }
-                        std::hint::black_box(ch.rescore(ev, &mut scratch));
-                    }
-                }
-            });
-        }
-    });
-    (threads * iters * plans.len()) as f64 / t.elapsed().as_secs_f64()
 }
 
 /// Measure the miss path on one workload: distinct multi-member groups
@@ -620,17 +443,6 @@ fn batch_point(kernels: usize, ev: &Evaluator<'_>, plans: &[FusionPlan]) -> Batc
         speedup: rate / soa,
         avg_batch_fill: stats.lanes as f64 / (stats.batches.max(1)) as f64,
     }
-}
-
-/// Pick an iteration count so each measurement takes roughly half a
-/// second at single-thread speed.
-fn calibrate<F: Fn(&FusionPlan) -> f64>(plans: &[FusionPlan], eval: F) -> usize {
-    let t = Instant::now();
-    for p in plans {
-        std::hint::black_box(eval(p));
-    }
-    let pass = t.elapsed().as_secs_f64().max(1e-6);
-    ((0.5 / pass).ceil() as usize).clamp(2, 2000)
 }
 
 /// Shared hyper-parameters for the variant comparison: identical seeds and
@@ -830,23 +642,8 @@ fn hier_stage(gpu: &GpuSpec, model: &ProposedModel) -> HierSection {
 }
 
 fn main() {
-    let mut trace = false;
-    let check_against: Option<String> = {
-        let mut args = std::env::args().skip(1);
-        let mut path = None;
-        while let Some(a) = args.next() {
-            if a == "--check-against" {
-                path = args.next();
-                if path.is_none() {
-                    eprintln!("--check-against requires a file argument");
-                    std::process::exit(2);
-                }
-            } else if a == "--trace" {
-                trace = true;
-            }
-        }
-        path
-    };
+    let check_against = kfuse_bench::check_against_arg();
+    let trace = std::env::args().any(|a| a == "--trace");
     let gpu = GpuSpec::k20x();
     let model = ProposedModel::default();
     let mut workloads: Vec<WorkloadReport> = Vec::new();
@@ -855,17 +652,15 @@ fn main() {
         let program = synth(kernels);
         let (_, ctx) = prepare(&program, &gpu, gpu.default_precision());
         let sharded = Evaluator::new(&ctx, &model);
-        let legacy = LegacyEvaluator::new(&ctx, &model);
         let mut rng = SmallRng::seed_from_u64(0xD15C0);
         let plans = plan_pool(&ctx, &sharded, &mut rng);
 
         println!("== {kernels} kernels ({} candidate plans) ==", plans.len());
 
         // The miss-path and lane-batched stages run first, before the
-        // memo warm-up below: both measure raw (memo-independent)
-        // evaluation, and the warmed shards' tens of MB of heap
-        // otherwise bleed cache pollution into their single-threaded
-        // timing loops.
+        // solver runs below: both measure raw (memo-independent)
+        // evaluation, and the solvers' warmed memo shards otherwise bleed
+        // cache pollution into their single-threaded timing loops.
         let miss_path = miss_path_point(kernels, &ctx, &model, &sharded, &plans);
         println!(
             "  miss path : SoA {:>12.0} evals/s   legacy {:>12.0} evals/s   ({:.2}x)   cold miss rate {:.3}   {:.0} ns/miss ({:.0} ns synth)",
@@ -883,68 +678,10 @@ fn main() {
             batch.batch_evals_per_sec, batch.soa_evals_per_sec, batch.speedup, batch.avg_batch_fill,
         );
 
-        // Warm both memos so every measured evaluation is a hit.
-        for p in &plans {
-            sharded.plan(p);
-            legacy.plan(p);
-        }
-        let iters = calibrate(&plans, |p| sharded.plan(p));
-        println!("  evaluator : {iters} warmed iters per thread");
-        let mut evaluator = Vec::new();
-        for &threads in &THREAD_COUNTS {
-            let new_rate = throughput(threads, iters, &plans, |p| sharded.plan(p));
-            let old_rate = throughput(threads, iters, &plans, |p| legacy.plan(p));
-            let speedup = new_rate / old_rate;
-            println!(
-                "  evaluator  t={threads}: sharded {:>12.0} evals/s   legacy {:>12.0} evals/s   ({speedup:.2}x)",
-                new_rate, old_rate
-            );
-            evaluator.push(EvaluatorPoint {
-                threads,
-                legacy_evals_per_sec: old_rate,
-                sharded_evals_per_sec: new_rate,
-                speedup,
-            });
-        }
-
-        // Neighbor-move scoring: calibrate on the sharded full path, then
-        // hammer all three variants with the same walk policy.
-        let mut neighbor = Vec::new();
-        let probe_rate = neighbor_full(1, 1, &plans, &ctx, |p| sharded.plan(p));
-        let iters_n = ((0.5 * probe_rate / plans.len() as f64).ceil() as usize).clamp(2, 2000);
-        for &threads in &THREAD_COUNTS {
-            let full_legacy = neighbor_full(threads, iters_n, &plans, &ctx, |p| legacy.plan(p));
-            let full_sharded = neighbor_full(threads, iters_n, &plans, &ctx, |p| sharded.plan(p));
-            let delta = neighbor_delta(threads, iters_n, &plans, &ctx, &sharded);
-            println!(
-                "  neighbor   t={threads}: delta {:>12.0} evals/s   full(sharded) {:>12.0}   full(legacy) {:>12.0}   ({:.2}x vs legacy)",
-                delta,
-                full_sharded,
-                full_legacy,
-                delta / full_legacy
-            );
-            neighbor.push(NeighborPoint {
-                threads,
-                full_legacy_per_sec: full_legacy,
-                full_sharded_per_sec: full_sharded,
-                delta_per_sec: delta,
-                speedup_vs_legacy: delta / full_legacy,
-                speedup_vs_sharded: delta / full_sharded,
-            });
-        }
-
         let mut solver = Vec::new();
         for &islands in &ISLAND_COUNTS {
             let s = HggaSolver {
-                config: HggaConfig {
-                    population: 64,
-                    max_generations: 60,
-                    stall_generations: 20,
-                    islands,
-                    migration_interval: 5,
-                    seed: 0xC0FFEE,
-                    ..HggaConfig::default()
-                },
+                config: study_config(islands),
             };
             let t = Instant::now();
             let out = s.solve(&ctx, &model);
@@ -999,8 +736,6 @@ fn main() {
 
         workloads.push(WorkloadReport {
             kernels,
-            evaluator,
-            neighbor,
             miss_path,
             batch,
             solver,
@@ -1021,31 +756,7 @@ fn main() {
     };
     write_json("search_scaling", &report);
 
-    // Headline number for the changelog: 60-kernel workload at 8 threads.
-    if let Some(w) = report.workloads.iter().find(|w| w.kernels == 60) {
-        if let Some(p) = w.evaluator.iter().find(|p| p.threads == 8) {
-            println!(
-                "\nheadline: 60 kernels @ 8 threads — sharded {:.0} evals/s vs legacy {:.0} evals/s ({:.2}x)",
-                p.sharded_evals_per_sec, p.legacy_evals_per_sec, p.speedup
-            );
-        }
-    }
-
     // Machine-readable benchmark file + regression gate (ISSUE 3).
-    let bench_neighbor: Vec<BenchNeighbor> = report
-        .workloads
-        .iter()
-        .flat_map(|w| {
-            w.neighbor.iter().map(|p| BenchNeighbor {
-                kernels: w.kernels,
-                threads: p.threads,
-                full_legacy_per_sec: p.full_legacy_per_sec,
-                full_sharded_per_sec: p.full_sharded_per_sec,
-                delta_per_sec: p.delta_per_sec,
-                speedup_vs_legacy: p.speedup_vs_legacy,
-            })
-        })
-        .collect();
     let bench_variants: Vec<BenchVariant> = report
         .workloads
         .iter()
@@ -1060,9 +771,6 @@ fn main() {
             })
         })
         .collect();
-    let head_n = bench_neighbor
-        .iter()
-        .find(|p| p.kernels == 60 && p.threads == 8);
     let head_ref = bench_variants
         .iter()
         .find(|v| v.kernels == 60 && v.variant == "reference");
@@ -1077,8 +785,8 @@ fn main() {
     let head_miss = bench_miss.iter().find(|m| m.kernels == 60);
     let bench_batch: Vec<BatchPoint> = report.workloads.iter().map(|w| w.batch.clone()).collect();
     let head_batch = bench_batch.iter().find(|b| b.kernels == 60);
-    let (Some(head_n), Some(head_ref), Some(head_flat), Some(head_miss), Some(head_batch)) =
-        (head_n, head_ref, head_flat, head_miss, head_batch)
+    let (Some(head_ref), Some(head_flat), Some(head_miss), Some(head_batch)) =
+        (head_ref, head_flat, head_miss, head_batch)
     else {
         eprintln!("missing 60-kernel headline measurements");
         std::process::exit(2);
@@ -1090,9 +798,6 @@ fn main() {
         headline: Headline {
             kernels: 60,
             threads: 8,
-            delta_evals_per_sec: head_n.delta_per_sec,
-            full_legacy_evals_per_sec: head_n.full_legacy_per_sec,
-            speedup: head_n.speedup_vs_legacy,
             solver: SolverHeadline {
                 islands: 8,
                 reference_evals_per_sec: head_ref.evals_per_sec,
@@ -1113,20 +818,13 @@ fn main() {
                 avg_batch_fill: head_batch.avg_batch_fill,
             },
         },
-        neighbor: bench_neighbor,
         miss_path: bench_miss,
         batch: bench_batch,
         variants: bench_variants,
         hier,
     };
     println!(
-        "\nheadline: 60 kernels @ 8 threads — delta {:.0} evals/s vs full rebuild {:.0} evals/s ({:.2}x)",
-        bench.headline.delta_evals_per_sec,
-        bench.headline.full_legacy_evals_per_sec,
-        bench.headline.speedup
-    );
-    println!(
-        "solver:   60 kernels — flat x8 {:.0} evals/s vs reference {:.0} evals/s ({:.2}x)",
+        "\nsolver:   60 kernels — flat x8 {:.0} evals/s vs reference {:.0} evals/s ({:.2}x)",
         bench.headline.solver.flat_evals_per_sec,
         bench.headline.solver.reference_evals_per_sec,
         bench.headline.solver.speedup
@@ -1145,53 +843,19 @@ fn main() {
         bench.headline.batch.avg_batch_fill
     );
     // Load the committed baseline BEFORE overwriting it with this run.
-    let committed: Option<(String, serde_json::Value)> = check_against.map(|path| {
-        match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str(&s).map_err(|e| e.to_string()))
-        {
-            Ok(v) => (path, v),
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
+    let committed = check_against.map(|path| (kfuse_bench::load_baseline(&path), path));
 
-    // Carry the warm-start study's section (owned by the `warm_start`
-    // bin) over from the previous file: this bin regenerates only the
-    // search-scaling sections.
-    let carried: Option<serde_json::Value> = std::fs::read_to_string("BENCH_search.json")
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .and_then(|mut v| v.as_object_mut().and_then(|o| o.remove("warm_start")));
+    // This bin regenerates only the search-scaling sections; the
+    // `warm_start` section (owned by the `warm_start` bin) is left as is.
     match serde_json::to_value(&bench) {
-        Ok(mut v) => {
-            if let (Some(obj), Some(ws)) = (v.as_object_mut(), carried) {
-                obj.insert("warm_start".into(), ws);
-            }
-            match serde_json::to_string_pretty(&v) {
-                Ok(s) => {
-                    if let Err(e) = std::fs::write("BENCH_search.json", s) {
-                        eprintln!("warning: could not write BENCH_search.json: {e}");
-                    } else {
-                        eprintln!("wrote BENCH_search.json");
-                    }
-                }
-                Err(e) => eprintln!("warning: could not serialize BENCH_search.json: {e}"),
-            }
-        }
+        Ok(serde_json::Value::Object(sections)) => kfuse_bench::merge_bench_sections(sections),
+        Ok(_) => unreachable!("BenchFile serializes to an object"),
         Err(e) => eprintln!("warning: could not serialize BENCH_search.json: {e}"),
     }
 
-    if let Some((path, committed)) = committed {
+    if let Some((committed, path)) = committed {
         let mut failed = false;
         for (what, baseline, fresh) in [
-            (
-                "delta neighbor scoring",
-                committed["headline"]["delta_evals_per_sec"].as_f64(),
-                bench.headline.delta_evals_per_sec,
-            ),
             (
                 "flat solver",
                 committed["headline"]["solver"]["flat_evals_per_sec"].as_f64(),
@@ -1203,31 +867,14 @@ fn main() {
                 bench.headline.miss.soa_evals_per_sec,
             ),
             (
-                // Pre-batch baselines have no `headline.batch` section;
-                // `as_f64()` yields None there and the gate skips
-                // gracefully below.
                 "lane-batched miss-path evaluation",
                 committed["headline"]["batch"]["batch_evals_per_sec"].as_f64(),
                 bench.headline.batch.batch_evals_per_sec,
             ),
         ] {
-            let Some(baseline) = baseline.filter(|b| *b > 0.0) else {
-                eprintln!("baseline {path} has no usable {what} rate; skipping");
-                continue;
-            };
-            if fresh < 0.8 * baseline {
-                eprintln!(
-                    "REGRESSION: {what} {fresh:.0} evals/s is more than 20% below the \
-                     committed baseline {baseline:.0} evals/s ({path})"
-                );
-                failed = true;
-            } else {
-                println!(
-                    "regression gate: {what} {fresh:.0} evals/s vs baseline {baseline:.0} — ok"
-                );
-            }
+            failed |= !kfuse_bench::floor_gate(&path, what, " evals/s", baseline, fresh);
         }
-        // Fifth gate: hierarchical scaling. Absolute acceptance thresholds
+        // Fourth gate: hierarchical scaling. Absolute acceptance thresholds
         // first (wall(10k)/wall(1k) ≤ 15, forced-decomposition quality
         // within 2% of flat), then drift against the committed baseline's
         // scale factor — skipped gracefully when the baseline predates the

@@ -229,20 +229,7 @@ fn budget_stage(p: &Program, model: &ProposedModel) -> BudgetPoint {
 }
 
 fn main() {
-    let check_against: Option<String> = {
-        let mut args = std::env::args().skip(1);
-        let mut path = None;
-        while let Some(a) = args.next() {
-            if a == "--check-against" {
-                path = args.next();
-                if path.is_none() {
-                    eprintln!("--check-against requires a file argument");
-                    std::process::exit(2);
-                }
-            }
-        }
-        path
-    };
+    let check_against = kfuse_bench::check_against_arg();
 
     let model = ProposedModel::default();
     let p = kfuse_workloads::synth::scaling(60);
@@ -288,45 +275,16 @@ fn main() {
 
     // Load the committed baseline BEFORE the read-modify-write below
     // replaces the headline with this run's numbers.
-    let committed: Option<(String, serde_json::Value)> = check_against.map(|path| {
-        match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str(&s).map_err(|e| e.to_string()))
-        {
-            Ok(v) => (path, v),
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
+    let committed = check_against.map(|path| (kfuse_bench::load_baseline(&path), path));
 
     // Merge into BENCH_search.json without disturbing the search-scaling
     // sections (and tolerate the file not existing yet).
-    let mut bench: serde_json::Value = std::fs::read_to_string("BENCH_search.json")
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::from_str("{}").expect("empty object parses"));
     match serde_json::to_value(&section) {
-        Ok(v) => {
-            if let Some(obj) = bench.as_object_mut() {
-                obj.insert("warm_start".into(), v);
-            }
-            match serde_json::to_string_pretty(&bench) {
-                Ok(s) => {
-                    if let Err(e) = std::fs::write("BENCH_search.json", s) {
-                        eprintln!("warning: could not write BENCH_search.json: {e}");
-                    } else {
-                        eprintln!("merged warm_start section into BENCH_search.json");
-                    }
-                }
-                Err(e) => eprintln!("warning: could not serialize BENCH_search.json: {e}"),
-            }
-        }
+        Ok(v) => kfuse_bench::merge_bench_sections([("warm_start".to_string(), v)]),
         Err(e) => eprintln!("warning: could not serialize warm_start section: {e}"),
     }
 
-    if let Some((path, committed)) = committed {
+    if let Some((committed, path)) = committed {
         let mut failed = false;
 
         // Absolute acceptance gates first.
@@ -380,27 +338,13 @@ fn main() {
 
         // Drift against the committed headline — skipped gracefully when
         // the baseline predates the warm_start section.
-        match committed["warm_start"]["exact"]["speedup"]
-            .as_f64()
-            .filter(|s| *s > 0.0)
-        {
-            None => eprintln!("baseline {path} has no warm_start section; skipping drift gate"),
-            Some(baseline) => {
-                if section.exact.speedup < 0.8 * baseline {
-                    eprintln!(
-                        "REGRESSION: exact-repeat speedup {:.1}x is more than 20% below the \
-                         committed baseline {:.1}x ({path})",
-                        section.exact.speedup, baseline
-                    );
-                    failed = true;
-                } else {
-                    println!(
-                        "regression gate: exact-repeat speedup {:.1}x vs baseline {:.1}x — ok",
-                        section.exact.speedup, baseline
-                    );
-                }
-            }
-        }
+        failed |= !kfuse_bench::floor_gate(
+            &path,
+            "exact-repeat speedup",
+            "x",
+            committed["warm_start"]["exact"]["speedup"].as_f64(),
+            section.exact.speedup,
+        );
         if failed {
             std::process::exit(1);
         }

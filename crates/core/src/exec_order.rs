@@ -136,11 +136,6 @@ impl ExecOrderGraph {
         self.reach[a.index()].contains(b.index())
     }
 
-    /// Direct successors of `k` (kernels with a hazard edge `k → v`).
-    pub fn succs_of(&self, k: KernelId) -> &[KernelId] {
-        &self.succs[k.index()]
-    }
-
     /// Direct predecessors of `k` (kernels with a hazard edge `u → k`).
     pub fn preds_of(&self, k: KernelId) -> &[KernelId] {
         &self.preds[k.index()]
@@ -172,11 +167,6 @@ impl ExecOrderGraph {
         }
         out.sort_unstable();
         out.dedup();
-    }
-
-    /// Reachability set of `a` (everything ordered after it).
-    pub fn reach_set(&self, a: KernelId) -> &BitSet {
-        &self.reach[a.index()]
     }
 
     /// Check the path-closure constraint (1.3) for a candidate group: for

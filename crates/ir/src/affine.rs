@@ -118,11 +118,6 @@ impl Interval {
         other.is_empty() || (self.lo <= other.lo && other.hi <= self.hi)
     }
 
-    /// True when `v` lies inside the interval.
-    pub const fn contains_point(self, v: i64) -> bool {
-        self.lo <= v && v <= self.hi
-    }
-
     /// True when the two intervals share at least one integer.
     pub const fn overlaps(self, other: Interval) -> bool {
         !self.intersect(other).is_empty()

@@ -68,11 +68,6 @@ impl GridDims {
         u64::from(self.nx) * u64::from(self.ny) * u64::from(self.nz)
     }
 
-    /// Horizontal sites (one k-level).
-    pub fn horizontal_sites(&self) -> u64 {
-        u64::from(self.nx) * u64::from(self.ny)
-    }
-
     /// Row-major linear index of site `(i, j, k)` with i fastest.
     #[inline]
     pub fn idx(&self, i: u32, j: u32, k: u32) -> usize {

@@ -106,11 +106,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Number of kernels added so far.
-    pub fn kernel_count(&self) -> usize {
-        self.kernels.len()
-    }
-
     /// Number of arrays declared so far.
     pub fn array_count(&self) -> usize {
         self.arrays.len()

@@ -60,15 +60,6 @@ pub enum SpanId {
     /// One plan-cache lookup: fingerprint the program, scan the loaded
     /// entries for an exact or near match.
     CacheProbe,
-    /// One whole daemon request, from the line being read off the wire to
-    /// the response line being written (`kfuse serve`).
-    Request,
-    /// Time a request spent in the daemon's bounded queue between
-    /// admission and a worker picking it up.
-    QueueWait,
-    /// The worker-side portion of a request: cache probe + solve +
-    /// response assembly (tracked per worker: `track` = worker index + 1).
-    WorkerSolve,
 }
 
 impl SpanId {
@@ -93,9 +84,6 @@ impl SpanId {
             SpanId::RegionSolve => "region_solve",
             SpanId::StitchPass => "stitch_pass",
             SpanId::CacheProbe => "cache_probe",
-            SpanId::Request => "request",
-            SpanId::QueueWait => "queue_wait",
-            SpanId::WorkerSolve => "worker_solve",
         }
     }
 
@@ -112,7 +100,6 @@ impl SpanId {
             | SpanId::AnalysisPass => "verify",
             SpanId::PartitionPass | SpanId::RegionSolve | SpanId::StitchPass => "hier",
             SpanId::CacheProbe => "cache",
-            SpanId::Request | SpanId::QueueWait | SpanId::WorkerSolve => "serve",
         }
     }
 
@@ -138,9 +125,6 @@ impl SpanId {
             SpanId::RegionSolve => ("kernels", "region"),
             SpanId::StitchPass => ("candidates", "merges"),
             SpanId::CacheProbe => ("entries", "outcome"),
-            SpanId::Request => ("seq", "outcome"),
-            SpanId::QueueWait => ("seq", "depth"),
-            SpanId::WorkerSolve => ("seq", "worker"),
         }
     }
 }
@@ -171,12 +155,10 @@ pub enum Counter {
     MigrantsReceived,
     /// Times a new global best was accepted.
     BestImprovements,
-    /// Chromosome `finalize` calls (offspring sealed: repair + rescore).
+    /// Chromosome `finalize` calls (offspring sealed: repair + re-score).
     Finalizes,
-    /// Repair-free delta `rescore` calls.
-    DeltaRescores,
     /// Groups whose cached eval was stale and had to be re-resolved
-    /// during `finalize`/`rescore`.
+    /// during `finalize`.
     GroupsRescored,
     /// Infeasible or cycle-stuck groups dissolved during repair.
     GroupsSplit,
@@ -231,7 +213,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (registry slot count).
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 30;
 
     /// All counters, in registry/display order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -245,7 +227,6 @@ impl Counter {
         Counter::MigrantsReceived,
         Counter::BestImprovements,
         Counter::Finalizes,
-        Counter::DeltaRescores,
         Counter::GroupsRescored,
         Counter::GroupsSplit,
         Counter::GreedySweeps,
@@ -281,7 +262,6 @@ impl Counter {
             Counter::MigrantsReceived => "migrants_received",
             Counter::BestImprovements => "best_improvements",
             Counter::Finalizes => "finalizes",
-            Counter::DeltaRescores => "delta_rescores",
             Counter::GroupsRescored => "groups_rescored",
             Counter::GroupsSplit => "groups_split",
             Counter::GreedySweeps => "greedy_sweeps",

@@ -22,10 +22,10 @@
 //! * A slot's `eval` is trusted only when `eval_known`; operators that
 //!   probed a candidate group pass the probe result along so finalize
 //!   resolves the remaining unknowns with at most one memo lookup each.
-//! * `cost` is NaN between mutations; only [`Chromosome::finalize`] and
-//!   [`Chromosome::rescore`] produce a comparable objective, and both sum
-//!   group times in normalized order so the f64 result is bitwise equal to
-//!   [`Evaluator::plan`] on the converted [`FusionPlan`].
+//! * `cost` is NaN between mutations; only [`Chromosome::finalize`]
+//!   produces a comparable objective, summing group times in normalized
+//!   order so the f64 result is bitwise equal to [`Evaluator::plan`] on
+//!   the converted [`FusionPlan`].
 
 use crate::eval::{BatchProbe, Evaluator, GroupEval};
 use kfuse_core::exec_order::ExecOrderGraph;
@@ -158,7 +158,7 @@ impl Chromosome {
 
     /// Import a (normalized) [`FusionPlan`]. Singleton evaluations come from
     /// the dense baseline; multi-member groups stay unresolved until
-    /// [`Chromosome::finalize`] or [`Chromosome::rescore`].
+    /// [`Chromosome::finalize`].
     pub fn from_plan(plan: &FusionPlan, ev: &Evaluator) -> Self {
         let n = ev.ctx.n_kernels();
         let mut arena = Vec::with_capacity(n);
@@ -202,7 +202,7 @@ impl Chromosome {
     }
 
     /// The finalized objective. NaN if the chromosome has been mutated
-    /// since the last [`Chromosome::finalize`] / [`Chromosome::rescore`].
+    /// since the last [`Chromosome::finalize`].
     pub fn cost(&self) -> f64 {
         self.cost
     }
@@ -475,54 +475,6 @@ impl Chromosome {
         self.touch();
     }
 
-    /// Unconditionally move kernel `k` into the group at position `to_pos`,
-    /// invalidating both touched evaluations. This is the raw structural
-    /// edit the delta-scoring benchmark drives; solver operators use the
-    /// probed-eval mutators instead.
-    pub fn move_kernel(&mut self, k: KernelId, to_pos: usize) {
-        let from_sid = self.group_of[k.index()];
-        let to_sid = self.order[to_pos];
-        if from_sid == to_sid {
-            return;
-        }
-        // Append to the target first so the source removal sees the new home.
-        let s = self.slots[to_sid as usize];
-        let at_tail = (s.start + s.len) as usize == self.arena.len();
-        if !at_tail {
-            let new_start = self.arena.len() as u32;
-            let range = s.start as usize..(s.start + s.len) as usize;
-            self.arena.extend_from_within(range);
-            self.slots[to_sid as usize].start = new_start;
-        }
-        self.arena.push(k);
-        let s = &mut self.slots[to_sid as usize];
-        s.len += 1;
-        s.eval_known = false;
-        self.group_of[k.index()] = to_sid;
-        self.moved.push(k);
-        self.mark_dirty(to_sid);
-
-        let from = self.slots[from_sid as usize];
-        let base = from.start as usize;
-        let vi = self.arena[base..base + from.len as usize]
-            .iter()
-            .position(|&m| m == k)
-            .expect("kernel not in its recorded slot");
-        self.arena
-            .copy_within(base + vi + 1..base + from.len as usize, base + vi);
-        let from = &mut self.slots[from_sid as usize];
-        from.len -= 1;
-        if from.len == 0 {
-            from.alive = false;
-            let pos = self.position_of_slot(from_sid);
-            self.order.remove(pos);
-        } else {
-            from.eval_known = false;
-            self.mark_dirty(from_sid);
-        }
-        self.touch();
-    }
-
     /// Split slot `sid` into singletons appended at the arena/order tails.
     fn split_slot(&mut self, sid: u32, ev: &Evaluator) {
         let s = self.slots[sid as usize];
@@ -711,38 +663,6 @@ impl Chromosome {
         }
     }
 
-    /// Amortized self-maintenance for long runs of raw structural edits
-    /// that never reach a [`Chromosome::finalize`] (neighbor-move scoring
-    /// loops): once relocated regions have grown the arena past twice the
-    /// kernel count, rewrite the live member regions — and their cached
-    /// edge lists — contiguously. Slot ids are untouched, so the
-    /// incremental edge cache, `group_of`, and caller-held positions all
-    /// stay valid.
-    fn compact_storage(&mut self, scratch: &mut OpScratch) {
-        if self.arena.len() <= 2 * self.n_kernels {
-            return;
-        }
-        scratch.arena2.clear();
-        scratch.edges2.clear();
-        let order = std::mem::take(&mut self.order);
-        for &sid in &order {
-            let s = &mut self.slots[sid as usize];
-            let start = scratch.arena2.len() as u32;
-            scratch
-                .arena2
-                .extend_from_slice(&self.arena[s.start as usize..(s.start + s.len) as usize]);
-            s.start = start;
-            let estart = scratch.edges2.len() as u32;
-            scratch
-                .edges2
-                .extend_from_slice(&self.edges[s.estart as usize..(s.estart + s.elen) as usize]);
-            s.estart = estart;
-        }
-        self.order = order;
-        std::mem::swap(&mut self.arena, &mut scratch.arena2);
-        std::mem::swap(&mut self.edges, &mut scratch.edges2);
-    }
-
     /// Normalize, repair to feasibility (split infeasible multi-member
     /// groups into singletons, then split condensation-cycle victims until
     /// acyclic — bit-for-bit the legacy `repair`), repack, and compute the
@@ -864,62 +784,6 @@ impl Chromosome {
         self.normalized = true;
     }
 
-    /// Score the chromosome *as is* — no repair. Semantics match
-    /// [`Evaluator::plan`] on the converted plan: resolve group evals in
-    /// normalized order with an infinity short-circuit, then run the
-    /// (incremental) condensation cycle test only if every group is
-    /// feasible and at least one is fused. This is the delta-scoring entry
-    /// point the benchmarks and the differential test drive.
-    pub fn rescore(&mut self, ev: &Evaluator, scratch: &mut OpScratch) -> f64 {
-        ev.count(Counter::DeltaRescores, 1);
-        self.compact_storage(scratch);
-        self.normalize();
-        let mut total = 0.0;
-        let mut any_multi = false;
-        let mut feasible = true;
-        for pos in 0..self.order.len() {
-            let sid = self.order[pos];
-            let s = self.slots[sid as usize];
-            let eval = if s.eval_known {
-                s.eval
-            } else {
-                let e = if s.len == 1 {
-                    ev.singleton(self.arena[s.start as usize])
-                } else {
-                    ev.group_with(
-                        &self.arena[s.start as usize..(s.start + s.len) as usize],
-                        &mut scratch.synth,
-                    )
-                };
-                ev.count(Counter::GroupsRescored, 1);
-                let slot = &mut self.slots[sid as usize];
-                slot.eval = e;
-                slot.eval_known = true;
-                e
-            };
-            if !eval.feasible() {
-                feasible = false;
-                break;
-            }
-            any_multi |= s.len >= 2;
-            total += eval.time_s;
-        }
-        if !feasible {
-            self.cost = f64::INFINITY;
-            return self.cost;
-        }
-        if any_multi {
-            self.refresh_edges(&ev.ctx.exec, scratch);
-            ev.count_condensation();
-            if !self.kahn(scratch) {
-                self.cost = f64::INFINITY;
-                return self.cost;
-            }
-        }
-        self.cost = total;
-        total
-    }
-
     /// Internal consistency check used by debug assertions and tests.
     #[cfg(any(test, debug_assertions))]
     pub fn check_invariants(&self) {
@@ -1030,34 +894,6 @@ mod tests {
             ch.check_invariants();
             assert_eq!(ch.cost(), ev.plan(&ch.to_plan()));
         }
-
-        // Structural move + rescore against from-scratch plan eval.
-        let mut raw = ch.clone();
-        let to = raw.group_count() - 1;
-        raw.move_kernel(k(2), to);
-        raw.check_invariants();
-        let delta = raw.rescore(&ev, &mut scratch);
-        assert_eq!(delta, ev.plan(&raw.to_plan()));
-    }
-
-    #[test]
-    fn rescore_flags_cycles_like_plan_eval() {
-        let ctx = context();
-        let model = kfuse_core::model::ProposedModel::default();
-        let ev = Evaluator::new(&ctx, &model);
-        let mut scratch = OpScratch::new();
-        // {k0,k2} sandwiches k1 — path closure fails, so the group is
-        // infeasible; rescore must agree with ev.plan either way.
-        let plan = FusionPlan::new(vec![
-            vec![k(0), k(2)],
-            vec![k(1)],
-            vec![k(3)],
-            vec![k(4)],
-            vec![k(5)],
-        ]);
-        let mut ch = Chromosome::from_plan(&plan, &ev);
-        let got = ch.rescore(&ev, &mut scratch);
-        assert_eq!(got, ev.plan(&plan));
     }
 
     #[test]
@@ -1069,9 +905,13 @@ mod tests {
         let mut ch = Chromosome::identity(&ev);
         ch.finalize(&ev, &mut scratch);
 
-        // Structural edits, incrementally refreshed.
+        // The solver's move: re-home k0 into the last group, then drop it
+        // from its emptied source slot. Edges refresh incrementally.
         let to = ch.group_count() - 1;
-        ch.move_kernel(k(0), to);
+        let grown = ev.group(&[k(5), k(0)]);
+        ch.push_member(to, k(0), grown);
+        ch.remove_member(0, 0, None);
+        ch.check_invariants();
         ch.normalize();
         ch.refresh_edges(&ctx.exec, &mut scratch);
         let incr_ok = ch.kahn(&mut scratch);

@@ -12,15 +12,14 @@
 //! truncated line, bad JSON, version or device mismatch, or an entry with
 //! out-of-range members is *skipped* with a structured [`CacheWarning`],
 //! never a panic, so a half-written cache from a killed process degrades
-//! to a smaller cache. Writes append one line per solve; rewrites happen
-//! only to replace a same-fingerprint entry with a better objective.
+//! to a smaller cache. The file is **append-only**: every insert, new
+//! fingerprint or improvement, adds one line, and a load keeps the best
+//! objective per fingerprint, so a superseded line is inert and no writer
+//! ever touches a line it did not write.
 //!
 //! Writers are **concurrency-disciplined** for the daemon's worker pool:
 //! each append is a single `write_all` of a whole line on an `O_APPEND`
-//! handle, serialized (together with rewrites) through a process-wide
-//! per-file lock, and rewrites go through a temp-file rename that
-//! preserves every line the rewriting instance does not own (other
-//! devices/precisions, lines appended since its load). Multiple
+//! handle, serialized through a process-wide per-file lock. Multiple
 //! [`PlanCache`] instances over one file therefore never interleave
 //! partial JSONL lines.
 //! Cached plans are advisory either way: the warm-start layer re-validates
@@ -41,7 +40,7 @@ pub const CACHE_VERSION: u32 = 1;
 /// Cache file name inside the cache directory.
 const CACHE_FILE: &str = "plans.jsonl";
 
-/// Process-wide append/rewrite locks, one per cache file path.
+/// Process-wide append locks, one per cache file path.
 ///
 /// Several [`PlanCache`] instances can point at the same `plans.jsonl` —
 /// the daemon opens one per worker-visible device/precision pair, and its
@@ -207,7 +206,7 @@ pub struct PlanCache {
     dir: PathBuf,
     gpu: String,
     precision: String,
-    /// Usable entries, in file order (later same-fingerprint lines win).
+    /// Usable entries, one per fingerprint (the best objective wins).
     entries: Vec<CacheEntry>,
     /// Structured load warnings (corrupt/stale lines that were skipped).
     pub warnings: Vec<CacheWarning>,
@@ -281,10 +280,11 @@ impl PlanCache {
                 });
                 continue;
             }
-            // Later lines supersede earlier ones for the same fingerprint
-            // (append-mostly writes leave the old line in place).
-            cache.entries.retain(|e| e.fingerprint != entry.fingerprint);
-            cache.entries.push(entry);
+            // The best objective per fingerprint wins, wherever its line
+            // sits: an improvement is appended after the line it
+            // supersedes, and a worse line appended by an instance that
+            // loaded before the improvement must not displace it.
+            cache.supersede(entry);
         }
         cache
     }
@@ -338,26 +338,40 @@ impl PlanCache {
         fps
     }
 
-    /// Insert (or improve) the entry for `entry.fingerprint` and persist.
-    /// Appends one JSONL line; when the fingerprint already exists the
-    /// whole file is rewritten iff the new objective is strictly better,
-    /// otherwise the insert is a no-op. IO errors are returned, not
-    /// panicked, so a read-only cache degrades to read-through.
-    pub fn insert(&mut self, entry: CacheEntry) -> std::io::Result<()> {
-        if let Some(old) = self.lookup_exact(entry.fingerprint) {
-            if old.objective <= entry.objective {
-                return Ok(());
+    /// Keep `entry` iff its objective is strictly better than the one
+    /// held for its fingerprint (or none is held).
+    fn supersede(&mut self, entry: CacheEntry) {
+        if let Some(i) = self
+            .entries
+            .iter()
+            .position(|e| e.fingerprint == entry.fingerprint)
+        {
+            if self.entries[i].objective <= entry.objective {
+                return;
             }
-            self.entries.retain(|e| e.fingerprint != entry.fingerprint);
-            self.entries.push(entry);
-            return self.rewrite();
+            self.entries.remove(i);
+        }
+        self.entries.push(entry);
+    }
+
+    /// Insert (or improve) the entry for `entry.fingerprint` and persist.
+    /// Appends one JSONL line, unless the fingerprint is already held at
+    /// an objective at least as good — then the insert is a no-op. IO
+    /// errors are returned, not panicked, so a read-only cache degrades
+    /// to read-through.
+    pub fn insert(&mut self, entry: CacheEntry) -> std::io::Result<()> {
+        if self
+            .lookup_exact(entry.fingerprint)
+            .is_some_and(|old| old.objective <= entry.objective)
+        {
+            return Ok(());
         }
         std::fs::create_dir_all(&self.dir)?;
         // One buffer, one `write_all`: the whole line (newline included,
         // plus a leading newline when the file ended mid-line) lands in a
         // single `O_APPEND` write so concurrent appenders cannot
         // interleave partial JSONL lines. The per-path [`file_lock`]
-        // additionally serializes in-process writers against rewrites.
+        // additionally serializes in-process writers.
         let json = serde_json::to_string(&entry)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let mut buf = String::with_capacity(json.len() + 2);
@@ -374,61 +388,8 @@ impl PlanCache {
             .append(true)
             .open(&path)?;
         f.write_all(buf.as_bytes())?;
-        self.entries.push(entry);
+        self.supersede(entry);
         Ok(())
-    }
-
-    /// Rewrite the file to replace this cache's superseded lines (used
-    /// when an existing fingerprint improves).
-    ///
-    /// The file may hold more than this instance loaded — entries for
-    /// other devices or precisions, lines appended by another instance
-    /// since our load — so the rewrite re-reads it under the per-path
-    /// lock and preserves every line it does not own: a line is replaced
-    /// only when it parses to this cache's GPU/precision/version and its
-    /// fingerprint is one of ours. Unparseable (truncated) lines are
-    /// dropped — the corruption-tolerant load would skip them anyway.
-    /// The result is written to a temp file and renamed into place so a
-    /// kill mid-rewrite leaves either the old or the new file, never a
-    /// torn one.
-    fn rewrite(&mut self) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let path = self.dir.join(CACHE_FILE);
-        let lock = file_lock(&path);
-        let _guard = hold(&lock);
-        let mut out = String::new();
-        if let Ok(existing) = std::fs::read_to_string(&path) {
-            for line in existing.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let foreign = match serde_json::from_str::<CacheEntry>(line) {
-                    Ok(e) => {
-                        e.version != CACHE_VERSION
-                            || e.gpu != self.gpu
-                            || e.precision != self.precision
-                            || self.lookup_exact(e.fingerprint).is_none()
-                    }
-                    Err(_) => false,
-                };
-                if foreign {
-                    out.push_str(line);
-                    out.push('\n');
-                }
-            }
-        }
-        for e in &self.entries {
-            let line = serde_json::to_string(e)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            out.push_str(&line);
-            out.push('\n');
-        }
-        self.unterminated = false;
-        let tmp = self
-            .dir
-            .join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, out)?;
-        std::fs::rename(&tmp, &path)
     }
 
     /// Newline-terminate the file's tail if some (possibly killed) writer
@@ -533,7 +494,7 @@ mod tests {
 
         let mut cache = PlanCache::open(&dir, "K20X", "Double");
         cache.insert(entry(1, 0.5)).unwrap();
-        cache.insert(entry(1, 0.3)).unwrap(); // better: takes the rewrite path
+        cache.insert(entry(1, 0.3)).unwrap(); // better: appended, supersedes on reload
         cache.flush().unwrap();
         assert_eq!(PlanCache::open(&dir, "K20X", "Double").len(), 1);
     }
@@ -550,6 +511,21 @@ mod tests {
         let reloaded = PlanCache::open(&dir, "K20X", "Double");
         assert_eq!(reloaded.len(), 1);
         assert_eq!(reloaded.lookup_exact(1).unwrap().objective, 0.3);
+    }
+
+    #[test]
+    fn load_keeps_the_better_line_whatever_the_file_order() {
+        // Another instance that loaded before an improvement can append a
+        // worse line after it; the reload must still serve the better one.
+        let dir = tmpdir("order");
+        let text = [entry(1, 0.3), entry(1, 0.9)]
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap() + "\n")
+            .collect::<String>();
+        std::fs::write(dir.join(CACHE_FILE), text).unwrap();
+        let cache = PlanCache::open(&dir, "K20X", "Double");
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup_exact(1).unwrap().objective, 0.3);
     }
 
     #[test]
@@ -646,9 +622,8 @@ mod tests {
     #[test]
     fn rewrite_preserves_entries_it_does_not_own() {
         // Two device-scoped views of one file: improving an entry in the
-        // K20X view triggers a rewrite, which must not drop the K40
-        // entry (or a same-device entry appended by another instance
-        // after our load).
+        // K20X view must not drop the K40 entry (or a same-device entry
+        // appended by another instance after our load).
         let dir = tmpdir("foreign");
         let mut k20x = PlanCache::open(&dir, "K20X", "Double");
         k20x.insert(entry(1, 0.5)).unwrap();
@@ -658,7 +633,7 @@ mod tests {
         k40.insert(e40).unwrap();
         let mut late = PlanCache::open(&dir, "K20X", "Double");
         late.insert(entry(9, 0.6)).unwrap(); // invisible to `k20x`
-        k20x.insert(entry(1, 0.3)).unwrap(); // improvement: rewrites
+        k20x.insert(entry(1, 0.3)).unwrap(); // improvement
 
         let r20 = PlanCache::open(&dir, "K20X", "Double");
         assert_eq!(r20.lookup_exact(1).unwrap().objective, 0.3);

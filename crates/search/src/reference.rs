@@ -11,9 +11,9 @@
 //!    [`reference::solve`](solve)). Every RNG draw, probe order and
 //!    transient group order below is therefore load-bearing; do not
 //!    "clean up" this module.
-//! 2. **Benchmark baseline** — the Criterion operator benches in
-//!    `crates/bench` measure the flat representation against these
-//!    clone-heavy originals.
+//! 2. **Benchmark baseline** — the `search_scaling` solver-variant gate
+//!    in `crates/bench` measures the flat representation against this
+//!    clone-heavy original.
 
 use crate::eval::Evaluator;
 use kfuse_core::fuse::condensation_order;
@@ -42,17 +42,6 @@ pub struct Individual {
 pub fn evaluate(ev: &Evaluator<'_>, plans: Vec<FusionPlan>) -> Vec<Individual> {
     plans
         .into_par_iter()
-        .map(|plan| {
-            let cost = ev.plan(&plan);
-            Individual { plan, cost }
-        })
-        .collect()
-}
-
-/// Score plans serially (used by per-island evolution).
-pub fn evaluate_serial(ev: &Evaluator<'_>, plans: Vec<FusionPlan>) -> Vec<Individual> {
-    plans
-        .into_iter()
         .map(|plan| {
             let cost = ev.plan(&plan);
             Individual { plan, cost }

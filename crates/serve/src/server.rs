@@ -21,9 +21,8 @@
 //! Responses deliberately carry **no wall-clock fields**: with
 //! `workers = 1` the daemon's output is bit-for-bit reproducible across
 //! runs (given a fresh cache directory), which the integration tests
-//! assert. Latency is the client's to measure; timing telemetry lives in
-//! the span stream (`request`, `queue_wait`, `cache_probe`,
-//! `worker_solve`) and the metrics registry instead.
+//! assert. Latency is the client's to measure; the daemon's own telemetry
+//! is the metrics registry behind the `stats` op.
 
 use crate::protocol::{
     error_response, hex_u64, num_f64, num_u64, obj, ok_response, ErrorCode, Request,
@@ -35,10 +34,7 @@ use kfuse_core::pipeline;
 use kfuse_core::plan::{FusionPlan, PlanContext};
 use kfuse_gpu::GpuSpec;
 use kfuse_ir::{KernelId, Program};
-use kfuse_obs::{
-    chrome_trace, Counter, Gauge, InMemoryRecorder, MetricsRegistry, MetricsSnapshot, ObsHandle,
-    SpanId,
-};
+use kfuse_obs::{Counter, Gauge, MetricsRegistry, ObsHandle};
 use kfuse_search::{HggaHierSolver, PlanCache, WarmSolver};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
@@ -113,10 +109,8 @@ impl Reply {
 
 /// One admitted request, waiting for (or held by) a worker.
 struct Job {
-    seq: u64,
     req: Request,
-    enqueued: Instant,
-    /// `enqueued + budget_ms`: queue wait spends the budget too.
+    /// Admission time + `budget_ms`: queue wait spends the budget too.
     deadline: Option<Instant>,
     reply: Reply,
 }
@@ -127,7 +121,6 @@ struct QueueState {
     in_flight: usize,
     /// Set by `shutdown`: refuse new work, finish what is queued.
     draining: bool,
-    next_seq: u64,
 }
 
 /// The lazily-opened shared plan caches, keyed by (gpu, precision).
@@ -143,7 +136,6 @@ struct Shared {
     /// flight.
     idle: Condvar,
     metrics: MetricsRegistry,
-    recorder: InMemoryRecorder,
     /// One shared cache per (gpu, precision) pair, opened lazily.
     caches: Mutex<CacheMap>,
     /// Terminal flag: workers and accept loops exit.
@@ -154,15 +146,6 @@ struct Shared {
 /// request must not wedge the whole daemon.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// `request` span outcome codes (second span argument): `0` for a served
-/// response, `1 + ErrorCode discriminant` for rejections.
-fn outcome_code(err: Option<ErrorCode>) -> u64 {
-    match err {
-        None => 0,
-        Some(c) => 1 + c as u64,
-    }
 }
 
 /// A running daemon: worker pool plus shared state. Dropping the handle
@@ -185,12 +168,10 @@ impl Daemon {
                 jobs: VecDeque::new(),
                 in_flight: 0,
                 draining: false,
-                next_seq: 0,
             }),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
             metrics: MetricsRegistry::new(),
-            recorder: InMemoryRecorder::new(),
             caches: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
         });
@@ -199,7 +180,7 @@ impl Daemon {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("kfused-worker-{i}"))
-                    .spawn(move || worker_loop(&sh, i))
+                    .spawn(move || worker_loop(&sh))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -215,18 +196,6 @@ impl Daemon {
         LocalClient {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Snapshot of the daemon-wide metrics (request counters plus the
-    /// merged per-solve counters).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
-    }
-
-    /// Chrome-trace JSON of every span recorded so far (`request`,
-    /// `queue_wait`, `cache_probe`, `worker_solve`, solver internals).
-    pub fn trace_json(&self) -> String {
-        chrome_trace(&self.shared.recorder)
     }
 
     /// Graceful drain: refuse new work, let in-flight and queued requests
@@ -263,16 +232,17 @@ fn drain(shared: &Shared) {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, worker: usize) {
+fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let (job, depth) = {
+        let job = {
             let mut q = lock(&shared.queue);
             loop {
                 if let Some(job) = q.jobs.pop_front() {
                     q.in_flight += 1;
-                    let depth = q.jobs.len() as u64;
-                    shared.metrics.set_gauge(Gauge::QueueDepth, depth as f64);
-                    break (job, depth);
+                    shared
+                        .metrics
+                        .set_gauge(Gauge::QueueDepth, q.jobs.len() as f64);
+                    break job;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) || q.draining {
                     return;
@@ -281,17 +251,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             }
         };
 
-        let obs = ObsHandle::new(&shared.recorder);
-        let picked = Instant::now();
-        obs.record_span(
-            SpanId::QueueWait,
-            0,
-            job.enqueued,
-            picked - job.enqueued,
-            [job.seq, depth],
-        );
-
-        let expired = job.deadline.is_some_and(|d| picked >= d);
+        let expired = job.deadline.is_some_and(|d| Instant::now() >= d);
         let (line, err) = if expired {
             let line = error_response(
                 job.req.id.as_deref(),
@@ -301,16 +261,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             );
             (line, Some(ErrorCode::BudgetExceeded))
         } else {
-            let t0 = Instant::now();
-            let result = process(shared, &job, obs);
-            obs.record_span(
-                SpanId::WorkerSolve,
-                worker as u32 + 1,
-                t0,
-                t0.elapsed(),
-                [job.seq, worker as u64],
-            );
-            result
+            process(shared, &job)
         };
         // Count before replying: a client that has seen this response and
         // immediately asks for `stats` (answered inline on the reader
@@ -321,13 +272,6 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             Counter::RequestsRejected
         });
         job.reply.send(&line);
-        obs.record_span(
-            SpanId::Request,
-            0,
-            job.enqueued,
-            job.enqueued.elapsed(),
-            [job.seq, outcome_code(err)],
-        );
 
         let mut q = lock(&shared.queue);
         q.in_flight -= 1;
@@ -398,16 +342,15 @@ fn cache_for(shared: &Shared, gpu: &str, precision: &str) -> Option<Arc<Mutex<Pl
 }
 
 /// Process one dequeued `solve`/`verify` job. Returns the response line
-/// and, for rejections, the error code (for counters and the `request`
-/// span).
-fn process(shared: &Shared, job: &Job, obs: ObsHandle<'_>) -> (String, Option<ErrorCode>) {
+/// and, for rejections, the error code (for the served/rejected counters).
+fn process(shared: &Shared, job: &Job) -> (String, Option<ErrorCode>) {
     let id = job.req.id.as_deref();
     let (gpu, ctx) = match resolve_ctx(shared, &job.req) {
         Ok(v) => v,
         Err((code, msg)) => return (error_response(id, code, &msg, vec![]), Some(code)),
     };
     match job.req.op.as_str() {
-        "solve" => solve_job(shared, job, obs, &gpu, &ctx),
+        "solve" => solve_job(shared, job, &gpu, &ctx),
         "verify" => verify_job(job, &ctx),
         _ => unreachable!("admission only queues solve/verify"),
     }
@@ -416,7 +359,6 @@ fn process(shared: &Shared, job: &Job, obs: ObsHandle<'_>) -> (String, Option<Er
 fn solve_job(
     shared: &Shared,
     job: &Job,
-    obs: ObsHandle<'_>,
     gpu: &GpuSpec,
     ctx: &PlanContext,
 ) -> (String, Option<ErrorCode>) {
@@ -428,7 +370,7 @@ fn solve_job(
     let model = ProposedModel::default();
     let precision = format!("{:?}", ctx.info.precision);
     let cache = cache_for(shared, &gpu.name, &precision);
-    let out = warm.solve_shared(ctx, &model, obs, cache.as_deref());
+    let out = warm.solve_shared(ctx, &model, ObsHandle::disabled(), cache.as_deref());
 
     // Fold the solve's counters into the daemon-wide registry, so `stats`
     // reports cumulative cache hits / warm starts / generations.
@@ -656,18 +598,15 @@ fn handle_line(shared: &Arc<Shared>, line: &str, reply: &Reply) {
                 ));
                 return;
             }
-            let seq = q.next_seq;
-            q.next_seq += 1;
-            let now = Instant::now();
-            let deadline = req.budget_ms.map(|ms| now + Duration::from_millis(ms));
+            let deadline = req
+                .budget_ms
+                .map(|ms| Instant::now() + Duration::from_millis(ms));
             let reply = match reply {
                 Reply::Stream(w) => Reply::Stream(Arc::clone(w)),
                 Reply::Channel(tx) => Reply::Channel(tx.clone()),
             };
             q.jobs.push_back(Job {
-                seq,
                 req,
-                enqueued: now,
                 deadline,
                 reply,
             });

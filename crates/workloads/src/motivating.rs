@@ -171,15 +171,6 @@ pub fn fig3_plan() -> FusionPlan {
     ])
 }
 
-/// Only the Y-side fusion ({C, D, E}), the §IV-B micro-benchmark subject.
-pub fn kernel_y_plan() -> FusionPlan {
-    FusionPlan::new(vec![
-        vec![KernelId(0)],
-        vec![KernelId(1)],
-        vec![KernelId(2), KernelId(3), KernelId(4)],
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

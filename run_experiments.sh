@@ -3,8 +3,11 @@
 # written as JSON under results/ (see EXPERIMENTS.md for the index).
 # Pass --skip-checks to bypass the formatting/lint gate.
 # Pass `bench` to run only the search-throughput smoke stage: it re-runs
-# the search scaling and warm-start studies and fails if either regresses
-# more than 20% against the committed BENCH_search.json baseline.
+# the search scaling and warm-start studies against the committed
+# BENCH_search.json baseline and fails if one of the three throughput
+# gates (flat solver, miss-path SoA evaluation, lane-batched miss
+# scoring) or the warm-start exact-repeat speedup regresses more than
+# 20%, or if the hierarchical-scaling gate fails.
 # Pass `cache` to run only the plan-cache stage: cold solve, exact warm
 # repeat, and perturbed near-repeat on synth60 and SCALE-LES, then the
 # warm-start acceptance gates.
@@ -149,6 +152,13 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
   if grep -rnE 'cfg(_attr|!)?\(.*feature' crates src tests examples \
     || grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
     echo "FAIL: cargo feature gate found (see DESIGN.md §13.4)"
+    exit 1
+  fi
+  # One committed source per number: timings are the gated study bins
+  # and benchmark/, so no criterion bench target may come back either.
+  echo "== no [[bench]] targets or criterion outside vendor/"
+  if grep -nE '^\[\[bench\]\]|criterion' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
+    echo "FAIL: [[bench]] table or criterion dependency found (see EXPERIMENTS.md, Search scaling)"
     exit 1
   fi
   echo "== cargo doc --no-deps (missing_docs gate)"

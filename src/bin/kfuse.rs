@@ -50,12 +50,11 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_gpu(args: &[String]) -> GpuSpec {
-    match flag_value(args, "--gpu").as_deref() {
-        Some("k40") => GpuSpec::k40(),
-        Some("gtx750ti") => GpuSpec::gtx750ti(),
-        _ => GpuSpec::k20x(),
-    }
+/// The device named by `--gpu` (K20X when the flag is absent). An unknown
+/// name is an error, worded like the daemon's `unsupported` rejection.
+fn parse_gpu(args: &[String]) -> Result<GpuSpec, String> {
+    let name = flag_value(args, "--gpu").unwrap_or_else(|| "k20x".into());
+    GpuSpec::by_name(&name).ok_or_else(|| format!("unknown gpu `{name}` (try k20x, k40, gtx750ti)"))
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -136,7 +135,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         return Err("program path required".into());
     };
     let p = load_program(path)?;
-    let gpu = parse_gpu(args);
+    let gpu = parse_gpu(args)?;
     let json = args.iter().any(|a| a == "--json");
 
     // Program whose generated GPU module gets the structured KF03xx
@@ -241,7 +240,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         return Err("program path required".into());
     };
     let p = load_program(path)?;
-    let gpu = parse_gpu(args);
+    let gpu = parse_gpu(args)?;
     let t = simulate_program(&gpu, &p, gpu.default_precision());
     println!(
         "{:<40} {:>10} {:>10} {:>9} {:>7}",
@@ -272,7 +271,7 @@ fn cmd_fuse(args: &[String]) -> Result<(), String> {
         return Err("program path required".into());
     };
     let p = load_program(path)?;
-    let gpu = parse_gpu(args);
+    let gpu = parse_gpu(args)?;
     let seed = flag_num(args, "--seed", 17)?;
     let islands = flag_num(args, "--islands", 1)? as usize;
 
@@ -357,7 +356,7 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
         builtin_program(target)
             .ok_or_else(|| format!("`{target}` is neither a file nor a built-in example"))?
     };
-    let gpu = parse_gpu(args);
+    let gpu = parse_gpu(args)?;
     let seed = flag_num(args, "--seed", 17)?;
     let islands = flag_num(args, "--islands", 1)? as usize;
 
@@ -516,7 +515,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         return Err("program path required".into());
     };
     let p = load_program(path)?;
-    let gpu = parse_gpu(args);
+    let gpu = parse_gpu(args)?;
     let json = args.iter().any(|a| a == "--json");
     let (relaxed, ctx) = pipeline::prepare(&p, &gpu, gpu.default_precision());
 
@@ -555,7 +554,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         let p = load_program(path)?;
         let opts = kfuse_codegen::CodegenOptions::default();
         if args.iter().any(|a| a == "--fuse") {
-            let gpu = parse_gpu(args);
+            let gpu = parse_gpu(args)?;
             let seed = flag_num(args, "--seed", 17)?;
             let model = ProposedModel::default();
             let solver = HggaSolver::with_seed(seed);
@@ -595,9 +594,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         seed: flag_num(args, "--seed", 17)?,
         retry_after_ms: flag_num(args, "--retry-after-ms", 50)?,
     };
-    if GpuSpec::by_name(&cfg.gpu).is_none() {
-        return Err(format!("unknown gpu `{}`", cfg.gpu));
-    }
+    // The daemon resolves device names per request; refuse an unknown
+    // default before any socket is bound.
+    parse_gpu(args)?;
     let socket = flag_value(args, "--socket");
     let use_stdin = args.iter().any(|a| a == "--stdin");
     match (socket, use_stdin) {

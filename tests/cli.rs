@@ -312,6 +312,38 @@ fn unparseable_seed_and_islands_are_errors() {
 }
 
 #[test]
+fn unknown_gpu_is_an_error_in_every_subcommand() {
+    let path = tmp("rk3_badgpu.json");
+    let dump = kfuse(&["example", "rk3"]);
+    std::fs::write(&path, &dump.stdout).unwrap();
+    let path = path.to_str().unwrap();
+    for args in [
+        vec!["solve", "rk3", "--gpu", "k4o"],
+        vec!["stats", "rk3", "--gpu", "k4o"],
+        vec!["fuse", path, "--gpu", "k4o"],
+        vec!["analyze", path, "--gpu", "k4o"],
+        vec!["simulate", path, "--gpu", "k4o"],
+        vec!["verify", path, "--gpu", "k4o"],
+        vec!["lint", path, "--fuse", "--gpu", "k4o"],
+        vec!["serve", "--stdin", "--gpu", "k4o"],
+    ] {
+        let out = kfuse(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("unknown gpu `k4o` (try k20x, k40, gtx750ti)"),
+            "{args:?}: {err}"
+        );
+    }
+    // Device names stay case-insensitive, as on the wire.
+    assert!(
+        kfuse(&["solve", "rk3", "--gpu", "K40", "--solver", "greedy"])
+            .status
+            .success()
+    );
+}
+
+#[test]
 fn lint_flags_broken_cuda_file() {
     let src = tmp("rk3_broken.cu");
     let path = tmp("rk3_lint_src.json");
