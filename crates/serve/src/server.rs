@@ -234,7 +234,7 @@ fn drain(shared: &Shared) {
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let job = {
+        let mut job = {
             let mut q = lock(&shared.queue);
             loop {
                 if let Some(job) = q.jobs.pop_front() {
@@ -261,7 +261,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             );
             (line, Some(ErrorCode::BudgetExceeded))
         } else {
-            process(shared, &job)
+            process(shared, &mut job)
         };
         // Count before replying: a client that has seen this response and
         // immediately asks for `stats` (answered inline on the reader
@@ -282,13 +282,15 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Resolve the request's program: inline `program` JSON or a built-in
-/// `example` name, exactly one of the two.
-fn resolve_program(req: &Request) -> Result<Program, String> {
-    match (&req.program, &req.example) {
+/// `example` name, exactly one of the two. The inline tree is moved out
+/// of the request, so a request holds one copy of its program from the
+/// reader thread to the `Program`.
+fn resolve_program(req: &mut Request) -> Result<Program, String> {
+    match (req.program.take(), &req.example) {
         (Some(_), Some(_)) => Err("give either `program` or `example`, not both".into()),
         (None, None) => Err("a `solve`/`verify` request needs `program` or `example`".into()),
         (Some(v), None) => {
-            let p: Program = serde_json::from_value(v.clone())
+            let p: Program = serde_json::from_value(v)
                 .map_err(|e| format!("`program` does not parse as a kfuse program: {e}"))?;
             p.validate()
                 .map_err(|e| format!("program fails validation: {e}"))?;
@@ -306,7 +308,7 @@ fn resolve_program(req: &Request) -> Result<Program, String> {
 /// on the Maxwell part.
 fn resolve_ctx(
     shared: &Shared,
-    req: &Request,
+    req: &mut Request,
 ) -> Result<(GpuSpec, PlanContext), (ErrorCode, String)> {
     let gpu_name = req.gpu.as_deref().unwrap_or(&shared.cfg.gpu);
     let gpu = GpuSpec::by_name(gpu_name).ok_or_else(|| {
@@ -343,11 +345,13 @@ fn cache_for(shared: &Shared, gpu: &str, precision: &str) -> Option<Arc<Mutex<Pl
 
 /// Process one dequeued `solve`/`verify` job. Returns the response line
 /// and, for rejections, the error code (for the served/rejected counters).
-fn process(shared: &Shared, job: &Job) -> (String, Option<ErrorCode>) {
-    let id = job.req.id.as_deref();
-    let (gpu, ctx) = match resolve_ctx(shared, &job.req) {
+fn process(shared: &Shared, job: &mut Job) -> (String, Option<ErrorCode>) {
+    let (gpu, ctx) = match resolve_ctx(shared, &mut job.req) {
         Ok(v) => v,
-        Err((code, msg)) => return (error_response(id, code, &msg, vec![]), Some(code)),
+        Err((code, msg)) => {
+            let id = job.req.id.as_deref();
+            return (error_response(id, code, &msg, vec![]), Some(code));
+        }
     };
     match job.req.op.as_str() {
         "solve" => solve_job(shared, job, &gpu, &ctx),

@@ -237,3 +237,66 @@ fn stats_reports_request_counters_and_cache_hits() {
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn deep_nesting_is_one_malformed_request_and_the_daemon_lives() {
+    // 2 MB of `[` used to overflow the parser's stack and abort the whole
+    // process; it is an ordinary error now and the client keeps its session.
+    let daemon = Daemon::start(ServeConfig::default());
+    let c = daemon.client();
+    let rx = c.submit(&"[".repeat(2_000_000));
+    let r = rx.recv().unwrap();
+    assert!(r.contains(r#""code":"malformed_request""#), "{r}");
+    assert!(r.contains("nesting deeper than 128 levels"), "{r}");
+    assert!(rx.try_recv().is_err(), "exactly one response line");
+    let r = c.request(r#"{"id":"p","op":"ping"}"#);
+    assert!(r.contains(r#""id":"p","ok":true"#), "{r}");
+    daemon.shutdown();
+}
+
+#[test]
+fn schema_errors_stay_short_and_name_the_field_path() {
+    let daemon = Daemon::start(ServeConfig::default());
+    let c = daemon.client();
+    let payload: Vec<String> = (0..30_000).map(|i| i.to_string()).collect();
+    let request = format!(
+        r#"{{"id":"big","op":"solve","program":{{"name":"x","grid":[{}]}}}}"#,
+        payload.join(",")
+    );
+    assert!(request.len() >= 100_000);
+    let r = c.request(&request);
+    assert!(r.contains(r#""id":"big""#), "{r}");
+    assert!(r.contains(r#""code":"invalid_program""#), "{r}");
+    assert!(
+        r.contains("field `grid`: expected object for GridDims, got array"),
+        "{r}"
+    );
+    assert!(r.len() < 1024, "{} bytes: {r}", r.len());
+
+    let request = format!(
+        r#"{{"id":"big","op":"solve","program":[{}]}}"#,
+        payload.join(",")
+    );
+    let r = c.request(&request);
+    assert!(r.contains("expected object for Program, got array"), "{r}");
+    assert!(r.len() < 1024, "{} bytes: {r}", r.len());
+    daemon.shutdown();
+}
+
+#[test]
+fn surrogate_pair_escapes_in_a_program_name_cross_the_wire() {
+    // What Python's `json.dumps` (ensure_ascii) writes for a non-BMP
+    // character: an escaped UTF-16 pair. It used to be refused.
+    let mut program = kfuse_workloads::by_name("rk3").unwrap();
+    program.name = "NAME".into();
+    let text = serde_json::to_string(&program)
+        .unwrap()
+        .replace(r#""name":"NAME""#, r#""name":"rk3 \ud83d\ude00""#);
+    let daemon = Daemon::start(ServeConfig::default());
+    let r = daemon
+        .client()
+        .request(&format!(r#"{{"id":"u","op":"solve","program":{text}}}"#));
+    assert!(r.contains(r#""ok":true"#), "{r}");
+    assert!(r.contains("\"program\":\"rk3 \u{1F600}\""), "{r}");
+    daemon.shutdown();
+}

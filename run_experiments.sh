@@ -163,6 +163,13 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
   fi
   echo "== cargo doc --no-deps (missing_docs gate)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+  # The JSON stand-ins carry every program, request and cache entry, and
+  # tier-1 (`cargo test -q`, the root package) never runs their unit
+  # tests; the linear-parse gate runs optimized too, where a regression
+  # to quadratic shows at the sizes the daemon sees.
+  echo "== vendored serde stand-ins: unit tests + linear-parse gate (release)"
+  cargo test -q -p serde -p serde_json -p serde_derive
+  cargo test --release -q --test serialization parse_time_scales_linearly_with_input_size
 fi
 
 cargo build --release -p kfuse-bench
