@@ -67,17 +67,12 @@ pub fn all_models() -> Vec<Box<dyn PerfModel>> {
     ]
 }
 
-/// Where to write result JSON files.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("KFUSE_RESULTS").unwrap_or_else(|_| "results".into());
-    let p = PathBuf::from(dir);
-    std::fs::create_dir_all(&p).ok();
-    p
-}
-
-/// Serialize `value` to `results/<name>.json`.
+/// Serialize `value` to `results/<name>.json` (override the directory
+/// with `KFUSE_RESULTS`).
 pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
+    let dir = PathBuf::from(std::env::var("KFUSE_RESULTS").unwrap_or_else(|_| "results".into()));
+    std::fs::create_dir_all(&dir).ok();
+    let path = dir.join(format!("{name}.json"));
     match serde_json::to_string_pretty(value) {
         Ok(s) => {
             if let Err(e) = std::fs::write(&path, s) {
@@ -87,90 +82,6 @@ pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
             }
         }
         Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
-}
-
-/// The committed machine-readable headline file, in the working directory
-/// (the repo root when driven by `run_experiments.sh`). `search_scaling`
-/// and `warm_start` each own some of its top-level sections.
-const BENCH_FILE: &str = "BENCH_search.json";
-
-/// The file named by `--check-against <file>` on the command line, if the
-/// flag was given. Exits with status 2 when the flag has no argument.
-pub fn check_against_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    let mut path = None;
-    while let Some(a) = args.next() {
-        if a == "--check-against" {
-            path = args.next();
-            if path.is_none() {
-                eprintln!("--check-against requires a file argument");
-                std::process::exit(2);
-            }
-        }
-    }
-    path
-}
-
-/// Parse the committed baseline at `path`, exiting with status 2 if it
-/// cannot be read. Call this *before* [`merge_bench_sections`]: the
-/// baseline is usually the very file that call replaces.
-pub fn load_baseline(path: &str) -> serde_json::Value {
-    match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| serde_json::from_str(&s).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Read-modify-write `BENCH_search.json`: replace (or add) the given
-/// top-level sections and leave every other section as it was, so each
-/// study bin regenerates only what it owns. A missing or unparseable file
-/// starts from an empty object.
-pub fn merge_bench_sections(sections: impl IntoIterator<Item = (String, serde_json::Value)>) {
-    let mut bench = std::fs::read_to_string(BENCH_FILE)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .and_then(|v| match v {
-            serde_json::Value::Object(m) => Some(m),
-            _ => None,
-        })
-        .unwrap_or_default();
-    for (key, value) in sections {
-        bench.insert(key, value);
-    }
-    match serde_json::to_string_pretty(&serde_json::Value::Object(bench)) {
-        Ok(s) => match std::fs::write(BENCH_FILE, s) {
-            Ok(()) => eprintln!("wrote {BENCH_FILE}"),
-            Err(e) => eprintln!("warning: could not write {BENCH_FILE}: {e}"),
-        },
-        Err(e) => eprintln!("warning: could not serialize {BENCH_FILE}: {e}"),
-    }
-}
-
-/// The drift gate both study bins share: `fresh` (higher is better) may
-/// not fall more than 20% below the committed `baseline`. Prints the
-/// verdict and returns whether the gate holds; a baseline without the
-/// number (it predates the section) is skipped, not failed.
-pub fn floor_gate(path: &str, what: &str, unit: &str, baseline: Option<f64>, fresh: f64) -> bool {
-    let Some(baseline) = baseline.filter(|b| *b > 0.0) else {
-        eprintln!("baseline {path} has no usable {what}; skipping");
-        return true;
-    };
-    if fresh < 0.8 * baseline {
-        eprintln!(
-            "REGRESSION: {what} {fresh:.1}{unit} is more than 20% below the committed \
-             baseline {baseline:.1}{unit} ({path})"
-        );
-        false
-    } else {
-        println!("regression gate: {what} {fresh:.1}{unit} vs baseline {baseline:.1}{unit} — ok");
-        true
     }
 }
 

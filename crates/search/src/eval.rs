@@ -250,8 +250,9 @@ impl<'a> Evaluator<'a> {
 
     /// The raw objective with no memo interaction and no stat counters:
     /// structure checks, SoA synthesis into `scratch`, view projection and
-    /// the profitability gate. This is the allocation-free unit the
-    /// `search_scaling` miss-path benchmark times.
+    /// the profitability gate. This is the unit the `alloc_free` test
+    /// holds allocation-free and `batch_differential` compares the
+    /// lane-batched path against.
     pub fn evaluate_uncached(&self, group: &[KernelId], scratch: &mut SynthScratch) -> GroupEval {
         compute_with(self.ctx, self.model, group, scratch).0
     }
@@ -521,8 +522,9 @@ impl<'a> Evaluator<'a> {
 
     /// The raw batched objective with no memo interaction and no stat
     /// counters: every candidate of `batch` scored through the
-    /// lane-batched path into `out`. This is the allocation-free unit the
-    /// `search_scaling` batch miss-path benchmark times.
+    /// lane-batched path into `out`. This is the unit the `alloc_free`
+    /// test holds allocation-free and `batch_differential` compares
+    /// against [`Self::evaluate_uncached`] bit for bit.
     pub fn evaluate_uncached_batch(
         &self,
         batch: &CandidateBatch,
@@ -585,8 +587,7 @@ fn compute_with(
 }
 
 /// The raw (unmemoized) group objective over the materializing legacy
-/// path, retained for [`legacy::LegacyEvaluator`] and as the comparison
-/// baseline in the miss-path benchmark.
+/// path, retained for [`legacy::LegacyEvaluator`].
 fn compute_group(ctx: &PlanContext, model: &dyn PerfModel, group: &[KernelId]) -> GroupEval {
     let spec = match ctx.check_group(group, 0) {
         Ok(s) => s,
@@ -609,9 +610,10 @@ fn compute_group(ctx: &PlanContext, model: &dyn PerfModel, group: &[KernelId]) -
     GroupEval { time_s: t }
 }
 
-/// The pre-sharding evaluator, retained verbatim as the baseline for the
-/// `search_scaling` experiment (evaluations/sec before vs. after the memo
-/// overhaul). Not used by any solver.
+/// The pre-sharding evaluator, retained verbatim as the reference the
+/// differential tests (`tests/differential.rs`, `stats_registry.rs`)
+/// compare the sharded evaluator and the verifier against. Not used by
+/// any solver.
 pub mod legacy {
     use super::{GroupEval, PerfModel};
     use kfuse_core::fuse::condensation_order;

@@ -2,18 +2,15 @@
 //!
 //! These are the genetic operators and the single-population solver loop
 //! exactly as they stood before the flat-chromosome rework ([`crate::chromo`]).
-//! They are kept, unmodified, for two jobs:
-//!
-//! 1. **Pinning oracle** — the production solver must reproduce this
-//!    code's trajectory bit for bit for any seed (the
-//!    `single_island_reproduces_pre_island_solver_exactly` and
-//!    reference-match tests in [`crate::hgga`] diff against
-//!    [`reference::solve`](solve)). Every RNG draw, probe order and
-//!    transient group order below is therefore load-bearing; do not
-//!    "clean up" this module.
-//! 2. **Benchmark baseline** — the `search_scaling` solver-variant gate
-//!    in `crates/bench` measures the flat representation against this
-//!    clone-heavy original.
+//! They are kept, unmodified, as the **pinning oracle**: the production
+//! solver must reproduce this code's trajectory bit for bit for any seed
+//! (the `single_island_reproduces_pre_island_solver_exactly` and
+//! reference-match tests in [`crate::hgga`] diff against
+//! [`reference::solve`](solve)). Every RNG draw, probe order and
+//! transient group order below is therefore load-bearing; do not "clean
+//! up" this module. The flat representation's speed against this
+//! clone-heavy original was measured once (EXPERIMENTS.md, *Historical
+//! measurements*) and is not re-measured.
 
 use crate::eval::Evaluator;
 use kfuse_core::fuse::condensation_order;

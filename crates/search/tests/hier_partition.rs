@@ -7,7 +7,9 @@
 //!   greedy baseline;
 //! * the trajectory must be identical at any rayon thread count for a
 //!   fixed seed (region results are slot-indexed, so scheduling cannot
-//!   reorder the merge).
+//!   reorder the merge);
+//! * a forced `MaxRegion(64)` decomposition must stay within 2 % of the
+//!   flat solver's objective on synth60 and SCALE-LES.
 
 use kfuse_core::model::ProposedModel;
 use kfuse_core::pipeline::{prepare, Solver};
@@ -119,6 +121,59 @@ fn hier_is_deterministic_across_thread_counts() {
             out.objective.to_bits(),
             baseline.objective.to_bits(),
             "objective diverged at {threads} threads"
+        );
+    }
+}
+
+/// Cutting a program into regions of at most 64 kernels may cost at most
+/// 2 % of the flat solver's objective for the same seed (`Auto` delegates
+/// to the flat path below 200 kernels, so the decomposition is forced).
+/// Objectives are deterministic per seed, so this is an exact comparison,
+/// not a timing one.
+///
+/// The GA config is the smallest at which the flat search beats the greedy
+/// plan on synth60 (0.994x), which is what gives the bound teeth: the
+/// hierarchical path carries a whole-program greedy floor and the flat one
+/// does not, so under a smaller budget (`quick_config`: ratio 0.81) the
+/// assertion would be met by that floor alone, which the proptest below
+/// already covers. Here the ratios are 1.006 and 0.926.
+#[test]
+fn forced_decomposition_stays_within_two_percent_of_flat() {
+    let model = ProposedModel::default();
+    let config = HggaConfig {
+        population: 40,
+        max_generations: 60,
+        stall_generations: 15,
+        seed: 17,
+        ..HggaConfig::default()
+    };
+    for (name, program) in [
+        ("synth60", kfuse_workloads::synth::scaling(60)),
+        ("scale-les", kfuse_workloads::scale_les::full()),
+    ] {
+        let ctx = prepared(&program);
+        let flat = HggaSolver {
+            config: config.clone(),
+        }
+        .solve(&ctx, &model);
+        let hier = HggaHierSolver {
+            config: config.clone(),
+            partition: PartitionMode::MaxRegion(HggaHierSolver::DEFAULT_MAX_REGION),
+        }
+        .solve(&ctx, &model);
+        for (which, out) in [("flat", &flat), ("hier", &hier)] {
+            let report = check_plan(&ctx.info, &out.plan, Some(&model));
+            assert!(
+                report.is_clean(),
+                "{name}: verifier found errors in the {which} plan: {:?}",
+                report.diagnostics
+            );
+        }
+        assert!(
+            hier.objective <= 1.02 * flat.objective,
+            "{name}: forced decomposition {} is more than 2% above flat {}",
+            hier.objective,
+            flat.objective
         );
     }
 }

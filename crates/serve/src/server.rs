@@ -160,8 +160,13 @@ impl Daemon {
     /// Start the worker pool. Does not bind any socket — pair with
     /// [`serve_stdin`] / [`serve_unix`], or drive it in-process through
     /// [`Daemon::client`].
-    pub fn start(cfg: ServeConfig) -> Daemon {
-        let workers = cfg.workers.max(1);
+    ///
+    /// `workers` and `queue_depth` below 1 are raised to 1 here, once, so
+    /// what `ping` reports and what admission compares against are the
+    /// values the daemon runs with.
+    pub fn start(mut cfg: ServeConfig) -> Daemon {
+        cfg.workers = cfg.workers.max(1);
+        cfg.queue_depth = cfg.queue_depth.max(1);
         let shared = Arc::new(Shared {
             cfg,
             queue: Mutex::new(QueueState {
@@ -175,7 +180,7 @@ impl Daemon {
             caches: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
         });
-        let handles = (0..workers)
+        let handles = (0..shared.cfg.workers)
             .map(|i| {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()

@@ -218,6 +218,23 @@ fn shutdown_drains_then_refuses_new_work() {
 }
 
 #[test]
+fn zero_workers_and_zero_queue_depth_run_as_one_and_one() {
+    // A zero handed in through the library used to spawn one worker while
+    // `ping` answered 0, and made `len >= queue_depth` refuse every solve.
+    let daemon = Daemon::start(ServeConfig {
+        workers: 0,
+        queue_depth: 0,
+        ..ServeConfig::default()
+    });
+    let c = daemon.client();
+    let ping = c.request(r#"{"id":"p","op":"ping"}"#);
+    assert_eq!(field(&ping, "workers"), "1", "{ping}");
+    let r = c.request(r#"{"id":"a","op":"solve","example":"quickstart"}"#);
+    assert!(r.contains(r#""ok":true"#), "{r}");
+    daemon.shutdown();
+}
+
+#[test]
 fn stats_reports_request_counters_and_cache_hits() {
     let dir = tmpdir("stats");
     let daemon = Daemon::start(ServeConfig {

@@ -102,11 +102,11 @@ pub fn footprint(t: usize) -> Vec<Offset> {
         .collect()
 }
 
-/// The scaling-study workload: the fixed configuration the search
-/// benchmarks (`search_scaling`) and the observability examples use for
-/// their 20/40/60-kernel synthetic programs. One shared definition so
-/// `kfuse example synth60`, the bench binaries, and the docs all talk
-/// about the same program.
+/// The scaling-study workload: the fixed configuration the search tests,
+/// the `kfuse-e2e` benchmark and the observability examples use for
+/// their 20–100-kernel synthetic programs. One shared definition so
+/// `kfuse example synth60`, the tests, and the docs all talk about the
+/// same program.
 pub fn scaling(kernels: usize) -> Program {
     generate(&SynthConfig {
         name: format!("scale_{kernels}"),

@@ -2,15 +2,9 @@
 # Regenerate every table and figure of the paper. Results are printed and
 # written as JSON under results/ (see EXPERIMENTS.md for the index).
 # Pass --skip-checks to bypass the formatting/lint gate.
-# Pass `bench` to run only the search-throughput smoke stage: it re-runs
-# the search scaling and warm-start studies against the committed
-# BENCH_search.json baseline and fails if one of the three throughput
-# gates (flat solver, miss-path SoA evaluation, lane-batched miss
-# scoring) or the warm-start exact-repeat speedup regresses more than
-# 20%, or if the hierarchical-scaling gate fails.
 # Pass `cache` to run only the plan-cache stage: cold solve, exact warm
-# repeat, and perturbed near-repeat on synth60 and SCALE-LES, then the
-# warm-start acceptance gates.
+# repeat, and perturbed near-repeat on synth60 and SCALE-LES through the
+# CLI, gated on the cache counters.
 # Pass `serve` to run only the daemon stage: it executes the worked
 # session from SERVING.md verbatim against a live kfused (cache-hit
 # counters, the >=10x exact-repeat latency gate, queue backpressure,
@@ -128,17 +122,10 @@ if [[ "${1:-}" == "serve" ]]; then
   exit 0
 fi
 
-if [[ "${1:-}" == "bench" ]]; then
-  cargo build --release -p kfuse-bench
-  ./target/release/search_scaling --check-against BENCH_search.json
-  exec ./target/release/warm_start --check-against BENCH_search.json
-fi
-
 if [[ "${1:-}" == "cache" ]]; then
   cargo build --release --bin kfuse
-  cargo build --release -p kfuse-bench --bin warm_start
   cache_stage
-  exec ./target/release/warm_start --check-against BENCH_search.json
+  exit 0
 fi
 
 if [[ "${1:-}" != "--skip-checks" ]]; then
@@ -154,21 +141,30 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: cargo feature gate found (see DESIGN.md §13.4)"
     exit 1
   fi
-  # One committed source per number: timings are the gated study bins
-  # and benchmark/, so no criterion bench target may come back either.
+  # One committed source per number: timings come from benchmark/
+  # (BENCHMARK.json) and nowhere else, so neither a criterion bench
+  # target nor a second committed-baseline file and its drift gate may
+  # come back.
   echo "== no [[bench]] targets or criterion outside vendor/"
   if grep -nE '^\[\[bench\]\]|criterion' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
-    echo "FAIL: [[bench]] table or criterion dependency found (see EXPERIMENTS.md, Search scaling)"
+    echo "FAIL: [[bench]] table or criterion dependency found (see EXPERIMENTS.md, Historical measurements)"
+    exit 1
+  fi
+  echo "== no second measurement stack (BENCH_*.json, check-against, floor_gate)"
+  if git ls-files | grep -E '(^|/)BENCH_[^/]*\.json$' \
+    || grep -rnE 'check[-_]against|floor_gate' crates src; then
+    echo "FAIL: committed baseline file or drift gate found (see EXPERIMENTS.md, Historical measurements)"
     exit 1
   fi
   echo "== cargo doc --no-deps (missing_docs gate)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
-  # The JSON stand-ins carry every program, request and cache entry, and
-  # tier-1 (`cargo test -q`, the root package) never runs their unit
-  # tests; the linear-parse gate runs optimized too, where a regression
-  # to quadratic shows at the sizes the daemon sees.
-  echo "== vendored serde stand-ins: unit tests + linear-parse gate (release)"
-  cargo test -q -p serde -p serde_json -p serde_derive
+  # Tier-1 (`cargo test -q`, the root package) never runs the member
+  # crates' tests or the unit tests of the vendored JSON stand-ins that
+  # carry every program, request and cache entry; the linear-parse gate
+  # runs optimized too, where a regression to quadratic shows at the
+  # sizes the daemon sees.
+  echo "== cargo test --workspace (debug) + linear-parse gate (release)"
+  cargo test -q --workspace
   cargo test --release -q --test serialization parse_time_scales_linearly_with_input_size
 fi
 
@@ -262,15 +258,3 @@ echo "================================================================"
 echo "== serve: kfused daemon, SERVING.md worked session + backpressure"
 echo "================================================================"
 serve_stage
-
-echo
-echo "================================================================"
-echo "== search_scaling (+ evals/s regression gate vs BENCH_search.json)"
-echo "================================================================"
-./target/release/search_scaling --check-against BENCH_search.json --trace
-
-echo
-echo "================================================================"
-echo "== warm_start (+ warm-start acceptance gates vs BENCH_search.json)"
-echo "================================================================"
-./target/release/warm_start --check-against BENCH_search.json

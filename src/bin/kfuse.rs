@@ -82,6 +82,21 @@ fn load_program(path: &str) -> Result<Program, String> {
     Ok(p)
 }
 
+/// Algorithm 1 end to end under the flat HGGA seeded by `--seed`
+/// (default 17) and the proposed model: the run behind `fuse`,
+/// `analyze --fuse` and `lint --fuse`.
+fn fuse_pipeline(
+    p: &Program,
+    gpu: &GpuSpec,
+    args: &[String],
+    islands: usize,
+) -> Result<pipeline::PipelineResult, String> {
+    let mut solver = HggaSolver::with_seed(flag_num(args, "--seed", 17)?);
+    solver.config.islands = islands;
+    let model = ProposedModel::default();
+    pipeline::run(p, gpu, gpu.default_precision(), &model, &solver).map_err(|e| e.to_string())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -143,12 +158,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     // run under `--fuse`.
     let fused;
     let analyzed: &Program = if args.iter().any(|a| a == "--fuse") {
-        let seed = flag_num(args, "--seed", 17)?;
-        let model = ProposedModel::default();
-        let solver = HggaSolver::with_seed(seed);
-        let r = pipeline::run(&p, &gpu, gpu.default_precision(), &model, &solver)
-            .map_err(|e| e.to_string())?;
-        fused = r.fused;
+        fused = fuse_pipeline(&p, &gpu, args, 1)?.fused;
         &fused
     } else {
         &p
@@ -272,14 +282,8 @@ fn cmd_fuse(args: &[String]) -> Result<(), String> {
     };
     let p = load_program(path)?;
     let gpu = parse_gpu(args)?;
-    let seed = flag_num(args, "--seed", 17)?;
     let islands = flag_num(args, "--islands", 1)? as usize;
-
-    let model = ProposedModel::default();
-    let mut solver = HggaSolver::with_seed(seed);
-    solver.config.islands = islands;
-    let r = pipeline::run(&p, &gpu, gpu.default_precision(), &model, &solver)
-        .map_err(|e| e.to_string())?;
+    let r = fuse_pipeline(&p, &gpu, args, islands)?;
 
     println!(
         "fused {} of {} kernels into {} new kernels ({} calls total)",
@@ -554,13 +558,8 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         let p = load_program(path)?;
         let opts = kfuse_codegen::CodegenOptions::default();
         if args.iter().any(|a| a == "--fuse") {
-            let gpu = parse_gpu(args)?;
-            let seed = flag_num(args, "--seed", 17)?;
-            let model = ProposedModel::default();
-            let solver = HggaSolver::with_seed(seed);
-            let r = pipeline::run(&p, &gpu, gpu.default_precision(), &model, &solver)
-                .map_err(|e| e.to_string())?;
-            kfuse_codegen::emit_program(&r.fused, &opts)
+            let fused = fuse_pipeline(&p, &parse_gpu(args)?, args, 1)?.fused;
+            kfuse_codegen::emit_program(&fused, &opts)
         } else {
             kfuse_codegen::emit_program(&p, &opts)
         }
