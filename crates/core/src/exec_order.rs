@@ -26,6 +26,40 @@ pub struct ExecOrderGraph {
     reach: Vec<BitSet>,
 }
 
+/// Epoch-stamped "already emitted" marks for
+/// [`ExecOrderGraph::group_succs_into`], held in the caller's scratch so
+/// deduplicating a successor summary costs one compare per edge instead
+/// of a sort. One per thread; reused across calls without clearing.
+#[derive(Debug, Clone, Default)]
+pub struct SuccStamps {
+    epoch: u32,
+    /// `stamp[g] == epoch` iff group `g` was seen in the current call.
+    stamp: Vec<u32>,
+}
+
+impl SuccStamps {
+    /// Start a new summary: every group becomes unseen.
+    fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The epoch wrapped: stale stamps could alias it.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Mark group `g`; true the first time it is marked since `begin`.
+    fn first_visit(&mut self, g: u32) -> bool {
+        let g = g as usize;
+        if g >= self.stamp.len() {
+            self.stamp.resize(g + 1, 0);
+        }
+        let fresh = self.stamp[g] != self.epoch;
+        self.stamp[g] = self.epoch;
+        fresh
+    }
+}
+
 impl ExecOrderGraph {
     /// Build from a program (ideally post-relaxation).
     ///
@@ -144,29 +178,37 @@ impl ExecOrderGraph {
     /// Summarize the inter-group edges leaving one group: collect into
     /// `out` the distinct groups (per the `group_of` map) that the direct
     /// successors of `members` fall into, excluding the group `own`
-    /// itself, sorted ascending. This is the per-group building block of
-    /// the plan-condensation DAG; the plan evaluator's incremental
+    /// itself. This is the per-group building block of the
+    /// plan-condensation DAG; the plan evaluator's incremental
     /// condensation cache rebuilds exactly these summaries for dirty
     /// groups only.
+    ///
+    /// The list is deduplicated through `seen` but **not sorted**: it
+    /// comes out in first-encounter order over `members`. Kahn's pass only
+    /// counts in-degrees and keys its ready heap by the group itself, so
+    /// it never observes successor order; a caller that does (the
+    /// hierarchical solver's cycle search) sorts its own copy.
     pub fn group_succs_into(
         &self,
         members: &[KernelId],
         group_of: &[u32],
         own: u32,
+        seen: &mut SuccStamps,
         out: &mut Vec<u32>,
     ) {
         out.clear();
+        seen.begin();
+        // Stamping `own` first folds the self-edge test into the dedup.
+        seen.first_visit(own);
         for &k in members {
             for &s in &self.succs[k.index()] {
                 let g = group_of[s.index()];
                 debug_assert_ne!(g, u32::MAX, "group map does not cover kernel {s}");
-                if g != own {
+                if seen.first_visit(g) {
                     out.push(g);
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
     }
 
     /// Check the path-closure constraint (1.3) for a candidate group: for

@@ -13,7 +13,7 @@
 //! still be mutually ordered (a cycle in the condensation), which makes the
 //! plan unrealizable.
 
-use crate::exec_order::ExecOrderGraph;
+use crate::exec_order::{ExecOrderGraph, SuccStamps};
 use crate::metadata::ProgramInfo;
 use crate::plan::FusionPlan;
 use crate::spec::GroupSpec;
@@ -61,6 +61,8 @@ pub struct CondensationScratch {
     group_of: Vec<u32>,
     /// Per-group successor lists (inner vectors keep their capacity).
     succ: Vec<Vec<u32>>,
+    /// Dedup marks for building `succ`.
+    seen: SuccStamps,
     /// Per-group in-degree.
     indeg: Vec<u32>,
     /// Kahn ready-queue, keyed by the group's first kernel id.
@@ -121,7 +123,13 @@ pub fn condensation_order_with<'s>(
     scratch.indeg.clear();
     scratch.indeg.resize(n_groups, 0);
     for (gi, g) in plan.groups.iter().enumerate() {
-        exec.group_succs_into(g, &scratch.group_of, gi as u32, &mut scratch.succ[gi]);
+        exec.group_succs_into(
+            g,
+            &scratch.group_of,
+            gi as u32,
+            &mut scratch.seen,
+            &mut scratch.succ[gi],
+        );
     }
     for gi in 0..n_groups {
         for i in 0..scratch.succ[gi].len() {
@@ -499,6 +507,108 @@ mod tests {
         ));
         // And the scratch recovers for a subsequent feasible plan.
         assert!(condensation_order_with(&plans[1], &exec, &mut scratch).is_ok());
+    }
+
+    /// The condensation order as it was computed when successor summaries
+    /// were sorted: per-group successor lists built with sort + dedup, then
+    /// the same min-first-kernel Kahn pass.
+    fn sorted_successor_order(
+        plan: &FusionPlan,
+        exec: &ExecOrderGraph,
+    ) -> Result<Vec<usize>, (usize, usize)> {
+        let n_groups = plan.groups.len();
+        let mut group_of = vec![0u32; exec.len()];
+        for (gi, g) in plan.groups.iter().enumerate() {
+            for k in g {
+                group_of[k.index()] = gi as u32;
+            }
+        }
+        let succ: Vec<Vec<u32>> = (0..n_groups)
+            .map(|gi| {
+                let mut out: Vec<u32> = plan.groups[gi]
+                    .iter()
+                    .flat_map(|k| &exec.succs[k.index()])
+                    .map(|s| group_of[s.index()])
+                    .filter(|&g| g != gi as u32)
+                    .collect();
+                out.sort_unstable();
+                out.dedup();
+                out
+            })
+            .collect();
+        let mut indeg = vec![0u32; n_groups];
+        for &g in succ.iter().flatten() {
+            indeg[g as usize] += 1;
+        }
+        let mut ready: BinaryHeap<Reverse<(KernelId, u32)>> = (0..n_groups)
+            .filter(|&gi| indeg[gi] == 0)
+            .map(|gi| Reverse((plan.groups[gi][0], gi as u32)))
+            .collect();
+        let mut order = Vec::new();
+        while let Some(Reverse((_, gi))) = ready.pop() {
+            order.push(gi as usize);
+            for &gj in &succ[gi as usize] {
+                indeg[gj as usize] -= 1;
+                if indeg[gj as usize] == 0 {
+                    ready.push(Reverse((plan.groups[gj as usize][0], gj)));
+                }
+            }
+        }
+        if order.len() == n_groups {
+            return Ok(order);
+        }
+        let mut stuck = (0..n_groups).filter(|&gi| indeg[gi] > 0);
+        let a = stuck.next().unwrap_or(0);
+        Err((a, stuck.next().unwrap_or(a)))
+    }
+
+    #[test]
+    fn unsorted_summaries_order_like_sorted_ones() {
+        // 16 random DAG programs x 32 random label partitions = 512 plans,
+        // the corpus shape of `tests/differential.rs` (this crate cannot
+        // depend on the workload generator, so the programs are built
+        // here): same order on acyclic plans, same stuck pair on cycles.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let mut scratch = CondensationScratch::new();
+        let (mut plans, mut cyclic) = (0, 0);
+        for case in 0..16 {
+            let n = rng.gen_range(6..14usize);
+            let mut pb = ProgramBuilder::new(format!("dag{case}"), [64, 16, 2]);
+            let input = pb.array("IN");
+            let mut produced = vec![input];
+            for k in 0..n {
+                let out = pb.array(format!("W{k}"));
+                let a = produced[rng.gen_range(0..produced.len())];
+                let b = produced[rng.gen_range(0..produced.len())];
+                pb.kernel(format!("k{k}"))
+                    .write(out, Expr::at(a) + Expr::at(b))
+                    .build();
+                produced.push(out);
+            }
+            let exec = ExecOrderGraph::build(&pb.build());
+            for _ in 0..32 {
+                let pool = n / 2 + 1;
+                let mut buckets: Vec<Vec<KernelId>> = vec![Vec::new(); pool];
+                for k in 0..n {
+                    buckets[rng.gen_range(0..pool)].push(KernelId(k as u32));
+                }
+                buckets.retain(|b| !b.is_empty());
+                let plan = FusionPlan::new(buckets);
+                let got = condensation_order_with(&plan, &exec, &mut scratch)
+                    .map(<[usize]>::to_vec)
+                    .map_err(|e| match e {
+                        FuseError::OrderCycle(a, b) => (a, b),
+                        other => panic!("unexpected {other:?}"),
+                    });
+                assert_eq!(got, sorted_successor_order(&plan, &exec), "{plan:?}");
+                plans += 1;
+                cyclic += got.is_err() as usize;
+            }
+        }
+        assert_eq!(plans, 512);
+        assert!(cyclic > 0 && cyclic < plans, "{cyclic} of {plans} cyclic");
     }
 
     #[test]

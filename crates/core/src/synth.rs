@@ -536,6 +536,11 @@ pub struct SynthScratch {
     pub(crate) group_bits: BitSet,
     /// Reachability scratch for `path_closure_violation_with`.
     pub(crate) reach: BitSet,
+    /// Spare member buffer for the prober: a memo probe of a group too
+    /// large for its stack key sorts the members here before the lookup,
+    /// so one per-thread scratch covers sort → lookup → synthesis.
+    /// Synthesis itself never touches it.
+    pub key: Vec<KernelId>,
 }
 
 impl SynthScratch {

@@ -28,7 +28,7 @@
 //!   the converted [`FusionPlan`].
 
 use crate::eval::{BatchProbe, Evaluator, GroupEval};
-use kfuse_core::exec_order::ExecOrderGraph;
+use kfuse_core::exec_order::{ExecOrderGraph, SuccStamps};
 use kfuse_core::plan::FusionPlan;
 use kfuse_core::synth::SynthScratch;
 use kfuse_ir::KernelId;
@@ -85,6 +85,7 @@ pub struct Chromosome {
 pub struct OpScratch {
     // Chromosome internals.
     succ_buf: Vec<u32>,
+    succ_seen: SuccStamps,
     stale: Vec<u32>,
     indeg: Vec<u32>,
     heap: BinaryHeap<Reverse<(KernelId, u32)>>,
@@ -505,7 +506,13 @@ impl Chromosome {
     fn rebuild_slot_edges(&mut self, sid: u32, exec: &ExecOrderGraph, scratch: &mut OpScratch) {
         let s = self.slots[sid as usize];
         let members = &self.arena[s.start as usize..(s.start + s.len) as usize];
-        exec.group_succs_into(members, &self.group_of, sid, &mut scratch.succ_buf);
+        exec.group_succs_into(
+            members,
+            &self.group_of,
+            sid,
+            &mut scratch.succ_seen,
+            &mut scratch.succ_buf,
+        );
         let estart = self.edges.len() as u32;
         self.edges.extend_from_slice(&scratch.succ_buf);
         let s = &mut self.slots[sid as usize];
@@ -923,12 +930,18 @@ mod tests {
         let full_ok = full.kahn(&mut scratch);
 
         assert_eq!(incr_ok, full_ok);
-        let snap = |c: &Chromosome| -> Vec<Vec<u32>> {
+        // Successor *sets* per slot: summaries are deduplicated in
+        // first-encounter order, not sorted.
+        use std::collections::BTreeSet;
+        let snap = |c: &Chromosome| -> Vec<BTreeSet<u32>> {
             c.order
                 .iter()
                 .map(|&sid| {
                     let s = &c.slots[sid as usize];
-                    c.edges[s.estart as usize..(s.estart + s.elen) as usize].to_vec()
+                    let edges = &c.edges[s.estart as usize..(s.estart + s.elen) as usize];
+                    let set: BTreeSet<u32> = edges.iter().copied().collect();
+                    assert_eq!(set.len(), edges.len(), "duplicate successor in a summary");
+                    set
                 })
                 .collect()
         };

@@ -10,12 +10,16 @@
 //! hammer it concurrently:
 //!
 //! * **Sharding.** Groups hash to one of `SHARD_COUNT` independent
-//!   `RwLock<HashMap>` shards by an order-insensitive 64-bit fingerprint,
-//!   so writers on one shard never stall readers on another.
-//! * **Allocation-free hit path.** The probe key is the group sorted into
-//!   a stack buffer (heap fallback only beyond `STACK_KEY` members); a
-//!   hit performs zero heap allocation. Entries are compared by their full
-//!   sorted member list, so fingerprint collisions are correctness-neutral.
+//!   `RwLock`ed shards by an order-insensitive 64-bit fingerprint, so
+//!   writers on one shard never stall readers on another.
+//! * **Arena-backed shards.** A shard is a fingerprint → chain-head map,
+//!   one entry list and one member-id arena the entries point into; a
+//!   miss appends to those three and allocates nothing beyond their
+//!   amortized growth, and dropping a shard is three frees.
+//! * **Allocation-free probes.** The probe key is the group sorted into a
+//!   stack buffer (beyond `STACK_KEY` members, into a buffer the caller's
+//!   scratch owns). Entries are compared by their full sorted member
+//!   list, so fingerprint collisions are correctness-neutral.
 //! * **Singleton bypass.** Per-kernel baseline costs are precomputed into
 //!   a dense array at construction; singleton groups never touch the memo
 //!   or its locks at all.
@@ -84,10 +88,87 @@ impl Hasher for FingerprintHasher {
     }
 }
 
-/// One memo shard: fingerprint → entries with that fingerprint. The inner
-/// list handles fingerprint collisions exactly (compared by sorted member
-/// list); in practice it holds a single entry.
-type Shard = HashMap<u64, Vec<(Box<[KernelId]>, GroupEval)>, BuildHasherDefault<FingerprintHasher>>;
+/// End-of-chain marker for [`Shard::heads`] values and [`Entry::next`].
+const NIL: u32 = u32::MAX;
+
+/// Exclusive bound on a shard's entry indices and key-arena offsets (both
+/// are stored as `u32`, and [`NIL`] is reserved).
+const OFFSET_LIMIT: usize = u32::MAX as usize;
+
+/// One memoized group: its sorted member list is
+/// `keys[key_off..key_off + key_len]` of the owning shard.
+struct Entry {
+    key_off: u32,
+    key_len: u32,
+    /// Next entry with the same fingerprint, or [`NIL`].
+    next: u32,
+    eval: GroupEval,
+}
+
+/// One memo shard. `heads` maps a fingerprint to the newest entry carrying
+/// it; entries with equal fingerprints chain through [`Entry::next`] and
+/// are told apart by their full member list (in practice a chain holds a
+/// single entry). Nothing is ever removed, so indices and offsets are
+/// stable for the evaluator's lifetime.
+struct Shard {
+    heads: HashMap<u64, u32, BuildHasherDefault<FingerprintHasher>>,
+    entries: Vec<Entry>,
+    keys: Vec<KernelId>,
+    /// [`OFFSET_LIMIT`] in every evaluator; tests lower it to reach the
+    /// full-shard path without filling 16 GiB of keys.
+    limit: usize,
+}
+
+impl Shard {
+    fn new(limit: usize) -> Self {
+        Shard {
+            heads: HashMap::default(),
+            entries: Vec::new(),
+            keys: Vec::new(),
+            limit,
+        }
+    }
+
+    /// The memoized eval of the group with fingerprint `fp` and sorted
+    /// members `key`.
+    fn get(&self, fp: u64, key: &[KernelId]) -> Option<GroupEval> {
+        let mut i = *self.heads.get(&fp)?;
+        while i != NIL {
+            let e = &self.entries[i as usize];
+            let off = e.key_off as usize;
+            if &self.keys[off..off + e.key_len as usize] == key {
+                return Some(e.eval);
+            }
+            i = e.next;
+        }
+        None
+    }
+
+    /// Memoize `eval` for `key` and return the eval the memo now answers
+    /// with: the stored one if a racing thread inserted first (bitwise
+    /// equal — same pure function — so this only avoids a duplicate
+    /// entry). A shard whose entry list or key arena would pass
+    /// [`Shard::limit`] stores nothing and hands `eval` back.
+    fn get_or_insert(&mut self, fp: u64, key: &[KernelId], eval: GroupEval) -> GroupEval {
+        if let Some(stored) = self.get(fp, key) {
+            return stored;
+        }
+        let idx = self.entries.len();
+        let off = self.keys.len();
+        if idx >= self.limit || off.saturating_add(key.len()) > self.limit {
+            return eval;
+        }
+        let next = self.heads.insert(fp, idx as u32).unwrap_or(NIL);
+        self.entries.push(Entry {
+            key_off: off as u32,
+            key_len: key.len() as u32,
+            next,
+            eval,
+        });
+        self.keys.extend_from_slice(key);
+        eval
+    }
+}
 
 thread_local! {
     static CONDENSATION_SCRATCH: RefCell<CondensationScratch> =
@@ -134,7 +215,7 @@ impl<'a> Evaluator<'a> {
             ctx,
             model,
             shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(Shard::default()))
+                .map(|_| RwLock::new(Shard::new(OFFSET_LIMIT)))
                 .collect(),
             baseline,
             metrics: MetricsRegistry::new(),
@@ -261,31 +342,28 @@ impl<'a> Evaluator<'a> {
         if let [k] = group {
             return self.baseline[k.index()];
         }
+        match scratch {
+            Some(s) => self.probe(group, s),
+            None => SYNTH_SCRATCH.with(|s| self.probe(group, &mut s.borrow_mut())),
+        }
+    }
+
+    /// One scalar multi-member memo probe; a miss synthesizes into
+    /// `scratch` and publishes the result.
+    fn probe(&self, group: &[KernelId], scratch: &mut SynthScratch) -> GroupEval {
         self.metrics.incr(Counter::MemoProbes);
-        with_sorted_key(group, |key| {
+        let mut heap_key = std::mem::take(&mut scratch.key);
+        let eval = with_sorted_key(group, &mut heap_key, |key| {
             let fp = fingerprint(key);
             let shard = &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize];
-            if let Some(bucket) = shard.read().get(&fp) {
-                if let Some((_, hit)) = bucket.iter().find(|(k, _)| &**k == key) {
-                    return *hit;
-                }
+            if let Some(hit) = shard.read().get(fp, key) {
+                return hit;
             }
             self.metrics.incr(Counter::MemoMisses);
             let t0 = Instant::now();
-            let (eval, synth_ns) = match scratch {
-                Some(s) => compute_with(self.ctx, self.model, key, s),
-                None => SYNTH_SCRATCH
-                    .with(|s| compute_with(self.ctx, self.model, key, &mut s.borrow_mut())),
-            };
+            let (eval, synth_ns) = compute_with(self.ctx, self.model, key, scratch);
             self.metrics.add(Counter::SynthNs, synth_ns);
-            let mut w = shard.write();
-            let bucket = w.entry(fp).or_default();
-            // A racing thread may have inserted while we computed.
-            if let Some((_, hit)) = bucket.iter().find(|(k, _)| &**k == key) {
-                return *hit;
-            }
-            bucket.push((key.to_vec().into_boxed_slice(), eval));
-            drop(w);
+            let eval = shard.write().get_or_insert(fp, key, eval);
             let miss = t0.elapsed();
             self.metrics.add(Counter::MissNs, miss.as_nanos() as u64);
             if self.obs.is_enabled() {
@@ -304,7 +382,9 @@ impl<'a> Evaluator<'a> {
                 );
             }
             eval
-        })
+        });
+        scratch.key = heap_key;
+        eval
     }
 
     /// Evaluate a whole plan: sum of group times, or infinity if any group
@@ -354,6 +434,8 @@ pub struct BatchProbe {
     pending: Vec<(u32, u32)>,
     /// Scored seconds per miss (parallel to `miss`).
     times: Vec<f64>,
+    /// Sorted-key buffer for candidates beyond [`STACK_KEY`] members.
+    heap_key: Vec<KernelId>,
     /// Lane-batched synthesis + projection scratch.
     core: BatchScratch,
 }
@@ -373,6 +455,7 @@ impl BatchProbe {
             miss_fp: Vec::new(),
             pending: Vec::new(),
             times: Vec::new(),
+            heap_key: Vec::new(),
             core: BatchScratch::new(),
         }
     }
@@ -438,6 +521,7 @@ impl<'a> Evaluator<'a> {
             miss_fp,
             pending,
             times,
+            heap_key,
             core,
         } = probe;
         miss.clear();
@@ -452,13 +536,11 @@ impl<'a> Evaluator<'a> {
                 continue;
             }
             multi_probes += 1;
-            let eval = with_sorted_key(group, |key| {
+            let eval = with_sorted_key(group, heap_key, |key| {
                 let fp = fingerprint(key);
                 let shard = &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize];
-                if let Some(bucket) = shard.read().get(&fp) {
-                    if let Some((_, hit)) = bucket.iter().find(|(k, _)| &**k == key) {
-                        return *hit;
-                    }
+                if let Some(hit) = shard.read().get(fp, key) {
+                    return hit;
                 }
                 // Distinct miss, or an in-batch duplicate of one already
                 // queued; either way the candidate resolves after the
@@ -483,23 +565,12 @@ impl<'a> Evaluator<'a> {
             self.metrics.add(Counter::BatchesScored, stats.batches);
             self.metrics.add(Counter::BatchLanesFilled, stats.lanes);
             // Publish in queue order so single-threaded runs populate the
-            // memo deterministically; a racing thread's entry wins (the
-            // values are bitwise equal — same pure function — so this
-            // only avoids duplicate entries).
+            // memo deterministically.
             for j in 0..miss.len() {
-                let key = miss.group(j);
                 let fp = miss_fp[j];
                 let shard = &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize];
-                let mut w = shard.write();
-                let bucket = w.entry(fp).or_default();
-                if let Some((_, hit)) = bucket.iter().find(|(k, _)| &**k == key) {
-                    times[j] = hit.time_s;
-                } else {
-                    bucket.push((
-                        key.to_vec().into_boxed_slice(),
-                        GroupEval { time_s: times[j] },
-                    ));
-                }
+                let eval = GroupEval { time_s: times[j] };
+                times[j] = shard.write().get_or_insert(fp, miss.group(j), eval).time_s;
             }
             let dur = t0.elapsed();
             self.metrics.add(Counter::MissNs, dur.as_nanos() as u64);
@@ -535,9 +606,14 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// Run `f` on `group` sorted into canonical order, without allocating for
-/// groups up to [`STACK_KEY`] members.
-fn with_sorted_key<R>(group: &[KernelId], f: impl FnOnce(&[KernelId]) -> R) -> R {
+/// Run `f` on `group` sorted into canonical order: on the stack for groups
+/// up to [`STACK_KEY`] members, else in `heap_key` (caller-owned scratch,
+/// so steady-state probes of large groups allocate nothing either).
+fn with_sorted_key<R>(
+    group: &[KernelId],
+    heap_key: &mut Vec<KernelId>,
+    f: impl FnOnce(&[KernelId]) -> R,
+) -> R {
     if group.len() <= STACK_KEY {
         let mut buf = [KernelId(0); STACK_KEY];
         let key = &mut buf[..group.len()];
@@ -545,9 +621,10 @@ fn with_sorted_key<R>(group: &[KernelId], f: impl FnOnce(&[KernelId]) -> R) -> R
         key.sort_unstable();
         f(key)
     } else {
-        let mut key = group.to_vec();
-        key.sort_unstable();
-        f(&key)
+        heap_key.clear();
+        heap_key.extend_from_slice(group);
+        heap_key.sort_unstable();
+        f(heap_key)
     }
 }
 
@@ -863,6 +940,149 @@ mod tests {
             fingerprint(&[KernelId(3)]),
             fingerprint(&[KernelId(3), KernelId(3)])
         );
+    }
+
+    fn ids(v: &[u32]) -> Vec<KernelId> {
+        v.iter().map(|&k| KernelId(k)).collect()
+    }
+
+    fn t(time_s: f64) -> GroupEval {
+        GroupEval { time_s }
+    }
+
+    #[test]
+    fn colliding_fingerprints_chain_without_aliasing() {
+        // Two distinct keys forced onto one fingerprint: both stay
+        // retrievable, neither answers for the other or for a third key.
+        let mut shard = Shard::new(OFFSET_LIMIT);
+        let (a, b, c) = (ids(&[1, 2]), ids(&[3, 4, 5]), ids(&[1, 3]));
+        assert_eq!(shard.get_or_insert(7, &a, t(1.0)), t(1.0));
+        assert_eq!(shard.get_or_insert(7, &b, t(2.0)), t(2.0));
+        assert_eq!(shard.get(7, &a), Some(t(1.0)));
+        assert_eq!(shard.get(7, &b), Some(t(2.0)));
+        assert_eq!(shard.get(7, &c), None);
+        assert_eq!(shard.get(8, &a), None);
+        assert_eq!((shard.heads.len(), shard.entries.len()), (1, 2));
+        assert_eq!(shard.keys, ids(&[1, 2, 3, 4, 5]));
+    }
+
+    #[test]
+    fn racing_insert_keeps_the_first_entry() {
+        // The interleaving of two threads missing on one key: both
+        // computed, the second publish finds the first one's entry.
+        let mut shard = Shard::new(OFFSET_LIMIT);
+        let key = ids(&[2, 9]);
+        assert_eq!(shard.get_or_insert(5, &key, t(1.0)), t(1.0));
+        assert_eq!(shard.get_or_insert(5, &key, t(3.0)), t(1.0));
+        assert_eq!(shard.entries.len(), 1);
+        assert_eq!(shard.keys.len(), 2);
+    }
+
+    #[test]
+    fn full_shard_returns_evals_without_memoizing() {
+        // A shard at its offset high-water mark (faked: the real one is
+        // u32::MAX) takes no further entries, and neither wraps nor panics.
+        let mut shard = Shard::new(4);
+        shard.get_or_insert(1, &ids(&[0, 1, 2]), t(1.0));
+        // Key arena would pass the limit (3 + 2 > 4).
+        assert_eq!(shard.get_or_insert(2, &ids(&[0, 1]), t(2.0)), t(2.0));
+        assert_eq!(shard.get(2, &ids(&[0, 1])), None);
+        assert_eq!(shard.heads.len(), 1, "no head may point at a refused entry");
+        // What was stored before still answers.
+        assert_eq!(shard.get(1, &ids(&[0, 1, 2])), Some(t(1.0)));
+        // Entry list at the limit, key arena not.
+        let mut shard = Shard::new(1);
+        shard.get_or_insert(1, &ids(&[0]), t(1.0));
+        assert_eq!(shard.get_or_insert(2, &[], t(2.0)), t(2.0));
+        assert_eq!(shard.entries.len(), 1);
+
+        // Through the evaluator: every probe of the refused group is a
+        // miss that recomputes the same eval.
+        let ctx = ctx();
+        let model = ProposedModel::default();
+        let mut ev = Evaluator::new(&ctx, &model);
+        let expect = ev.group(&ids(&[0, 1]));
+        let misses = ev.evaluations();
+        for shard in &mut ev.shards {
+            *shard = RwLock::new(Shard::new(0));
+        }
+        let mut probe = BatchProbe::new();
+        let mut out = Vec::new();
+        probe.push(&ids(&[1, 0]));
+        ev.group_batch(&mut probe, &mut out);
+        assert_eq!((ev.group(&ids(&[0, 1])), out[0]), (expect, expect));
+        assert_eq!(ev.evaluations(), misses + 2);
+    }
+
+    #[test]
+    fn four_threads_on_one_evaluator_leave_no_duplicate_entry() {
+        // The island model's sharing pattern: four workers probing the
+        // same groups through both paths, released together so publishes
+        // collide. Every distinct key ends up stored exactly once.
+        let p = kfuse_workloads::synth::scaling(24);
+        let ctx = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double).1;
+        let model = ProposedModel::default();
+        let ev = Evaluator::new(&ctx, &model);
+        let groups: Vec<Vec<KernelId>> = (0..24u32)
+            .flat_map(|i| (i + 1..24).map(move |j| ids(&[i, j])))
+            .collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for worker in 0..4 {
+                let (ev, groups, start) = (&ev, &groups, &start);
+                s.spawn(move || {
+                    let mut synth = SynthScratch::new();
+                    let mut probe = BatchProbe::new();
+                    let mut out = Vec::new();
+                    start.wait();
+                    for chunk in groups.chunks(8) {
+                        if worker % 2 == 0 {
+                            for g in chunk {
+                                ev.group_with(g, &mut synth);
+                            }
+                        } else {
+                            probe.clear();
+                            for g in chunk {
+                                probe.push(g);
+                            }
+                            ev.group_batch(&mut probe, &mut out);
+                        }
+                    }
+                });
+            }
+        });
+        let mut stored = std::collections::HashSet::new();
+        for shard in &ev.shards {
+            let shard = shard.read();
+            for e in &shard.entries {
+                let off = e.key_off as usize;
+                let key = shard.keys[off..off + e.key_len as usize].to_vec();
+                assert!(stored.insert(key), "a key is stored twice");
+            }
+        }
+        assert_eq!(stored.len(), groups.len());
+        // Racing workers may each have paid for a key; the memo kept one.
+        assert!(ev.evaluations() >= groups.len() as u64);
+    }
+
+    #[test]
+    fn large_group_keys_sort_into_the_callers_scratch() {
+        // Beyond STACK_KEY members the sorted key lives in the scratch the
+        // caller passed, not in a fresh Vec per probe: the buffer is there
+        // after the call and is not reallocated by the next one.
+        let group: Vec<KernelId> = (0..40u32).rev().map(KernelId).collect();
+        let mut sorted = group.clone();
+        sorted.sort_unstable();
+        let mut buf = Vec::new();
+        with_sorted_key(&group, &mut buf, |key| assert_eq!(key, &sorted[..]));
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        with_sorted_key(&group[1..], &mut buf, |key| assert_eq!(key, &sorted[..39]));
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+        // Small groups never touch it.
+        with_sorted_key(&group[..STACK_KEY], &mut buf, |key| {
+            assert_eq!(key.len(), STACK_KEY);
+        });
+        assert_eq!(buf.len(), 39);
     }
 
     #[test]

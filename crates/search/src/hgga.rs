@@ -1074,6 +1074,15 @@ pub fn local_search(
 }
 
 /// Insert orphans into existing feasible groups, else as singletons.
+///
+/// Each orphan draws the same bounded (8-host) random sample as the
+/// one-at-a-time loop in [`crate::reference::first_fit`] and is seated in
+/// the first feasible host in sample order. The probing is *decisive*:
+/// `sample[0]` is scored alone — it seats the orphan four times in five —
+/// and only when it is infeasible is the rest of the sample scored, as one
+/// lane batch. Evaluations are pure, so probing past the seat could never
+/// change it; it only filled the memo with groups nobody reads.
+/// Placements change membership, so batching stays within one orphan.
 fn first_fit(
     ev: &Evaluator<'_>,
     ch: &mut Chromosome,
@@ -1083,35 +1092,41 @@ fn first_fit(
 ) {
     orphans.shuffle(rng);
     for &k in orphans.iter() {
-        let mut placed = false;
-        // Probe the bounded random host sample as one lane batch, then
-        // seat the kernel in the first feasible host in sample order —
-        // the same host the one-at-a-time loop picked (extra probes past
-        // it are pure and decide nothing). Placements change membership,
-        // so batching stays within one orphan.
         let mut idxs = std::mem::take(&mut scratch.idxs);
         idxs.clear();
         idxs.extend(0..ch.group_count());
         idxs.shuffle(rng);
-        scratch.bp.clear();
-        for &gi in idxs.iter().take(8) {
-            scratch.bp.extend_members(ch.members_at(gi));
-            scratch.bp.push_member(k);
-            scratch.bp.seal();
-        }
-        ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
-        for (c, &gi) in idxs.iter().take(8).enumerate() {
-            let e = scratch.bevals[c];
+        let sample = &idxs[..idxs.len().min(8)];
+        let mut seat = None;
+        if let Some((&first, rest)) = sample.split_first() {
+            scratch.probe.clear();
+            scratch.probe.extend_from_slice(ch.members_at(first));
+            scratch.probe.push(k);
+            let e = ev.group_with(&scratch.probe, &mut scratch.synth);
             if e.feasible() {
-                ch.push_member(gi, k, e);
-                placed = true;
-                break;
+                seat = Some((first, e));
+            } else {
+                scratch.bp.clear();
+                for &gi in rest {
+                    scratch.bp.extend_members(ch.members_at(gi));
+                    scratch.bp.push_member(k);
+                    scratch.bp.seal();
+                }
+                ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+                seat = rest
+                    .iter()
+                    .zip(&scratch.bevals)
+                    .find(|(_, e)| e.feasible())
+                    .map(|(&gi, &e)| (gi, e));
+            }
+        }
+        match seat {
+            Some((gi, e)) => ch.push_member(gi, k, e),
+            None => {
+                ch.push_group(&[k], Some(ev.singleton(k)));
             }
         }
         scratch.idxs = idxs;
-        if !placed {
-            ch.push_group(&[k], Some(ev.singleton(k)));
-        }
     }
 }
 
@@ -1278,6 +1293,114 @@ mod tests {
                 "seed {seed} best generation"
             );
         }
+
+        // One case at the size where `first_fit` samples 8 of many hosts
+        // (60 kernels, the Table VI population): the decisive probe order
+        // must seat every orphan where the one-at-a-time loop does.
+        let p = kfuse_workloads::synth::scaling(60);
+        let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+        let cfg = HggaConfig {
+            population: 100,
+            max_generations: 8,
+            stall_generations: 8,
+            seed: 5,
+            ..HggaConfig::default()
+        };
+        let new = HggaSolver {
+            config: cfg.clone(),
+        }
+        .solve(&ctx, &model);
+        let old = reference::solve(&cfg, &ctx, &model);
+        assert_eq!(new.plan, old.plan);
+        assert_eq!(new.objective.to_bits(), old.objective.to_bits());
+        assert_eq!(new.stats.generations, old.stats.generations);
+        assert_eq!(new.stats.best_generation, old.stats.best_generation);
+    }
+
+    #[test]
+    fn first_fit_probes_decisively_and_seats_like_the_reference() {
+        let p = kfuse_workloads::synth::scaling(60);
+        let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+        let model = ProposedModel::default();
+        let ev = Evaluator::new(&ctx, &model);
+        // A second memo answers "was sample[0] feasible?" without
+        // disturbing the probe counts under test.
+        let oracle = Evaluator::new(&ctx, &model);
+        let mut scratch = OpScratch::new();
+        let mut rng = SmallRng::seed_from_u64(77);
+        let (mut seated_first, mut seated_later, mut unseated) = (0, 0, 0);
+        // Hosts from two populations: fresh constructive chromosomes (many
+        // small hosts, the first one usually fits) and an evolved plan
+        // (few large hosts, it usually does not).
+        let evolved = HggaSolver {
+            config: HggaConfig {
+                max_generations: 10,
+                ..quick_config(3)
+            },
+        }
+        .solve(&ctx, &model)
+        .plan;
+        for trial in 0..240 {
+            let mut ch = if trial % 2 == 0 {
+                random_chromosome(&ev, &mut rng, &mut scratch)
+            } else {
+                let mut ch = Chromosome::from_plan(&evolved, &ev);
+                ch.finalize(&ev, &mut scratch);
+                ch
+            };
+            // Orphan one kernel of a multi-member group (its remainder is
+            // left unscored, as after crossover's evictions).
+            let Some(gi) = (0..ch.group_count())
+                .filter(|&g| ch.members_at(g).len() >= 2)
+                .nth(trial / 2 % 6)
+            else {
+                continue;
+            };
+            let k = ch.members_at(gi)[0];
+            let rest = ch.members_at(gi)[1..].to_vec();
+            ch.replace_members(gi, &rest, None);
+            let mut groups: Vec<Vec<KernelId>> = (0..ch.group_count())
+                .map(|g| ch.members_at(g).to_vec())
+                .collect();
+
+            // Replay the draws to learn the sample before the call.
+            let mut replay = rng.clone();
+            [k].shuffle(&mut replay);
+            let mut idxs: Vec<usize> = (0..groups.len()).collect();
+            idxs.shuffle(&mut replay);
+            let sample = &idxs[..idxs.len().min(8)];
+            let mut first = groups[sample[0]].clone();
+            first.push(k);
+
+            let mut ref_rng = rng.clone();
+            reference::first_fit(&oracle, &mut groups, vec![k], &mut ref_rng);
+            let before = ev.probes();
+            first_fit(&ev, &mut ch, &mut [k], &mut rng, &mut scratch);
+            let probes = ev.probes() - before;
+
+            let host = ch.slot_members(ch.slot_of(k));
+            if oracle.feasible(&first) {
+                assert_eq!(probes, 1, "a feasible first host needs one probe");
+                assert_eq!(host[..host.len() - 1], first[..first.len() - 1]);
+                seated_first += 1;
+            } else {
+                assert_eq!(probes, sample.len() as u64);
+                if host.len() > 1 {
+                    seated_later += 1;
+                } else {
+                    unseated += 1;
+                }
+            }
+            let got: Vec<Vec<KernelId>> = (0..ch.group_count())
+                .map(|g| ch.members_at(g).to_vec())
+                .collect();
+            assert_eq!(FusionPlan::new(got), FusionPlan::new(groups));
+            assert_eq!(rng, ref_rng, "same draws as the reference");
+        }
+        assert!(
+            seated_first > 0 && seated_later + unseated > 0,
+            "both branches must run: {seated_first} / {seated_later} / {unseated}"
+        );
     }
 
     #[test]

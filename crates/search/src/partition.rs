@@ -33,7 +33,7 @@ use crate::eval::Evaluator;
 use crate::greedy::GreedySolver;
 use crate::hgga::{HggaConfig, HggaSolver, SolveControls};
 use kfuse_core::depgraph::DependencyGraph;
-use kfuse_core::exec_order::ExecOrderGraph;
+use kfuse_core::exec_order::{ExecOrderGraph, SuccStamps};
 use kfuse_core::fingerprint::{kernel_signatures, region_fingerprint};
 use kfuse_core::fuse::{condensation_order_with, CondensationScratch};
 use kfuse_core::kinship::ShareGraph;
@@ -235,8 +235,10 @@ pub fn partition_regions(ctx: &PlanContext, max_region: usize, min_coupling: f64
 struct RegionResult {
     /// Groups in global kernel ids.
     groups: Vec<Vec<KernelId>>,
-    /// Metrics of the sub-solve (merged into the outer registry).
-    metrics: MetricsSnapshot,
+    /// Metrics of every sub-solve that ran for the region — the GA, then
+    /// the greedy floor unless skipped — whichever plan won. Empty for a
+    /// singleton region. All are folded into the outer registry.
+    metrics: Vec<MetricsSnapshot>,
 }
 
 /// The hierarchical partition-first solver (`hgga-hier`).
@@ -390,7 +392,7 @@ impl HggaHierSolver {
                 if region.len() < 2 {
                     *slot = Some(RegionResult {
                         groups: vec![region.clone()],
-                        metrics: MetricsSnapshot::default(),
+                        metrics: Vec::new(),
                     });
                     continue;
                 }
@@ -418,8 +420,10 @@ impl HggaHierSolver {
         for r in results.into_iter().flatten() {
             if !r.metrics.is_empty() {
                 regions_solved += 1;
+            }
+            for m in &r.metrics {
                 for c in Counter::ALL {
-                    ev.metrics().add(c, r.metrics.get(c));
+                    ev.metrics().add(c, m.get(c));
                 }
             }
             groups.extend(r.groups);
@@ -448,6 +452,7 @@ impl HggaHierSolver {
         // condensation and split its smallest multi-kernel member into
         // singletons until the plan is acyclic; each split removes one
         // multi-kernel group, so this terminates.
+        let mut seen = SuccStamps::default();
         loop {
             let mut group_of = vec![u32::MAX; n];
             for (gi, g) in groups.iter().enumerate() {
@@ -458,7 +463,10 @@ impl HggaHierSolver {
             let mut succ: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
             for (gi, g) in groups.iter().enumerate() {
                 ctx.exec
-                    .group_succs_into(g, &group_of, gi as u32, &mut succ[gi]);
+                    .group_succs_into(g, &group_of, gi as u32, &mut seen, &mut succ[gi]);
+                // `find_cycle` walks edges in list order and the victim is
+                // chosen from the cycle it reports, so the order is pinned.
+                succ[gi].sort_unstable();
             }
             ev.metrics().incr(Counter::CondensationChecks);
             let Some(cycle) = find_cycle(&succ) else {
@@ -797,19 +805,18 @@ fn solve_one_region(
         },
     };
     let out = solver.solve_controlled(&sub_ctx, model, ObsHandle::disabled(), controls);
-    let best = if skip_floor {
-        out
-    } else {
+    let mut metrics = vec![out.metrics];
+    let mut plan = out.plan;
+    if !skip_floor {
         let greedy = GreedySolver.solve(&sub_ctx, model);
+        metrics.push(greedy.metrics);
         if greedy.objective < out.objective - 1e-15 {
-            greedy
-        } else {
-            out
+            plan = greedy.plan;
         }
-    };
+    }
     RegionResult {
-        groups: best.plan.groups.iter().map(|g| map.to_global(g)).collect(),
-        metrics: best.metrics,
+        groups: plan.groups.iter().map(|g| map.to_global(g)).collect(),
+        metrics,
     }
 }
 

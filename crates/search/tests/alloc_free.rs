@@ -4,8 +4,9 @@
 //! scratch once, re-evaluating distinct groups through
 //! [`Evaluator::evaluate_uncached`] (structure checks + SoA synthesis +
 //! view projection + profitability) must not allocate at all. Memo
-//! insertion (the boxed key) is deliberately outside this unit — it is
-//! amortized storage, not per-evaluation work.
+//! insertion is outside this unit and held to its own bound: a shard
+//! appends to three growable arrays, so a long sweep of distinct misses
+//! allocates only for their amortized growth.
 //!
 //! The observability rework adds a second guarantee: with tracing
 //! disabled ([`ObsHandle::disabled`]), the memo *hit* path with its
@@ -18,7 +19,7 @@ use kfuse_core::synth::SynthScratch;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::KernelId;
 use kfuse_obs::ObsHandle;
-use kfuse_search::Evaluator;
+use kfuse_search::{BatchProbe, Evaluator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -196,4 +197,83 @@ fn memo_hit_path_with_disabled_obs_is_allocation_free() {
         ev.evaluations(),
         ev.snapshot().get(kfuse_obs::Counter::MemoMisses)
     );
+}
+
+#[test]
+fn distinct_misses_allocate_only_for_amortized_growth() {
+    // 20 000 distinct multi-member groups over 60 kernels (every pair,
+    // then triples). The first half warms the probe's queues and takes
+    // each shard's three arrays past their small sizes; the second half —
+    // 10 000 further distinct misses, every one published to the memo —
+    // may then allocate only where an array doubles: at most once each
+    // for 16 shards x (head table, entry list, key arena). A memo that
+    // boxes its keys pays two allocations per miss, > 20 000 here.
+    let p = kfuse_workloads::synth::scaling(60);
+    let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+    let model = ProposedModel::default();
+    let ev = Evaluator::new(&ctx, &model);
+    let n = ctx.n_kernels() as u32;
+    let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| vec![KernelId(a), KernelId(b)]));
+    let triples = (0..n).flat_map(|a| {
+        (a + 1..n)
+            .flat_map(move |b| (b + 1..n).map(move |c| vec![KernelId(a), KernelId(b), KernelId(c)]))
+    });
+    let groups: Vec<Vec<KernelId>> = pairs.chain(triples).take(20_000).collect();
+    assert_eq!(groups.len(), 20_000);
+
+    let mut probe = BatchProbe::new();
+    let mut out = Vec::new();
+    let mut sweep = |groups: &[Vec<KernelId>]| {
+        for chunk in groups.chunks(48) {
+            probe.clear();
+            for g in chunk {
+                probe.push(g);
+            }
+            ev.group_batch(&mut probe, &mut out);
+        }
+    };
+    sweep(&groups[..10_000]);
+    let misses = ev.evaluations();
+    let before = allocations();
+    sweep(&groups[10_000..]);
+    let delta = allocations() - before;
+    assert_eq!(ev.evaluations() - misses, 10_000, "every probe is a miss");
+    assert!(
+        delta < 64,
+        "10 000 distinct misses performed {delta} allocations"
+    );
+}
+
+#[test]
+fn large_group_probes_are_allocation_free_once_warm() {
+    // Groups beyond the 32-member stack key (returned plans of synth100
+    // carry 34-member groups) sort into caller-owned scratch on both probe
+    // paths, so re-probing them allocates nothing.
+    let p = kfuse_workloads::synth::scaling(60);
+    let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+    let model = ProposedModel::default();
+    let ev = Evaluator::new(&ctx, &model);
+    let groups: Vec<Vec<KernelId>> = (0..8u32)
+        .map(|i| (0..34 + i).rev().map(|k| KernelId(k + i)).collect())
+        .collect();
+
+    let mut scratch = SynthScratch::new();
+    let mut probe = BatchProbe::new();
+    let mut out = Vec::new();
+    let mut round = |scratch: &mut SynthScratch| {
+        probe.clear();
+        for g in &groups {
+            std::hint::black_box(ev.group_with(g, scratch));
+            probe.push(g);
+        }
+        ev.group_batch(&mut probe, &mut out);
+    };
+    round(&mut scratch);
+    let before = allocations();
+    for _ in 0..3 {
+        round(&mut scratch);
+    }
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "large-group probes allocated {delta} times");
+    assert_eq!(ev.evaluations(), groups.len() as u64);
 }

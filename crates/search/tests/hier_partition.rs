@@ -178,6 +178,29 @@ fn forced_decomposition_stays_within_two_percent_of_flat() {
     }
 }
 
+/// The folded registry reports the work every region solve did, whichever
+/// of its two sub-solves supplied the plan: each solved region ran the GA
+/// for at least one generation and its greedy floor for at least one
+/// sweep (a solve that kept only the winner's snapshot lost the other's).
+#[test]
+fn region_counters_sum_ga_and_floor() {
+    use kfuse_obs::Counter;
+    let program = kfuse_workloads::by_name("synth300").expect("clustered 300");
+    let ctx = prepared(&program);
+    let out = HggaHierSolver {
+        config: quick_config(103),
+        partition: PartitionMode::Auto,
+    }
+    .solve(&ctx, &ProposedModel::default());
+    let regions = out.metrics.get(Counter::RegionsSolved);
+    assert!(
+        regions >= 2,
+        "clustered 300 must decompose ({regions} regions)"
+    );
+    assert!(out.metrics.get(Counter::Generations) >= regions);
+    assert!(out.metrics.get(Counter::GreedySweeps) >= regions);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

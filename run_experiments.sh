@@ -156,6 +156,15 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: committed baseline file or drift gate found (see EXPERIMENTS.md, Historical measurements)"
     exit 1
   fi
+  # One memo layout: a shard's keys live in its arena, so a miss
+  # allocates nothing per entry. A boxed key coming back (outside the
+  # frozen `mod legacy` reference) would restore two allocations per miss.
+  echo "== no boxed memo keys in crates/search/src/eval.rs"
+  if awk '/^pub mod legacy/{exit} {print FILENAME":"FNR": "$0}' crates/search/src/eval.rs \
+    | grep -F 'Box<[KernelId]>'; then
+    echo "FAIL: boxed memo key found (see DESIGN.md §8.2)"
+    exit 1
+  fi
   echo "== cargo doc --no-deps (missing_docs gate)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
   # Tier-1 (`cargo test -q`, the root package) never runs the member
@@ -163,9 +172,12 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
   # carry every program, request and cache entry; the linear-parse gate
   # runs optimized too, where a regression to quadratic shows at the
   # sizes the daemon sees.
-  echo "== cargo test --workspace (debug) + linear-parse gate (release)"
+  # The memo's allocation bound counts what the optimized evaluator
+  # allocates, so it runs in release as well.
+  echo "== cargo test --workspace (debug) + linear-parse and allocation gates (release)"
   cargo test -q --workspace
   cargo test --release -q --test serialization parse_time_scales_linearly_with_input_size
+  cargo test --release -q -p kfuse-search --test alloc_free
 fi
 
 cargo build --release -p kfuse-bench
