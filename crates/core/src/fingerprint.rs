@@ -115,7 +115,11 @@ pub fn kernel_signatures(info: &ProgramInfo) -> Vec<u64> {
 /// (two Weisfeiler–Leman rounds), yielding per-kernel colors that encode
 /// each kernel's dependency neighborhood but not its numbering.
 pub fn kernel_colors(info: &ProgramInfo) -> Vec<u64> {
-    let mut colors = kernel_signatures(info);
+    refine(info, kernel_signatures(info))
+}
+
+/// The refinement of [`kernel_colors`] over precomputed local signatures.
+fn refine(info: &ProgramInfo, mut colors: Vec<u64>) -> Vec<u64> {
     for _round in 0..2 {
         // Array colors: length-aware commutative sum over touchers, each
         // keyed by how that kernel uses the array.
@@ -170,6 +174,31 @@ pub fn program_fingerprint_with(info: &ProgramInfo, colors: &[u64]) -> u64 {
         .wrapping_mul(0xa076_1d64_78bd_642f)
         .wrapping_add(colors.iter().map(|&c| mix64(c)).fold(0, u64::wrapping_add));
     fold(h, kernels)
+}
+
+/// What a plan cache keys a program by: the per-kernel local signatures
+/// (near-match overlap, remapping) and the whole-program fingerprint.
+/// One computation yields both — the colors are refined from the
+/// signatures — and [`crate::plan::PlanContext::identity`] keeps it, so
+/// a request computes it once however many layers ask.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProgramIdentity {
+    /// [`kernel_signatures`].
+    pub signatures: Vec<u64>,
+    /// [`program_fingerprint`].
+    pub fingerprint: u64,
+}
+
+impl ProgramIdentity {
+    /// Signatures and fingerprint of `info`.
+    pub fn of(info: &ProgramInfo) -> Self {
+        let signatures = kernel_signatures(info);
+        let colors = refine(info, signatures.clone());
+        ProgramIdentity {
+            fingerprint: program_fingerprint_with(info, &colors),
+            signatures,
+        }
+    }
 }
 
 /// Sub-fingerprint of a kernel region: the length-aware commutative sum

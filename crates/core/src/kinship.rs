@@ -16,18 +16,9 @@ pub struct ShareGraph {
     adj: Vec<Vec<u32>>,
     /// Connected-component label per kernel.
     comp: Vec<u32>,
-    /// All-pairs shortest-path distances (u8::MAX = unreachable);
-    /// `dist[u*n+v]`. Empty above [`ShareGraph::DENSE_DIST_LIMIT`] kernels,
-    /// where [`ShareGraph::kinship`] runs a per-query BFS instead.
-    dist: Vec<u8>,
 }
 
 impl ShareGraph {
-    /// Largest kernel count for which the n×n distance matrix is
-    /// precomputed. Beyond this the matrix would cost O(n²) bytes (100 MB
-    /// at 10k kernels) while the planner only needs adjacency and
-    /// components; exact kinship queries fall back to an on-demand BFS.
-    pub const DENSE_DIST_LIMIT: usize = 2048;
     /// Build from the dependency graph of an `n_kernels`-kernel program.
     pub fn build(dep: &DependencyGraph, n_kernels: usize) -> Self {
         let n = n_kernels;
@@ -46,7 +37,8 @@ impl ShareGraph {
             l.dedup();
         }
 
-        // Components + BFS all-pairs distances (n ≤ a few hundred).
+        // The planner needs adjacency and components only; an exact
+        // degree of kinship is a BFS at query time.
         let mut comp = vec![u32::MAX; n];
         let mut next_comp = 0u32;
         for s in 0..n {
@@ -67,28 +59,7 @@ impl ShareGraph {
             next_comp += 1;
         }
 
-        let mut dist = Vec::new();
-        if n <= Self::DENSE_DIST_LIMIT {
-            dist = vec![u8::MAX; n * n];
-            let mut queue = std::collections::VecDeque::new();
-            for s in 0..n {
-                dist[s * n + s] = 0;
-                queue.clear();
-                queue.push_back(s);
-                while let Some(u) = queue.pop_front() {
-                    let du = dist[s * n + u];
-                    for &v in &adj[u] {
-                        let v = v as usize;
-                        if dist[s * n + v] == u8::MAX {
-                            dist[s * n + v] = du.saturating_add(1);
-                            queue.push_back(v);
-                        }
-                    }
-                }
-            }
-        }
-
-        ShareGraph { n, adj, comp, dist }
+        ShareGraph { n, adj, comp }
     }
 
     /// Kernels directly sharing an array with `k`.
@@ -97,15 +68,10 @@ impl ShareGraph {
     }
 
     /// Degree of kinship `(a, b)°`: chain length minus one, `None` if no
-    /// chain exists. `Some(0)` for a kernel with itself.
-    ///
-    /// O(1) from the dense matrix up to [`ShareGraph::DENSE_DIST_LIMIT`]
-    /// kernels; a single-source BFS per query beyond it.
+    /// chain exists. `Some(0)` for a kernel with itself. A single-source
+    /// BFS per query: the planner itself asks only for
+    /// [`ShareGraph::component`] (constraint 1.5).
     pub fn kinship(&self, a: KernelId, b: KernelId) -> Option<u8> {
-        if !self.dist.is_empty() {
-            let d = self.dist[a.index() * self.n + b.index()];
-            return (d != u8::MAX).then_some(d);
-        }
         if self.comp[a.index()] != self.comp[b.index()] {
             return None;
         }
@@ -228,18 +194,24 @@ mod tests {
     }
 
     #[test]
-    fn bfs_fallback_matches_dense_matrix() {
-        // Simulate the large-program regime (n > DENSE_DIST_LIMIT) by
-        // clearing the dense matrix: every query must agree with it.
-        let dense = graph();
-        let mut sparse = dense.clone();
-        sparse.dist.clear();
+    fn every_pair_has_the_degree_the_distance_matrix_held() {
+        // The all-pairs matrix this graph used to precompute, written
+        // out: {A,B} and {C,D,E} are the components, C–D go through E.
+        const X: Option<u8> = None;
+        let expected = [
+            [Some(0), Some(1), X, X, X],
+            [Some(1), Some(0), X, X, X],
+            [X, X, Some(0), Some(2), Some(1)],
+            [X, X, Some(2), Some(0), Some(1)],
+            [X, X, Some(1), Some(1), Some(0)],
+        ];
+        let g = graph();
         for a in 0..5u32 {
             for b in 0..5u32 {
                 assert_eq!(
-                    sparse.kinship(KernelId(a), KernelId(b)),
-                    dense.kinship(KernelId(a), KernelId(b)),
-                    "kinship({a},{b}) diverged in BFS fallback"
+                    g.kinship(KernelId(a), KernelId(b)),
+                    expected[a as usize][b as usize],
+                    "kinship({a},{b})"
                 );
             }
         }

@@ -8,7 +8,7 @@
 //! come from the `kfuse-sim` substrate standing in for real hardware.
 
 use kfuse_gpu::{occupancy, FpPrecision, GpuSpec, LaunchConfig};
-use kfuse_ir::{analysis, ArrayId, KernelId, Program};
+use kfuse_ir::{analysis, stencil, ArrayId, KernelId, Program};
 use kfuse_sim::{estimate_registers, simulate_kernel};
 use serde::{Deserialize, Serialize};
 
@@ -134,46 +134,73 @@ impl ProgramInfo {
     pub fn extract(p: &Program, gpu: &GpuSpec, precision: FpPrecision) -> Self {
         let (blocks, threads) = p.launch_dims();
         let elem = precision.bytes() as u64;
+        // Whole-grid multiplier of a per-site FLOP count.
+        let per_site = |flops: u64| {
+            flops
+                * u64::from(blocks)
+                * u64::from(p.launch.threads_per_block())
+                * u64::from(p.grid.nz)
+        };
+        let mut loaded: Vec<ArrayId> = Vec::new();
         let kernels = p
             .kernels
             .iter()
             .map(|k| {
                 let timing = simulate_kernel(gpu, p, k, precision);
+                // Every per-array fact below comes from this one map of
+                // the kernel's reads and one walk over its statements.
                 let reads = k.reads();
-                let writes = k.writes();
-                let mut arrays: Vec<ArrayId> = k.touched();
+                let mut arrays: Vec<ArrayId> = reads.keys().copied().collect();
+                arrays.extend(k.statements().map(|st| st.target));
                 arrays.sort_unstable();
+                arrays.dedup();
+                let slot = |a: ArrayId| arrays.binary_search(&a).expect("a touched array");
+
+                // Per array: FLOPs of the statements reading it, FLOPs of
+                // the statements writing it, whether any writes it.
+                let mut read_flops = vec![0u64; arrays.len()];
+                let mut write_flops = vec![0u64; arrays.len()];
+                let mut written = vec![false; arrays.len()];
+                let mut widest_statement = 0usize;
+                for st in k.statements() {
+                    let flops = st.expr.flops();
+                    write_flops[slot(st.target)] += flops;
+                    written[slot(st.target)] = true;
+                    loaded.clear();
+                    st.expr.for_each_load(&mut |a, _| loaded.push(a));
+                    widest_statement = widest_statement.max(loaded.len());
+                    loaded.sort_unstable();
+                    loaded.dedup();
+                    for &a in &loaded {
+                        read_flops[slot(a)] += flops;
+                    }
+                }
+
+                let mut max_radius = 0u8;
                 let uses: Vec<ArrayUse> = arrays
                     .iter()
-                    .map(|&a| {
+                    .enumerate()
+                    .map(|(i, &a)| {
                         let traffic = timing.traffic.per_array.get(&a);
-                        let write_flops: u64 = k
-                            .statements()
-                            .filter(|st| st.target == a)
-                            .map(|st| st.expr.flops())
-                            .sum::<u64>()
-                            * u64::from(blocks)
-                            * u64::from(p.launch.threads_per_block())
-                            * u64::from(p.grid.nz);
+                        let offsets = reads.get(&a).map_or(&[][..], Vec::as_slice);
+                        let read_radius = stencil::max_radius(offsets.iter().copied());
+                        max_radius = max_radius.max(read_radius);
                         ArrayUse {
                             array: a,
-                            thread_load: k.thread_load(a),
-                            flops: k.flops_involving(a)
-                                * u64::from(blocks)
-                                * u64::from(p.launch.threads_per_block())
-                                * u64::from(p.grid.nz),
-                            write_flops,
-                            read_radius: k.read_radius(a),
-                            reads: reads.contains_key(&a),
-                            writes: writes.contains(&a),
+                            thread_load: stencil::horizontal_footprint(offsets.iter().copied())
+                                .len() as u32,
+                            flops: per_site(read_flops[i]),
+                            write_flops: per_site(write_flops[i]),
+                            read_radius,
+                            reads: !offsets.is_empty(),
+                            writes: written[i],
                             load_elems: traffic.map_or(0, |t| t.load_elems),
                             store_elems: traffic.map_or(0, |t| t.store_elems),
                         }
                     })
                     .collect();
 
-                let max_radius = u32::from(k.max_read_radius());
-                let halo_bytes = analysis::halo_area(p, max_radius) * elem;
+                let halo_bytes = analysis::halo_area(p, u32::from(max_radius)) * elem;
                 let regs = estimate_registers(p, k);
                 let smem = analysis::smem_bytes_per_block(p, k, elem);
                 let launch = LaunchConfig::new(blocks, threads);
@@ -188,14 +215,8 @@ impl ProgramInfo {
                     threads,
                     blocks,
                     regs_per_thread: regs,
-                    regs_addr: 2 * k.touched().len() as u32,
-                    live_regs: k
-                        .statements()
-                        .map(|st| {
-                            (crate::spec::REG_FAC * st.expr.loads().len() as f64).ceil() as u32
-                        })
-                        .max()
-                        .unwrap_or(0),
+                    regs_addr: 2 * arrays.len() as u32,
+                    live_regs: (crate::spec::REG_FAC * widest_statement as f64).ceil() as u32,
                     flops: timing.flops,
                     uses,
                     halo_bytes,

@@ -15,7 +15,7 @@ use crate::kinship::ShareGraph;
 use crate::metadata::ProgramInfo;
 use crate::model::PerfModel;
 use crate::plan::{FusionPlan, PlanContext};
-use crate::relax::relax_expandable;
+use crate::relax::relax_in_place;
 use crate::spec::GroupSpec;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::Program;
@@ -225,7 +225,9 @@ impl Default for PipelineOptions {
 }
 
 /// Build the [`PlanContext`] for `program` on `gpu`: relaxation, metadata
-/// extraction, graph construction. Returns the relaxed program alongside.
+/// extraction, graph construction. Returns the relaxed program alongside
+/// (the borrowing form of [`prepare_owned`]: it copies the input, and the
+/// relaxed program out of the context).
 pub fn prepare(program: &Program, gpu: &GpuSpec, precision: FpPrecision) -> (Program, PlanContext) {
     prepare_with(program, gpu, precision, PipelineOptions::default())
 }
@@ -237,17 +239,34 @@ pub fn prepare_with(
     precision: FpPrecision,
     opts: PipelineOptions,
 ) -> (Program, PlanContext) {
-    let relaxed = if opts.relax {
-        relax_expandable(program).program
-    } else {
-        program.clone()
-    };
-    let info = ProgramInfo::extract(&relaxed, gpu, precision);
-    let exec = ExecOrderGraph::build(&relaxed);
-    let dep = DependencyGraph::build(&relaxed);
-    let share = ShareGraph::build(&dep, relaxed.kernels.len());
-    let ctx = PlanContext::new(info, exec, share).with_program(relaxed.clone());
+    let ctx = prepare_owned_with(program.clone(), gpu, precision, opts);
+    let relaxed = ctx.program.clone().expect("prepare attaches the program");
     (relaxed, ctx)
+}
+
+/// [`prepare`] for a caller that is done with `program`: it is relaxed in
+/// place and moved into the context ([`PlanContext::program`]), so the
+/// request path holds one copy of it from the parser to the plan. Every
+/// step is one walk over the kernels: relaxation, metadata, each graph.
+pub fn prepare_owned(program: Program, gpu: &GpuSpec, precision: FpPrecision) -> PlanContext {
+    prepare_owned_with(program, gpu, precision, PipelineOptions::default())
+}
+
+/// [`prepare_owned`] with explicit [`PipelineOptions`].
+pub fn prepare_owned_with(
+    mut program: Program,
+    gpu: &GpuSpec,
+    precision: FpPrecision,
+    opts: PipelineOptions,
+) -> PlanContext {
+    if opts.relax {
+        relax_in_place(&mut program);
+    }
+    let info = ProgramInfo::extract(&program, gpu, precision);
+    let exec = ExecOrderGraph::build(&program);
+    let dep = DependencyGraph::build(&program);
+    let share = ShareGraph::build(&dep, program.kernels.len());
+    PlanContext::new(info, exec, share).with_program(program)
 }
 
 /// Run Algorithm 1 end to end.

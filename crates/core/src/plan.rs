@@ -12,6 +12,7 @@
 //!   beat its *original sum* (checked against a chosen [`PerfModel`]).
 
 use crate::exec_order::ExecOrderGraph;
+use crate::fingerprint::ProgramIdentity;
 use crate::kinship::ShareGraph;
 use crate::metadata::ProgramInfo;
 use crate::model::PerfModel;
@@ -21,6 +22,7 @@ use crate::util::BitSet;
 use kfuse_ir::KernelId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An m-partition of the original kernels into prospective new kernels.
 /// Singleton groups are kernels left unfused.
@@ -203,6 +205,8 @@ pub struct PlanContext {
     /// not). Debug hooks use it to apply accepted plans and run the
     /// structured codegen analyses on the result.
     pub program: Option<kfuse_ir::Program>,
+    /// [`PlanContext::identity`], computed on first use.
+    identity: OnceLock<ProgramIdentity>,
 }
 
 impl PlanContext {
@@ -216,7 +220,16 @@ impl PlanContext {
             share,
             synth,
             program: None,
+            identity: OnceLock::new(),
         }
+    }
+
+    /// The program's cache identity (kernel signatures + fingerprint),
+    /// computed once per context and shared by everything that keys on
+    /// it: the warm-start probe, the cache insert, the daemon's response.
+    pub fn identity(&self) -> &ProgramIdentity {
+        self.identity
+            .get_or_init(|| ProgramIdentity::of(&self.info))
     }
 
     /// Attach the relaxed program (builder-style), enabling the debug

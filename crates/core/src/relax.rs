@@ -29,98 +29,124 @@ pub struct Relaxation {
 /// Kernels that read *and* write the same expandable array (accumulation)
 /// keep the read bound to the previous generation.
 pub fn relax_expandable(p: &Program) -> Relaxation {
-    let dep = DependencyGraph::build(p);
-    let mut out = p.clone();
-    let mut copies_added = 0usize;
+    let mut program = p.clone();
+    let copies_added = relax_in_place(&mut program);
+    Relaxation {
+        program,
+        copies_added,
+    }
+}
 
-    for (a_idx, class) in dep.classes.iter().enumerate() {
-        if *class != TouchClass::ExpandableReadWrite {
+/// [`relax_expandable`] on a program the caller owns; returns the number
+/// of redundant copies added.
+///
+/// Two steps, each linear in the program. First every generation of
+/// every expandable array is named: copies are appended to the array
+/// table in array order, so their ids do not depend on the kernels.
+/// Then one walk over the kernels in invocation order renames loads,
+/// staging entries and targets in place, against a table holding, per
+/// array, the name its current generation goes by. Arrays do not
+/// interact — a copy's id is fresh, so no rename produces an id another
+/// array's renames look for — which is why one walk with a table equals
+/// one walk per array.
+pub(crate) fn relax_in_place(p: &mut Program) -> usize {
+    let dep = DependencyGraph::build(p);
+    let n_arrays = p.arrays.len();
+
+    // names[first[a]..first[a + 1]]: the ids carrying generations 0..n-2
+    // of array `a` (fresh copies; the last generation keeps `a`). Empty
+    // for an array that is not relaxed.
+    let mut names: Vec<ArrayId> = Vec::new();
+    let mut first: Vec<u32> = Vec::with_capacity(n_arrays + 1);
+    for a_idx in 0..n_arrays {
+        first.push(names.len() as u32);
+        let writers = dep.writers[a_idx].len();
+        if dep.classes[a_idx] != TouchClass::ExpandableReadWrite || writers < 2 {
             continue;
         }
         let array = ArrayId(a_idx as u32);
-        let writers = &dep.writers[a_idx];
-        if writers.len() < 2 {
-            continue;
-        }
-        // Generations 0..n-2 get fresh copies; the last keeps `array`.
-        // gen_name[g] = array id carrying generation g's value.
-        let mut gen_name = Vec::with_capacity(writers.len());
-        for g in 0..writers.len() - 1 {
-            let new_id = ArrayId(out.arrays.len() as u32);
-            out.arrays.push(ArrayDecl {
-                id: new_id,
-                name: format!("{}__r{}", p.array(array).name, g + 1),
+        for g in 0..writers - 1 {
+            let id = ArrayId(p.arrays.len() as u32);
+            p.arrays.push(ArrayDecl {
+                id,
+                name: format!("{}__r{}", p.arrays[a_idx].name, g + 1),
                 redundant_copy_of: Some(array),
             });
-            gen_name.push(new_id);
-            copies_added += 1;
+            names.push(id);
         }
-        gen_name.push(array);
+    }
+    first.push(names.len() as u32);
+    let copies_added = names.len();
 
-        // Walk kernels in invocation order tracking the current generation.
-        // Reads before the first write keep the original array (initial
-        // input data lives there); the remaining WAR edge against the final
-        // writer is kept by the order-of-execution graph.
-        let mut gen: Option<usize> = None;
-        for k in &mut out.kernels {
-            let kid = k.id;
-            let writes_here = writers.contains(&kid);
-            // Reads use the generation *before* this kernel's write.
-            let read_name = match gen {
-                None => array,
-                Some(g) => gen_name[g],
-            };
-            for seg in &mut k.segments {
-                for st in &mut seg.statements {
-                    st.expr = st
-                        .expr
-                        .map_arrays(&|x| if x == array { read_name } else { x });
-                }
+    // Per original array: the name reads resolve to (the array itself
+    // before its first write — initial input data lives there; the
+    // remaining WAR edge against the final writer is kept by the
+    // order-of-execution graph) and the number of generations written.
+    let mut read_name: Vec<ArrayId> = (0..n_arrays as u32).map(ArrayId).collect();
+    let mut written: Vec<u32> = vec![0; n_arrays];
+    // Arrays whose generation this kernel advanced, and to which name.
+    let mut advanced: Vec<(ArrayId, ArrayId)> = Vec::new();
+
+    for k in &mut p.kernels {
+        if copies_added > 0 {
+            // Reads use the generation *before* this kernel's write, and
+            // staging directives follow the reads they serve.
+            for st in k.segments.iter_mut().flat_map(|s| &mut s.statements) {
+                st.expr
+                    .for_each_array_mut(&mut |x| *x = read_name[x.index()]);
             }
-            // Staging directives follow the reads they serve.
             for st in &mut k.staging {
-                if st.array == array {
-                    st.array = read_name;
+                if let Some(&name) = read_name.get(st.array.index()) {
+                    st.array = name;
                 }
             }
-            if writes_here {
-                let g = gen.map_or(0, |g| g + 1);
-                let write_name = gen_name[g];
-                for seg in &mut k.segments {
-                    for st in &mut seg.statements {
-                        if st.target == array {
-                            st.target = write_name;
+            advanced.clear();
+            for st in k.segments.iter_mut().flat_map(|s| &mut s.statements) {
+                let a = st.target.index();
+                let (lo, hi) = (first[a] as usize, first[a + 1] as usize);
+                if lo == hi {
+                    continue;
+                }
+                let seen = advanced.iter().find(|(array, _)| *array == st.target);
+                st.target = match seen {
+                    Some(&(_, name)) => name,
+                    None => {
+                        // This kernel writes the next generation; the
+                        // last one keeps the array's own name.
+                        let g = lo + written[a] as usize;
+                        written[a] += 1;
+                        let name = if g < hi { names[g] } else { st.target };
+                        advanced.push((st.target, name));
+                        name
+                    }
+                };
+            }
+            for &(array, name) in &advanced {
+                read_name[array.index()] = name;
+            }
+        }
+
+        // Renaming may alias two staging entries onto one array;
+        // deduplicate keeping the widest halo (SMEM wins over register).
+        // The entries come out in array order, renamed or not.
+        if k.staging.len() > 1 {
+            let mut dedup: std::collections::BTreeMap<ArrayId, kfuse_ir::Staging> =
+                std::collections::BTreeMap::new();
+            for st in &k.staging {
+                dedup
+                    .entry(st.array)
+                    .and_modify(|e| {
+                        e.halo = e.halo.max(st.halo);
+                        if st.medium == kfuse_ir::StagingMedium::Smem {
+                            e.medium = kfuse_ir::StagingMedium::Smem;
                         }
-                    }
-                }
-                gen = Some(g);
+                    })
+                    .or_insert(*st);
             }
+            k.staging = dedup.into_values().collect();
         }
     }
-
-    // Renaming may alias two staging entries onto one array; deduplicate
-    // keeping the widest halo (SMEM wins over register).
-    for k in &mut out.kernels {
-        let mut dedup: std::collections::BTreeMap<ArrayId, kfuse_ir::Staging> =
-            std::collections::BTreeMap::new();
-        for st in &k.staging {
-            dedup
-                .entry(st.array)
-                .and_modify(|e| {
-                    e.halo = e.halo.max(st.halo);
-                    if st.medium == kfuse_ir::StagingMedium::Smem {
-                        e.medium = kfuse_ir::StagingMedium::Smem;
-                    }
-                })
-                .or_insert(*st);
-        }
-        k.staging = dedup.into_values().collect();
-    }
-
-    Relaxation {
-        program: out,
-        copies_added,
-    }
+    copies_added
 }
 
 #[cfg(test)]

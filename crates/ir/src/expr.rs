@@ -123,8 +123,21 @@ impl Expr {
         v
     }
 
-    /// Rewrite every load through `f` (used by the fusion transformation to
-    /// redirect reads of renamed redundant arrays).
+    /// Visit the array of every load in place, in syntactic order: a
+    /// rename that keeps the tree (the relaxation's) allocates nothing.
+    pub fn for_each_array_mut(&mut self, f: &mut impl FnMut(&mut ArrayId)) {
+        match self {
+            Expr::Load { array, .. } => f(array),
+            Expr::Const(_) => {}
+            Expr::Bin { lhs, rhs, .. } => {
+                lhs.for_each_array_mut(f);
+                rhs.for_each_array_mut(f);
+            }
+        }
+    }
+
+    /// Rewrite every load through `f` into a new expression (used where
+    /// the original must survive: sub-program extraction).
     pub fn map_arrays(&self, f: &impl Fn(ArrayId) -> ArrayId) -> Expr {
         match self {
             Expr::Load { array, offset } => Expr::Load {
@@ -208,6 +221,15 @@ mod tests {
         let loads = m.loads();
         assert_eq!(loads[0].0, ArrayId(9));
         assert_eq!(loads[1].0, ArrayId(1));
+    }
+
+    #[test]
+    fn for_each_array_mut_renames_in_place_like_map_arrays() {
+        let mut e = Expr::at(ArrayId(0)) * Expr::lit(2.0) + Expr::at(ArrayId(1));
+        let rename = |id: ArrayId| if id == ArrayId(0) { ArrayId(9) } else { id };
+        let mapped = e.map_arrays(&rename);
+        e.for_each_array_mut(&mut |a| *a = rename(*a));
+        assert_eq!(e, mapped);
     }
 
     #[test]

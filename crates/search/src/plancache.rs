@@ -126,32 +126,50 @@ impl CacheEntry {
         groups.sort_by_key(|g| g[0]);
         Some(FusionPlan::from_sorted_groups(groups))
     }
+}
 
-    /// Multiset overlap of this entry's kernel signatures with `sigs`,
-    /// normalized by the larger program: 1.0 means identical signature
-    /// multisets, 0.0 means nothing in common.
-    pub fn overlap(&self, sigs: &[u64]) -> f64 {
-        if self.kernel_sigs.is_empty() || sigs.is_empty() {
-            return 0.0;
-        }
-        let mut a = self.kernel_sigs.clone();
-        let mut b = sigs.to_vec();
-        a.sort_unstable();
-        b.sort_unstable();
-        let (mut i, mut j, mut common) = (0usize, 0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    common += 1;
-                    i += 1;
-                    j += 1;
-                }
+fn sorted(sigs: &[u64]) -> Vec<u64> {
+    let mut v = sigs.to_vec();
+    v.sort_unstable();
+    v
+}
+
+/// Multiset overlap of two kernel-signature lists given in ascending
+/// order, normalized by the larger program: 1.0 means identical
+/// signature multisets, 0.0 means nothing in common. One merge, no copy.
+fn sorted_overlap(a: &[u64], b: &[u64]) -> f64 {
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let (mut i, mut j, mut common) = (0usize, 0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
             }
         }
-        common as f64 / a.len().max(b.len()) as f64
     }
+    common as f64 / a.len().max(b.len()) as f64
+}
+
+/// One resident entry and what the cache keeps beside it.
+#[derive(Debug)]
+struct Slot {
+    /// Shared, so a hit hands out a pointer instead of copying the entry
+    /// under the daemon's cache mutex.
+    entry: Arc<CacheEntry>,
+    /// `entry.kernel_sigs` in ascending order, sorted once when the entry
+    /// arrives: what every near lookup merges the probe against.
+    sorted_sigs: Vec<u64>,
+    /// Arrival number. An improvement takes its slot over in place and
+    /// gets a new number, so "earlier entry" (the near lookup's
+    /// tie-break) means what it meant when improved entries moved to the
+    /// end of a list.
+    seq: u64,
 }
 
 /// A load-time problem with one cache line, reported instead of panicking.
@@ -207,12 +225,28 @@ pub struct PlanCache {
     gpu: String,
     precision: String,
     /// Usable entries, one per fingerprint (the best objective wins).
-    entries: Vec<CacheEntry>,
+    slots: Vec<Slot>,
+    /// Fingerprint → position in `slots`.
+    index: HashMap<u64, usize>,
+    /// [`PlanCache::region_fps`], kept as entries arrive.
+    regions: HashSet<u64>,
+    /// Arrival numbers handed out so far.
+    arrivals: u64,
     /// Structured load warnings (corrupt/stale lines that were skipped).
     pub warnings: Vec<CacheWarning>,
     /// The file ended mid-line (e.g. a killed writer); the next append
     /// must start with a newline or it would fuse with the partial line.
     unterminated: bool,
+}
+
+/// What [`PlanCache::supersede`] did with an entry.
+enum Superseded {
+    /// Its fingerprint was new.
+    Added,
+    /// It took over the slot of a worse entry.
+    Replaced,
+    /// The held entry is at least as good; the new one was dropped.
+    Kept,
 }
 
 impl PlanCache {
@@ -225,7 +259,10 @@ impl PlanCache {
             dir: dir.to_path_buf(),
             gpu: gpu.to_string(),
             precision: precision.to_string(),
-            entries: Vec::new(),
+            slots: Vec::new(),
+            index: HashMap::new(),
+            regions: HashSet::new(),
+            arrivals: 0,
             warnings: Vec::new(),
             unterminated: false,
         };
@@ -286,22 +323,33 @@ impl PlanCache {
             // loaded before the improvement must not displace it.
             cache.supersede(entry);
         }
+        cache.rebuild_regions();
         cache
     }
 
     /// Number of usable entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True when no usable entry was loaded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// The entry for an exact fingerprint, if any.
     pub fn lookup_exact(&self, fingerprint: u64) -> Option<&CacheEntry> {
-        self.entries.iter().find(|e| e.fingerprint == fingerprint)
+        self.exact_slot(fingerprint).map(|s| &*s.entry)
+    }
+
+    /// [`PlanCache::lookup_exact`] as a shared pointer: what a caller
+    /// keeps after releasing the lock it found the cache behind.
+    pub fn lookup_exact_shared(&self, fingerprint: u64) -> Option<Arc<CacheEntry>> {
+        self.exact_slot(fingerprint).map(|s| Arc::clone(&s.entry))
+    }
+
+    fn exact_slot(&self, fingerprint: u64) -> Option<&Slot> {
+        Some(&self.slots[*self.index.get(&fingerprint)?])
     }
 
     /// The nearest entry by kernel-signature overlap, excluding the exact
@@ -313,14 +361,33 @@ impl PlanCache {
         sigs: &[u64],
         min_overlap: f64,
     ) -> Option<(&CacheEntry, f64)> {
-        let mut best: Option<(&CacheEntry, f64)> = None;
-        for e in &self.entries {
-            if e.fingerprint == fingerprint {
+        self.near_slot(fingerprint, sigs, min_overlap)
+            .map(|(s, ov)| (&*s.entry, ov))
+    }
+
+    /// [`PlanCache::lookup_near`] as a shared pointer.
+    pub fn lookup_near_shared(
+        &self,
+        fingerprint: u64,
+        sigs: &[u64],
+        min_overlap: f64,
+    ) -> Option<Arc<CacheEntry>> {
+        self.near_slot(fingerprint, sigs, min_overlap)
+            .map(|(s, _)| Arc::clone(&s.entry))
+    }
+
+    fn near_slot(&self, fingerprint: u64, sigs: &[u64], min_overlap: f64) -> Option<(&Slot, f64)> {
+        let probe = sorted(sigs);
+        let mut best: Option<(&Slot, f64)> = None;
+        for s in &self.slots {
+            if s.entry.fingerprint == fingerprint {
                 continue;
             }
-            let ov = e.overlap(sigs);
-            if ov >= min_overlap && best.is_none_or(|(_, b)| ov > b) {
-                best = Some((e, ov));
+            let ov = sorted_overlap(&s.sorted_sigs, &probe);
+            if ov >= min_overlap
+                && best.is_none_or(|(b, best_ov)| ov > best_ov || (ov == best_ov && s.seq < b.seq))
+            {
+                best = Some((s, ov));
             }
         }
         best
@@ -330,28 +397,43 @@ impl PlanCache {
     /// program fingerprints (a whole cached program is also a reusable
     /// "region" when it reappears inside a larger one).
     pub fn region_fps(&self) -> HashSet<u64> {
-        let mut fps = HashSet::new();
-        for e in &self.entries {
-            fps.insert(e.fingerprint);
-            fps.extend(e.region_fps.iter().copied());
+        self.regions.clone()
+    }
+
+    fn rebuild_regions(&mut self) {
+        self.regions.clear();
+        for s in &self.slots {
+            self.regions.insert(s.entry.fingerprint);
+            self.regions.extend(s.entry.region_fps.iter().copied());
         }
-        fps
     }
 
     /// Keep `entry` iff its objective is strictly better than the one
-    /// held for its fingerprint (or none is held).
-    fn supersede(&mut self, entry: CacheEntry) {
-        if let Some(i) = self
-            .entries
-            .iter()
-            .position(|e| e.fingerprint == entry.fingerprint)
-        {
-            if self.entries[i].objective <= entry.objective {
-                return;
-            }
-            self.entries.remove(i);
+    /// held for its fingerprint (or none is held). Leaves `regions` to
+    /// the caller: an entry that replaces another may retire region
+    /// fingerprints, which only a rebuild can tell.
+    fn supersede(&mut self, entry: CacheEntry) -> Superseded {
+        let held = self.index.get(&entry.fingerprint).copied();
+        if held.is_some_and(|i| self.slots[i].entry.objective <= entry.objective) {
+            return Superseded::Kept;
         }
-        self.entries.push(entry);
+        self.arrivals += 1;
+        let slot = Slot {
+            sorted_sigs: sorted(&entry.kernel_sigs),
+            seq: self.arrivals,
+            entry: Arc::new(entry),
+        };
+        match held {
+            Some(i) => {
+                self.slots[i] = slot;
+                Superseded::Replaced
+            }
+            None => {
+                self.index.insert(slot.entry.fingerprint, self.slots.len());
+                self.slots.push(slot);
+                Superseded::Added
+            }
+        }
     }
 
     /// Insert (or improve) the entry for `entry.fingerprint` and persist.
@@ -388,7 +470,15 @@ impl PlanCache {
             .append(true)
             .open(&path)?;
         f.write_all(buf.as_bytes())?;
-        self.supersede(entry);
+        match self.supersede(entry) {
+            Superseded::Added => {
+                let added = &self.slots[self.slots.len() - 1].entry;
+                self.regions.insert(added.fingerprint);
+                self.regions.extend(added.region_fps.iter().copied());
+            }
+            Superseded::Replaced => self.rebuild_regions(),
+            Superseded::Kept => {}
+        }
         Ok(())
     }
 
@@ -643,6 +733,51 @@ mod tests {
             r40.lookup_exact(7).is_some(),
             "foreign device lost in rewrite"
         );
+    }
+
+    #[test]
+    fn an_improvement_is_the_latest_arrival_and_retires_its_regions() {
+        // What the side tables must reproduce of a list that moved an
+        // improved entry to its end and was rescanned per request.
+        let dir = tmpdir("arrival");
+        let mut cache = PlanCache::open(&dir, "K20X", "Double");
+        let tied = |fp: u64, objective: f64, region: u64| {
+            let mut e = entry(fp, objective);
+            e.kernel_sigs = vec![30, 10, 99]; // unsorted: 2 of 3 in common with the probe
+            e.region_fps = vec![region, 500];
+            e
+        };
+        cache.insert(tied(1, 0.5, 501)).unwrap();
+        cache.insert(tied(2, 0.5, 502)).unwrap();
+        let near = |c: &PlanCache| c.lookup_near(42, &[10, 20, 30], 0.3).unwrap().0.fingerprint;
+        assert_eq!(near(&cache), 1, "ties go to the earlier entry");
+        assert_eq!(
+            cache.region_fps(),
+            HashSet::from([1, 2, 500, 501, 502]),
+            "whole-program and region fingerprints of both"
+        );
+
+        cache.insert(tied(1, 0.4, 511)).unwrap(); // improves entry 1
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookup_exact(1).unwrap().objective, 0.4);
+        assert_eq!(near(&cache), 2, "the improved entry now arrived last");
+        assert_eq!(
+            cache.region_fps(),
+            HashSet::from([1, 2, 500, 502, 511]),
+            "501 went with the entry it belonged to; 500 is still held by 2"
+        );
+        // A reload sees the same thing: the better line is the later one.
+        let reloaded = PlanCache::open(&dir, "K20X", "Double");
+        assert_eq!(near(&reloaded), 2);
+        assert_eq!(reloaded.region_fps(), cache.region_fps());
+        assert_eq!(
+            cache
+                .lookup_near_shared(42, &[10, 20, 30], 0.3)
+                .unwrap()
+                .fingerprint,
+            2
+        );
+        assert!(cache.lookup_exact_shared(3).is_none());
     }
 
     #[test]

@@ -32,9 +32,7 @@ use crate::greedy::GreedySolver;
 use crate::hgga::SolveControls;
 use crate::partition::{partition_regions, HggaHierSolver, MIN_COUPLING};
 use crate::plancache::{CacheEntry, PlanCache, CACHE_VERSION};
-use kfuse_core::fingerprint::{
-    kernel_colors, kernel_signatures, program_fingerprint_with, region_fingerprint,
-};
+use kfuse_core::fingerprint::region_fingerprint;
 use kfuse_core::model::PerfModel;
 use kfuse_core::pipeline::{SolveOutcome, SolveStats, Solver};
 use kfuse_core::plan::{FusionPlan, PlanContext};
@@ -167,21 +165,22 @@ impl WarmSolver {
             ..Default::default()
         };
 
-        // Probe: fingerprint the program, look for an exact or near entry.
-        // Candidate entries are cloned out so the lock drops before any
-        // re-validation or search work.
-        let mut probe: Option<(u64, Vec<u64>)> = None;
+        // Probe: identify the program (once per context — the daemon
+        // reads the same identity for its response), look for an exact or
+        // near entry. Candidate entries leave the lock as shared pointers,
+        // so it drops before any re-validation or search work and copies
+        // nothing while held.
+        let mut probe: Option<(u64, &[u64])> = None;
         if let Some(shared) = cache {
             let t0 = Instant::now();
-            let colors = kernel_colors(&ctx.info);
-            let sigs = kernel_signatures(&ctx.info);
-            let fp = program_fingerprint_with(&ctx.info, &colors);
+            let identity = ctx.identity();
+            let (fp, sigs) = (identity.fingerprint, &identity.signatures[..]);
             reg.incr(Counter::CacheProbes);
             let mut outcome_code = PROBE_MISS;
 
             let (exact, n_entries) = {
                 let c = lock(shared);
-                (c.lookup_exact(fp).cloned(), c.len() as u64)
+                (c.lookup_exact_shared(fp), c.len() as u64)
             };
 
             if let Some(entry) = &exact {
@@ -199,7 +198,7 @@ impl WarmSolver {
                 // Same fingerprint but the stored numbering does not fit
                 // this program (isomorphic reorder) or the plan no longer
                 // re-validates: fall back to seeding from it.
-                if let Some(seed) = remap_entry(entry, &sigs) {
+                if let Some(seed) = remap_entry(entry, sigs) {
                     controls.seeds.push(seed);
                     reg.incr(Counter::WarmStarts);
                     outcome_code = PROBE_NEAR;
@@ -211,14 +210,13 @@ impl WarmSolver {
             let (near, region_fps) = {
                 let c = lock(shared);
                 (
-                    c.lookup_near(fp, &sigs, self.min_overlap)
-                        .map(|(e, _overlap)| e.clone()),
+                    c.lookup_near_shared(fp, sigs, self.min_overlap),
                     c.region_fps(),
                 )
             };
             if controls.seeds.is_empty() {
                 if let Some(entry) = &near {
-                    if let Some(seed) = remap_entry(entry, &sigs) {
+                    if let Some(seed) = remap_entry(entry, sigs) {
                         controls.seeds.push(seed);
                         reg.incr(Counter::WarmStarts);
                         outcome_code = PROBE_NEAR;
@@ -257,7 +255,7 @@ impl WarmSolver {
         // Region sub-fingerprints fold *local* signatures, matching the
         // hierarchical solver's floor-skip lookup (perturbation-local:
         // changing one kernel leaves other regions' fingerprints intact).
-        if let (Some(shared), Some((fp, sigs))) = (cache, &probe) {
+        if let (Some(shared), Some((fp, sigs))) = (cache, probe) {
             let region_fps = match (
                 self.inner.effective_max_region(ctx.n_kernels()),
                 &ctx.program,
@@ -272,13 +270,13 @@ impl WarmSolver {
             };
             let entry = CacheEntry {
                 version: CACHE_VERSION,
-                fingerprint: *fp,
+                fingerprint: fp,
                 program: ctx.info.name.clone(),
                 gpu: ctx.info.gpu.name.clone(),
                 precision: format!("{:?}", ctx.info.precision),
                 n_kernels: ctx.n_kernels() as u32,
                 objective: out.objective,
-                kernel_sigs: sigs.clone(),
+                kernel_sigs: sigs.to_vec(),
                 groups: out
                     .plan
                     .groups

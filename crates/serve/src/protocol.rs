@@ -12,6 +12,7 @@
 //! `error.message`, and the client-chosen `id` is echoed verbatim on
 //! both (or `null` when the request carried none / could not be parsed).
 
+use kfuse_ir::Program;
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Number, Value};
 
@@ -39,7 +40,7 @@ pub struct Request {
     /// emits. Exactly one of `program` / `example` is required for
     /// `solve` and `verify`.
     #[serde(default)]
-    pub program: Option<Value>,
+    pub program: Option<InlineProgram>,
     /// Built-in example name (`kfuse_workloads::by_name`): `quickstart`,
     /// `rk3`, `fig3`, `scale-les`, `homme`, `suite`, `synth<N>`.
     #[serde(default)]
@@ -61,6 +62,36 @@ pub struct Request {
     /// (the same shape `solve` returns in `result.groups`).
     #[serde(default)]
     pub plan: Option<Vec<Vec<u32>>>,
+}
+
+/// A request's inline `program`, read as a [`Program`] in the same pass
+/// that reads the request line — no `Value` tree in between.
+///
+/// JSON that is not a `Program` does not make the *request* malformed:
+/// the type error is kept here and answered by the worker with
+/// [`ErrorCode::InvalidProgram`], as it always was.
+#[derive(Debug, Clone)]
+pub struct InlineProgram(pub Result<Program, String>);
+
+impl Deserialize for InlineProgram {
+    fn deserialize_value(v: Value) -> Result<Self, serde::Error> {
+        Ok(InlineProgram(
+            Program::deserialize_value(v).map_err(|e| e.0),
+        ))
+    }
+
+    fn deserialize_json(p: &mut serde::Scanner<'_>) -> Result<Self, serde::Error> {
+        Ok(InlineProgram(p.read::<Program>()?.map_err(|e| e.0)))
+    }
+}
+
+impl Serialize for InlineProgram {
+    fn serialize_value(&self) -> Result<Value, serde::Error> {
+        match &self.0 {
+            Ok(program) => program.serialize_value(),
+            Err(e) => Err(serde::Error::msg(e)),
+        }
+    }
 }
 
 /// Structured error codes, the `error.code` values of the wire protocol.
@@ -92,6 +123,10 @@ pub enum ErrorCode {
     /// unknown `op`, unknown `gpu`, or an op/field combination the
     /// protocol does not define.
     Unsupported,
+    /// A worker panicked while processing the request. The request is
+    /// lost, the daemon is not: the worker takes the next job. A bug in
+    /// the daemon, never the client's to fix — report it.
+    InternalError,
 }
 
 impl ErrorCode {
@@ -105,6 +140,7 @@ impl ErrorCode {
             ErrorCode::VerifierRejected => "verifier_rejected",
             ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::Unsupported => "unsupported",
+            ErrorCode::InternalError => "internal_error",
         }
     }
 }

@@ -8,7 +8,10 @@
 //!  local ─┘   (admission)         └─ worker N ─┘   (one per gpu/precision)
 //! ```
 //!
-//! Admission happens on the *reader* thread: control ops (`ping`,
+//! Admission happens on the *reader* thread, which is also where a
+//! request line is parsed — once, straight into a [`Request`] whose
+//! inline program is already a [`Program`]; no `Value` tree of the line
+//! is ever built. Control ops (`ping`,
 //! `stats`, `shutdown`) are answered inline and never touch the queue;
 //! `solve`/`verify` are either enqueued or refused immediately with a
 //! structured error ([`ErrorCode::QueueFull`] backpressure when the
@@ -28,7 +31,6 @@ use crate::protocol::{
     error_response, hex_u64, num_f64, num_u64, obj, ok_response, ErrorCode, Request,
     PROTOCOL_VERSION,
 };
-use kfuse_core::fingerprint::{kernel_colors, program_fingerprint_with};
 use kfuse_core::model::ProposedModel;
 use kfuse_core::pipeline;
 use kfuse_core::plan::{FusionPlan, PlanContext};
@@ -39,6 +41,7 @@ use kfuse_search::{HggaHierSolver, PlanCache, WarmSolver};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -237,6 +240,21 @@ fn drain(shared: &Shared) {
     }
 }
 
+/// One dequeued job's claim on [`QueueState::in_flight`]. Released on
+/// drop, so the count — and the `idle` signal a drain waits for — holds
+/// on every way out of the job, an unwinding panic included.
+struct InFlight<'a>(&'a Shared);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut q = lock(&self.0.queue);
+        q.in_flight -= 1;
+        if q.jobs.is_empty() && q.in_flight == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let mut job = {
@@ -255,19 +273,22 @@ fn worker_loop(shared: &Arc<Shared>) {
                 q = shared.work_ready.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
+        let _in_flight = InFlight(shared);
 
-        let expired = job.deadline.is_some_and(|d| Instant::now() >= d);
-        let (line, err) = if expired {
-            let line = error_response(
-                job.req.id.as_deref(),
-                ErrorCode::BudgetExceeded,
-                "budget_ms elapsed while the request was still queued",
-                vec![],
-            );
-            (line, Some(ErrorCode::BudgetExceeded))
-        } else {
-            process(shared, &mut job)
-        };
+        // A panic anywhere in the job is this request's failure, not the
+        // daemon's: the client gets `internal_error` and the worker takes
+        // the next job. Every lock the job can hold recovers from
+        // poisoning ([`lock`], the plan cache's own).
+        let (line, err) = catch_unwind(AssertUnwindSafe(|| answer(shared, &mut job)))
+            .unwrap_or_else(|_panic| {
+                let line = error_response(
+                    job.req.id.as_deref(),
+                    ErrorCode::InternalError,
+                    "a worker panicked on this request; it was dropped and the daemon keeps serving",
+                    vec![],
+                );
+                (line, Some(ErrorCode::InternalError))
+            });
         // Count before replying: a client that has seen this response and
         // immediately asks for `stats` (answered inline on the reader
         // thread) must observe the updated counters.
@@ -277,25 +298,34 @@ fn worker_loop(shared: &Arc<Shared>) {
             Counter::RequestsRejected
         });
         job.reply.send(&line);
-
-        let mut q = lock(&shared.queue);
-        q.in_flight -= 1;
-        if q.jobs.is_empty() && q.in_flight == 0 {
-            shared.idle.notify_all();
-        }
     }
 }
 
-/// Resolve the request's program: inline `program` JSON or a built-in
-/// `example` name, exactly one of the two. The inline tree is moved out
-/// of the request, so a request holds one copy of its program from the
-/// reader thread to the `Program`.
+/// The response line for one dequeued job and, for rejections, the error
+/// code (for the served/rejected counters).
+fn answer(shared: &Shared, job: &mut Job) -> (String, Option<ErrorCode>) {
+    if job.deadline.is_some_and(|d| Instant::now() >= d) {
+        let line = error_response(
+            job.req.id.as_deref(),
+            ErrorCode::BudgetExceeded,
+            "budget_ms elapsed while the request was still queued",
+            vec![],
+        );
+        return (line, Some(ErrorCode::BudgetExceeded));
+    }
+    process(shared, job)
+}
+
+/// Resolve the request's program: the inline `program` the reader thread
+/// parsed or a built-in `example` name, exactly one of the two. The
+/// program is moved out of the request; nothing else holds a copy.
 fn resolve_program(req: &mut Request) -> Result<Program, String> {
     match (req.program.take(), &req.example) {
         (Some(_), Some(_)) => Err("give either `program` or `example`, not both".into()),
         (None, None) => Err("a `solve`/`verify` request needs `program` or `example`".into()),
-        (Some(v), None) => {
-            let p: Program = serde_json::from_value(v)
+        (Some(inline), None) => {
+            let p = inline
+                .0
                 .map_err(|e| format!("`program` does not parse as a kfuse program: {e}"))?;
             p.validate()
                 .map_err(|e| format!("program fails validation: {e}"))?;
@@ -324,7 +354,7 @@ fn resolve_ctx(
     })?;
     let program = resolve_program(req).map_err(|m| (ErrorCode::InvalidProgram, m))?;
     let precision = gpu.default_precision();
-    let (_p, ctx) = pipeline::prepare(&program, &gpu, precision);
+    let ctx = pipeline::prepare_owned(program, &gpu, precision);
     Ok((gpu, ctx))
 }
 
@@ -348,9 +378,15 @@ fn cache_for(shared: &Shared, gpu: &str, precision: &str) -> Option<Arc<Mutex<Pl
     )
 }
 
-/// Process one dequeued `solve`/`verify` job. Returns the response line
-/// and, for rejections, the error code (for the served/rejected counters).
+/// Process one dequeued `solve`/`verify` job that is still within its
+/// budget.
 fn process(shared: &Shared, job: &mut Job) -> (String, Option<ErrorCode>) {
+    #[cfg(test)]
+    assert_ne!(
+        job.req.id.as_deref(),
+        Some(tests::PANIC_ID),
+        "planted panic"
+    );
     let (gpu, ctx) = match resolve_ctx(shared, &mut job.req) {
         Ok(v) => v,
         Err((code, msg)) => {
@@ -396,8 +432,8 @@ fn solve_job(
     } else {
         "uncached"
     };
-    let colors = kernel_colors(&ctx.info);
-    let fp = program_fingerprint_with(&ctx.info, &colors);
+    // Computed once per context: a cached solve already asked for it.
+    let fp = ctx.identity().fingerprint;
     let groups = Value::Array(
         out.plan
             .groups
@@ -493,6 +529,17 @@ fn verify_job(job: &Job, ctx: &PlanContext) -> (String, Option<ErrorCode>) {
     (ok_response(id, result), None)
 }
 
+/// The `id` of a line that is JSON but does not fit [`Request`]: echoed
+/// when it is a string, whatever is wrong with the other fields.
+fn echo_id(line: &str) -> Option<String> {
+    #[derive(serde::Deserialize)]
+    struct IdOnly {
+        #[serde(default)]
+        id: Option<String>,
+    }
+    serde_json::from_str::<IdOnly>(line).ok()?.id
+}
+
 /// Handle one request line on a reader thread: answer control ops
 /// inline, enqueue `solve`/`verify` (or refuse with backpressure), and
 /// reject anything unparseable with a structured error. Empty lines are
@@ -504,39 +551,28 @@ fn handle_line(shared: &Arc<Shared>, line: &str, reply: &Reply) {
     }
     shared.metrics.incr(Counter::RequestsReceived);
 
-    // Parse to a Value first so a schema-invalid request still echoes
-    // its `id` back.
-    let raw: Value = match serde_json::from_str(line) {
-        Ok(v) => v,
-        Err(e) => {
-            shared.metrics.incr(Counter::RequestsRejected);
-            reply.send(&error_response(
-                None,
-                ErrorCode::MalformedRequest,
-                &format!("request is not valid JSON: {e}"),
-                vec![],
-            ));
-            return;
-        }
-    };
-    let id_owned = raw
-        .get("id")
-        .and_then(|v| v.as_str())
-        .map(|s| s.to_string());
-    let id = id_owned.as_deref();
-    let req: Request = match serde_json::from_value(raw) {
+    // One pass from the line to the typed request, inline program
+    // included. A line that is JSON but not a request is the rare case
+    // that pays a second, skipping pass to echo its `id`.
+    let req: Request = match serde_json::from_str(line) {
         Ok(r) => r,
         Err(e) => {
             shared.metrics.incr(Counter::RequestsRejected);
+            let (id, what) = if e.is_data() {
+                (echo_id(line), "request does not match the schema")
+            } else {
+                (None, "request is not valid JSON")
+            };
             reply.send(&error_response(
-                id,
+                id.as_deref(),
                 ErrorCode::MalformedRequest,
-                &format!("request does not match the schema: {e}"),
+                &format!("{what}: {e}"),
                 vec![],
             ));
             return;
         }
     };
+    let id = req.id.as_deref();
 
     match req.op.as_str() {
         "ping" => {
@@ -734,4 +770,40 @@ pub fn serve_unix(cfg: ServeConfig, path: &std::path::Path) -> std::io::Result<(
     let _ = std::fs::remove_file(path);
     daemon.shutdown();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A request with this `id` panics inside [`process`] — in test
+    /// builds only; no program or request can do it to a release daemon.
+    pub(super) const PANIC_ID: &str = "planted-panic";
+
+    #[test]
+    fn a_panicking_job_is_one_internal_error_and_the_daemon_goes_on() {
+        let daemon = Daemon::start(ServeConfig::default());
+        let c = daemon.client();
+        let solve = |id: &str| format!(r#"{{"id":"{id}","op":"solve","example":"quickstart"}}"#);
+
+        let rx = c.submit(&solve(PANIC_ID));
+        let r = rx.recv().expect("the panicking job is still answered");
+        assert!(r.contains(r#""code":"internal_error""#), "{r}");
+        assert!(r.contains(&format!(r#""id":"{PANIC_ID}""#)), "{r}");
+        assert!(
+            r.len() < 256,
+            "bounded, and nothing of the request in it: {r}"
+        );
+        assert!(rx.try_recv().is_err(), "exactly one response line");
+
+        // The same worker (there is one) serves the next request, the
+        // accounting is whole — nothing left in flight, the panic counted
+        // as a rejection — and so the drain behind `shutdown` returns.
+        let r = c.request(&solve("after"));
+        assert!(r.contains(r#""id":"after","ok":true"#), "{r}");
+        assert_eq!(lock(&daemon.shared.queue).in_flight, 0);
+        let bye = c.request(r#"{"id":"bye","op":"shutdown"}"#);
+        assert!(bye.contains(r#""served":1,"rejected":1"#), "{bye}");
+        daemon.shutdown();
+    }
 }

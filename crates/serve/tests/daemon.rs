@@ -317,3 +317,143 @@ fn surrogate_pair_escapes_in_a_program_name_cross_the_wire() {
     assert!(r.contains("\"program\":\"rk3 \u{1F600}\""), "{r}");
     daemon.shutdown();
 }
+
+/// The forty request lines of the pinned session: hits and misses from
+/// inline and named programs (compact, pretty, reordered envelopes, unknown
+/// and repeated keys, a legacy program without `host_syncs`), `verify`, and
+/// every error code a single-worker session can be made to produce.
+fn session_requests() -> Vec<String> {
+    let json =
+        |name: &str| serde_json::to_string(&kfuse_workloads::by_name(name).unwrap()).unwrap();
+    let pretty = |name: &str| {
+        serde_json::to_string_pretty(&kfuse_workloads::by_name(name).unwrap()).unwrap()
+    };
+    let (quick, rk3, fig3) = (json("quickstart"), json("rk3"), json("fig3"));
+    let legacy = {
+        let start = rk3
+            .find(",\"host_syncs\":")
+            .expect("host_syncs is serialized");
+        let end = start + 1 + rk3[start + 1..].find(",\"").expect("a field follows");
+        format!("{}{}", &rk3[..start], &rk3[end..])
+    };
+    let mut invalid = kfuse_workloads::by_name("quickstart").unwrap();
+    invalid.kernels[1].id = kfuse_ir::KernelId(7);
+    let invalid = serde_json::to_string(&invalid).unwrap();
+    let s = String::from;
+    vec![
+        s(r#"{"id":"r01","op":"ping"}"#),
+        s(r#"{"id":"r02","op":"solve","example":"quickstart"}"#),
+        s(r#"{"id":"r03","op":"solve","example":"quickstart"}"#),
+        format!(r#"{{"id":"r04","op":"solve","program":{quick}}}"#),
+        format!(
+            "{{\n  \"id\": \"r05\",\n  \"op\": \"solve\",\n  \"program\": {}\n}}",
+            pretty("rk3")
+        ),
+        format!(r#"{{"program":{rk3},"seed":17,"op":"solve","id":"r06"}}"#),
+        format!(
+            r#"{{"id":"r07","note":{{"nested":[1,2.5e3,{{"x":null,"y":"😀\n"}}],"t":true}},"op":"solve","program":{rk3}}}"#
+        ),
+        format!(r#"{{"id":"first","op":"ping","id":"r08","op":"solve","program":{legacy}}}"#),
+        format!(r#"{{"id":"r09","op":"solve","gpu":"gtx750ti","program":{fig3}}}"#),
+        format!(r#"{{"id":"r10","op":"solve","gpu":"gtx750ti","program":{fig3},"example":null}}"#),
+        s(r#"{"id":"r11","op":"solve","example":"synth20","seed":3}"#),
+        s(r#"{"id":"r12","op":"solve","example":"synth20","seed":4}"#),
+        s(r#"{"id":"r13","op":"verify","example":"quickstart","plan":[[0,1]]}"#),
+        format!(r#"{{"id":"r14","op":"verify","program":{rk3},"plan":[[0],[1,2]]}}"#),
+        s(r#"{"id":"r15","op":"verify","example":"quickstart","plan":[[0,7]]}"#),
+        s(r#"{"id":"r16","op":"verify","example":"quickstart"}"#),
+        s(r#"{"id":"r17","op":"verify","example":"fig3","plan":[[0,1,2,3,4]]}"#),
+        s(r#"{"id":"r18","op":"#),
+        format!(
+            r#"{{"id":"r19","op":"solve","program":{}}}"#,
+            quick.replacen("[", "[,", 1)
+        ),
+        s(r#"{"id":"r20","example":"quickstart"}"#),
+        s(r#"{"id":"r21","op":"solve","example":"quickstart","seed":"three"}"#),
+        s(r#"{"id":21,"op":"ping"}"#),
+        s(r#"{"id":"r23","op":"solve","program":[1,2,3]}"#),
+        format!(
+            r#"{{"id":"r24","op":"solve","program":{}}}"#,
+            quick.replacen("\"kernels\"", "\"kernelz\"", 1)
+        ),
+        format!(
+            r#"{{"id":"r25","op":"solve","program":{}}}"#,
+            quick.replacen("\"Add\"", "\"Pow\"", 1)
+        ),
+        format!(r#"{{"id":"r26","op":"solve","program":{invalid}}}"#),
+        format!(r#"{{"id":"r27","op":"solve","example":"quickstart","program":{quick}}}"#),
+        s(r#"{"id":"r28","op":"solve","program":null}"#),
+        s(r#"{"id":"r29","op":"solve","example":"no-such-example"}"#),
+        s(r#"{"id":"r30","op":"solve","example":"quickstart","gpu":"h100"}"#),
+        s(r#"{"id":"r31","op":"frobnicate","program":{"anything":[true]}}"#),
+        s(r#"{"id":"r32","op":"solve","example":"quickstart","budget_ms":0}"#),
+        format!(
+            r#"{{"id":"r33","op":7,"program":{}"#,
+            &quick[..quick.len() / 2]
+        ),
+        format!(
+            r#"{{"id":"r34","op":"solve","program":{}}}"#,
+            "[".repeat(200)
+        ),
+        format!(
+            r#"{{"id":"r35","op":"solve","program":{}}}"#,
+            quick.replacen(":0", ":-1", 1)
+        ),
+        // r36–r38 are submitted while a filler solve occupies the worker.
+        s(r#"{"id":"r36","op":"solve","example":"quickstart"}"#),
+        s(r#"{"id":"r37","op":"solve","example":"quickstart"}"#),
+        s(r#"{"id":"r38","op":"ping"}"#),
+        s(r#"{"id":"r39","op":"shutdown"}"#),
+        s(r#"{"id":"r40","op":"solve","example":"quickstart"}"#),
+    ]
+}
+
+/// Forty responses of a `--workers 1` session, byte for byte what the
+/// parent commit (8f4cbe1, tree-route ingestion, quadratic `prepare`)
+/// answered: `fixtures/session40.jsonl` was recorded there.
+#[test]
+fn forty_request_session_is_byte_identical_to_the_recorded_one() {
+    let dir = tmpdir("session40");
+    let daemon = Daemon::start(ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let c = daemon.client();
+    let requests = session_requests();
+    assert_eq!(requests.len(), 40);
+    let (before, rest) = requests.split_at(35);
+    let mut actual: Vec<String> = before.iter().map(|line| c.request(line)).collect();
+    // The filler (a budgeted solve, not compared) holds the worker, r36
+    // takes the one queue slot, r37 is refused, r38 is answered inline.
+    let filler = c.submit(r#"{"id":"filler","op":"solve","example":"synth200","budget_ms":1500}"#);
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let r36 = c.submit(&rest[0]);
+    let (r37, r38) = (c.request(&rest[1]), c.request(&rest[2]));
+    assert!(filler.recv().unwrap().contains(r#""ok":true"#));
+    actual.extend([r36.recv().unwrap(), r37, r38]);
+    actual.extend(rest[3..].iter().map(|line| c.request(line)));
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let expected = include_str!("fixtures/session40.jsonl");
+    let actual = actual.join("\n") + "\n";
+    if actual != expected {
+        let out = std::env::temp_dir().join("kfuse-serve-tests/session40.actual.jsonl");
+        std::fs::write(&out, &actual).unwrap();
+        for (i, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
+            assert_eq!(
+                a,
+                e,
+                "response {} differs (all of them: {})",
+                i + 1,
+                out.display()
+            );
+        }
+        panic!(
+            "session length differs; actual responses in {}",
+            out.display()
+        );
+    }
+}

@@ -165,6 +165,23 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: boxed memo key found (see DESIGN.md §8.2)"
     exit 1
   fi
+  # One pass per layer on the request path (DESIGN.md §3.1, §17.2): the
+  # all-pairs kinship matrix, a `Value` tree between a request line and
+  # its `Program`, and a per-array rebuild of every expression in the
+  # relaxation each made that path super-linear or twice-copied once.
+  echo "== request path stays one pass per layer"
+  if grep -nE 'DENSE_DIST_LIMIT|dist:' crates/core/src/kinship.rs; then
+    echo "FAIL: a distance matrix is back in kinship.rs (see DESIGN.md §3.1)"
+    exit 1
+  fi
+  if grep -rn 'from_value' crates/serve/src; then
+    echo "FAIL: kfuse-serve builds a Value tree on the request path (see DESIGN.md §17.2)"
+    exit 1
+  fi
+  if grep -n 'map_arrays' crates/core/src/relax.rs; then
+    echo "FAIL: relax.rs rebuilds expressions instead of renaming in place (see DESIGN.md §3.1)"
+    exit 1
+  fi
   echo "== cargo doc --no-deps (missing_docs gate)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
   # Tier-1 (`cargo test -q`, the root package) never runs the member
@@ -172,12 +189,14 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
   # carry every program, request and cache entry; the linear-parse gate
   # runs optimized too, where a regression to quadratic shows at the
   # sizes the daemon sees.
-  # The memo's allocation bound counts what the optimized evaluator
-  # allocates, so it runs in release as well.
+  # The allocation bounds (the memo's; the typed parser's and the
+  # relaxation's) count what optimized code allocates, so they run in
+  # release as well.
   echo "== cargo test --workspace (debug) + linear-parse and allocation gates (release)"
   cargo test -q --workspace
   cargo test --release -q --test serialization parse_time_scales_linearly_with_input_size
   cargo test --release -q -p kfuse-search --test alloc_free
+  cargo test --release -q --test alloc_bounds
 fi
 
 cargo build --release -p kfuse-bench

@@ -197,7 +197,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     );
     println!("  sharing sets: {}", dep.sharing_set_count());
 
-    let (_, ctx) = pipeline::prepare(&p, &gpu, gpu.default_precision());
+    let ctx = pipeline::prepare_owned(p.clone(), &gpu, gpu.default_precision());
     if let Some(out) = flag_value(args, "--dot-deps") {
         let dot = kfuse_core::dot::dependency_dot(&p, &dep);
         std::fs::write(&out, dot).map_err(|e| e.to_string())?;
@@ -429,7 +429,7 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
         solver.name()
     };
 
-    let (_, ctx) = pipeline::prepare(&p, &gpu, gpu.default_precision());
+    let ctx = pipeline::prepare_owned(p, &gpu, gpu.default_precision());
     let model = ProposedModel::default();
     let trace_out = flag_value(args, "--trace");
     let recorder = trace_out.as_ref().map(|_| InMemoryRecorder::new());
@@ -521,7 +521,8 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let p = load_program(path)?;
     let gpu = parse_gpu(args)?;
     let json = args.iter().any(|a| a == "--json");
-    let (relaxed, ctx) = pipeline::prepare(&p, &gpu, gpu.default_precision());
+    let ctx = pipeline::prepare_owned(p, &gpu, gpu.default_precision());
+    let relaxed = ctx.program.as_ref().expect("prepare attaches the program");
 
     let plan = match flag_value(args, "--plan") {
         Some(f) => {
@@ -536,10 +537,10 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let mut report = kernel_fusion::verify::check_plan(&ctx.info, &plan, Some(&model));
     // Hazard-check the relaxed IR, and — when the plan is feasible — the
     // fused program it produces.
-    report.extend(kernel_fusion::verify::check_program(&relaxed));
+    report.extend(kernel_fusion::verify::check_program(relaxed));
     if report.is_clean() {
         if let Ok(specs) = ctx.validate(&plan) {
-            let fused = apply_plan(&relaxed, &ctx.info, &ctx.exec, &plan, &specs)
+            let fused = apply_plan(relaxed, &ctx.info, &ctx.exec, &plan, &specs)
                 .map_err(|e| e.to_string())?;
             report.extend(kernel_fusion::verify::check_program(&fused));
         }

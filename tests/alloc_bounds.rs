@@ -1,0 +1,126 @@
+//! Allocation bounds of the request path's front end.
+//!
+//! A counting global allocator wraps `System` (per-thread counters: the
+//! tests of one binary run on parallel threads). Two bounds:
+//!
+//! - a typed parse allocates nothing it does not keep: reading a request
+//!   line takes no more fresh blocks than the `Program` it returns has
+//!   non-empty `String`s, `Vec`s and `Box`es, plus a small constant;
+//! - the relaxation renames in place: it takes no more than the copy of
+//!   the program it returns, the dependency graph it reads, and a
+//!   constant per redundant copy it adds.
+//!
+//! Fresh blocks (`alloc`) are what is counted; a `Vec` that grows by
+//! `realloc` keeps being the one block the bound allows it.
+//! `run_experiments.sh` runs this file with `--release`, next to the
+//! memo's `alloc_free`.
+
+use kernel_fusion::prelude::*;
+use kfuse_core::depgraph::DependencyGraph;
+use kfuse_core::relax::relax_expandable;
+use kfuse_serve::Request;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    // `const`-initialised and without `Drop`, so touching it from inside
+    // the allocator neither allocates nor registers a destructor.
+    static FRESH_BLOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        FRESH_BLOCKS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `f`'s result and the fresh blocks the calling thread took to make it.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = FRESH_BLOCKS.with(Cell::get);
+    let out = f();
+    (out, FRESH_BLOCKS.with(Cell::get) - before)
+}
+
+/// The heap blocks a `Program` owns: its non-empty strings and vectors,
+/// and the two boxes of every binary expression.
+fn owned_blocks(p: &Program) -> u64 {
+    fn boxes(e: &Expr) -> u64 {
+        match e {
+            Expr::Bin { lhs, rhs, .. } => 2 + boxes(lhs) + boxes(rhs),
+            _ => 0,
+        }
+    }
+    let held = |empty: bool| u64::from(!empty);
+    let mut n = held(p.name.is_empty())
+        + held(p.arrays.is_empty())
+        + held(p.kernels.is_empty())
+        + held(p.host_syncs.is_empty())
+        + held(p.streams.is_empty());
+    n += p
+        .arrays
+        .iter()
+        .map(|a| held(a.name.is_empty()))
+        .sum::<u64>();
+    for k in &p.kernels {
+        n += held(k.name.is_empty()) + held(k.segments.is_empty()) + held(k.staging.is_empty());
+        for seg in &k.segments {
+            n += held(seg.statements.is_empty());
+            n += seg.statements.iter().map(|st| boxes(&st.expr)).sum::<u64>();
+        }
+    }
+    n
+}
+
+#[test]
+fn a_typed_parse_allocates_only_what_the_program_keeps() {
+    let text = serde_json::to_string(&kfuse_workloads::by_name("synth40").unwrap()).unwrap();
+    let line = format!(r#"{{"id":"r1","op":"solve","seed":17,"program":{text}}}"#);
+
+    let (request, typed) = counted(|| serde_json::from_str::<Request>(&line).unwrap());
+    let program = request.program.unwrap().0.unwrap();
+    let kept = owned_blocks(&program);
+    // The constant: the request's own `id` and `op`.
+    assert!(
+        typed <= kept + 2,
+        "a typed parse of a {}-byte request took {typed} blocks for a program that keeps {kept}",
+        line.len()
+    );
+
+    // The bound has teeth: the tree between text and `Program` is several
+    // times what the program keeps, and it was all thrown away.
+    let (_, tree) = counted(|| {
+        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+        serde_json::from_value::<Program>(v).unwrap()
+    });
+    assert!(tree > 2 * kept, "tree route {tree} blocks, kept {kept}");
+}
+
+#[test]
+fn relaxation_allocates_a_clone_its_graph_and_a_constant_per_copy() {
+    let p = kfuse_workloads::by_name("scale-les").unwrap();
+    let (_, clone) = counted(|| p.clone());
+    let (_, graph) = counted(|| DependencyGraph::build(&p));
+    let (relaxed, relax) = counted(|| relax_expandable(&p));
+    assert!(relaxed.copies_added > 50, "SCALE-LES relaxes many arrays");
+    // Per copy: its name, and its share of the array table's and the
+    // generation table's growth. The parent rebuilt every expression of
+    // every kernel once per expandable array: ~99 clones' worth here.
+    let bound = clone + graph + 4 * relaxed.copies_added as u64 + 8;
+    assert!(
+        relax <= bound,
+        "relax took {relax} blocks; clone {clone} + graph {graph} + 4 x {} copies + 8 = {bound}",
+        relaxed.copies_added
+    );
+}

@@ -320,3 +320,338 @@ fn malformed_documents_are_errors_never_panics() {
         assert!(r.is_err(), "prefix of {cut} bytes parsed");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Typed vs tree. `from_str::<T>` builds a `T` straight from the bytes;
+// `from_value::<T>(from_str::<Value>(..))` builds a tree and consumes it.
+// The second is the specification of the first: same value or same error,
+// on everything this system reads and on every way those texts go wrong.
+// ---------------------------------------------------------------------------
+
+use kfuse_search::plancache::{CacheEntry, CACHE_VERSION};
+use kfuse_serve::Request;
+use serde::Deserialize;
+use std::fmt::Debug;
+
+/// What both routes make of `doc` (bytes, so that a cut inside a
+/// multi-byte character is an input too), as comparable text. The typed
+/// route must never panic and must answer exactly what the tree route does.
+fn agree<T: Deserialize + Debug>(doc: &[u8]) -> Result<String, String> {
+    let show =
+        |r: Result<T, serde_json::Error>| r.map(|v| format!("{v:?}")).map_err(|e| e.to_string());
+    let tree = show(serde_json::from_slice::<Value>(doc).and_then(serde_json::from_value::<T>));
+    let typed = show(serde_json::from_slice::<T>(doc));
+    assert_eq!(
+        typed,
+        tree,
+        "typed (left) and tree (right) disagree on {} bytes: {}",
+        doc.len(),
+        String::from_utf8_lossy(&doc[..doc.len().min(300)])
+    );
+    typed
+}
+
+/// One step from a node of a tree to a child.
+#[derive(Clone)]
+enum Step {
+    Key(String),
+    Index(usize),
+}
+
+/// The paths of every node of `v`, parents first.
+fn node_paths(v: &Value, here: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    out.push(here.clone());
+    match v {
+        Value::Array(items) => {
+            for (i, item) in items.iter().enumerate() {
+                here.push(Step::Index(i));
+                node_paths(item, here, out);
+                here.pop();
+            }
+        }
+        Value::Object(m) => {
+            for (k, item) in m.iter() {
+                here.push(Step::Key(k.clone()));
+                node_paths(item, here, out);
+                here.pop();
+            }
+        }
+        _ => {}
+    }
+}
+
+fn node_mut<'v>(v: &'v mut Value, path: &[Step]) -> &'v mut Value {
+    path.iter().fold(v, |v, step| match step {
+        Step::Key(k) => v.as_object_mut().unwrap().get_mut(k).unwrap(),
+        Step::Index(i) => &mut v.as_array_mut().unwrap()[*i],
+    })
+}
+
+/// A key no type in this repository has.
+const MARK: &str = "\u{1}mark";
+
+/// The mutation corpus of one document: `visit` sees every mutant text.
+/// At most `budget` nodes, evenly spread, are mutated — each replaced by a
+/// value of each JSON type; each object additionally given an unknown
+/// key, stripped of each of its keys in turn (required or defaulted
+/// alike), and given each key a second time, with a value of another type
+/// after the original and before it (last wins either way).
+fn mutants(doc: &str, budget: usize, visit: &mut dyn FnMut(&[u8])) {
+    // Truncations at every 97th byte; a long document (each prefix is
+    // parsed, so all of them cost its length squared) at every 97·k-th.
+    let cuts = 97 * doc.len().div_ceil(97 * 80).max(1);
+    for cut in (0..doc.len()).step_by(cuts) {
+        visit(&doc.as_bytes()[..cut]);
+    }
+    let tree: Value = serde_json::from_str(doc).unwrap();
+    let print = |v: &Value| serde_json::to_string(v).unwrap();
+    let mut paths = Vec::new();
+    node_paths(&tree, &mut Vec::new(), &mut paths);
+    let stride = paths.len().div_ceil(budget).max(1);
+    let samples: [Value; 7] = [
+        Value::Null,
+        Value::Bool(true),
+        Value::Number(Number::from_u64(7)),
+        Value::Number(Number::from_f64(-0.5)),
+        Value::String("s".into()),
+        Value::Array(vec![Value::Number(Number::from_u64(1)), Value::Null]),
+        serde_json::from_str(r#"{"k":[{}],"s":"é"}"#).unwrap(),
+    ];
+    for path in paths.iter().step_by(stride) {
+        for sample in &samples {
+            let mut t = tree.clone();
+            *node_mut(&mut t, path) = sample.clone();
+            visit(print(&t).as_bytes());
+        }
+        let Some(keys) = node_mut(&mut tree.clone(), path)
+            .as_object()
+            .map(|m| m.keys().cloned().collect::<Vec<_>>())
+        else {
+            continue;
+        };
+        let mut t = tree.clone();
+        node_mut(&mut t, path)
+            .as_object_mut()
+            .unwrap()
+            .insert("no such key".into(), samples[6].clone());
+        visit(print(&t).as_bytes());
+        for key in keys {
+            let mut t = tree.clone();
+            let m = node_mut(&mut t, path).as_object_mut().unwrap();
+            let original = m.remove(&key).unwrap();
+            visit(print(&t).as_bytes());
+            // `MARK` is printed where the repeat goes and then renamed.
+            let quoted = |k: &str| serde_json::to_string(&Value::String(k.into())).unwrap();
+            let repeat = |first: Value, second: Value| {
+                let mut t = tree.clone();
+                let m = node_mut(&mut t, path).as_object_mut().unwrap();
+                *m.get_mut(&key).unwrap() = first;
+                m.insert(MARK.into(), second);
+                print(&t).replacen(&quoted(MARK), &quoted(&key), 1)
+            };
+            let other = if original.is_null() {
+                samples[4].clone()
+            } else {
+                Value::Null
+            };
+            visit(repeat(original.clone(), other.clone()).as_bytes());
+            visit(repeat(other, original.clone()).as_bytes());
+            visit(repeat(original.clone(), original).as_bytes());
+        }
+    }
+}
+
+/// `agree::<T>` on `doc` (which must parse) and on its whole corpus;
+/// returns how many mutants both routes still accepted.
+fn differential<T: Deserialize + Debug>(doc: &str, budget: usize) -> usize {
+    agree::<T>(doc.as_bytes()).unwrap_or_else(|e| panic!("fixture does not parse: {e}"));
+    let mut accepted = 0;
+    mutants(doc, budget, &mut |m| {
+        accepted += usize::from(agree::<T>(m).is_ok());
+    });
+    accepted
+}
+
+fn cache_entry_fixture() -> CacheEntry {
+    CacheEntry {
+        version: CACHE_VERSION,
+        fingerprint: u64::MAX - 1,
+        program: "é \"q\" \\ \u{1F600}".into(),
+        gpu: "K20X".into(),
+        precision: "Double".into(),
+        n_kernels: 4,
+        objective: 1.25e-3,
+        kernel_sigs: vec![0, 1 << 63, u64::MAX, 7],
+        groups: vec![vec![0, 2], vec![1], vec![3]],
+        region_fps: vec![],
+    }
+}
+
+#[test]
+fn typed_route_answers_what_the_tree_route_answers() {
+    // Programs: every built-in example, compact and pretty. The small ones
+    // are mutated at every node, the larger ones at a sample of theirs.
+    for (name, budget) in [
+        ("quickstart", usize::MAX),
+        ("fig3", 120),
+        ("rk3", 60),
+        ("synth20", 40),
+        ("synth60", 8),
+        ("homme", 4),
+        ("suite", 4),
+        ("scale-les", 1),
+    ] {
+        let p = kfuse_workloads::by_name(name).unwrap();
+        let compact = serde_json::to_string(&p).unwrap();
+        let accepted = differential::<Program>(&compact, budget);
+        assert!(
+            accepted > 0,
+            "{name}: no mutant is harmless? (unknown keys are)"
+        );
+        agree::<Program>(serde_json::to_string_pretty(&p).unwrap().as_bytes()).unwrap();
+    }
+    let large = kfuse_workloads::by_name("synth500").unwrap();
+    agree::<Program>(serde_json::to_string(&large).unwrap().as_bytes()).unwrap();
+    let pretty = serde_json::to_string_pretty(&kfuse_workloads::by_name("rk3").unwrap()).unwrap();
+    differential::<Program>(&pretty, 20);
+
+    // Cache lines, plans, devices.
+    differential::<CacheEntry>(
+        &serde_json::to_string(&cache_entry_fixture()).unwrap(),
+        usize::MAX,
+    );
+    let plan = FusionPlan::new(vec![vec![KernelId(0), KernelId(2)], vec![KernelId(1)]]);
+    differential::<FusionPlan>(&serde_json::to_string(&plan).unwrap(), usize::MAX);
+    for gpu in [GpuSpec::k20x(), GpuSpec::gtx750ti()] {
+        differential::<GpuSpec>(&serde_json::to_string_pretty(&gpu).unwrap(), usize::MAX);
+    }
+
+    // Request lines: control ops, named and inline programs, a plan.
+    let quick = serde_json::to_string(&kfuse_workloads::by_name("quickstart").unwrap()).unwrap();
+    for line in [
+        r#"{"op":"ping"}"#.to_string(),
+        r#"{"id":"a","op":"solve","example":"synth60","gpu":"k40","seed":3,"budget_ms":250}"#
+            .into(),
+        r#"{"id":"v","op":"verify","example":"quickstart","plan":[[0,1],[]]}"#.into(),
+        format!(r#"{{"program":{quick},"seed":18446744073709551615,"op":"solve","id":null}}"#),
+    ] {
+        differential::<Request>(&line, 100);
+    }
+
+    // Tuples, fixed arrays, maps, chars, floats, options: the std impls.
+    type Std = (
+        Vec<(u8, Option<f32>)>,
+        std::collections::BTreeMap<u32, [i16; 2]>,
+    );
+    differential::<Std>(
+        r#"[[[1,null],[255,2.5]],{"7":[-3,4],"0":[0,0]}]"#,
+        usize::MAX,
+    );
+    differential::<(char, bool)>(r#"["é",false]"#, usize::MAX);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The random trees of the printer test, read back as several types:
+    /// almost always a type error, now and then a value — the same either way.
+    #[test]
+    fn random_documents_read_the_same_on_both_routes(seed in 0u64..u64::MAX) {
+        let tree = gen_value(&mut SmallRng::seed_from_u64(seed), 4);
+        for text in [serde_json::to_string(&tree).unwrap(), serde_json::to_string_pretty(&tree).unwrap()] {
+            prop_assert_eq!(agree::<Value>(text.as_bytes()).is_ok(), true);
+            let _ = agree::<Program>(text.as_bytes());
+            let _ = agree::<Request>(text.as_bytes());
+            let _ = agree::<CacheEntry>(text.as_bytes());
+            let _ = agree::<Vec<Option<f64>>>(text.as_bytes());
+            let _ = agree::<std::collections::BTreeMap<String, Value>>(text.as_bytes());
+            for cut in (0..text.len()).step_by(97) {
+                let _ = agree::<Expr>(&text.as_bytes()[..cut]);
+            }
+        }
+    }
+}
+
+#[test]
+fn typed_errors_are_short_payload_free_and_depth_limited() {
+    // A megabyte where a field should be: the error names the path and
+    // the JSON type, never the content.
+    let payload = format!("[{}]", vec!["\"PAYLOAD\""; 120_000].join(","));
+    assert!(payload.len() > 1_000_000);
+    let quick = serde_json::to_string(&kfuse_workloads::by_name("quickstart").unwrap()).unwrap();
+    for doc in [
+        payload.clone(),
+        quick.replacen("\"quickstart\"", &payload, 1),
+        quick.replacen("\"Add\"", &payload, 1),
+        quick.replacen("{\"Const\":1.0}", &format!("{{\"Const\":{payload}}}"), 1),
+        quick.replacen("\"Add\"", &format!("\"{}\"", "x".repeat(1_000_000)), 1),
+        format!("{{\"{}\":1}}", "k".repeat(1_000_000)),
+    ] {
+        let e = agree::<Program>(doc.as_bytes()).unwrap_err();
+        assert!(e.len() <= 200, "{} bytes: {e}", e.len());
+        assert!(
+            !e.contains("PAYLOAD") && !e.contains("xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
+            "{e}"
+        );
+    }
+    // What killed the daemon once, and its typed twin: an `Expr` opening
+    // 100 000 levels. Ordinary errors on both routes, for any target type.
+    for doc in ["[".repeat(2_000_000), "{\"Bin\":{\"lhs\":".repeat(100_000)] {
+        for e in [
+            agree::<Value>(doc.as_bytes()),
+            agree::<Program>(doc.as_bytes()),
+            agree::<Expr>(doc.as_bytes()),
+            agree::<Request>(doc.as_bytes()),
+        ] {
+            let e = e.unwrap_err();
+            assert!(
+                e.starts_with("nesting deeper than 128 levels at byte "),
+                "{e}"
+            );
+        }
+    }
+    // The deepest expression that does parse, on both routes.
+    let deepest = "{\"Bin\":{\"op\":\"Add\",\"rhs\":{\"Const\":1.0},\"lhs\":".repeat(63)
+        + "{\"Const\":2.0}"
+        + &"}}".repeat(63);
+    assert!(agree::<Expr>(deepest.as_bytes()).is_ok());
+}
+
+/// The linear-scaling gate of the tree parser, for the typed one: a
+/// program of four times the kernels parses in about four times the time.
+#[test]
+fn typed_program_parse_time_scales_linearly_with_input_size() {
+    let doc = |kernels: usize| {
+        serde_json::to_string(&kfuse_workloads::by_name(&format!("synth{kernels}")).unwrap())
+            .unwrap()
+    };
+    let mut n = 300;
+    loop {
+        let (small, large) = (doc(n), doc(4 * n));
+        assert!(large.len() > 3 * small.len() && large.len() < 5 * small.len());
+        let time = |text: &str| {
+            let t = std::time::Instant::now();
+            let p: Program = serde_json::from_str(text).unwrap();
+            let dt = t.elapsed().as_secs_f64();
+            assert!(!p.kernels.is_empty());
+            dt
+        };
+        let mut best = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            best = (best.0.min(time(&small)), best.1.min(time(&large)));
+        }
+        if best.0 < 5e-3 && 8 * n <= 20_000 {
+            n *= 2;
+            continue;
+        }
+        assert!(
+            best.1 <= 8.0 * best.0,
+            "{} B parse in {:.4} s but {} B in {:.4} s",
+            small.len(),
+            best.0,
+            large.len(),
+            best.1
+        );
+        break;
+    }
+}
