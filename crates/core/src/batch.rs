@@ -39,8 +39,8 @@
 //!   `smem` flag the read-only-cache demotion never touches.
 //!
 //! [`score_scalar`] is the definition of the memoized miss path; the
-//! differential suite pins the lane path against it, the legacy oracle
-//! and the verifier on three GPU specs.
+//! differential suite pins the lane path against it and the verifier on
+//! three GPU specs.
 
 use crate::metadata::ProgramInfo;
 use crate::model::PerfModel;
@@ -387,8 +387,8 @@ impl BatchView<'_> {
         self.barriers[l] > 0
     }
 
-    /// Materialize lane `l` as an owned [`GroupSpec`] (oracle comparisons
-    /// and the default `project_batch` off the hot path).
+    /// Materialize lane `l` as an owned [`GroupSpec`] (differential
+    /// comparisons and the default `project_batch` off the hot path).
     pub fn lane_spec(&self, l: usize) -> GroupSpec {
         GroupSpec {
             members: self.members[l].clone(),
@@ -562,8 +562,8 @@ pub fn synthesize_batch<'s>(
     }
     // Rebuild the touched list in ascending compact-id order straight
     // from the OR of the lanes' touch bitsets — compact ids ascend with
-    // array ids, so this is the legacy ascending-`ArrayId` pivot order
-    // for every lane at once, without sorting.
+    // array ids, so this is ascending-`ArrayId` pivot order for every
+    // lane at once, without sorting.
     touched.clear();
     for (wi, w) in union_words.iter().enumerate() {
         let mut bits = w.iter().fold(0u64, |acc, &x| acc | x);

@@ -147,6 +147,7 @@ pub fn reducible_traffic(ctx: &crate::plan::PlanContext) -> ReducibleTraffic {
         FusionPlan::new(groups.iter().filter(|g| !g.is_empty()).cloned().collect())
     };
 
+    let mut scratch = crate::synth::SynthScratch::new();
     for (_, members) in &sharing {
         for w in members.windows(2) {
             let (ga, gb) = (group_of[w[0]], group_of[w[1]]);
@@ -162,7 +163,7 @@ pub fn reducible_traffic(ctx: &crate::plan::PlanContext) -> ReducibleTraffic {
             let mut absorbed = vec![ga, gb];
             let mut ok = false;
             for _ in 0..n {
-                match ctx.check_group(&merged, 0) {
+                match ctx.check_group_with(&merged, 0, &mut scratch) {
                     Ok(_) => {
                         ok = true;
                         break;

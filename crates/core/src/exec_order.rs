@@ -215,12 +215,6 @@ impl ExecOrderGraph {
     /// every kernel `c` outside the group, `c` must not lie strictly
     /// between two group members (some member reaches `c` and `c` reaches
     /// some member). Returns the first violating kernel, if any.
-    pub fn path_closure_violation(&self, group: &BitSet) -> Option<KernelId> {
-        let mut from_group = BitSet::new(self.n);
-        self.path_closure_violation_with(group, &mut from_group)
-    }
-
-    /// Allocation-free variant of [`Self::path_closure_violation`]:
     /// `from_group` is caller-owned scratch, reset (and only on first use
     /// resized) to this graph's kernel count.
     pub fn path_closure_violation_with(
@@ -314,17 +308,21 @@ mod tests {
         let mut grp = BitSet::new(4);
         grp.insert(0);
         grp.insert(3);
-        assert_eq!(g.path_closure_violation(&grp), Some(KernelId(1)));
+        let mut reach = BitSet::default();
+        assert_eq!(
+            g.path_closure_violation_with(&grp, &mut reach),
+            Some(KernelId(1))
+        );
 
         // Group {k0, k1, k3} is closed.
         grp.insert(1);
-        assert_eq!(g.path_closure_violation(&grp), None);
+        assert_eq!(g.path_closure_violation_with(&grp, &mut reach), None);
 
         // Group {k0, k2} has no internal ordering at all.
         let mut grp2 = BitSet::new(4);
         grp2.insert(0);
         grp2.insert(2);
-        assert_eq!(g.path_closure_violation(&grp2), None);
+        assert_eq!(g.path_closure_violation_with(&grp2, &mut reach), None);
     }
 
     #[test]

@@ -160,7 +160,7 @@ pub fn projected_fused_bytes_view(info: &ProgramInfo, view: &SpecView<'_>) -> u6
         elems += base + info.halo_area(u32::from(p.halo)) * grid;
     }
     // Computed halos widen the GMEM footprint of the producers' inputs
-    // (§II-D2), exactly as in the legacy loop above.
+    // (§II-D2), exactly as in the spec-route loop above.
     for p in view.pivots {
         if !(p.smem && p.produced && p.halo > 0) {
             continue;

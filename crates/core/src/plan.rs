@@ -18,7 +18,6 @@ use crate::metadata::ProgramInfo;
 use crate::model::PerfModel;
 use crate::spec::GroupSpec;
 use crate::synth::{SpecView, SynthScratch, SynthTables};
-use crate::util::BitSet;
 use kfuse_ir::KernelId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -244,69 +243,23 @@ impl PlanContext {
         self.info.kernels.len()
     }
 
-    /// Check the *structural* constraints (1.3, 1.5, 1.6, 1.7) for a
-    /// single group and synthesize its spec. `group_idx` is only used for
-    /// error reporting.
+    /// Check the constraints a group can violate on its own (sync/stream
+    /// splits, 1.3, 1.5, 1.6, 1.7) and return its synthesized spec, owned.
+    /// `group_idx` is only used for error reporting. Convenience form of
+    /// [`PlanContext::check_group_with`] for one-off callers; loops should
+    /// hold a scratch and call that.
     pub fn check_group(
         &self,
         group: &[KernelId],
         group_idx: usize,
     ) -> Result<GroupSpec, PlanError> {
-        if group.len() >= 2 {
-            // Host synchronization points split the program into epochs no
-            // fusion may span.
-            let e0 = self.info.epochs[group[0].index()];
-            if group.iter().any(|k| self.info.epochs[k.index()] != e0) {
-                return Err(PlanError::SyncSplit { group: group_idx });
-            }
-            // Streams: fusing across streams serializes concurrency.
-            let s0 = self.info.streams[group[0].index()];
-            if group.iter().any(|k| self.info.streams[k.index()] != s0) {
-                return Err(PlanError::StreamSplit { group: group_idx });
-            }
-            // 1.5 kinship.
-            if !self.share.group_connected(group.iter().copied()) {
-                return Err(PlanError::Kinship { group: group_idx });
-            }
-            // 1.3 path closure.
-            let mut bits = BitSet::new(self.n_kernels());
-            for &k in group {
-                bits.insert(k.index());
-            }
-            if let Some(v) = self.exec.path_closure_violation(&bits) {
-                return Err(PlanError::PathClosure {
-                    group: group_idx,
-                    violator: v,
-                });
-            }
-        }
-        let spec = GroupSpec::synthesize(&self.info, group);
-        // Active-constraint pruning (§III-C): capacity checks only matter
-        // for groups that actually stage pivots.
-        if spec.smem_bytes > 0 {
-            let capacity = u64::from(self.info.gpu.smem_per_smx);
-            // 1.6 — a single block's SMEM demand must fit an SMX.
-            if spec.smem_bytes > capacity {
-                return Err(PlanError::SmemOverflow {
-                    group: group_idx,
-                    bytes: spec.smem_bytes,
-                    capacity,
-                });
-            }
-        }
-        // 1.7.
-        if spec.projected_regs > self.info.gpu.max_regs_per_thread {
-            return Err(PlanError::RegOverflow {
-                group: group_idx,
-                regs: spec.projected_regs,
-            });
-        }
-        Ok(spec)
+        self.check_group_with(group, group_idx, &mut SynthScratch::new())
+            .map(|view| view.to_spec())
     }
 
     /// The *structural* constraints alone (sync/stream splits, kinship,
-    /// path closure), using the scratch's reusable bitsets: the
-    /// allocation-free front half of [`PlanContext::check_group`].
+    /// path closure), using the scratch's reusable bitsets: the front half
+    /// of [`PlanContext::check_group_with`].
     pub fn check_group_structure(
         &self,
         group: &[KernelId],
@@ -349,7 +302,8 @@ impl PlanContext {
     }
 
     /// The capacity constraints (1.6, 1.7) over a synthesized view — the
-    /// back half of [`PlanContext::check_group`], same check order.
+    /// back half of [`PlanContext::check_group_with`]: SMEM first, then
+    /// registers.
     pub fn check_view_limits(
         &self,
         view: &SpecView<'_>,
@@ -359,6 +313,7 @@ impl PlanContext {
         // for groups that actually stage pivots.
         if view.smem_bytes > 0 {
             let capacity = u64::from(self.info.gpu.smem_per_smx);
+            // 1.6 — a single block's SMEM demand must fit an SMX.
             if view.smem_bytes > capacity {
                 return Err(PlanError::SmemOverflow {
                     group: group_idx,
@@ -367,6 +322,7 @@ impl PlanContext {
                 });
             }
         }
+        // 1.7.
         if view.projected_regs > self.info.gpu.max_regs_per_thread {
             return Err(PlanError::RegOverflow {
                 group: group_idx,
@@ -376,9 +332,10 @@ impl PlanContext {
         Ok(())
     }
 
-    /// Allocation-free equivalent of [`PlanContext::check_group`]:
-    /// structural checks, SoA synthesis into `scratch`, capacity checks.
-    /// Error variants match the legacy path check-for-check.
+    /// Every constraint a group can violate on its own, in the order
+    /// errors are reported: structural checks, synthesis into `scratch`,
+    /// capacity checks. Allocation-free once `scratch` is warm; the view
+    /// borrows it until the next call.
     pub fn check_group_with<'s>(
         &'s self,
         group: &[KernelId],
@@ -431,22 +388,27 @@ impl PlanContext {
                 kernel: KernelId(missing as u32),
             });
         }
+        let mut scratch = SynthScratch::new();
         plan.groups
             .iter()
             .enumerate()
-            .map(|(gi, g)| self.check_group(g, gi))
+            .map(|(gi, g)| {
+                self.check_group_with(g, gi, &mut scratch)
+                    .map(|view| view.to_spec())
+            })
             .collect()
     }
 
     /// The search objective (Eq. 1): total projected runtime of the plan
     /// under `model`. Infeasible groups contribute [`f64::INFINITY`].
     pub fn objective(&self, plan: &FusionPlan, model: &dyn PerfModel) -> f64 {
+        let mut scratch = SynthScratch::new();
         plan.groups
             .iter()
             .enumerate()
-            .map(|(gi, g)| match self.check_group(g, gi) {
-                Ok(spec) => {
-                    let t = model.project(&self.info, &spec);
+            .map(|(gi, g)| match self.check_group_with(g, gi, &mut scratch) {
+                Ok(view) => {
+                    let t = model.project(&self.info, &view.to_spec());
                     if g.len() >= 2 && t >= self.info.original_sum(g) {
                         // Constraint 1.1: unprofitable groups are infeasible;
                         // charging the original sum would hide the violation,

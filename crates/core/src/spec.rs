@@ -1,7 +1,7 @@
-//! Synthesis of a fusion specification for a candidate group.
+//! The fusion specification of a candidate group.
 //!
 //! Given only kernel *metadata* (never code — the codeless premise of §IV),
-//! [`GroupSpec::synthesize`] decides everything the models and the fusion
+//! a [`GroupSpec`] records everything the models and the fusion
 //! transformation need to agree on:
 //!
 //! * segment order (host invocation order, which is a topological order of
@@ -15,11 +15,16 @@
 //! * projected register demand (Eq. 6) and SMEM demand with bank-conflict
 //!   padding (Eq. 7);
 //! * total FLOPs including redundant halo computation (Eq. 10 numerator).
+//!
+//! The decisions themselves have one definition in this crate,
+//! [`SynthTables::synthesize_into`]; a `GroupSpec` is its borrowed
+//! `SpecView` materialized, and [`GroupSpec::synthesize`] is the
+//! convenience form for callers without a `PlanContext`.
 
-use crate::metadata::{KernelMeta, ProgramInfo};
+use crate::metadata::ProgramInfo;
+use crate::synth::{SynthScratch, SynthTables};
 use kfuse_ir::{ArrayId, KernelId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// RegFac: empirical register-reuse factor (paper: ≈0.85 on Kepler's nvcc,
 /// slightly better on Maxwell).
@@ -72,247 +77,12 @@ pub struct GroupSpec {
 impl GroupSpec {
     /// Synthesize the specification for `group` (kernel ids, any order)
     /// against `info`. Single-kernel groups yield a pass-through spec.
+    /// Builds the [`SynthTables`] per call: to synthesize more than a
+    /// handful of groups, hold a `PlanContext` and use `check_group_with`.
     pub fn synthesize(info: &ProgramInfo, group: &[KernelId]) -> GroupSpec {
-        let mut members = group.to_vec();
-        members.sort_unstable();
-        let metas: Vec<&KernelMeta> = members.iter().map(|&k| info.meta(k)).collect();
-
-        // Per-array aggregated usage across the group.
-        #[derive(Default, Clone)]
-        struct Agg {
-            readers: Vec<usize>, // member indices
-            writers: Vec<usize>,
-            max_thread_load: u32,
-            max_read_radius: u8,
-        }
-        let mut agg: BTreeMap<ArrayId, Agg> = BTreeMap::new();
-        for (mi, m) in metas.iter().enumerate() {
-            for u in &m.uses {
-                let e = agg.entry(u.array).or_default();
-                if u.reads {
-                    e.readers.push(mi);
-                }
-                if u.writes {
-                    e.writers.push(mi);
-                }
-                e.max_thread_load = e.max_thread_load.max(u.thread_load);
-                e.max_read_radius = e.max_read_radius.max(u.read_radius);
-            }
-        }
-
-        // Pivot selection: arrays touched by ≥2 members (cross-kernel
-        // reuse), or thread load > 1 in some member (the original kernel
-        // already staged it, §VI-B2 "rigorously optimized").
-        let mut pivot_arrays: Vec<ArrayId> = agg
-            .iter()
-            .filter(|(_, a)| {
-                let touched_by = a
-                    .readers
-                    .iter()
-                    .chain(&a.writers)
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .len();
-                touched_by >= 2 || a.max_thread_load > 1
-            })
-            .map(|(&a, _)| a)
-            .collect();
-        pivot_arrays.sort_unstable();
-
-        // `produced` pivots: written by a member and read by the same or a
-        // later member (the same-member case covers write-then-read across
-        // statements of one original kernel; its staged copy is produced
-        // on-chip just the same).
-        let produced: BTreeMap<ArrayId, bool> = pivot_arrays
-            .iter()
-            .map(|&a| {
-                let e = &agg[&a];
-                let p = e.writers.iter().any(|&w| e.readers.iter().any(|&r| r >= w));
-                (a, p)
-            })
-            .collect();
-
-        // Cascaded halo fixpoint: a member whose written pivot has halo h
-        // executes its statements over tile+h, so its reads of other
-        // produced pivots must reach h + radius.
-        let mut halo: BTreeMap<ArrayId, u32> = pivot_arrays.iter().map(|&a| (a, 0)).collect();
-        for _ in 0..members.len().max(1) {
-            let mut changed = false;
-            for (mi, m) in metas.iter().enumerate() {
-                // Extension of member mi = max halo over produced pivots
-                // it writes.
-                let ext: u32 = m
-                    .uses
-                    .iter()
-                    .filter(|u| u.writes && produced.get(&u.array) == Some(&true))
-                    .map(|u| halo[&u.array])
-                    .max()
-                    .unwrap_or(0);
-                for u in &m.uses {
-                    if !u.reads || produced.get(&u.array) != Some(&true) {
-                        continue;
-                    }
-                    // Only reads of values produced by this or an earlier
-                    // member need staged coverage.
-                    let e = &agg[&u.array];
-                    if !e.writers.iter().any(|&w| w <= mi) {
-                        continue;
-                    }
-                    let need = ext + u32::from(u.read_radius);
-                    let h = halo.get_mut(&u.array).unwrap();
-                    if need > *h {
-                        *h = need;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        // Medium decision and barrier placement.
-        let mut pivots = Vec::with_capacity(pivot_arrays.len());
-        let mut barrier_before = vec![false; members.len()];
-        for &a in &pivot_arrays {
-            let e = &agg[&a];
-            let h = halo[&a];
-            let is_produced = produced[&a];
-            // Register staging suffices when every thread only ever touches
-            // its own site and no halo is needed (§II-D1).
-            let smem = e.max_thread_load > 1 || h > 0 || e.max_read_radius > 0;
-            if is_produced && smem {
-                // Readers after the first writer need a barrier.
-                let first_writer = *e.writers.iter().min().unwrap();
-                for &r in &e.readers {
-                    if r > first_writer {
-                        barrier_before[r] = true;
-                    }
-                }
-            }
-            pivots.push(PivotSpec {
-                array: a,
-                halo: h.min(255) as u8,
-                smem,
-                produced: is_produced,
-                ro_cache: false,
-            });
-        }
-
-        let elem = info.elem_bytes();
-        let padded = |raw: u64| {
-            if raw == 0 {
-                0
-            } else {
-                raw + raw / u64::from(info.gpu.smem_banks)
-            }
-        };
-        let raw = |ps: &[PivotSpec]| -> u64 {
-            ps.iter()
-                .filter(|p| p.smem)
-                .map(|p| info.tile_area(u32::from(p.halo)) * elem)
-                .sum()
-        };
-        let mut smem_bytes = padded(raw(&pivots));
-
-        // §II-C relaxation (opt-in): when the fused kernel's SMEM demand
-        // exceeds capacity, demote clean (loaded) pivots to the hardware
-        // read-only cache, largest tiles first, as long as they fit its
-        // capacity. Produced pivots must stay in SMEM (coherence).
-        let mut ro_bytes = 0u64;
-        if info.gpu.use_readonly_cache {
-            let capacity = u64::from(info.gpu.smem_per_smx);
-            let ro_capacity = u64::from(info.gpu.readonly_cache_bytes);
-            let mut order: Vec<usize> = (0..pivots.len())
-                .filter(|&i| pivots[i].smem && !pivots[i].produced)
-                .collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(info.tile_area(u32::from(pivots[i].halo))));
-            for i in order {
-                if smem_bytes <= capacity {
-                    break;
-                }
-                let tile = info.tile_area(u32::from(pivots[i].halo)) * elem;
-                if ro_bytes + tile > ro_capacity {
-                    continue;
-                }
-                pivots[i].smem = false;
-                pivots[i].ro_cache = true;
-                ro_bytes += tile;
-                smem_bytes = padded(raw(&pivots));
-            }
-        }
-
-        // Widest produced halo → Hal, H_TH (Eq. 4/5 bookkeeping).
-        let max_halo: u32 = pivots
-            .iter()
-            .filter(|p| p.produced)
-            .map(|p| u32::from(p.halo))
-            .max()
-            .unwrap_or(0);
-        let halo_bytes = info.halo_area(max_halo) * elem;
-        let threads = info.threads.max(1);
-        let c = u32::from(max_halo > 0);
-        let h_th = (halo_bytes).div_ceil(u64::from(threads) * elem) as u32;
-
-        // Eq. 6 register projection: bookkeeping + addressing registers
-        // for the union of touched arrays (R_Adr), the widest member's
-        // live stencil operands (RegFac-scaled, from metadata), fetch
-        // registers per staged pivot (R_fetch, Eq. 5) and the per-thread
-        // halo bookkeeping c·H_TH (Eq. 4).
-        let union_arrays = agg.len() as u32;
-        let threads64 = u64::from(threads);
-        let live = metas.iter().map(|m| m.live_regs).max().unwrap_or(0);
-        let mut staging_regs = 0u32;
-        for p in &pivots {
-            staging_regs += 1; // fetch or value register
-            if p.smem && p.produced && p.halo > 0 {
-                staging_regs += (info.halo_area(u32::from(p.halo))).div_ceil(threads64) as u32;
-            }
-        }
-        let base_regs = metas.iter().map(|m| m.regs_per_thread).max().unwrap_or(0);
-        let projected_regs = if members.len() == 1 {
-            base_regs
-        } else {
-            // Bookkeeping + addressing + live operands + staging (Eq. 6),
-            // plus the per-segment scheduling registers the compiler keeps
-            // live across barriers (2 per extra member). The residual the
-            // codeless projection cannot see — operand pipelining scaled by
-            // the widest pivot's thread load — is what produces the
-            // occasional measured-unprofitable fusion (§VI-D2).
-            12 + 2 * union_arrays + live + staging_regs + 2 * (members.len() as u32 - 1)
-        };
-        let _ = (c, h_th);
-
-        // FLOPs: member sum plus redundant halo compute by the writers of
-        // each produced SMEM pivot (Eq. 10 numerator).
-        let mut flops: u64 = metas.iter().map(|m| m.flops).sum();
-        for p in &pivots {
-            if !p.produced || !p.smem || p.halo == 0 {
-                continue;
-            }
-            let ring = info.halo_area(u32::from(p.halo));
-            let tile = info.tile_area(0);
-            for m in &metas {
-                if let Some(u) = m.use_of(p.array) {
-                    if u.writes {
-                        flops += u.write_flops * ring / tile.max(1);
-                    }
-                }
-            }
-        }
-
-        let complex = barrier_before.iter().any(|&b| b);
-        GroupSpec {
-            members,
-            pivots,
-            barrier_before,
-            smem_bytes,
-            projected_regs,
-            flops,
-            halo_bytes,
-            ro_bytes,
-            active_threads: metas.iter().map(|m| m.active_threads).min().unwrap_or(0),
-            complex,
-        }
+        SynthTables::build(info)
+            .synthesize_into(info, group, &mut SynthScratch::new())
+            .to_spec()
     }
 
     /// Number of barriers in the fused kernel.

@@ -1,11 +1,10 @@
-//! Allocation-free structure-of-arrays group synthesis.
+//! Group synthesis: the one place a candidate group's fusion
+//! specification is decided.
 //!
-//! The HGGA's evaluation-cache *miss* path runs `check_group` +
-//! [`GroupSpec::synthesize`] for every novel candidate group — the
-//! "millions of groups" regime of §III. The legacy synthesis allocates a
-//! `Vec<&KernelMeta>`, a `BTreeMap` halo map and per-call pivot vectors,
-//! then linear-scans pivots; this module replaces all of it with arithmetic
-//! over tables precomputed once per [`ProgramInfo`]:
+//! The HGGA's evaluation-cache *miss* path checks and synthesizes every
+//! novel candidate group — the "millions of groups" regime of §III — so
+//! the synthesis is allocation-free arithmetic over tables precomputed
+//! once per [`ProgramInfo`]:
 //!
 //! * [`SynthTables`] — a dense per-kernel summary: CSR rows of per-array
 //!   uses over a *compact* shared-array index (`ArrayId` → `cidx`),
@@ -17,18 +16,20 @@
 //!   scratch: no output vectors are allocated. Pivot lookup is an index
 //!   (`compact` → `pivot_slot`), not an `iter().find()`.
 //!
-//! [`SynthTables::synthesize_into`] reproduces the legacy algorithm
-//! decision-for-decision (same pivot selection, same cascaded-halo
-//! fixpoint execution order, same barrier placement, same Eq. 6/7/10
-//! arithmetic), which the differential harness pins against both
-//! [`GroupSpec::synthesize`] and the verifier's independent `derive_spec`.
-//! Equivalence reformulations used by the sweep:
+//! [`SynthTables::synthesize_into`] is the only definition in this crate
+//! of pivot selection, the cascaded-halo fixpoint, barrier placement,
+//! read-only-cache demotion and the Eq. 6/7/10 arithmetic; an owned
+//! [`GroupSpec`] is a view materialized by [`SpecView::to_spec`], and
+//! `batch.rs` is the same arithmetic over lanes, pinned bitwise to this
+//! one. The one deliberate duplicate is outside the crate: the verifier's
+//! `derive_spec`, which `tests/synth_differential.rs` holds to this
+//! module field for field. Formulations the sweep relies on:
 //!
-//! * `produced` ⟺ `max_reader1 > min_writer` (members are sorted, so
-//!   ∃ writer w, reader r with r ≥ w collapses to one comparison);
-//! * the halo-read gate "some writer ≤ mi" ⟺ `min_writer ≤ mi`;
-//! * barrier placement and halo-FLOP terms commute to member-major sweeps
-//!   (idempotent bool OR / exact u64 sums);
+//! * members are sorted, so `produced` (∃ writer w, reader r with r ≥ w)
+//!   collapses to one comparison, `max_reader1 > min_writer`;
+//! * the halo-read gate "some writer ≤ mi" is `min_writer ≤ mi`;
+//! * barrier placement and halo-FLOP terms run as member-major sweeps
+//!   (idempotent bool OR / exact u64 sums, so the order is free);
 //! * `|union of touched arrays|` is a popcount over OR-ed touch bitsets.
 
 use crate::metadata::ProgramInfo;
@@ -204,8 +205,9 @@ impl SynthTables {
         s.members.sort_unstable();
         let m_len = s.members.len();
 
-        // --- Aggregation sweep: the legacy per-array `Agg` map, flattened
-        // into stamped dense slots. One pass over each member's use row.
+        // --- Aggregation sweep: per-array usage across the group (who
+        // reads, who writes, widest thread load and read radius), kept in
+        // stamped dense slots. One pass over each member's use row.
         s.touched.clear();
         s.union_words.fill(0);
         for (mi, &k) in s.members.iter().enumerate() {
@@ -249,12 +251,17 @@ impl SynthTables {
                 *w |= r;
             }
         }
-        // Compact ids ascend with array ids, so this is the legacy
-        // ascending-`ArrayId` pivot order.
+        // Compact ids ascend with array ids, so pivots come out in
+        // ascending-`ArrayId` order.
         s.touched.sort_unstable();
 
-        // --- Pivot selection (touched by ≥2 members or thread load > 1)
-        // and the `produced` decision.
+        // --- Pivot selection: arrays touched by ≥2 members (cross-kernel
+        // reuse), or thread load > 1 in some member (the original kernel
+        // already staged it, §VI-B2 "rigorously optimized"). A pivot is
+        // `produced` when a member writes it and the same or a later
+        // member reads it (the same-member case covers write-then-read
+        // across statements of one original kernel; its staged copy is
+        // produced on-chip just the same).
         s.pivots.clear();
         for &cu in &s.touched {
             let c = cu as usize;
@@ -274,9 +281,11 @@ impl SynthTables {
             });
         }
 
-        // --- Cascaded halo fixpoint, identical execution order to the
-        // legacy loop (members ascending, uses in array order, in-place
-        // halo updates visible within the pass).
+        // --- Cascaded halo fixpoint: a member whose written pivot has
+        // halo h executes its statements over tile+h, so its reads of
+        // other produced pivots must reach h + radius. Members ascending,
+        // uses in array order, in-place halo updates visible within the
+        // pass.
         for _ in 0..m_len.max(1) {
             let mut changed = false;
             for (mi, &k) in s.members.iter().enumerate() {
@@ -313,7 +322,9 @@ impl SynthTables {
             }
         }
 
-        // --- Medium decision per pivot (register vs SMEM staging).
+        // --- Medium decision per pivot: register staging suffices when
+        // every thread only ever touches its own site and no halo is
+        // needed (§II-D1); anything else is an SMEM tile.
         for &cu in &s.touched {
             let c = cu as usize;
             let slot = s.pivot_slot[c];
@@ -327,8 +338,8 @@ impl SynthTables {
         }
 
         // --- Barrier placement: readers of a produced SMEM pivot after its
-        // first writer. Member-major sweep; the per-pivot legacy loop sets
-        // the same idempotent bools.
+        // first writer. Member-major sweep; one qualifying read decides
+        // the member.
         s.barrier_before.clear();
         s.barrier_before.resize(m_len, false);
         for (mi, &k) in s.members.iter().enumerate() {
@@ -362,9 +373,11 @@ impl SynthTables {
         };
         let mut smem_bytes = padded(raw_of(&s.pivots));
 
-        // --- §II-C relaxation: demote clean pivots to the read-only
-        // cache, largest tiles first (stable descending order, matching
-        // the legacy `sort_by_key(Reverse(tile_area))`).
+        // --- §II-C relaxation (opt-in): when the fused kernel's SMEM
+        // demand exceeds capacity, demote clean (loaded) pivots to the
+        // hardware read-only cache, largest tiles first (stable: ties keep
+        // array order), as long as they fit its capacity. Produced pivots
+        // must stay in SMEM (coherence).
         let mut ro_bytes = 0u64;
         if info.gpu.use_readonly_cache {
             let capacity = u64::from(info.gpu.smem_per_smx);
@@ -408,7 +421,7 @@ impl SynthTables {
             }
         }
 
-        // --- Widest produced halo → Hal.
+        // --- Widest produced halo → Hal (Eq. 4/5 bookkeeping).
         let max_halo: u32 = s
             .pivots
             .iter()
@@ -419,8 +432,12 @@ impl SynthTables {
         let halo_bytes = info.halo_area(max_halo) * elem;
         let threads64 = u64::from(info.threads.max(1));
 
-        // --- Eq. 6 register projection. `|ShrLst|` is the popcount of the
-        // OR-ed touch bitsets (≡ the legacy `agg.len()`).
+        // --- Eq. 6 register projection: bookkeeping + addressing
+        // registers for the union of touched arrays (R_Adr; `|ShrLst|` is
+        // the popcount of the OR-ed touch bitsets), the widest member's
+        // live stencil operands (RegFac-scaled, from metadata), and one
+        // fetch/value register per staged pivot (R_fetch, Eq. 5) plus the
+        // per-thread share of a produced SMEM pivot's halo ring.
         let union_arrays: u32 = s.union_words.iter().map(|w| w.count_ones()).sum();
         debug_assert_eq!(union_arrays as usize, s.touched.len());
         let live = s
@@ -445,12 +462,17 @@ impl SynthTables {
         let projected_regs = if m_len == 1 {
             base_regs
         } else {
+            // Plus the per-segment scheduling registers the compiler keeps
+            // live across barriers (2 per extra member). The residual the
+            // codeless projection cannot see — operand pipelining scaled by
+            // the widest pivot's thread load — is what produces the
+            // occasional measured-unprofitable fusion (§VI-D2).
             12 + 2 * union_arrays + live + staging_regs + 2 * (m_len as u32 - 1)
         };
 
         // --- Eq. 10 numerator: member FLOPs plus redundant halo compute by
-        // writers of produced SMEM pivots. Member-major; each (member,
-        // pivot) term is the same integer as the legacy pivot-major loop.
+        // the writers of each produced SMEM pivot, one exact integer term
+        // per (member, pivot).
         let mut flops: u64 = s.members.iter().map(|&k| self.k_flops[k.index()]).sum();
         let tile0 = info.tile_area(0).max(1);
         for &k in &s.members {
@@ -641,9 +663,9 @@ impl SpecView<'_> {
         self.barriers
     }
 
-    /// The pivot entry for `a`, if staged — an O(1) double index instead
-    /// of the legacy linear scan. The epoch stamp guards against slots
-    /// left over from a previous candidate on the same scratch.
+    /// The pivot entry for `a`, if staged — an O(1) double index. The
+    /// epoch stamp guards against slots left over from a previous
+    /// candidate on the same scratch.
     pub fn pivot(&self, a: ArrayId) -> Option<&PivotSpec> {
         let c = *self.tables.compact.get(a.index())?;
         if c == NO_SLOT || self.stamp[c as usize] != self.gen {
@@ -656,8 +678,9 @@ impl SpecView<'_> {
         Some(&self.pivots[slot as usize])
     }
 
-    /// Materialize an owned [`GroupSpec`] (oracle comparisons, boundary
-    /// consumers off the hot path).
+    /// Materialize an owned [`GroupSpec`]: what `PlanContext::validate`,
+    /// `check_group` and [`GroupSpec::synthesize`] hand to consumers off
+    /// the search's hot path.
     pub fn to_spec(&self) -> GroupSpec {
         GroupSpec {
             members: self.members.to_vec(),
@@ -682,51 +705,6 @@ mod tests {
     use kfuse_ir::stencil::Offset;
     use kfuse_ir::{Expr, Program};
 
-    fn assert_spec_eq(soa: &GroupSpec, legacy: &GroupSpec, what: &str) {
-        assert_eq!(soa.members, legacy.members, "{what}: members");
-        assert_eq!(soa.pivots, legacy.pivots, "{what}: pivots");
-        assert_eq!(
-            soa.barrier_before, legacy.barrier_before,
-            "{what}: barriers"
-        );
-        assert_eq!(soa.smem_bytes, legacy.smem_bytes, "{what}: smem_bytes");
-        assert_eq!(
-            soa.projected_regs, legacy.projected_regs,
-            "{what}: projected_regs"
-        );
-        assert_eq!(soa.flops, legacy.flops, "{what}: flops");
-        assert_eq!(soa.halo_bytes, legacy.halo_bytes, "{what}: halo_bytes");
-        assert_eq!(soa.ro_bytes, legacy.ro_bytes, "{what}: ro_bytes");
-        assert_eq!(
-            soa.active_threads, legacy.active_threads,
-            "{what}: active_threads"
-        );
-        assert_eq!(soa.complex, legacy.complex, "{what}: complex");
-    }
-
-    fn check_all_groups(p: &Program, gpu: &GpuSpec) {
-        let info = ProgramInfo::extract(p, gpu, FpPrecision::Double);
-        let tables = SynthTables::build(&info);
-        let mut scratch = SynthScratch::new();
-        let n = info.kernels.len() as u32;
-        // Every non-empty subset, twice (exercising stale-slot reuse).
-        for _ in 0..2 {
-            for mask in 1u32..(1 << n) {
-                let group: Vec<KernelId> = (0..n)
-                    .filter(|i| mask & (1 << i) != 0)
-                    .map(KernelId)
-                    .collect();
-                let legacy = GroupSpec::synthesize(&info, &group);
-                let view = tables.synthesize_into(&info, &group, &mut scratch);
-                assert_spec_eq(
-                    &view.to_spec(),
-                    &legacy,
-                    &format!("{} mask {mask:b} on {}", p.name, gpu.name),
-                );
-            }
-        }
-    }
-
     /// k0: B = A; k1: C = B; k2: D = B[-1] + B[+1] (the spec.rs fixture).
     fn program() -> Program {
         let mut pb = ProgramBuilder::new("p", [128, 64, 8]);
@@ -749,73 +727,38 @@ mod tests {
         pb.build()
     }
 
-    /// Cascaded producer chain: B needs halo 2, C halo 1 when all fuse.
-    fn chain_program() -> Program {
-        let mut pb = ProgramBuilder::new("chain", [128, 64, 8]);
-        let a = pb.array("A");
-        let b = pb.array("B");
-        let c = pb.array("C");
-        let d = pb.array("D");
-        pb.kernel("k0")
-            .write(b, Expr::at(a) * Expr::lit(2.0))
-            .build();
-        pb.kernel("k1")
-            .write(c, Expr::load(b, Offset::new(1, 0, 0)))
-            .build();
-        pb.kernel("k2")
-            .write(d, Expr::load(c, Offset::new(1, 0, 0)))
-            .build();
-        pb.build()
-    }
-
-    /// Shared radius reads of a clean input (loaded pivot, no barrier).
-    fn shared_input_program() -> Program {
-        let mut pb = ProgramBuilder::new("shared", [128, 64, 8]);
-        let a = pb.array("A");
-        let b = pb.array("B");
-        let c = pb.array("C");
-        pb.kernel("k0")
-            .write(b, Expr::at(a) + Expr::load(a, Offset::new(-1, 0, 0)))
-            .build();
-        pb.kernel("k1")
-            .write(c, Expr::at(a) + Expr::load(a, Offset::new(0, 1, 0)))
-            .build();
-        pb.build()
-    }
-
     #[test]
-    fn matches_legacy_on_all_subsets_and_gpus() {
-        for gpu in [GpuSpec::k20x(), GpuSpec::k40(), GpuSpec::gtx750ti()] {
-            check_all_groups(&program(), &gpu);
-            check_all_groups(&chain_program(), &gpu);
-            check_all_groups(&shared_input_program(), &gpu);
-        }
-    }
-
-    #[test]
-    fn view_pivot_lookup_matches_legacy_and_guards_stale_slots() {
+    fn view_pivot_lookup_is_an_index_and_guards_stale_slots() {
         let info = ProgramInfo::extract(&program(), &GpuSpec::k20x(), FpPrecision::Double);
         let tables = SynthTables::build(&info);
         let mut scratch = SynthScratch::new();
         // First candidate stages B (pivot); record the slot...
         let v = tables.synthesize_into(&info, &[KernelId(0), KernelId(2)], &mut scratch);
-        assert!(v.pivot(ArrayId(1)).is_some(), "B is staged");
-        assert_eq!(v.pivot(ArrayId(1)).unwrap().halo, 1);
+        assert_eq!(
+            v.pivot(ArrayId(1)).copied(),
+            Some(PivotSpec {
+                array: ArrayId(1),
+                halo: 1,
+                smem: true,
+                produced: true,
+                ro_cache: false,
+            }),
+            "B is staged"
+        );
         assert!(v.pivot(ArrayId(0)).is_none(), "A touched but not a pivot");
-        // ...then a candidate not touching B must not resurface it.
+        // ...then a candidate not touching D must not resurface it, and a
+        // lone pointwise kernel stages nothing at all: B's slot from the
+        // previous candidate is re-stamped, not inherited.
         let v = tables.synthesize_into(&info, &[KernelId(1)], &mut scratch);
         assert!(
             v.pivot(ArrayId(3)).is_none(),
             "D from the previous candidate must be stale"
         );
-        let spec = GroupSpec::synthesize(&info, &[KernelId(1)]);
+        assert!(v.pivots.is_empty());
         for a in 0..4u32 {
-            assert_eq!(
-                v.pivot(ArrayId(a)).copied(),
-                spec.pivot(ArrayId(a)).copied(),
-                "pivot({a})"
-            );
+            assert_eq!(v.pivot(ArrayId(a)), None, "pivot({a})");
         }
+        assert_eq!(v.pivot(ArrayId(99)), None, "out of the compact table");
     }
 
     #[test]

@@ -663,8 +663,9 @@ fn compute_with(
     (GroupEval { time_s: t }, synth_ns)
 }
 
-/// The raw (unmemoized) group objective over the materializing legacy
-/// path, retained for [`legacy::LegacyEvaluator`].
+/// The raw (unmemoized) group objective over the owned-spec route
+/// (`check_group` + [`PerfModel::project`]), retained for
+/// [`legacy::LegacyEvaluator`].
 fn compute_group(ctx: &PlanContext, model: &dyn PerfModel, group: &[KernelId]) -> GroupEval {
     let spec = match ctx.check_group(group, 0) {
         Ok(s) => s,

@@ -55,7 +55,7 @@ pub mod protocol;
 mod server;
 
 pub use protocol::{ErrorCode, Request, PROTOCOL_VERSION};
-pub use server::{serve_stdin, Daemon, LocalClient, ServeConfig};
+pub use server::{serve_stdin, Daemon, LocalClient, ServeConfig, MAX_LINE_BYTES};
 
 #[cfg(unix)]
 pub use server::serve_unix;

@@ -40,7 +40,7 @@ use kfuse_obs::{Counter, Gauge, MetricsRegistry, ObsHandle};
 use kfuse_search::{HggaHierSolver, PlanCache, WarmSolver};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -700,6 +700,52 @@ impl LocalClient {
     }
 }
 
+/// Longest request line the stdin and Unix-socket front-ends buffer,
+/// newline excluded (16 MiB; the largest request of the repo's benchmark
+/// is 1.49 MB). A longer line is answered with one `malformed_request`
+/// and dropped; the connection keeps serving.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// The read loop of the stdin and Unix-socket front-ends: every line of
+/// `input` goes through [`handle_line`] until EOF, a read error or a
+/// shutdown. A line longer than [`MAX_LINE_BYTES`] is never held in
+/// memory: it is answered with one `malformed_request` naming the limit,
+/// the rest of it is discarded up to its newline, and the line after it
+/// is served as usual.
+fn serve_lines(
+    shared: &Arc<Shared>,
+    mut input: impl BufRead,
+    reply: &Reply,
+) -> std::io::Result<()> {
+    let limit = MAX_LINE_BYTES as u64 + 1; // the newline, or one byte too many
+    let mut line = Vec::new();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        line.clear();
+        if input.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_LINE_BYTES {
+            line = Vec::new(); // do not keep the limit's worth of capacity
+            input.skip_until(b'\n')?;
+            shared.metrics.incr(Counter::RequestsReceived);
+            shared.metrics.incr(Counter::RequestsRejected);
+            reply.send(&error_response(
+                None,
+                ErrorCode::MalformedRequest,
+                &format!("request line is longer than {MAX_LINE_BYTES} bytes"),
+                vec![],
+            ));
+            continue;
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        handle_line(shared, text, reply);
+    }
+    Ok(())
+}
+
 /// Run the daemon over stdin/stdout: one JSONL request per input line,
 /// one JSONL response per output line. EOF triggers the same graceful
 /// drain as a `shutdown` request (minus the response). This is the
@@ -710,15 +756,9 @@ pub fn serve_stdin(cfg: ServeConfig) -> std::io::Result<()> {
     let shared = Arc::clone(&daemon.shared);
     let out: Arc<Mutex<Box<dyn Write + Send>>> = Arc::new(Mutex::new(Box::new(std::io::stdout())));
     let reply = Reply::Stream(out);
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        handle_line(&shared, &line?, &reply);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-    }
+    let served = serve_lines(&shared, std::io::stdin().lock(), &reply);
     daemon.shutdown();
-    Ok(())
+    served
 }
 
 /// Run the daemon on a Unix domain socket. Each connection gets a reader
@@ -747,14 +787,8 @@ pub fn serve_unix(cfg: ServeConfig, path: &std::path::Path) -> std::io::Result<(
                     .name("kfused-conn".into())
                     .spawn(move || {
                         let reply = Reply::Stream(writer);
-                        let buf = std::io::BufReader::new(reader);
-                        for line in buf.lines() {
-                            let Ok(line) = line else { break };
-                            handle_line(&sh, &line, &reply);
-                            if sh.shutdown.load(Ordering::SeqCst) {
-                                break;
-                            }
-                        }
+                        // A read error ends the connection, not the daemon.
+                        let _ = serve_lines(&sh, std::io::BufReader::new(reader), &reply);
                     })
                     .expect("spawn connection thread");
             }

@@ -1,7 +1,8 @@
 //! End-to-end daemon tests through [`LocalClient`]: the in-process
 //! client takes the exact admission path socket clients do (same
 //! `handle_line`, same queue, same workers), so everything here holds
-//! for the stdin and Unix-socket front-ends too.
+//! for the stdin and Unix-socket front-ends too. What only a front-end
+//! does — bounding the line it reads — is tested over a real socket.
 
 use kfuse_serve::{Daemon, ServeConfig};
 use std::path::PathBuf;
@@ -269,6 +270,51 @@ fn deep_nesting_is_one_malformed_request_and_the_daemon_lives() {
     let r = c.request(r#"{"id":"p","op":"ping"}"#);
     assert!(r.contains(r#""id":"p","ok":true"#), "{r}");
     daemon.shutdown();
+}
+
+/// A line one byte over the limit is one `malformed_request` naming the
+/// limit — never buffered, its tail discarded up to the newline — and the
+/// same connection goes on to serve the next line.
+#[cfg(unix)]
+#[test]
+fn an_over_long_line_is_one_malformed_request_and_the_connection_serves_on() {
+    use kfuse_serve::{serve_unix, MAX_LINE_BYTES};
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = tmpdir("overlong");
+    let sock = dir.join("kfused.sock");
+    let server = {
+        let sock = sock.clone();
+        std::thread::spawn(move || serve_unix(ServeConfig::default(), &sock))
+    };
+    let mut stream = (0..500)
+        .find_map(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            UnixStream::connect(&sock).ok()
+        })
+        .expect("the daemon binds its socket");
+
+    // No newline inside the blob: the line ends where the `ping`'s would
+    // start, so the ping is only served if exactly the blob was dropped.
+    let mut wire = vec![b'x'; MAX_LINE_BYTES + 1];
+    wire.extend_from_slice(
+        b"\n{\"id\":\"p\",\"op\":\"ping\"}\n{\"id\":\"bye\",\"op\":\"shutdown\"}\n",
+    );
+    stream.write_all(&wire).unwrap();
+
+    let mut lines = BufReader::new(stream).lines().map(Result::unwrap);
+    let r = lines.next().unwrap();
+    assert!(r.contains(r#""id":null,"ok":false"#), "{r}");
+    assert!(r.contains(r#""code":"malformed_request""#), "{r}");
+    assert!(r.contains(&MAX_LINE_BYTES.to_string()), "{r}");
+    assert!(r.len() < 256, "nothing of the request in it: {r}");
+    let r = lines.next().unwrap();
+    assert!(r.contains(r#""id":"p","ok":true"#), "{r}");
+    let bye = lines.next().unwrap();
+    assert!(bye.contains(r#""served":1,"rejected":1"#), "{bye}");
+    server.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

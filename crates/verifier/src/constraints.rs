@@ -397,8 +397,10 @@ impl<'a> PlanChecker<'a> {
 
     /// The verifier's own re-derivation of the group resource synthesis
     /// (pivot selection, cascaded halos, Eq. 6 registers, Eq. 7 padded
-    /// SMEM, §II-C read-only-cache demotion). Field-for-field equivalence
-    /// with `GroupSpec::synthesize` is asserted by the differential tests.
+    /// SMEM, §II-C read-only-cache demotion) — the one deliberate
+    /// duplicate of `kfuse-core`'s synthesis. Field-for-field equivalence
+    /// with `SynthTables::synthesize_into` is asserted by the differential
+    /// tests.
     pub fn derive_spec(&self, group: &[KernelId]) -> GroupSpec {
         let info = self.info;
         let mut members = group.to_vec();

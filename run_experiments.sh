@@ -182,6 +182,15 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: relax.rs rebuilds expressions instead of renaming in place (see DESIGN.md §3.1)"
     exit 1
   fi
+  # One group synthesis in kfuse-core (DESIGN.md §11): `GroupSpec` is a
+  # `SpecView` materialized. The deleted second body aggregated into
+  # `BTreeMap`s over `&KernelMeta`s; either name in spec.rs means it is
+  # being written again.
+  echo "== one group synthesis in kfuse-core"
+  if grep -nE 'BTreeMap|KernelMeta' crates/core/src/spec.rs; then
+    echo "FAIL: spec.rs synthesizes on its own again (see DESIGN.md §11)"
+    exit 1
+  fi
   echo "== cargo doc --no-deps (missing_docs gate)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
   # Tier-1 (`cargo test -q`, the root package) never runs the member
@@ -189,9 +198,9 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
   # carry every program, request and cache entry; the linear-parse gate
   # runs optimized too, where a regression to quadratic shows at the
   # sizes the daemon sees.
-  # The allocation bounds (the memo's; the typed parser's and the
-  # relaxation's) count what optimized code allocates, so they run in
-  # release as well.
+  # The allocation bounds (the memo's; the typed parser's, the
+  # relaxation's and plan validation's) count what optimized code
+  # allocates, so they run in release as well.
   echo "== cargo test --workspace (debug) + linear-parse and allocation gates (release)"
   cargo test -q --workspace
   cargo test --release -q --test serialization parse_time_scales_linearly_with_input_size
@@ -223,7 +232,7 @@ echo "-- kfuse lint rk3 (fused, seed 3)"
 ./target/release/kfuse lint "$verify_tmp/rk3.json" --fuse --seed 3
 echo "-- differential harness (verifier vs both evaluators)"
 cargo test --release -q --test differential
-echo "-- synthesis differential (SoA vs legacy vs verifier, 3 GPUs)"
+echo "-- synthesis differential (core vs verifier, 3 GPUs)"
 cargo test --release -q --test synth_differential
 
 echo

@@ -1,14 +1,17 @@
 //! Allocation bounds of the request path's front end.
 //!
 //! A counting global allocator wraps `System` (per-thread counters: the
-//! tests of one binary run on parallel threads). Two bounds:
+//! tests of one binary run on parallel threads). Three bounds:
 //!
 //! - a typed parse allocates nothing it does not keep: reading a request
 //!   line takes no more fresh blocks than the `Program` it returns has
 //!   non-empty `String`s, `Vec`s and `Box`es, plus a small constant;
 //! - the relaxation renames in place: it takes no more than the copy of
 //!   the program it returns, the dependency graph it reads, and a
-//!   constant per redundant copy it adds.
+//!   constant per redundant copy it adds;
+//! - validating a plan allocates the specs it returns: one synthesis
+//!   scratch warmed once, then nothing per group but the group's own
+//!   three vectors.
 //!
 //! Fresh blocks (`alloc`) are what is counted; a `Vec` that grows by
 //! `realloc` keeps being the one block the bound allows it.
@@ -18,6 +21,7 @@
 use kernel_fusion::prelude::*;
 use kfuse_core::depgraph::DependencyGraph;
 use kfuse_core::relax::relax_expandable;
+use kfuse_core::synth::SynthScratch;
 use kfuse_serve::Request;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -53,6 +57,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, FRESH_BLOCKS.with(Cell::get) - before)
 }
 
+/// One block for a container that holds anything, none for an empty one.
+fn held(empty: bool) -> u64 {
+    u64::from(!empty)
+}
+
 /// The heap blocks a `Program` owns: its non-empty strings and vectors,
 /// and the two boxes of every binary expression.
 fn owned_blocks(p: &Program) -> u64 {
@@ -62,7 +71,6 @@ fn owned_blocks(p: &Program) -> u64 {
             _ => 0,
         }
     }
-    let held = |empty: bool| u64::from(!empty);
     let mut n = held(p.name.is_empty())
         + held(p.arrays.is_empty())
         + held(p.kernels.is_empty())
@@ -122,5 +130,40 @@ fn relaxation_allocates_a_clone_its_graph_and_a_constant_per_copy() {
         relax <= bound,
         "relax took {relax} blocks; clone {clone} + graph {graph} + 4 x {} copies + 8 = {bound}",
         relaxed.copies_added
+    );
+}
+
+#[test]
+fn validate_allocates_the_specs_it_returns_and_one_warm_scratch() {
+    let p = kfuse_workloads::by_name("scale-les").unwrap();
+    let gpu = GpuSpec::k20x();
+    let (_, ctx) = pipeline::prepare(&p, &gpu, gpu.default_precision());
+    let plan = GreedySolver.solve(&ctx, &ProposedModel::default()).plan;
+    assert!(plan.new_kernel_count() > 10, "SCALE-LES fuses many groups");
+
+    // What one scratch costs to warm to this program: its slot columns,
+    // output buffers and the two structural-check bitsets.
+    let widest = plan.groups.iter().max_by_key(|g| g.len()).unwrap();
+    let (_, warm_scratch) = counted(|| {
+        let mut scratch = SynthScratch::new();
+        ctx.check_group_with(widest, 0, &mut scratch).map(|_| ())
+    });
+
+    let (specs, validate) = counted(|| ctx.validate(&plan).unwrap());
+    let kept = 1 + specs
+        .iter()
+        .map(|s| {
+            held(s.members.is_empty())
+                + held(s.pivots.is_empty())
+                + held(s.barrier_before.is_empty())
+        })
+        .sum::<u64>();
+    // The constant: the partition check's `seen` vector.
+    let bound = kept + warm_scratch + 1;
+    assert!(
+        validate <= bound,
+        "validate took {validate} blocks for {} groups; specs keep {kept} + scratch \
+         {warm_scratch} + 1 = {bound}",
+        specs.len()
     );
 }

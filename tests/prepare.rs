@@ -3,6 +3,9 @@
 //! example, on two devices, must hash to the digests recorded before the
 //! front end was made one walk per layer (PR 18). The digests are
 //! constants — no old implementation is kept alive to compare against.
+//! The same goes for what `ctx.validate` synthesizes from that context:
+//! its specs hash to digests recorded before the owned `GroupSpec` route
+//! became the SoA route materialized (PR 19).
 
 use kernel_fusion::prelude::*;
 use kfuse_core::fingerprint::program_fingerprint;
@@ -111,3 +114,70 @@ const KINSHIP_GOLDEN: &[(&str, u64)] = &[
     ("homme", 0x977cb11f5c124103),
     ("synth100", 0x850dd7adfd68dd7b),
 ];
+
+/// FNV-1a of the compact JSON of the `Vec<GroupSpec>` that `ctx.validate`
+/// returns for the identity plan and for the `GreedySolver` plan.
+fn validate_digests(name: &str, gpu_name: &str) -> (u64, u64) {
+    let p = kfuse_workloads::by_name(name).unwrap();
+    let gpu = GpuSpec::by_name(gpu_name).unwrap();
+    let (_, ctx) = pipeline::prepare(&p, &gpu, gpu.default_precision());
+    let digest = |plan: &FusionPlan| {
+        let specs = ctx.validate(plan).expect("plan validates");
+        assert_eq!(specs.len(), plan.groups.len(), "{name}/{gpu_name}");
+        fnv1a(serde_json::to_string(&specs).unwrap().as_bytes())
+    };
+    let greedy = GreedySolver.solve(&ctx, &ProposedModel::default()).plan;
+    (
+        digest(&FusionPlan::identity(ctx.n_kernels())),
+        digest(&greedy),
+    )
+}
+
+/// `(example, gpu, identity-plan specs, greedy-plan specs)`: eight
+/// built-ins on all three devices.
+#[rustfmt::skip]
+const VALIDATE_GOLDEN: &[(&str, &str, u64, u64)] = &[
+    ("quickstart", "k20x", 0x65c3aaddecfb181c, 0x6935ff0b75f6b733),
+    ("quickstart", "k40", 0x65c3aaddecfb181c, 0x6935ff0b75f6b733),
+    ("quickstart", "gtx750ti", 0x65c3aaddecfb181c, 0x6935ff0b75f6b733),
+    ("rk3", "k20x", 0xb04f1d8eba88e9e1, 0x426d7b38f4339dd5),
+    ("rk3", "k40", 0xb04f1d8eba88e9e1, 0x426d7b38f4339dd5),
+    ("rk3", "gtx750ti", 0xee5c9b3ddc08a7f9, 0xe3809e3eef3f5860),
+    ("fig3", "k20x", 0x372064a13f0be056, 0x8b9a1b829238d7f2),
+    ("fig3", "k40", 0x372064a13f0be056, 0x8b9a1b829238d7f2),
+    ("fig3", "gtx750ti", 0x90f7b6d8bbe5496a, 0x69a7abd81e84bc87),
+    ("scale-les", "k20x", 0x2087da2490ec59b3, 0x00c8ce21a13e3d15),
+    ("scale-les", "k40", 0x2087da2490ec59b3, 0xeaf1f1ad1c25ec38),
+    ("scale-les", "gtx750ti", 0xbca36db0f11482a2, 0xeb460b91aea4ed46),
+    ("homme", "k20x", 0xdcc0262ba34d0731, 0x391d44ce0b2241b5),
+    ("homme", "k40", 0xdcc0262ba34d0731, 0x391d44ce0b2241b5),
+    ("homme", "gtx750ti", 0x684c6ba921ccadd1, 0x31bae42c47302c90),
+    ("suite", "k20x", 0xb0c6b1f933821881, 0x1e898b15bbbf0653),
+    ("suite", "k40", 0xb0c6b1f933821881, 0x3c95da013869dd49),
+    ("suite", "gtx750ti", 0x6b8ed8db32b050b9, 0x1c40d3f3b6e35644),
+    ("synth60", "k20x", 0x23359cd1d3142cbd, 0xe22df56008bd8e23),
+    ("synth60", "k40", 0x23359cd1d3142cbd, 0x2bf93a49a191833e),
+    ("synth60", "gtx750ti", 0x067e889d4a11603d, 0xdd630da7a8b438a1),
+    ("synth100", "k20x", 0x0654010d580e1f84, 0x901868dbeabc0d5c),
+    ("synth100", "k40", 0x0654010d580e1f84, 0xd716de6df8b49956),
+    ("synth100", "gtx750ti", 0x4fbdd3bc7f0d4392, 0x475247e9b28d82f6),
+];
+
+/// The digests were taken from the `BTreeMap`-based body of
+/// `GroupSpec::synthesize` at the parent, before it was deleted.
+#[test]
+fn validate_specs_hash_to_the_digests_recorded_at_the_parent() {
+    let actual: Vec<_> = VALIDATE_GOLDEN
+        .iter()
+        .map(|&(name, gpu, ..)| {
+            let (identity, greedy) = validate_digests(name, gpu);
+            (name, gpu, identity, greedy)
+        })
+        .collect();
+    if actual != VALIDATE_GOLDEN {
+        for (name, gpu, identity, greedy) in &actual {
+            eprintln!("    ({name:?}, {gpu:?}, {identity:#018x}, {greedy:#018x}),");
+        }
+        panic!("validate output moved: the table above is what this tree produces");
+    }
+}
