@@ -35,7 +35,6 @@ fn hgga(seed: u64, local_search: bool) -> HggaSolver {
             stall_generations: 50,
             local_search_rate: if local_search { 0.3 } else { 0.0 },
             seed,
-            ..HggaConfig::default()
         },
     }
 }

@@ -81,6 +81,7 @@ fn main() {
     }
     println!();
     println!("note: distinct objective evaluations after per-group memoization;");
-    println!("the paper's 3 ms/evaluation GROPHECY comparison is in model_bench.");
+    println!("the paper's 3 ms/evaluation GROPHECY comparison: `miss_ns / memo_misses`");
+    println!("of any `kfuse stats` run, `search.miss_ns_per_eval` in benchmark/.");
     write_json("table6", &rows);
 }

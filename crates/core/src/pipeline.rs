@@ -23,18 +23,6 @@ use kfuse_obs::{ratio, Counter, MetricsSnapshot, ObsHandle};
 use kfuse_sim::{simulate_program, ProgramTiming};
 use std::time::Duration;
 
-/// Per-island statistics for island-model solvers (empty for serial or
-/// non-evolutionary solvers).
-#[derive(Debug, Clone, Default)]
-pub struct IslandStats {
-    /// Generations this island executed.
-    pub generations: u32,
-    /// Island-local generation at which its best individual appeared.
-    pub best_generation: u32,
-    /// Individuals received from the ring predecessor.
-    pub migrations_received: u32,
-}
-
 /// Statistics reported by a solver run (Table VI columns).
 #[derive(Debug, Clone, Default)]
 pub struct SolveStats {
@@ -66,15 +54,13 @@ pub struct SolveStats {
     /// (`BatchLanesFilled / BatchesScored`): up to 8, 0.0 when the run
     /// never scored a batch.
     pub avg_batch_fill: f64,
-    /// Per-island breakdown when the solver ran in island mode.
-    pub islands: Vec<IslandStats>,
 }
 
 impl SolveStats {
     /// Derive the registry-backed portion of the stats from a metrics
-    /// snapshot. Fields the registry cannot know — wall-clock times,
-    /// `best_generation`, the per-island breakdown — stay at their
-    /// defaults for the caller to fill in.
+    /// snapshot. Fields the registry cannot know — wall-clock times and
+    /// `best_generation` — stay at their defaults for the caller to fill
+    /// in.
     ///
     /// This is the single mapping between the [`kfuse_obs`] counter
     /// taxonomy and the legacy Table VI columns, so every solver reports

@@ -18,14 +18,8 @@ pub enum SpanId {
     Solve,
     /// Construction and scoring of the initial population(s).
     InitialPopulation,
-    /// One HGGA generation (single-population mode, or one island's
-    /// generation when `track > 0`).
+    /// One HGGA generation.
     Generation,
-    /// One inter-migration epoch of the island model: all islands evolving
-    /// concurrently for `migration_interval` generations.
-    Epoch,
-    /// One ring-migration exchange between islands.
-    Migration,
     /// One evaluation-memo miss: group synthesis + projection + insert.
     MemoMiss,
     /// The SoA group-synthesis portion of a memo miss
@@ -52,7 +46,8 @@ pub enum SpanId {
     /// regions (`kfuse-search::partition`).
     PartitionPass,
     /// One region's independent sub-solve in the hierarchical solver
-    /// (tracked per region: `track` = region index + 1).
+    /// (one track per region: `track` = region index + 1, exported as
+    /// `region {index}`).
     RegionSolve,
     /// The boundary-stitching pass re-opening inter-region candidate
     /// groups after the region solves.
@@ -69,8 +64,6 @@ impl SpanId {
             SpanId::Solve => "solve",
             SpanId::InitialPopulation => "initial_population",
             SpanId::Generation => "generation",
-            SpanId::Epoch => "epoch",
-            SpanId::Migration => "migration",
             SpanId::MemoMiss => "memo_miss",
             SpanId::Synthesis => "synthesis",
             SpanId::BatchScore => "batch_score",
@@ -91,7 +84,7 @@ impl SpanId {
     pub const fn category(self) -> &'static str {
         match self {
             SpanId::Solve | SpanId::InitialPopulation => "solver",
-            SpanId::Generation | SpanId::Epoch | SpanId::Migration => "ga",
+            SpanId::Generation => "ga",
             SpanId::MemoMiss | SpanId::Synthesis | SpanId::BatchScore => "eval",
             SpanId::GreedySweep | SpanId::Enumeration => "solver",
             SpanId::ConstraintPass
@@ -107,11 +100,9 @@ impl SpanId {
     /// Unused slots are labelled `"_"` and omitted by the exporter.
     pub const fn arg_names(self) -> (&'static str, &'static str) {
         match self {
-            SpanId::Solve => ("kernels", "islands"),
+            SpanId::Solve => ("kernels", "_"),
             SpanId::InitialPopulation => ("individuals", "_"),
-            SpanId::Generation => ("gen", "island"),
-            SpanId::Epoch => ("gens_done", "islands"),
-            SpanId::Migration => ("emigrants_per_island", "islands"),
+            SpanId::Generation => ("gen", "_"),
             SpanId::MemoMiss => ("group_len", "_"),
             SpanId::Synthesis => ("group_len", "_"),
             SpanId::BatchScore => ("groups", "lanes"),
@@ -147,12 +138,9 @@ pub enum Counter {
     MissNs,
     /// Nanoseconds of [`Counter::MissNs`] inside group synthesis proper.
     SynthNs,
-    /// GA generations executed (summed over islands in island mode).
+    /// GA generations executed (summed over region solves in the
+    /// hierarchical solver).
     Generations,
-    /// Ring-migration exchanges performed.
-    Migrations,
-    /// Individuals received from a ring predecessor.
-    MigrantsReceived,
     /// Times a new global best was accepted.
     BestImprovements,
     /// Chromosome `finalize` calls (offspring sealed: repair + re-score).
@@ -213,7 +201,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (registry slot count).
-    pub const COUNT: usize = 30;
+    pub const COUNT: usize = 28;
 
     /// All counters, in registry/display order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -223,8 +211,6 @@ impl Counter {
         Counter::MissNs,
         Counter::SynthNs,
         Counter::Generations,
-        Counter::Migrations,
-        Counter::MigrantsReceived,
         Counter::BestImprovements,
         Counter::Finalizes,
         Counter::GroupsRescored,
@@ -258,8 +244,6 @@ impl Counter {
             Counter::MissNs => "miss_ns",
             Counter::SynthNs => "synth_ns",
             Counter::Generations => "generations",
-            Counter::Migrations => "migrations",
-            Counter::MigrantsReceived => "migrants_received",
             Counter::BestImprovements => "best_improvements",
             Counter::Finalizes => "finalizes",
             Counter::GroupsRescored => "groups_rescored",
@@ -340,8 +324,8 @@ pub enum TraceEvent {
         /// What kind of work this was.
         id: SpanId,
         /// Logical track (chrome-trace `tid`): 0 for the coordinator,
-        /// island index + 1 for per-island work, worker-thread shard + 64
-        /// for evaluator-internal spans.
+        /// region index + 1 for hierarchical region solves, worker-thread
+        /// shard + 64 for evaluator-internal spans.
         track: u32,
         /// Start, as an [`Instant`] (converted to epoch-relative
         /// microseconds at export time).

@@ -28,7 +28,7 @@
 //! ## Track convention
 //!
 //! Chrome-trace `tid`s are logical tracks, not OS threads: track 0 is the
-//! coordinator/planner, track `island + 1` is an island's generation work,
+//! coordinator/planner, track `region + 1` is a hierarchical region solve,
 //! and [`WORKER_TRACK_BASE`]` + shard` hosts evaluator-internal spans
 //! (memo misses, synthesis) emitted from whichever worker thread paid
 //! them. See `OBSERVABILITY.md` at the repository root for the full event

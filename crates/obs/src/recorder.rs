@@ -29,12 +29,12 @@ pub trait Recorder: Sync {
 }
 
 /// Number of event-buffer shards. Each thread appends to a fixed shard, so
-/// concurrent islands never contend on one lock.
+/// concurrent region solves never contend on one lock.
 const SHARD_COUNT: usize = 8;
 
 /// Base track number for evaluator-internal spans (memo misses,
 /// synthesis): they are emitted from whichever worker thread pays the
-/// miss, so they get per-thread tracks far above the island tracks.
+/// miss, so they get per-thread tracks far above the region tracks.
 pub const WORKER_TRACK_BASE: u32 = 64;
 
 static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
@@ -57,7 +57,7 @@ pub const DEFAULT_CAPACITY: usize = 2_000_000;
 /// A thread-safe, allocation-lean in-memory recorder.
 ///
 /// Events append to one of `SHARD_COUNT` mutex-guarded buffers selected
-/// by a per-thread index, so concurrent islands and evaluator workers
+/// by a per-thread index, so concurrent region solves and evaluator workers
 /// rarely share a lock. A hard capacity bounds memory on long runs: once
 /// reached, further events are dropped and counted ([`Self::dropped`])
 /// rather than silently truncating the timeline's head.
@@ -187,17 +187,10 @@ impl<'a> ObsHandle<'a> {
     /// Open a span on track 0. The span records when the guard drops.
     #[inline]
     pub fn span(&self, id: SpanId) -> SpanGuard<'a> {
-        self.span_on(id, 0)
-    }
-
-    /// Open a span on an explicit track.
-    #[inline]
-    pub fn span_on(&self, id: SpanId, track: u32) -> SpanGuard<'a> {
         SpanGuard {
             inner: self.rec.map(|rec| SpanInner {
                 rec,
                 id,
-                track,
                 start: Instant::now(),
                 args: [0; 2],
             }),
@@ -224,14 +217,8 @@ impl<'a> ObsHandle<'a> {
     /// Record a gauge sample on track 0, timestamped now.
     #[inline]
     pub fn value(&self, gauge: Gauge, value: f64) {
-        self.value_on(gauge, 0, value);
-    }
-
-    /// Record a gauge sample on an explicit track, timestamped now.
-    #[inline]
-    pub fn value_on(&self, gauge: Gauge, track: u32, value: f64) {
         if let Some(rec) = self.rec {
-            rec.value(gauge, track, Instant::now(), value);
+            rec.value(gauge, 0, Instant::now(), value);
         }
     }
 }
@@ -246,7 +233,6 @@ pub struct SpanGuard<'a> {
 struct SpanInner<'a> {
     rec: &'a dyn Recorder,
     id: SpanId,
-    track: u32,
     start: Instant,
     args: [u64; 2],
 }
@@ -265,13 +251,9 @@ impl SpanGuard<'_> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(inner) = &self.inner {
-            inner.rec.span(
-                inner.id,
-                inner.track,
-                inner.start,
-                inner.start.elapsed(),
-                inner.args,
-            );
+            inner
+                .rec
+                .span(inner.id, 0, inner.start, inner.start.elapsed(), inner.args);
         }
     }
 }

@@ -15,14 +15,14 @@ fn populated_recorder() -> InMemoryRecorder {
         0,
         t0,
         Duration::from_micros(900),
-        [60, 4], // kernels, islands
+        [60, 0], // kernels, unused
     );
     rec.span(
-        SpanId::Generation,
+        SpanId::RegionSolve,
         1,
         t0 + Duration::from_micros(10),
         Duration::from_micros(120),
-        [3, 0], // gen, island
+        [24, 0], // kernels, region
     );
     rec.span(
         SpanId::MemoMiss,
@@ -84,7 +84,7 @@ fn chrome_trace_round_trips_through_serde_json() {
     assert_eq!(solve["pid"].as_u64(), Some(1));
     assert_eq!(solve["tid"].as_u64(), Some(0));
     assert_eq!(solve["args"]["kernels"].as_u64(), Some(60));
-    assert_eq!(solve["args"]["islands"].as_u64(), Some(4));
+    assert_eq!(solve["args"].as_object().unwrap().len(), 1);
     assert!(solve["dur"].as_f64().unwrap() > 0.0);
 
     // MemoMiss's second arg slot is "_" and must be omitted.
@@ -100,14 +100,24 @@ fn chrome_trace_round_trips_through_serde_json() {
     assert_eq!(best["name"].as_str(), Some("best_objective"));
     assert_eq!(best["args"]["best_objective"].as_f64(), Some(0.0125));
 
-    // Track labels cover the three conventions.
-    let names: Vec<&str> = metadata
+    // The hierarchical solver records region `i`'s solve on track `i + 1`.
+    let region = spans
         .iter()
-        .map(|m| m["args"]["name"].as_str().unwrap())
-        .collect();
-    assert!(names.contains(&"planner"));
-    assert!(names.contains(&"island 0"));
-    assert!(names.contains(&"eval worker 0"));
+        .find(|e| e["name"].as_str() == Some("region_solve"))
+        .expect("region_solve span present");
+    assert_eq!(region["tid"].as_u64(), Some(1));
+    assert_eq!(region["args"]["region"].as_u64(), Some(0));
+
+    // Track labels cover the three conventions.
+    let name_of = |tid: u64| {
+        metadata
+            .iter()
+            .find(|m| m["tid"].as_u64() == Some(tid))
+            .and_then(|m| m["args"]["name"].as_str())
+    };
+    assert_eq!(name_of(0), Some("planner"));
+    assert_eq!(name_of(1), Some("region 0"));
+    assert_eq!(name_of(64), Some("eval worker 0"));
 }
 
 #[test]
@@ -173,7 +183,7 @@ fn handle_records_spans_with_args_through_guard() {
     let obs = ObsHandle::new(&rec);
     assert!(obs.is_enabled());
     {
-        let mut g = obs.span_on(SpanId::GreedySweep, 0);
+        let mut g = obs.span(SpanId::GreedySweep);
         g.set_arg(0, 12);
         g.set_arg(1, 3);
     }

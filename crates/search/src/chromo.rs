@@ -80,7 +80,7 @@ pub struct Chromosome {
 }
 
 /// Reusable buffers for chromosome maintenance and the genetic operators.
-/// One per worker (island) — never shared across threads.
+/// One per solve — never shared across threads.
 #[derive(Default)]
 pub struct OpScratch {
     // Chromosome internals.

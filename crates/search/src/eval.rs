@@ -6,8 +6,8 @@
 //! groups constantly (good groups survive crossover by design), so the
 //! effective cost per *plan* evaluation collapses to a few hash lookups.
 //!
-//! The memo is engineered for the island-model solver, where many threads
-//! hammer it concurrently:
+//! The memo is engineered for concurrent use — the reference loop's rayon
+//! scoring probes one evaluator from many threads:
 //!
 //! * **Sharding.** Groups hash to one of `SHARD_COUNT` independent
 //!   `RwLock`ed shards by an order-insensitive 64-bit fingerprint, so
@@ -48,7 +48,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Number of memo shards. A power of two so the shard index is a mask of
-/// the fingerprint; 16 keeps contention negligible for the island counts
+/// the fingerprint; 16 keeps contention negligible for the thread counts
 /// that make sense on one host while wasting little memory on small runs.
 const SHARD_COUNT: usize = 16;
 
@@ -224,15 +224,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The metrics registry this evaluator accumulates into. Solvers add
-    /// their own counters (generations, migrations, …) here so one
+    /// their own counters (generations, improvements, …) here so one
     /// snapshot captures the whole run.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The tracing handle this evaluator records through.
-    pub fn obs(&self) -> ObsHandle<'a> {
-        self.obs
     }
 
     /// Point-in-time copy of all accumulated metrics.
@@ -1017,7 +1012,7 @@ mod tests {
 
     #[test]
     fn four_threads_on_one_evaluator_leave_no_duplicate_entry() {
-        // The island model's sharing pattern: four workers probing the
+        // Concurrent sharing: four workers probing the
         // same groups through both paths, released together so publishes
         // collide. Every distinct key ends up stored exactly once.
         let p = kfuse_workloads::synth::scaling(24);

@@ -21,26 +21,18 @@
 //! probe decision and transient group order below deliberately mirrors
 //! that module.
 //!
-//! [`FusionPlan`] stays the boundary type: solver output, verifier input
-//! and island migration all convert at the edges via
-//! [`Chromosome::to_plan`].
+//! [`FusionPlan`] stays the boundary type: solver output and verifier
+//! input convert at the edges via [`Chromosome::to_plan`].
 //!
-//! With [`HggaConfig::islands`] > 1 the solver switches to an
-//! **island model**: the population is split into that many independent
-//! sub-populations, each evolved concurrently with its own RNG stream
-//! (derived deterministically from [`HggaConfig::seed`]), and every
-//! [`HggaConfig::migration_interval`] generations each island sends clones
-//! of its two best individuals to its successor
-//! on a ring, replacing the receiver's worst. Islands share the sharded
-//! evaluation memo, so a group scored on one island is a cache hit on all
-//! others. The run remains deterministic for any island count; with
-//! `islands == 1` the solver reproduces the reference trajectory bit for
-//! bit.
+//! The GA is one population evolved by one loop. Parallelism lives one
+//! level up, in the hierarchical solver's independent region solves
+//! ([`crate::partition`]), as the paper parallelized evaluation rather
+//! than populations.
 
 use crate::chromo::{Chromosome, OpScratch};
 use crate::eval::{Evaluator, GroupEval};
 use kfuse_core::model::PerfModel;
-use kfuse_core::pipeline::{IslandStats, SolveOutcome, SolveStats, Solver};
+use kfuse_core::pipeline::{SolveOutcome, SolveStats, Solver};
 use kfuse_core::plan::{FusionPlan, PlanContext};
 use kfuse_ir::KernelId;
 use kfuse_obs::{Counter, Gauge, ObsHandle, SpanId};
@@ -64,12 +56,6 @@ pub struct HggaConfig {
     pub local_search_rate: f64,
     /// RNG seed (runs are deterministic given the seed).
     pub seed: u64,
-    /// Number of islands evolved concurrently. `1` (the default) runs the
-    /// original single-population algorithm bit for bit; larger values
-    /// split [`HggaConfig::population`] across that many sub-populations.
-    pub islands: usize,
-    /// Generations between ring migrations (island mode only).
-    pub migration_interval: u32,
 }
 
 /// Tournament size for selection.
@@ -80,8 +66,6 @@ pub(crate) const CROSSOVER_RATE: f64 = 0.85;
 pub(crate) const MUTATION_RATE: f64 = 0.35;
 /// Elites copied unchanged into the next generation.
 pub(crate) const ELITISM: usize = 2;
-/// Individuals each island sends to its ring successor per migration.
-const MIGRATION_SIZE: usize = 2;
 
 impl Default for HggaConfig {
     fn default() -> Self {
@@ -91,8 +75,6 @@ impl Default for HggaConfig {
             stall_generations: 60,
             local_search_rate: 0.3,
             seed: 0xC0FFEE,
-            islands: 1,
-            migration_interval: 10,
         }
     }
 }
@@ -113,7 +95,7 @@ pub struct SolveControls {
     /// a seed are repaired by the normal `finalize` path, so remapped
     /// near-match plans are safe to inject as-is.
     pub seeds: Vec<FusionPlan>,
-    /// Hard wall-clock deadline: generation/epoch loops return best-so-far
+    /// Hard wall-clock deadline: the generation loop returns best-so-far
     /// at the first boundary past it.
     pub deadline: Option<Instant>,
     /// Region fingerprints (see `kfuse_core::fingerprint`) with a cached
@@ -273,21 +255,6 @@ impl HggaSolver {
         obs: ObsHandle<'_>,
         controls: &SolveControls,
     ) -> SolveOutcome {
-        if self.config.islands <= 1 {
-            self.solve_single(ctx, model, obs, controls)
-        } else {
-            self.solve_islands(ctx, model, obs, controls)
-        }
-    }
-
-    /// The single-population algorithm (`islands <= 1`).
-    fn solve_single(
-        &self,
-        ctx: &PlanContext,
-        model: &dyn PerfModel,
-        obs: ObsHandle<'_>,
-        controls: &SolveControls,
-    ) -> SolveOutcome {
         let cfg = &self.config;
         let ev = Evaluator::observed(ctx, model, obs);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -295,7 +262,6 @@ impl HggaSolver {
         let start = Instant::now();
         let mut solve_span = obs.span(SpanId::Solve);
         solve_span.set_arg(0, ctx.n_kernels() as u64);
-        solve_span.set_arg(1, 1);
 
         // Initial population: randomized constructive merges.
         let mut pop: Vec<Individual> = {
@@ -331,7 +297,6 @@ impl HggaSolver {
                 step_generation(
                     &ev,
                     cfg,
-                    cfg.population,
                     &mut pop,
                     &mut rng,
                     &mut scratch,
@@ -377,210 +342,6 @@ impl HggaSolver {
             metrics,
         }
     }
-
-    /// Island-model evolution (`islands >= 2`): concurrent sub-populations
-    /// with deterministic per-island RNG streams and ring migration.
-    fn solve_islands(
-        &self,
-        ctx: &PlanContext,
-        model: &dyn PerfModel,
-        obs: ObsHandle<'_>,
-        controls: &SolveControls,
-    ) -> SolveOutcome {
-        let cfg = &self.config;
-        let n_islands = cfg.islands;
-        let ev = Evaluator::observed(ctx, model, obs);
-        let start = Instant::now();
-        let mut solve_span = obs.span(SpanId::Solve);
-        solve_span.set_arg(0, ctx.n_kernels() as u64);
-        solve_span.set_arg(1, n_islands as u64);
-        // Split the population budget; keep every island large enough for
-        // elitism plus actual selection pressure.
-        let pop_target = (cfg.population / n_islands).max(ELITISM + 2);
-        let interval = cfg.migration_interval.max(1);
-        let emigrants = MIGRATION_SIZE.min(pop_target - 1);
-
-        let mut islands: Vec<Island> = (0..n_islands)
-            .map(|i| Island {
-                rng: SmallRng::seed_from_u64(island_seed(cfg.seed, i)),
-                scratch: OpScratch::new(),
-                pop: Vec::new(),
-                best: FusionPlan::identity(ctx.n_kernels()),
-                best_cost: f64::INFINITY,
-                best_gen: 0,
-                generations: 0,
-                migrations_received: 0,
-                track: i as u32 + 1,
-            })
-            .collect();
-
-        // Initial populations, built concurrently. Each island breeds and
-        // scores its own individuals — the islands themselves are the unit
-        // of parallelism — while sharing the sharded memo.
-        {
-            let ev = &ev;
-            let mut init_span = obs.span(SpanId::InitialPopulation);
-            init_span.set_arg(0, (pop_target * n_islands) as u64);
-            rayon::scope(|s| {
-                for isl in islands.iter_mut() {
-                    s.spawn(move || {
-                        isl.pop = (0..pop_target)
-                            .map(|_| Individual {
-                                chromo: random_chromosome(ev, &mut isl.rng, &mut isl.scratch),
-                            })
-                            .collect();
-                        isl.pop.sort_by(|a, b| a.cost().total_cmp(&b.cost()));
-                        isl.best = isl.pop[0].chromo.to_plan();
-                        isl.best_cost = isl.pop[0].cost();
-                    });
-                }
-            });
-        }
-
-        // Warm-start seeds join island 0 (the ring spreads them onward).
-        if !controls.seeds.is_empty() {
-            let isl = &mut islands[0];
-            inject_seeds(&ev, &mut isl.pop, &controls.seeds, &mut isl.scratch);
-            isl.best = isl.pop[0].chromo.to_plan();
-            isl.best_cost = isl.pop[0].cost();
-        }
-
-        let mut global_plan = islands[0].best.clone();
-        let mut global_cost = islands[0].best_cost;
-        let mut global_gen = 0u32;
-        let mut time_to_best = start.elapsed();
-        for isl in &islands[1..] {
-            if isl.best_cost < global_cost - 1e-15 {
-                global_cost = isl.best_cost;
-                global_plan = isl.best.clone();
-            }
-        }
-
-        let mut stall = 0u32;
-        let mut gens_done = 0u32;
-        while gens_done < cfg.max_generations {
-            if controls.expired() {
-                break;
-            }
-            let epoch = interval.min(cfg.max_generations - gens_done);
-            {
-                let ev = &ev;
-                let deadline = controls.deadline;
-                let mut epoch_span = obs.span(SpanId::Epoch);
-                epoch_span.set_arg(0, gens_done as u64);
-                epoch_span.set_arg(1, n_islands as u64);
-                rayon::scope(|s| {
-                    for isl in islands.iter_mut() {
-                        s.spawn(move || evolve_island(ev, cfg, pop_target, isl, epoch, deadline));
-                    }
-                });
-            }
-            gens_done += epoch;
-
-            // Fold island bests into the global best (island order fixed,
-            // strict improvement only — deterministic tie-breaking).
-            let mut improved = false;
-            for isl in &islands {
-                if isl.best_cost < global_cost - 1e-15 {
-                    global_cost = isl.best_cost;
-                    global_plan = isl.best.clone();
-                    global_gen = isl.best_gen;
-                    time_to_best = start.elapsed();
-                    improved = true;
-                }
-            }
-            if improved {
-                debug_verify_best(ctx, model, &global_plan, global_cost);
-                ev.count(Counter::BestImprovements, 1);
-                obs.value(Gauge::BestObjective, global_cost);
-            }
-            if improved {
-                stall = 0;
-            } else {
-                stall += epoch;
-                if stall >= cfg.stall_generations {
-                    break;
-                }
-            }
-
-            // Ring migration: emigrant sets are drawn from pre-migration
-            // populations so the island order cannot leak into the result.
-            if emigrants > 0 && gens_done < cfg.max_generations {
-                let mut mig_span = obs.span(SpanId::Migration);
-                mig_span.set_arg(0, emigrants as u64);
-                mig_span.set_arg(1, n_islands as u64);
-                ev.count(Counter::Migrations, 1);
-                let packets: Vec<Vec<Individual>> = islands
-                    .iter()
-                    .map(|isl| isl.pop.iter().take(emigrants).cloned().collect())
-                    .collect();
-                for (i, packet) in packets.into_iter().enumerate() {
-                    let isl = &mut islands[(i + 1) % n_islands];
-                    for migrant in packet {
-                        // Replace the current worst, keeping pop sorted.
-                        *isl.pop.last_mut().expect("island pop is non-empty") = migrant;
-                        isl.pop.sort_by(|a, b| a.cost().total_cmp(&b.cost()));
-                        isl.migrations_received += 1;
-                        ev.count(Counter::MigrantsReceived, 1);
-                    }
-                }
-            }
-        }
-
-        let island_stats: Vec<IslandStats> = islands
-            .iter()
-            .map(|isl| IslandStats {
-                generations: isl.generations,
-                best_generation: isl.best_gen,
-                migrations_received: isl.migrations_received,
-            })
-            .collect();
-        debug_analyze_best(ctx, &global_plan, global_cost);
-        ev.metrics().set_gauge(Gauge::BestObjective, global_cost);
-        ev.metrics().set_gauge(Gauge::CacheHitRate, ev.hit_rate());
-        ev.metrics().set_gauge(Gauge::MissRate, ev.miss_rate());
-        let metrics = ev.snapshot();
-        let stats = SolveStats {
-            // Legacy semantics: the Table VI column is the max over
-            // islands; the registry's `generations` counter is the sum.
-            generations: islands.iter().map(|i| i.generations).max().unwrap_or(0),
-            elapsed: start.elapsed(),
-            time_to_best,
-            best_generation: global_gen,
-            islands: island_stats,
-            ..SolveStats::from_metrics(&metrics)
-        };
-        SolveOutcome {
-            plan: global_plan,
-            objective: global_cost,
-            stats,
-            metrics,
-        }
-    }
-}
-
-/// One island's evolving state.
-struct Island {
-    rng: SmallRng,
-    scratch: OpScratch,
-    pop: Vec<Individual>,
-    best: FusionPlan,
-    best_cost: f64,
-    best_gen: u32,
-    generations: u32,
-    migrations_received: u32,
-    /// Trace track this island records on (`island index + 1`; 0 is the
-    /// coordinator).
-    track: u32,
-}
-
-/// Derive island `i`'s RNG seed from the run seed (splitmix64-style mix,
-/// so island streams are decorrelated but fully determined by the seed).
-fn island_seed(seed: u64, island: usize) -> u64 {
-    let mut z = seed ^ (island as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Seed the population with externally supplied plans (warm start): each
@@ -603,46 +364,6 @@ fn inject_seeds(
     }
 }
 
-/// Run `gens` generations of one island. Same generation step as the
-/// single-population solver — the breeding/scoring path exists once.
-fn evolve_island(
-    ev: &Evaluator<'_>,
-    cfg: &HggaConfig,
-    pop_target: usize,
-    isl: &mut Island,
-    gens: u32,
-    deadline: Option<Instant>,
-) {
-    let obs = ev.obs();
-    for _ in 0..gens {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            break;
-        }
-        isl.generations += 1;
-        {
-            let mut gen_span = obs.span_on(SpanId::Generation, isl.track);
-            gen_span.set_arg(0, isl.generations as u64);
-            gen_span.set_arg(1, (isl.track - 1) as u64);
-            step_generation(
-                ev,
-                cfg,
-                pop_target,
-                &mut isl.pop,
-                &mut isl.rng,
-                &mut isl.scratch,
-                deadline,
-            );
-        }
-        ev.count(Counter::Generations, 1);
-        obs.value_on(Gauge::GenerationBest, isl.track, isl.pop[0].cost());
-        if isl.pop[0].cost() < isl.best_cost - 1e-15 {
-            isl.best_cost = isl.pop[0].cost();
-            isl.best = isl.pop[0].chromo.to_plan();
-            isl.best_gen = isl.generations;
-        }
-    }
-}
-
 /// Breed one generation: elites survive, the rest come from tournament
 /// selection → crossover → mutation → local search. Offspring arrive
 /// already sealed (finalized + scored incrementally), so this single
@@ -656,18 +377,17 @@ fn evolve_island(
 fn step_generation(
     ev: &Evaluator<'_>,
     cfg: &HggaConfig,
-    pop_target: usize,
     pop: &mut Vec<Individual>,
     rng: &mut SmallRng,
     scratch: &mut OpScratch,
     deadline: Option<Instant>,
 ) {
-    let mut offspring: Vec<Individual> = Vec::with_capacity(pop_target);
+    let mut offspring: Vec<Individual> = Vec::with_capacity(cfg.population);
     // Elites survive unchanged.
     for e in pop.iter().take(ELITISM) {
         offspring.push(e.clone());
     }
-    while offspring.len() < pop_target {
+    while offspring.len() < cfg.population {
         if !offspring.is_empty() && deadline.is_some_and(|d| Instant::now() >= d) {
             break;
         }
@@ -1247,7 +967,6 @@ mod tests {
         let model = ProposedModel::default();
         for seed in [7, 42, 1234] {
             let cfg = quick_config(seed);
-            assert_eq!(cfg.islands, 1, "defaults must stay single-population");
             let new = HggaSolver {
                 config: cfg.clone(),
             }
@@ -1400,87 +1119,6 @@ mod tests {
         assert!(
             seated_first > 0 && seated_later + unseated > 0,
             "both branches must run: {seated_first} / {seated_later} / {unseated}"
-        );
-    }
-
-    #[test]
-    fn island_counts_yield_feasible_improving_plans() {
-        let (_, ctx) = prepare(&program(), &GpuSpec::k20x(), FpPrecision::Double);
-        let model = ProposedModel::default();
-        let ev = Evaluator::new(&ctx, &model);
-        let identity_cost = ev.plan(&FusionPlan::identity(6));
-        for islands in [2, 3, 4] {
-            let out = HggaSolver {
-                config: HggaConfig {
-                    islands,
-                    migration_interval: 5,
-                    ..quick_config(11)
-                },
-            }
-            .solve(&ctx, &model);
-            assert!(ctx.validate(&out.plan).is_ok(), "islands {islands}");
-            assert!(
-                out.objective <= identity_cost + 1e-12,
-                "islands {islands}: {} vs identity {identity_cost}",
-                out.objective
-            );
-            assert_eq!(out.stats.islands.len(), islands);
-            assert!(out.stats.islands.iter().all(|i| i.generations >= 1));
-        }
-    }
-
-    #[test]
-    fn island_mode_is_deterministic_per_seed() {
-        let (_, ctx) = prepare(&program(), &GpuSpec::k20x(), FpPrecision::Double);
-        let model = ProposedModel::default();
-        let config = HggaConfig {
-            islands: 3,
-            migration_interval: 4,
-            ..quick_config(99)
-        };
-        let s1 = HggaSolver {
-            config: config.clone(),
-        }
-        .solve(&ctx, &model);
-        let s2 = HggaSolver { config }.solve(&ctx, &model);
-        assert_eq!(s1.plan, s2.plan);
-        assert_eq!(s1.objective, s2.objective);
-        assert_eq!(s1.stats.generations, s2.stats.generations);
-        let m1: Vec<u32> = s1
-            .stats
-            .islands
-            .iter()
-            .map(|i| i.migrations_received)
-            .collect();
-        let m2: Vec<u32> = s2
-            .stats
-            .islands
-            .iter()
-            .map(|i| i.migrations_received)
-            .collect();
-        assert_eq!(m1, m2);
-    }
-
-    #[test]
-    fn migration_spreads_individuals_around_the_ring() {
-        let (_, ctx) = prepare(&program(), &GpuSpec::k20x(), FpPrecision::Double);
-        let model = ProposedModel::default();
-        let out = HggaSolver {
-            config: HggaConfig {
-                islands: 3,
-                migration_interval: 2,
-                max_generations: 20,
-                stall_generations: 20,
-                ..quick_config(5)
-            },
-        }
-        .solve(&ctx, &model);
-        // With stall >= max_generations the run executes all epochs, and
-        // every epoch except the last migrates.
-        assert!(
-            out.stats.islands.iter().any(|i| i.migrations_received > 0),
-            "no migrations recorded: {:?}",
-            out.stats.islands
         );
     }
 }

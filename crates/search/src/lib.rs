@@ -4,17 +4,16 @@
 //!   Genetic Algorithm after Falkenauer, adapted so crossover and mutation
 //!   act on *groups* (prospective new kernels) and every individual is
 //!   repaired to feasibility (constraints 1.1–1.7 plus condensation
-//!   acyclicity) before evaluation. Runs single-population or as a
-//!   ring-migration island model over rayon workers (the paper used
-//!   OpenMP on 8 cores); `islands = 1` reproduces the pre-island solver
-//!   bit for bit.
+//!   acyclicity) before evaluation. One population, one loop; it
+//!   reproduces the frozen pre-rework solver in [`mod@reference`] bit for
+//!   bit.
 //! * [`chromo`] — the flat group-encoded [`chromo::Chromosome`] the HGGA
 //!   inner loop operates on: arena-backed groups with cached per-group
 //!   evaluations, delta rescoring, and an incrementally maintained
 //!   inter-group condensation summary (DESIGN.md §10).
 //! * [`eval`] — the shared, sharded, memoized group [`Evaluator`]; every
 //!   solver scores plans through it, so memo statistics are comparable
-//!   across solvers. [`mod@reference`] keeps the frozen pre-island HGGA as
+//!   across solvers. [`mod@reference`] keeps the frozen pre-rework HGGA as
 //!   the bit-for-bit pinning baseline.
 //! * [`exhaustive`] — exact enumeration of set partitions with feasibility
 //!   pruning; the deterministic ground truth used to verify HGGA optimality
@@ -35,8 +34,8 @@
 //!   with a greedy quality floor.
 //!
 //! All solvers implement `Solver::solve_observed` from `kfuse-core`: pass
-//! a `kfuse_obs::ObsHandle` to record spans (generations, epochs,
-//! migrations, memo misses), counters, and objective-trajectory gauges;
+//! a `kfuse_obs::ObsHandle` to record spans (generations, region solves,
+//! memo misses), counters, and objective-trajectory gauges;
 //! `solve` is the zero-overhead disabled path. Work counters always
 //! accumulate in the evaluator's `kfuse_obs::MetricsRegistry`, and each
 //! `SolveOutcome` carries the final `MetricsSnapshot` from which its

@@ -1,6 +1,6 @@
 //! Hierarchical partition-first planning.
 //!
-//! The flat island HGGA scales comfortably to the paper's 142-kernel
+//! The flat HGGA scales comfortably to the paper's 142-kernel
 //! SCALE-LES program but goes superlinear well before the 1k–10k-kernel
 //! programs production array codes reach (the regime Kristensen et al.
 //! target with cheap partitioning heuristics). This module adds the
@@ -246,10 +246,8 @@ struct RegionResult {
 /// Wraps the flat [`HggaSolver`] in the decompose → solve-per-region →
 /// stitch pipeline described in the module docs. All knobs that shape the
 /// per-region evolution live in [`HggaHierSolver::config`] exactly as for
-/// the flat solver; `config.islands` only applies when the solver
-/// delegates to the flat path (region parallelism replaces island
-/// parallelism in the hierarchical path, which runs one island per
-/// region).
+/// the flat solver; the hierarchical path's parallelism is its
+/// independent region solves.
 #[derive(Debug, Clone)]
 pub struct HggaHierSolver {
     /// GA parameters, shared with the flat solver.
@@ -800,7 +798,6 @@ fn solve_one_region(
     let solver = HggaSolver {
         config: HggaConfig {
             seed: region_seed(seed, region_idx as u64),
-            islands: 1,
             ..base_cfg.clone()
         },
     };
@@ -866,9 +863,8 @@ fn find_cycle(succ: &[Vec<u32>]) -> Option<Vec<usize>> {
     None
 }
 
-/// Splitmix-style per-region seed stream, independent of the per-island
-/// stream the flat solver derives (different mixing constant), so a region
-/// solve never shares RNG state with an island of the delegated flat path.
+/// Splitmix-style per-region seed stream: each region solve draws from its
+/// own stream, fully determined by the run seed and the region index.
 fn region_seed(seed: u64, region: u64) -> u64 {
     let mut z = seed ^ (region.wrapping_add(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z ^= 0xA5A5_5A5A_1234_5678;
@@ -1033,7 +1029,7 @@ mod tests {
     }
 
     #[test]
-    fn region_seeds_differ_from_island_seeds_and_each_other() {
+    fn region_seeds_are_distinct() {
         let mut seen = std::collections::HashSet::new();
         for r in 0..64 {
             assert!(

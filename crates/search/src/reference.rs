@@ -396,8 +396,8 @@ pub fn repair(
 }
 
 /// The single-population solver loop exactly as it stood before the
-/// flat-chromosome rework. The production `islands == 1` path must match
-/// this trajectory bit for bit.
+/// flat-chromosome rework. The production loop must match this
+/// trajectory bit for bit.
 pub fn solve(cfg: &HggaConfig, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome {
     let ev = Evaluator::new(ctx, model);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -478,7 +478,6 @@ pub fn solve(cfg: &HggaConfig, ctx: &PlanContext, model: &dyn PerfModel) -> Solv
             miss_ns: ev.miss_ns(),
             synth_ns: ev.synth_ns(),
             avg_batch_fill: ev.avg_batch_fill(),
-            islands: Vec::new(),
         },
         metrics: ev.snapshot(),
     }

@@ -4,9 +4,9 @@
 //! PRs 1–4 hand-counted probes/misses/condensation-checks per solver;
 //! the observability rework replaced those with registry counters and a
 //! single `SolveStats::from_metrics` mapping. These tests pin that the
-//! mapping reproduces the hand-counted values bit for bit on all five
-//! solvers (HGGA single, HGGA islands, the frozen reference loop,
-//! greedy, exhaustive), and that rates normalize to 0.0 — never NaN —
+//! mapping reproduces the hand-counted values bit for bit on all four
+//! solvers (HGGA, the frozen reference loop, greedy, exhaustive), and
+//! that rates normalize to 0.0 — never NaN —
 //! when no probe was issued (the probes==0 bugfix).
 
 use kfuse_core::model::ProposedModel;
@@ -20,13 +20,11 @@ fn context(kernels: usize) -> (kfuse_ir::Program, GpuSpec) {
     (kfuse_workloads::synth::scaling(kernels), GpuSpec::k20x())
 }
 
-fn cfg(islands: usize) -> HggaConfig {
+fn cfg() -> HggaConfig {
     HggaConfig {
         population: 32,
         max_generations: 12,
         stall_generations: 6,
-        islands,
-        migration_interval: 3,
         seed: 0xAB5,
         ..HggaConfig::default()
     }
@@ -34,8 +32,7 @@ fn cfg(islands: usize) -> HggaConfig {
 
 /// Assert that every registry-backed `SolveStats` field equals its
 /// hand-counted / derived value in the outcome. `generations` is checked
-/// by the caller (island mode reports max-over-islands in the legacy
-/// field but sum-over-islands in the registry).
+/// by the caller, which knows whether its solver runs generations.
 fn assert_registry_matches(out: &SolveOutcome) {
     let derived = SolveStats::from_metrics(&out.metrics);
     assert_eq!(out.stats.evaluations, derived.evaluations, "evaluations");
@@ -67,49 +64,24 @@ fn hgga_single_stats_match_registry() {
     let (p, gpu) = context(20);
     let (_, ctx) = prepare(&p, &gpu, gpu.default_precision());
     let model = ProposedModel::default();
-    let out = HggaSolver { config: cfg(1) }.solve(&ctx, &model);
+    let out = HggaSolver { config: cfg() }.solve(&ctx, &model);
     assert_registry_matches(&out);
     assert_eq!(
         out.stats.generations as u64,
         out.metrics.get(Counter::Generations),
-        "single-population mode: registry generations == legacy field"
+        "registry generations == legacy field"
     );
     assert!(out.metrics.get(Counter::Finalizes) > 0);
 }
 
 #[test]
-fn hgga_islands_stats_match_registry() {
-    let (p, gpu) = context(20);
-    let (_, ctx) = prepare(&p, &gpu, gpu.default_precision());
-    let model = ProposedModel::default();
-    let out = HggaSolver { config: cfg(4) }.solve(&ctx, &model);
-    assert_registry_matches(&out);
-    // Legacy field: max over islands. Registry counter: sum over islands.
-    let max_gens = out
-        .stats
-        .islands
-        .iter()
-        .map(|i| i.generations)
-        .max()
-        .unwrap_or(0);
-    let sum_gens: u64 = out.stats.islands.iter().map(|i| i.generations as u64).sum();
-    assert_eq!(out.stats.generations, max_gens);
-    assert_eq!(out.metrics.get(Counter::Generations), sum_gens);
-    assert_eq!(
-        out.stats.islands.len(),
-        4,
-        "island breakdown must be present"
-    );
-}
-
-#[test]
 fn reference_hand_counted_stats_match_registry() {
-    // The frozen pre-island loop still hand-counts its stats; the
+    // The frozen pre-rework loop still hand-counts its stats; the
     // registry snapshot it carries must reproduce them exactly.
     let (p, gpu) = context(20);
     let (_, ctx) = prepare(&p, &gpu, gpu.default_precision());
     let model = ProposedModel::default();
-    let out = kfuse_search::reference::solve(&cfg(1), &ctx, &model);
+    let out = kfuse_search::reference::solve(&cfg(), &ctx, &model);
     assert_registry_matches(&out);
     assert_eq!(
         out.stats.generations as u64,
@@ -174,7 +146,7 @@ fn solve_observed_and_solve_agree() {
     let (p, gpu) = context(20);
     let (_, ctx) = prepare(&p, &gpu, gpu.default_precision());
     let model = ProposedModel::default();
-    let solver = HggaSolver { config: cfg(1) };
+    let solver = HggaSolver { config: cfg() };
 
     let plain = solver.solve(&ctx, &model);
     let rec = kfuse_obs::InMemoryRecorder::new();

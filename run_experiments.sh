@@ -191,6 +191,14 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: spec.rs synthesizes on its own again (see DESIGN.md §11)"
     exit 1
   fi
+  # One GA loop (DESIGN.md §8): the GA evolves one population; the
+  # island model, its per-island stats and its span kinds were deleted.
+  echo "== one GA loop"
+  if grep -rnE 'solve_islands|evolve_island|IslandStats|MIGRATION_SIZE|SpanId::Epoch|SpanId::Migration' \
+    crates src tests; then
+    echo "FAIL: a second GA loop is coming back (see DESIGN.md §8)"
+    exit 1
+  fi
   echo "== cargo doc --no-deps (missing_docs gate)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
   # Tier-1 (`cargo test -q`, the root package) never runs the member
@@ -262,7 +270,7 @@ echo "================================================================"
 # only JSON validator assumed on the host.
 for ex in quickstart rk3 fig3 scale-les homme suite; do
   echo "-- kfuse solve $ex --trace"
-  ./target/release/kfuse solve "$verify_tmp/$ex.json" --islands 2 \
+  ./target/release/kfuse solve "$verify_tmp/$ex.json" \
     --trace "$verify_tmp/$ex-trace.json" --metrics "$verify_tmp/$ex-metrics.json" > /dev/null
   python3 - "$verify_tmp/$ex-trace.json" "$verify_tmp/$ex-metrics.json" <<'PY'
 import json, sys

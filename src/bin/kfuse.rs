@@ -34,12 +34,12 @@ fn usage() -> ExitCode {
          kfuse analyze  <program.json> [--gpu k20x|k40|gtx750ti] [--fuse] [--seed N] [--json]\n             \
                         [--dot-deps FILE] [--dot-exec FILE]\n  \
          kfuse simulate <program.json> [--gpu ...]\n  \
-         kfuse fuse     <program.json> [--gpu ...] [--seed N] [--islands N] [--emit-cuda FILE] [--plan-out FILE]\n  \
+         kfuse fuse     <program.json> [--gpu ...] [--seed N] [--emit-cuda FILE] [--plan-out FILE]\n  \
          kfuse solve    <program.json|example> [--gpu ...] [--solver hgga|hgga-hier|greedy|exhaustive]\n             \
-                        [--seed N] [--islands N] [--partition auto|off|MAX_REGION]\n             \
+                        [--seed N] [--partition auto|off|MAX_REGION]\n             \
                         [--cache-dir DIR] [--budget-ms N]\n             \
                         [--trace FILE] [--metrics FILE] [--plan-out FILE]\n  \
-         kfuse stats    <program.json|example> [--gpu ...] [--solver ...] [--seed N] [--islands N]\n             \
+         kfuse stats    <program.json|example> [--gpu ...] [--solver ...] [--seed N]\n             \
                         [--partition auto|off|MAX_REGION] [--cache-dir DIR] [--budget-ms N]\n  \
          kfuse codegen  <program.json> [--single]\n  \
          kfuse verify   <program.json> [--gpu ...] [--plan FILE] [--json]\n  \
@@ -74,6 +74,18 @@ fn flag_num(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// `--islands` outlived the island model it selected: it still parses, and
+/// the one population the GA runs is the only count it accepts.
+fn check_islands(args: &[String]) -> Result<(), String> {
+    match flag_num(args, "--islands", 1)? {
+        1 => Ok(()),
+        n => Err(format!(
+            "--islands {n}: the island model was removed; the GA evolves one population \
+             (omit the flag or pass --islands 1)"
+        )),
+    }
+}
+
 fn load_program(path: &str) -> Result<Program, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let p: Program =
@@ -89,10 +101,8 @@ fn fuse_pipeline(
     p: &Program,
     gpu: &GpuSpec,
     args: &[String],
-    islands: usize,
 ) -> Result<pipeline::PipelineResult, String> {
-    let mut solver = HggaSolver::with_seed(flag_num(args, "--seed", 17)?);
-    solver.config.islands = islands;
+    let solver = HggaSolver::with_seed(flag_num(args, "--seed", 17)?);
     let model = ProposedModel::default();
     pipeline::run(p, gpu, gpu.default_precision(), &model, &solver).map_err(|e| e.to_string())
 }
@@ -158,7 +168,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     // run under `--fuse`.
     let fused;
     let analyzed: &Program = if args.iter().any(|a| a == "--fuse") {
-        fused = fuse_pipeline(&p, &gpu, args, 1)?.fused;
+        fused = fuse_pipeline(&p, &gpu, args)?.fused;
         &fused
     } else {
         &p
@@ -282,8 +292,8 @@ fn cmd_fuse(args: &[String]) -> Result<(), String> {
     };
     let p = load_program(path)?;
     let gpu = parse_gpu(args)?;
-    let islands = flag_num(args, "--islands", 1)? as usize;
-    let r = fuse_pipeline(&p, &gpu, args, islands)?;
+    check_islands(args)?;
+    let r = fuse_pipeline(&p, &gpu, args)?;
 
     println!(
         "fused {} of {} kernels into {} new kernels ({} calls total)",
@@ -319,14 +329,6 @@ fn cmd_fuse(args: &[String]) -> Result<(), String> {
         "search: {} generations, {} evaluations, {:?}",
         r.stats.generations, r.stats.evaluations, r.stats.elapsed
     );
-    if !r.stats.islands.is_empty() {
-        for (i, isl) in r.stats.islands.iter().enumerate() {
-            println!(
-                "  island {i}: {} generations, best at gen {}, {} migrants received",
-                isl.generations, isl.best_generation, isl.migrations_received
-            );
-        }
-    }
 
     if let Some(out) = flag_value(args, "--plan-out") {
         let json = serde_json::to_string_pretty(&r.plan).map_err(|e| e.to_string())?;
@@ -362,7 +364,7 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
     };
     let gpu = parse_gpu(args)?;
     let seed = flag_num(args, "--seed", 17)?;
-    let islands = flag_num(args, "--islands", 1)? as usize;
+    check_islands(args)?;
 
     let partition = match flag_value(args, "--partition") {
         Some(v) => Some(v.parse::<PartitionMode>()?),
@@ -394,7 +396,6 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
         }
         None | Some("hgga") | Some("hgga-hier") => {
             let mut s = HggaHierSolver::with_seed(seed);
-            s.config.islands = islands;
             s.partition = match partition {
                 Some(mode) => mode,
                 None if flat => PartitionMode::Off,
@@ -457,15 +458,6 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
         "{:<20}  {:>20.6}",
         "avg_batch_fill", out.stats.avg_batch_fill
     );
-    if full_output && !out.stats.islands.is_empty() {
-        println!();
-        for (i, isl) in out.stats.islands.iter().enumerate() {
-            println!(
-                "island {i}: {} generations, best at gen {}, {} migrants received",
-                isl.generations, isl.best_generation, isl.migrations_received
-            );
-        }
-    }
 
     if let Some(path) = trace_out {
         let rec = recorder.as_ref().expect("recorder exists when tracing");
@@ -559,7 +551,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         let p = load_program(path)?;
         let opts = kfuse_codegen::CodegenOptions::default();
         if args.iter().any(|a| a == "--fuse") {
-            let fused = fuse_pipeline(&p, &parse_gpu(args)?, args, 1)?.fused;
+            let fused = fuse_pipeline(&p, &parse_gpu(args)?, args)?.fused;
             kfuse_codegen::emit_program(&fused, &opts)
         } else {
             kfuse_codegen::emit_program(&p, &opts)

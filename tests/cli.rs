@@ -311,6 +311,36 @@ fn unparseable_seed_and_islands_are_errors() {
     }
 }
 
+/// The GA evolves one population: `--islands` still parses, accepts only
+/// 1 (a no-op), and refuses any other count by naming the removal.
+#[test]
+fn islands_flag_accepts_only_one_population() {
+    let out = kfuse(&["solve", "rk3", "--islands", "4"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("island model was removed"), "{err}");
+
+    let plan = |name: &str, extra: &[&str]| -> Vec<u8> {
+        let path = tmp(&format!("{name}-{}.json", std::process::id()));
+        let path_s = path.to_str().unwrap();
+        let mut args = vec!["solve", "rk3", "--seed", "5", "--plan-out", path_s];
+        args.extend_from_slice(extra);
+        let out = kfuse(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    assert_eq!(
+        plan("islands-one", &["--islands", "1"]),
+        plan("islands-none", &[])
+    );
+}
+
 #[test]
 fn unknown_gpu_is_an_error_in_every_subcommand() {
     let path = tmp("rk3_badgpu.json");

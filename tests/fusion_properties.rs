@@ -117,14 +117,12 @@ proptest! {
         prop_assert!(out.objective <= identity + 1e-12);
     }
 
-    /// Every plan `hgga::solve` returns — for any island count — passes
-    /// the independent `kfuse-verify` constraint checker with zero
-    /// error diagnostics (satellite of the verifier PR).
+    /// Every plan `hgga::solve` returns passes the independent
+    /// `kfuse-verify` constraint checker with zero error diagnostics.
     #[test]
     fn hgga_plans_pass_independent_verifier(
         seed in 0u64..150,
         kernels in 4usize..12,
-        islands in 1usize..4,
     ) {
         let p = generate(&small_config(seed, kernels, kernels * 2, 0.5));
         let gpu = GpuSpec::k20x();
@@ -136,7 +134,6 @@ proptest! {
                 max_generations: 40,
                 stall_generations: 12,
                 seed,
-                islands,
                 ..HggaConfig::default()
             },
         };
@@ -144,8 +141,7 @@ proptest! {
         let report = kfuse_verify::check_plan(&ctx.info, &out.plan, Some(&model));
         prop_assert!(
             report.is_clean(),
-            "HGGA ({} islands) returned a plan the verifier rejects:\n{}",
-            islands,
+            "HGGA returned a plan the verifier rejects:\n{}",
             report.render_human()
         );
     }
