@@ -11,7 +11,7 @@
 //! constraint (1.3) can be checked in O(n·|F|/64) per candidate group —
 //! the HGGA evaluates millions of groups.
 
-use crate::util::BitSet;
+use crate::util::{rows_bytes, vec_bytes, BitSet};
 use kfuse_ir::{KernelId, Program};
 
 /// The order-of-execution DAG with reachability.
@@ -168,6 +168,14 @@ impl ExecOrderGraph {
     /// True if a path `a → b` exists.
     pub fn reaches(&self, a: KernelId, b: KernelId) -> bool {
         self.reach[a.index()].contains(b.index())
+    }
+
+    /// Heap bytes the graph owns: edge lists and closure rows.
+    pub fn heap_bytes(&self) -> usize {
+        rows_bytes(&self.preds)
+            + rows_bytes(&self.succs)
+            + vec_bytes(&self.reach)
+            + self.reach.iter().map(BitSet::heap_bytes).sum::<usize>()
     }
 
     /// Direct predecessors of `k` (kernels with a hazard edge `u → k`).

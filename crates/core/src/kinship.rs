@@ -7,6 +7,7 @@
 //! must lie within one connected component of the sharing graph.
 
 use crate::depgraph::DependencyGraph;
+use crate::util::{rows_bytes, vec_bytes};
 use kfuse_ir::KernelId;
 
 /// Undirected graph over kernels: adjacency = "shares at least one array".
@@ -65,6 +66,11 @@ impl ShareGraph {
     /// Kernels directly sharing an array with `k`.
     pub fn neighbors(&self, k: KernelId) -> &[u32] {
         &self.adj[k.index()]
+    }
+
+    /// Heap bytes the graph owns: adjacency lists and component labels.
+    pub fn heap_bytes(&self) -> usize {
+        rows_bytes(&self.adj) + vec_bytes(&self.comp)
     }
 
     /// Degree of kinship `(a, b)°`: chain length minus one, `None` if no

@@ -7,6 +7,7 @@
 //! quantities come from the IR, "measured" runtimes and register counts
 //! come from the `kfuse-sim` substrate standing in for real hardware.
 
+use crate::util::vec_bytes;
 use kfuse_gpu::{occupancy, FpPrecision, GpuSpec, LaunchConfig};
 use kfuse_ir::{analysis, stencil, ArrayId, KernelId, Program};
 use kfuse_sim::{estimate_registers, simulate_kernel};
@@ -253,6 +254,21 @@ impl ProgramInfo {
     /// Metadata of kernel `k`.
     pub fn meta(&self, k: KernelId) -> &KernelMeta {
         &self.kernels[k.index()]
+    }
+
+    /// Heap bytes the metadata owns: names, kernel table, per-kernel use
+    /// lists, epoch and stream labels.
+    pub fn heap_bytes(&self) -> usize {
+        self.name.capacity()
+            + self.gpu.name.capacity()
+            + vec_bytes(&self.kernels)
+            + self
+                .kernels
+                .iter()
+                .map(|k| k.name.capacity() + vec_bytes(&k.uses))
+                .sum::<usize>()
+            + vec_bytes(&self.epochs)
+            + vec_bytes(&self.streams)
     }
 
     /// Sum of measured runtimes over a group — the *original sum*

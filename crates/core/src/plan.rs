@@ -18,6 +18,7 @@ use crate::metadata::ProgramInfo;
 use crate::model::PerfModel;
 use crate::spec::GroupSpec;
 use crate::synth::{SpecView, SynthScratch, SynthTables};
+use crate::util::vec_bytes;
 use kfuse_ir::KernelId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -241,6 +242,20 @@ impl PlanContext {
     /// Number of kernels.
     pub fn n_kernels(&self) -> usize {
         self.info.kernels.len()
+    }
+
+    /// Heap bytes of the planning tables: metadata, both graphs, the
+    /// synthesis tables and the identity once computed. Capacities, not
+    /// allocator footprint. The attached relaxed program is not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.info.heap_bytes()
+            + self.exec.heap_bytes()
+            + self.share.heap_bytes()
+            + self.synth.heap_bytes()
+            + self
+                .identity
+                .get()
+                .map_or(0, |id| vec_bytes(&id.signatures))
     }
 
     /// Check the constraints a group can violate on its own (sync/stream

@@ -34,7 +34,7 @@
 
 use crate::metadata::ProgramInfo;
 use crate::spec::{GroupSpec, PivotSpec};
-use crate::util::BitSet;
+use crate::util::{vec_bytes, BitSet};
 use kfuse_ir::{ArrayId, KernelId};
 
 /// Sentinel for "no compact slot" / "not a pivot".
@@ -173,6 +173,26 @@ impl SynthTables {
     /// Number of compact (touched) arrays.
     pub fn n_compact(&self) -> usize {
         self.arrays.len()
+    }
+
+    /// Heap bytes the tables own: every column.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.compact)
+            + vec_bytes(&self.arrays)
+            + vec_bytes(&self.touch_bits)
+            + vec_bytes(&self.use_start)
+            + vec_bytes(&self.u_cidx)
+            + vec_bytes(&self.u_flags)
+            + vec_bytes(&self.u_thread_load)
+            + vec_bytes(&self.u_read_radius)
+            + vec_bytes(&self.u_write_flops)
+            + vec_bytes(&self.u_load_elems)
+            + vec_bytes(&self.u_store_elems)
+            + vec_bytes(&self.k_flops)
+            + vec_bytes(&self.k_live_regs)
+            + vec_bytes(&self.k_regs)
+            + vec_bytes(&self.k_active_threads)
+            + vec_bytes(&self.k_read_refs)
     }
 
     /// The use-column range of kernel `ki`.

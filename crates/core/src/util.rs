@@ -60,6 +60,11 @@ impl BitSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
+    /// Heap bytes the bitset owns.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.words)
+    }
+
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -103,6 +108,16 @@ impl BitSet {
             self.words.fill(0);
         }
     }
+}
+
+/// Heap bytes a vector owns: its capacity, not its length.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Heap bytes a vector of rows owns: its own buffer and every row's.
+pub(crate) fn rows_bytes<T>(v: &Vec<Vec<T>>) -> usize {
+    vec_bytes(v) + v.iter().map(vec_bytes).sum::<usize>()
 }
 
 impl FromIterator<usize> for BitSet {

@@ -197,11 +197,14 @@ pub enum Counter {
     /// (malformed line, invalid program, queue-full backpressure, expired
     /// budget, verifier rejection, drain refusal).
     RequestsRejected,
+    /// Exact hits the daemon served from a planning context it kept for
+    /// the request's exact program bytes, without parsing or preparing.
+    ContextReuses,
 }
 
 impl Counter {
     /// Number of counters (registry slot count).
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 29;
 
     /// All counters, in registry/display order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -233,6 +236,7 @@ impl Counter {
         Counter::RequestsReceived,
         Counter::RequestsServed,
         Counter::RequestsRejected,
+        Counter::ContextReuses,
     ];
 
     /// Stable snake_case name (metrics-dump key).
@@ -266,6 +270,7 @@ impl Counter {
             Counter::RequestsReceived => "requests_received",
             Counter::RequestsServed => "requests_served",
             Counter::RequestsRejected => "requests_rejected",
+            Counter::ContextReuses => "context_reuses",
         }
     }
 }
@@ -288,11 +293,14 @@ pub enum Gauge {
     /// Momentary depth of the daemon's bounded request queue, sampled at
     /// every admission and dequeue (`kfuse serve`).
     QueueDepth,
+    /// Bytes the daemon's context memo holds: program texts plus the
+    /// planning tables kept for them (`kfuse serve`).
+    ContextMemoBytes,
 }
 
 impl Gauge {
     /// Number of gauges (registry slot count).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 6;
 
     /// All gauges, in registry/display order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -301,6 +309,7 @@ impl Gauge {
         Gauge::CacheHitRate,
         Gauge::MissRate,
         Gauge::QueueDepth,
+        Gauge::ContextMemoBytes,
     ];
 
     /// Stable snake_case name (metrics-dump key and counter-track label).
@@ -311,6 +320,7 @@ impl Gauge {
             Gauge::CacheHitRate => "cache_hit_rate",
             Gauge::MissRate => "miss_rate",
             Gauge::QueueDepth => "queue_depth",
+            Gauge::ContextMemoBytes => "context_memo_bytes",
         }
     }
 }

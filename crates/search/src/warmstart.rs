@@ -40,7 +40,7 @@ use kfuse_ir::KernelId;
 use kfuse_obs::{Counter, Gauge, MetricsRegistry, ObsHandle, SpanId};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// `cache_probe` span outcome codes (second span argument).
@@ -72,7 +72,9 @@ const PROBE_EXACT: u64 = 2;
 ///
 /// With a cache directory the same call serves exact repeats without
 /// search and warm-starts near repeats; the daemon threads a shared
-/// in-memory cache through [`WarmSolver::solve_shared`] instead.
+/// in-memory cache through [`WarmSolver::solve_shared`] instead, and
+/// answers repeats of a context it kept through
+/// [`WarmSolver::serve_exact`].
 #[derive(Debug, Clone)]
 pub struct WarmSolver {
     /// The solver that runs when the cache cannot answer outright.
@@ -173,45 +175,32 @@ impl WarmSolver {
         let mut probe: Option<(u64, &[u64])> = None;
         if let Some(shared) = cache {
             let t0 = Instant::now();
+            let exact = match self.serve_exact(ctx, model, obs, shared) {
+                Ok(served) => return served,
+                Err(entry) => entry,
+            };
             let identity = ctx.identity();
             let (fp, sigs) = (identity.fingerprint, &identity.signatures[..]);
             reg.incr(Counter::CacheProbes);
             let mut outcome_code = PROBE_MISS;
 
-            let (exact, n_entries) = {
-                let c = lock(shared);
-                (c.lookup_exact_shared(fp), c.len() as u64)
-            };
-
-            if let Some(entry) = &exact {
-                if let Some(served) = self.try_serve(ctx, model, entry) {
-                    reg.incr(Counter::CacheHits);
-                    obs.record_span(
-                        SpanId::CacheProbe,
-                        0,
-                        t0,
-                        t0.elapsed(),
-                        [n_entries, PROBE_EXACT],
-                    );
-                    return finish(served, &reg, start);
-                }
-                // Same fingerprint but the stored numbering does not fit
-                // this program (isomorphic reorder) or the plan no longer
-                // re-validates: fall back to seeding from it.
-                if let Some(seed) = remap_entry(entry, sigs) {
-                    controls.seeds.push(seed);
-                    reg.incr(Counter::WarmStarts);
-                    outcome_code = PROBE_NEAR;
-                }
+            // Same fingerprint but the stored numbering does not fit this
+            // program (isomorphic reorder) or the plan no longer
+            // re-validates: fall back to seeding from it.
+            if let Some(seed) = exact.and_then(|entry| remap_entry(&entry, sigs)) {
+                controls.seeds.push(seed);
+                reg.incr(Counter::WarmStarts);
+                outcome_code = PROBE_NEAR;
             }
             // Only a solve consumes the near entry (a scan over every
             // resident entry) and the region set, so an exact hit that
             // served never pays for them under the cache mutex.
-            let (near, region_fps) = {
+            let (near, region_fps, n_entries) = {
                 let c = lock(shared);
                 (
                     c.lookup_near_shared(fp, sigs, self.min_overlap),
                     c.region_fps(),
+                    c.len() as u64,
                 )
             };
             if controls.seeds.is_empty() {
@@ -296,6 +285,48 @@ impl WarmSolver {
 }
 
 impl WarmSolver {
+    /// The exact-hit half of [`WarmSolver::solve_shared`]: look the
+    /// program's fingerprint up in `cache` and serve that entry's plan if
+    /// it still re-validates, passes the independent verifier and
+    /// re-scores finite. It reads only what those checks read, so a
+    /// caller that kept a context of the program can serve a repeat
+    /// without preparing it again — the daemon does.
+    ///
+    /// `Err` carries the entry that did not serve, if there was one; then
+    /// nothing is counted or recorded, and the caller solving on counts
+    /// its probe once.
+    pub fn serve_exact(
+        &self,
+        ctx: &PlanContext,
+        model: &dyn PerfModel,
+        obs: ObsHandle<'_>,
+        cache: &Mutex<PlanCache>,
+    ) -> Result<SolveOutcome, Option<Arc<CacheEntry>>> {
+        let start = Instant::now();
+        let fp = ctx.identity().fingerprint;
+        let (exact, n_entries) = {
+            let c = lock(cache);
+            (c.lookup_exact_shared(fp), c.len() as u64)
+        };
+        let Some(entry) = exact else {
+            return Err(None);
+        };
+        let Some(served) = self.try_serve(ctx, model, &entry) else {
+            return Err(Some(entry));
+        };
+        let reg = MetricsRegistry::new();
+        reg.incr(Counter::CacheProbes);
+        reg.incr(Counter::CacheHits);
+        obs.record_span(
+            SpanId::CacheProbe,
+            0,
+            start,
+            start.elapsed(),
+            [n_entries, PROBE_EXACT],
+        );
+        Ok(finish(served, &reg, start))
+    }
+
     /// Serve an exact hit: rebuild the cached plan, re-validate it through
     /// the plan rules *and* the independent verifier, and re-score it.
     /// `None` when anything disqualifies the entry (treated as a miss).

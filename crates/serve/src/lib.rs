@@ -9,7 +9,10 @@
 //! a pool of worker solvers sharing the persistent [`PlanCache`]:
 //!
 //! * **exact hit** — the fingerprint matches a cached plan; it is
-//!   re-verified and served with zero search;
+//!   re-verified and served with zero search. The daemon keeps the
+//!   planning context of such a program, keyed by its exact bytes, so a
+//!   byte-identical repeat is not parsed or prepared again — only
+//!   re-verified;
 //! * **near hit** — the closest cached plan warm-starts the search;
 //! * **miss** — a cold solve under the request's `budget_ms` deadline,
 //!   whose result lands in the cache for everyone.
@@ -51,9 +54,11 @@
 
 #![warn(missing_docs)]
 
+mod memo;
 pub mod protocol;
 mod server;
 
+pub use memo::CONTEXT_MEMO_BYTES;
 pub use protocol::{ErrorCode, Request, PROTOCOL_VERSION};
 pub use server::{serve_stdin, Daemon, LocalClient, ServeConfig, MAX_LINE_BYTES};
 

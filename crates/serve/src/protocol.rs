@@ -64,33 +64,56 @@ pub struct Request {
     pub plan: Option<Vec<Vec<u32>>>,
 }
 
-/// A request's inline `program`, read as a [`Program`] in the same pass
-/// that reads the request line — no `Value` tree in between.
+/// A request's inline `program`, kept as the exact JSON text the client
+/// sent. Reading the request line validates it as JSON and copies its
+/// bytes, nothing more; the worker [parses](InlineProgram::parse) it only
+/// when the daemon does not already hold the context of those very bytes.
 ///
 /// JSON that is not a `Program` does not make the *request* malformed:
-/// the type error is kept here and answered by the worker with
-/// [`ErrorCode::InvalidProgram`], as it always was.
-#[derive(Debug, Clone)]
-pub struct InlineProgram(pub Result<Program, String>);
+/// the worker answers its type error with [`ErrorCode::InvalidProgram`].
+#[derive(Clone)]
+pub struct InlineProgram {
+    text: String,
+}
+
+impl InlineProgram {
+    /// The program's JSON text, byte for byte as it stood in the request
+    /// line (a request read from a `Value` tree carries the tree printed
+    /// compactly).
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The program the text holds, or the type error that says why it is
+    /// not one.
+    pub fn parse(&self) -> Result<Program, String> {
+        serde_json::from_str(&self.text).map_err(|e| e.to_string())
+    }
+}
+
+/// What the text parses to, so that two requests read from different
+/// texts of the same program print alike.
+impl std::fmt::Debug for InlineProgram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("InlineProgram").field(&self.parse()).finish()
+    }
+}
 
 impl Deserialize for InlineProgram {
     fn deserialize_value(v: Value) -> Result<Self, serde::Error> {
-        Ok(InlineProgram(
-            Program::deserialize_value(v).map_err(|e| e.0),
-        ))
+        let text = serde_json::to_string(&v).map_err(serde::Error::msg)?;
+        Ok(InlineProgram { text })
     }
 
     fn deserialize_json(p: &mut serde::Scanner<'_>) -> Result<Self, serde::Error> {
-        Ok(InlineProgram(p.read::<Program>()?.map_err(|e| e.0)))
+        let text = p.value_text()?.to_owned();
+        Ok(InlineProgram { text })
     }
 }
 
 impl Serialize for InlineProgram {
     fn serialize_value(&self) -> Result<Value, serde::Error> {
-        match &self.0 {
-            Ok(program) => program.serialize_value(),
-            Err(e) => Err(serde::Error::msg(e)),
-        }
+        serde_json::from_str(&self.text).map_err(serde::Error::msg)
     }
 }
 

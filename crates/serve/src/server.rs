@@ -9,9 +9,9 @@
 //! ```
 //!
 //! Admission happens on the *reader* thread, which is also where a
-//! request line is parsed — once, straight into a [`Request`] whose
-//! inline program is already a [`Program`]; no `Value` tree of the line
-//! is ever built. Control ops (`ping`,
+//! request line is read — once, straight into a [`Request`]. The inline
+//! program is checked as JSON there and kept as its exact text; no
+//! `Value` tree of the line is ever built. Control ops (`ping`,
 //! `stats`, `shutdown`) are answered inline and never touch the queue;
 //! `solve`/`verify` are either enqueued or refused immediately with a
 //! structured error ([`ErrorCode::QueueFull`] backpressure when the
@@ -19,7 +19,10 @@
 //! drain has begun). Workers pop FIFO, check the request's deadline,
 //! solve against the shared per-device [`PlanCache`], and write the
 //! response as one `write_all` of a single `\n`-terminated JSONL line —
-//! responses from concurrent workers never interleave.
+//! responses from concurrent workers never interleave. A worker answers
+//! a repeat of program bytes it already served as an exact hit from the
+//! [`ContextMemo`], without parsing them again; it parses the text only
+//! on a memo miss.
 //!
 //! Responses deliberately carry **no wall-clock fields**: with
 //! `workers = 1` the daemon's output is bit-for-bit reproducible across
@@ -27,12 +30,13 @@
 //! assert. Latency is the client's to measure; the daemon's own telemetry
 //! is the metrics registry behind the `stats` op.
 
+use crate::memo::{ContextMemo, CONTEXT_MEMO_BYTES};
 use crate::protocol::{
     error_response, hex_u64, num_f64, num_u64, obj, ok_response, ErrorCode, Request,
     PROTOCOL_VERSION,
 };
 use kfuse_core::model::ProposedModel;
-use kfuse_core::pipeline;
+use kfuse_core::pipeline::{self, SolveOutcome};
 use kfuse_core::plan::{FusionPlan, PlanContext};
 use kfuse_gpu::GpuSpec;
 use kfuse_ir::{KernelId, Program};
@@ -141,6 +145,8 @@ struct Shared {
     metrics: MetricsRegistry,
     /// One shared cache per (gpu, precision) pair, opened lazily.
     caches: Mutex<CacheMap>,
+    /// Contexts of programs served as exact hits, by their exact bytes.
+    memo: ContextMemo,
     /// Terminal flag: workers and accept loops exit.
     shutdown: AtomicBool,
 }
@@ -181,6 +187,7 @@ impl Daemon {
             idle: Condvar::new(),
             metrics: MetricsRegistry::new(),
             caches: Mutex::new(HashMap::new()),
+            memo: ContextMemo::new(CONTEXT_MEMO_BYTES),
             shutdown: AtomicBool::new(false),
         });
         let handles = (0..shared.cfg.workers)
@@ -257,7 +264,7 @@ impl Drop for InFlight<'_> {
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let mut job = {
+        let job = {
             let mut q = lock(&shared.queue);
             loop {
                 if let Some(job) = q.jobs.pop_front() {
@@ -279,7 +286,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // daemon's: the client gets `internal_error` and the worker takes
         // the next job. Every lock the job can hold recovers from
         // poisoning ([`lock`], the plan cache's own).
-        let (line, err) = catch_unwind(AssertUnwindSafe(|| answer(shared, &mut job)))
+        let (line, err) = catch_unwind(AssertUnwindSafe(|| answer(shared, &job)))
             .unwrap_or_else(|_panic| {
                 let line = error_response(
                     job.req.id.as_deref(),
@@ -303,7 +310,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 /// The response line for one dequeued job and, for rejections, the error
 /// code (for the served/rejected counters).
-fn answer(shared: &Shared, job: &mut Job) -> (String, Option<ErrorCode>) {
+fn answer(shared: &Shared, job: &Job) -> (String, Option<ErrorCode>) {
     if job.deadline.is_some_and(|d| Instant::now() >= d) {
         let line = error_response(
             job.req.id.as_deref(),
@@ -316,16 +323,15 @@ fn answer(shared: &Shared, job: &mut Job) -> (String, Option<ErrorCode>) {
     process(shared, job)
 }
 
-/// Resolve the request's program: the inline `program` the reader thread
-/// parsed or a built-in `example` name, exactly one of the two. The
-/// program is moved out of the request; nothing else holds a copy.
-fn resolve_program(req: &mut Request) -> Result<Program, String> {
-    match (req.program.take(), &req.example) {
+/// Resolve the request's program: the inline `program` text, parsed here,
+/// or a built-in `example` name — exactly one of the two.
+fn resolve_program(req: &Request) -> Result<Program, String> {
+    match (&req.program, &req.example) {
         (Some(_), Some(_)) => Err("give either `program` or `example`, not both".into()),
         (None, None) => Err("a `solve`/`verify` request needs `program` or `example`".into()),
         (Some(inline), None) => {
             let p = inline
-                .0
+                .parse()
                 .map_err(|e| format!("`program` does not parse as a kfuse program: {e}"))?;
             p.validate()
                 .map_err(|e| format!("program fails validation: {e}"))?;
@@ -337,37 +343,36 @@ fn resolve_program(req: &mut Request) -> Result<Program, String> {
     }
 }
 
-/// Resolve the request's device (falling back to the daemon default) and
-/// prepare the planning context. Precision follows the device default,
-/// the same convention the `kfuse` CLI uses: double on K20X/K40, single
-/// on the Maxwell part.
-fn resolve_ctx(
-    shared: &Shared,
-    req: &mut Request,
-) -> Result<(GpuSpec, PlanContext), (ErrorCode, String)> {
+/// The request's device, falling back to the daemon default.
+fn resolve_gpu(shared: &Shared, req: &Request) -> Result<GpuSpec, String> {
     let gpu_name = req.gpu.as_deref().unwrap_or(&shared.cfg.gpu);
-    let gpu = GpuSpec::by_name(gpu_name).ok_or_else(|| {
-        (
-            ErrorCode::Unsupported,
-            format!("unknown gpu `{gpu_name}` (try k20x, k40, gtx750ti)"),
-        )
-    })?;
-    let program = resolve_program(req).map_err(|m| (ErrorCode::InvalidProgram, m))?;
-    let precision = gpu.default_precision();
-    let ctx = pipeline::prepare_owned(program, &gpu, precision);
-    Ok((gpu, ctx))
+    GpuSpec::by_name(gpu_name)
+        .ok_or_else(|| format!("unknown gpu `{gpu_name}` (try k20x, k40, gtx750ti)"))
 }
 
-/// The shared cache for one (gpu, precision) pair, opened on first use.
-/// `None` when the daemon runs cacheless.
-fn cache_for(shared: &Shared, gpu: &str, precision: &str) -> Option<Arc<Mutex<PlanCache>>> {
+/// Prepare the request's planning context. Precision follows the device
+/// default, the same convention the `kfuse` CLI uses: double on K20X/K40,
+/// single on the Maxwell part.
+fn resolve_ctx(req: &Request, gpu: &GpuSpec) -> Result<PlanContext, String> {
+    let program = resolve_program(req)?;
+    Ok(pipeline::prepare_owned(
+        program,
+        gpu,
+        gpu.default_precision(),
+    ))
+}
+
+/// The shared cache of a device at its default precision (the one every
+/// request on it is planned at), opened on first use. `None` when the
+/// daemon runs cacheless.
+fn cache_for(shared: &Shared, gpu: &GpuSpec) -> Option<Arc<Mutex<PlanCache>>> {
     let dir = shared.cfg.cache_dir.as_ref()?;
-    let key = (gpu.to_string(), precision.to_string());
+    let precision = format!("{:?}", gpu.default_precision());
     let mut caches = lock(&shared.caches);
     Some(
         caches
-            .entry(key)
-            .or_insert_with(|| {
+            .entry((gpu.name.clone(), precision))
+            .or_insert_with_key(|(gpu, precision)| {
                 let c = PlanCache::open(dir, gpu, precision);
                 for w in &c.warnings {
                     eprintln!("warning: {w}");
@@ -380,45 +385,97 @@ fn cache_for(shared: &Shared, gpu: &str, precision: &str) -> Option<Arc<Mutex<Pl
 
 /// Process one dequeued `solve`/`verify` job that is still within its
 /// budget.
-fn process(shared: &Shared, job: &mut Job) -> (String, Option<ErrorCode>) {
+fn process(shared: &Shared, job: &Job) -> (String, Option<ErrorCode>) {
     #[cfg(test)]
     assert_ne!(
         job.req.id.as_deref(),
         Some(tests::PANIC_ID),
         "planted panic"
     );
-    let (gpu, ctx) = match resolve_ctx(shared, &mut job.req) {
-        Ok(v) => v,
-        Err((code, msg)) => {
-            let id = job.req.id.as_deref();
-            return (error_response(id, code, &msg, vec![]), Some(code));
+    let reject = |code: ErrorCode, msg: &str| {
+        let id = job.req.id.as_deref();
+        (error_response(id, code, msg, vec![]), Some(code))
+    };
+    let gpu = match resolve_gpu(shared, &job.req) {
+        Ok(gpu) => gpu,
+        Err(msg) => return reject(ErrorCode::Unsupported, &msg),
+    };
+    // A solve of program bytes this daemon already served as an exact hit
+    // reuses their context. If its cached plan no longer serves, the
+    // context goes and the request takes the full path below.
+    let key = match (&job.req.program, &job.req.example, job.req.op.as_str()) {
+        (Some(inline), None, "solve") => Some(shared.memo.key(&gpu.name, inline.text())),
+        _ => None,
+    };
+    if let Some(key) = &key {
+        if let Some(ctx) = shared.memo.get(key) {
+            if let Some(line) = reuse_context(shared, job, &gpu, &ctx) {
+                return (line, None);
+            }
+            shared.memo.remove(key);
         }
+    }
+    let ctx = match resolve_ctx(&job.req, &gpu) {
+        Ok(ctx) => ctx,
+        Err(msg) => return reject(ErrorCode::InvalidProgram, &msg),
     };
     match job.req.op.as_str() {
-        "solve" => solve_job(shared, job, &gpu, &ctx),
+        "solve" => {
+            let (line, exact_hit) = solve_job(shared, job, &gpu, &ctx);
+            if let (true, Some(key)) = (exact_hit, &key) {
+                shared.memo.admit(key, ctx);
+            }
+            (line, None)
+        }
         "verify" => verify_job(job, &ctx),
         _ => unreachable!("admission only queues solve/verify"),
     }
 }
 
-fn solve_job(
-    shared: &Shared,
-    job: &Job,
-    gpu: &GpuSpec,
-    ctx: &PlanContext,
-) -> (String, Option<ErrorCode>) {
+/// The warm solver a solve request runs: its seed, and what is left of
+/// its budget.
+fn solver_for(shared: &Shared, job: &Job) -> WarmSolver {
     let budget = job
         .deadline
         .map(|d| d.saturating_duration_since(Instant::now()));
     let seed = job.req.seed.unwrap_or(shared.cfg.seed);
-    let warm = WarmSolver::new(HggaHierSolver::with_seed(seed), None, budget);
-    let model = ProposedModel::default();
-    let precision = format!("{:?}", ctx.info.precision);
-    let cache = cache_for(shared, &gpu.name, &precision);
-    let out = warm.solve_shared(ctx, &model, ObsHandle::disabled(), cache.as_deref());
+    WarmSolver::new(HggaHierSolver::with_seed(seed), None, budget)
+}
 
-    // Fold the solve's counters into the daemon-wide registry, so `stats`
-    // reports cumulative cache hits / warm starts / generations.
+/// Serve a solve from a kept context: the exact-hit half of the full
+/// path, cache probe and every re-check included. `None` when the cached
+/// plan does not serve.
+fn reuse_context(shared: &Shared, job: &Job, gpu: &GpuSpec, ctx: &PlanContext) -> Option<String> {
+    let cache = cache_for(shared, gpu)?;
+    let model = ProposedModel::default();
+    let out = solver_for(shared, job)
+        .serve_exact(ctx, &model, ObsHandle::disabled(), &cache)
+        .ok()?;
+    shared.metrics.incr(Counter::ContextReuses);
+    Some(solve_response(shared, job, gpu, ctx, &out))
+}
+
+/// Solve on the full path. Returns the response line and whether it was
+/// an exact hit.
+fn solve_job(shared: &Shared, job: &Job, gpu: &GpuSpec, ctx: &PlanContext) -> (String, bool) {
+    let model = ProposedModel::default();
+    let cache = cache_for(shared, gpu);
+    let out =
+        solver_for(shared, job).solve_shared(ctx, &model, ObsHandle::disabled(), cache.as_deref());
+    let exact_hit = out.metrics.get(Counter::CacheHits) > 0;
+    (solve_response(shared, job, gpu, ctx, &out), exact_hit)
+}
+
+/// Fold a solve's counters into the daemon-wide registry, so `stats`
+/// reports cumulative cache hits / warm starts / generations, and build
+/// its response line.
+fn solve_response(
+    shared: &Shared,
+    job: &Job,
+    gpu: &GpuSpec,
+    ctx: &PlanContext,
+    out: &SolveOutcome,
+) -> String {
     for c in Counter::ALL {
         shared.metrics.add(c, out.metrics.get(c));
     }
@@ -455,7 +512,7 @@ fn solve_job(
         ),
         ("groups", groups),
     ]);
-    (ok_response(job.req.id.as_deref(), result), None)
+    ok_response(job.req.id.as_deref(), result)
 }
 
 fn verify_job(job: &Job, ctx: &PlanContext) -> (String, Option<ErrorCode>) {
@@ -589,6 +646,9 @@ fn handle_line(shared: &Arc<Shared>, line: &str, reply: &Reply) {
         }
         "stats" => {
             shared.metrics.incr(Counter::RequestsServed);
+            shared
+                .metrics
+                .set_gauge(Gauge::ContextMemoBytes, shared.memo.bytes() as f64);
             let snap = shared.metrics.snapshot();
             let counters = serde_json::from_str::<Value>(&snap.to_json()).unwrap_or(Value::Null);
             let depth = lock(&shared.queue).jobs.len() as u64;
@@ -835,9 +895,89 @@ mod tests {
         // as a rejection — and so the drain behind `shutdown` returns.
         let r = c.request(&solve("after"));
         assert!(r.contains(r#""id":"after","ok":true"#), "{r}");
-        assert_eq!(lock(&daemon.shared.queue).in_flight, 0);
+        // The worker releases its claim just after it replies.
+        let t0 = Instant::now();
+        while lock(&daemon.shared.queue).in_flight != 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "a job stays in flight"
+            );
+            std::thread::yield_now();
+        }
         let bye = c.request(r#"{"id":"bye","op":"shutdown"}"#);
         assert!(bye.contains(r#""served":1,"rejected":1"#), "{bye}");
         daemon.shutdown();
+    }
+
+    /// A kept context is not a kept answer: when the cached plan stops
+    /// re-verifying, the repeat leaves the memo and is answered byte for
+    /// byte as a daemon that never kept the context answers it.
+    #[test]
+    fn a_kept_context_whose_plan_no_longer_verifies_takes_the_full_path() {
+        use kfuse_search::plancache::{CacheEntry, CACHE_VERSION};
+
+        let program = kfuse_workloads::by_name("fig3").unwrap();
+        let compact = serde_json::to_string(&program).unwrap();
+        let pretty = serde_json::to_string_pretty(&program).unwrap();
+        let gpu = GpuSpec::k20x();
+        let precision = format!("{:?}", gpu.default_precision());
+        let ctx = pipeline::prepare_owned(program, &gpu, gpu.default_precision());
+        let identity = ctx.identity();
+        // Same fingerprint, a better objective than any solve finds — and
+        // every kernel in one group, which the verifier rejects on fig3.
+        let poison = CacheEntry {
+            version: CACHE_VERSION,
+            fingerprint: identity.fingerprint,
+            program: ctx.info.name.clone(),
+            gpu: gpu.name.clone(),
+            precision: precision.clone(),
+            n_kernels: ctx.n_kernels() as u32,
+            objective: f64::MIN_POSITIVE,
+            kernel_sigs: identity.signatures.clone(),
+            groups: vec![(0..ctx.n_kernels() as u32).collect()],
+            region_fps: Vec::new(),
+        };
+        let solve = |text: &str| format!(r#"{{"id":"x","op":"solve","program":{text}}}"#);
+
+        // Solve, serve a repeat as an exact hit from `repeat`, poison the
+        // cache, then ask once more with the compact text.
+        let run = |repeat: &str| {
+            let dir = std::env::temp_dir().join("kfuse-serve-unit").join(format!(
+                "poison-{}-{}",
+                repeat.len(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let daemon = Daemon::start(ServeConfig {
+                cache_dir: Some(dir.clone()),
+                ..ServeConfig::default()
+            });
+            let c = daemon.client();
+            assert!(c.request(&solve(&compact)).contains(r#""outcome":"cold""#));
+            let hit = c.request(&solve(repeat));
+            assert!(hit.contains(r#""outcome":"exact_hit""#), "{hit}");
+            let cache = cache_for(&daemon.shared, &gpu).unwrap();
+            lock(&cache).insert(poison.clone()).unwrap();
+            let line = c.request(&solve(&compact));
+            let reuses = daemon.shared.metrics.get(Counter::ContextReuses);
+            let kept = daemon
+                .shared
+                .memo
+                .get(&daemon.shared.memo.key(&gpu.name, &compact))
+                .is_some();
+            daemon.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+            (line, reuses, kept)
+        };
+
+        let (kept_then, reuses, still_kept) = run(&compact);
+        assert!(
+            !kept_then.contains(r#""outcome":"exact_hit""#),
+            "{kept_then}"
+        );
+        assert_eq!(reuses, 0, "the poisoned plan was served from the memo");
+        assert!(!still_kept, "the context stayed in the memo");
+        let (never_kept, _, _) = run(&pretty);
+        assert_eq!(kept_then, never_kept);
     }
 }

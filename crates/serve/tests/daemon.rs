@@ -503,3 +503,143 @@ fn forty_request_session_is_byte_identical_to_the_recorded_one() {
         );
     }
 }
+
+/// `context_reuses` and the `context_memo_bytes` gauge from `stats`.
+fn memo_stats(c: &kfuse_serve::LocalClient) -> (u64, f64) {
+    let stats: serde_json::Value =
+        serde_json::from_str(&c.request(r#"{"id":"s","op":"stats"}"#)).unwrap();
+    let metrics = &stats["result"]["metrics"];
+    (
+        metrics["counters"]["context_reuses"].as_u64().unwrap(),
+        metrics["gauges"]["context_memo_bytes"].as_f64().unwrap(),
+    )
+}
+
+fn inline_solve(id: &str, program: &str) -> String {
+    format!(r#"{{"id":"{id}","op":"solve","program":{program}}}"#)
+}
+
+fn cached_daemon(name: &str) -> (Daemon, PathBuf) {
+    let dir = tmpdir(name);
+    let daemon = Daemon::start(ServeConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    (daemon, dir)
+}
+
+#[test]
+fn the_third_identical_request_reuses_the_context_of_the_second() {
+    let (daemon, dir) = cached_daemon("memo-third");
+    let c = daemon.client();
+    let rk3 = serde_json::to_string(&kfuse_workloads::by_name("rk3").unwrap()).unwrap();
+    let line = inline_solve("x", &rk3);
+
+    let cold = c.request(&line);
+    assert!(cold.contains(r#""outcome":"cold""#), "{cold}");
+    assert_eq!(memo_stats(&c), (0, 0.0), "a cold solve is not kept");
+    let second = c.request(&line);
+    assert!(second.contains(r#""outcome":"exact_hit""#), "{second}");
+    let (reuses, held) = memo_stats(&c);
+    assert_eq!(reuses, 0, "the second request took the full path");
+    assert!(
+        held > rk3.len() as f64,
+        "the exact hit's context is kept: {held}"
+    );
+    let third = c.request(&line);
+    assert_eq!(third, second);
+    assert_eq!(memo_stats(&c), (1, held));
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reformatted_program_text_misses_the_memo_and_still_hits_the_cache() {
+    let (daemon, dir) = cached_daemon("memo-reformatted");
+    let c = daemon.client();
+    let rk3 = kfuse_workloads::by_name("rk3").unwrap();
+    let compact = serde_json::to_string(&rk3).unwrap();
+    c.request(&inline_solve("x", &compact));
+    let hit = c.request(&inline_solve("x", &compact));
+    assert!(hit.contains(r#""outcome":"exact_hit""#), "{hit}");
+
+    for text in [
+        serde_json::to_string_pretty(&rk3).unwrap(),
+        compact.replacen(',', " ,", 1),
+        compact.replacen('{', "{\n", 1),
+    ] {
+        let before = memo_stats(&c).0;
+        assert_eq!(c.request(&inline_solve("x", &text)), hit);
+        assert_eq!(memo_stats(&c).0, before, "other bytes, other key");
+    }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn near_novel_verify_and_failed_requests_are_never_kept() {
+    use kfuse_ir::expr::Expr;
+
+    let (daemon, dir) = cached_daemon("memo-never");
+    let c = daemon.client();
+    let rk3 = kfuse_workloads::by_name("rk3").unwrap();
+    let mut near = rk3.clone();
+    let st = &mut near.kernels[0].segments[0].statements[0];
+    st.expr = st.expr.clone() + Expr::lit(1.0);
+    let mut invalid = rk3.clone();
+    invalid.kernels[1].id = kfuse_ir::KernelId(99);
+    let [rk3, near, invalid] = [rk3, near, invalid].map(|p| serde_json::to_string(&p).unwrap());
+
+    let novel = c.request(&inline_solve("n", &rk3));
+    assert!(novel.contains(r#""outcome":"cold""#), "{novel}");
+    let near = c.request(&inline_solve("w", &near));
+    assert!(near.contains(r#""outcome":"warm_start""#), "{near}");
+    for _ in 0..2 {
+        let r = c.request(&format!(
+            r#"{{"id":"v","op":"verify","program":{rk3},"plan":[[0]]}}"#
+        ));
+        assert!(r.contains(r#""valid":true"#), "{r}");
+        let r = c.request(&inline_solve("f", &invalid));
+        assert!(r.contains(r#""code":"invalid_program""#), "{r}");
+        let r = c.request(r#"{"id":"e","op":"solve","example":"rk3"}"#);
+        assert!(r.contains(r#""outcome":"exact_hit""#), "{r}");
+    }
+    assert_eq!(memo_stats(&c), (0, 0.0));
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_memo_stays_within_its_byte_bound() {
+    use kfuse_serve::CONTEXT_MEMO_BYTES;
+
+    let (daemon, dir) = cached_daemon("memo-bound");
+    let c = daemon.client();
+    let quick = serde_json::to_string(&kfuse_workloads::by_name("quickstart").unwrap()).unwrap();
+    assert!(c
+        .request(&inline_solve("q", &quick))
+        .contains(r#""outcome":"cold""#));
+
+    // Distinct texts of one program, each a MiB of whitespace: every one
+    // is an exact hit, and together they are more than the bound.
+    let padded = |i: usize| quick.replacen('{', &format!("{{{}", " ".repeat((1 << 20) + i)), 1);
+    let n = CONTEXT_MEMO_BYTES / (1 << 20) + 4;
+    for i in 0..n {
+        let r = c.request(&inline_solve("q", &padded(i)));
+        assert!(r.contains(r#""outcome":"exact_hit""#), "{i}: {r}");
+        let (_, held) = memo_stats(&c);
+        assert!(held <= CONTEXT_MEMO_BYTES as f64, "{i}: {held}");
+    }
+    let (_, held) = memo_stats(&c);
+    assert!(held > (CONTEXT_MEMO_BYTES - (2 << 20)) as f64, "{held}");
+
+    // The least recently used went first: the oldest text is parsed
+    // again, the newest is reused.
+    c.request(&inline_solve("q", &padded(0)));
+    assert_eq!(memo_stats(&c).0, 0);
+    c.request(&inline_solve("q", &padded(n - 1)));
+    assert_eq!(memo_stats(&c).0, 1);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -26,8 +26,11 @@ pub struct PlanChecker<'a> {
     info: &'a ProgramInfo,
     /// Hazard-edge successor lists (RAW/WAW/WAR + epoch ordering edges).
     succs: Vec<Vec<usize>>,
-    /// `reach[u][v]` — a path `u -> v` exists (excluding `u` itself).
-    reach: Vec<Vec<bool>>,
+    /// Words per closure row (`n / 64`, rounded up).
+    words: usize,
+    /// Row `u` (`words` words at `u * words`): bit `v` is set when a path
+    /// `u -> v` exists (excluding `u` itself).
+    reach: Vec<u64>,
     /// Sharing-component label per kernel (union-find over shared arrays).
     comp: Vec<usize>,
 }
@@ -67,13 +70,14 @@ impl<'a> PlanChecker<'a> {
             }
         }
         // Host synchronization points totally order consecutive epochs.
-        if let Some(&max_e) = info.epochs.iter().max() {
-            for e in 0..max_e {
-                for u in (0..n).filter(|&u| info.epochs[u] == e) {
-                    for v in (0..n).filter(|&v| info.epochs[v] == e + 1) {
-                        succs[u].push(v);
-                    }
-                }
+        let n_epochs = info.epochs.iter().max().map_or(0, |&e| e as usize + 1);
+        let mut by_epoch: Vec<Vec<usize>> = vec![Vec::new(); n_epochs];
+        for (k, &e) in info.epochs.iter().enumerate() {
+            by_epoch[e as usize].push(k);
+        }
+        for pair in by_epoch.windows(2) {
+            for &u in &pair[0] {
+                succs[u].extend_from_slice(&pair[1]);
             }
         }
         for s in &mut succs {
@@ -82,17 +86,20 @@ impl<'a> PlanChecker<'a> {
         }
 
         // Transitive closure by backwards dynamic programming (ids are a
-        // topological order: every hazard edge points forward).
-        let mut reach = vec![vec![false; n]; n];
+        // topological order: every hazard edge points forward, so the rows
+        // a row ORs in lie after it and are final).
+        let words = n.div_ceil(64);
+        let mut reach = vec![0u64; n * words];
         for u in (0..n).rev() {
-            let mut row = vec![false; n];
+            let (head, done) = reach.split_at_mut((u + 1) * words);
+            let row = &mut head[u * words..];
             for &v in &succs[u] {
-                row[v] = true;
-                for (x, cell) in row.iter_mut().enumerate() {
-                    *cell |= reach[v][x];
+                row[v / 64] |= 1 << (v % 64);
+                let from = &done[(v - u - 1) * words..][..words];
+                for (w, f) in row.iter_mut().zip(from) {
+                    *w |= f;
                 }
             }
-            reach[u] = row;
         }
 
         // Sharing components by union-find: two kernels touching the same
@@ -130,6 +137,7 @@ impl<'a> PlanChecker<'a> {
         PlanChecker {
             info,
             succs,
+            words,
             reach,
             comp,
         }
@@ -142,7 +150,13 @@ impl<'a> PlanChecker<'a> {
 
     /// True if a hazard path `a -> b` exists (independent reachability).
     pub fn reaches(&self, a: KernelId, b: KernelId) -> bool {
-        self.reach[a.index()][b.index()]
+        let b = b.index();
+        self.row(a.index())[b / 64] & (1 << (b % 64)) != 0
+    }
+
+    /// Closure row of kernel `u`.
+    fn row(&self, u: usize) -> &[u64] {
+        &self.reach[u * self.words..][..self.words]
     }
 
     /// Run every plan-level check. With a model, profitability (1.1) is
@@ -323,21 +337,27 @@ impl<'a> PlanChecker<'a> {
 
     /// First outside kernel sandwiched between two members, if any.
     fn path_closure_violator(&self, g: &[KernelId]) -> Option<KernelId> {
-        let n = self.n_kernels();
-        let mut in_group = vec![false; n];
+        let mut in_group = vec![0u64; self.words];
+        let mut downstream = vec![0u64; self.words];
         for &k in g {
-            in_group[k.index()] = true;
-        }
-        let mut downstream = vec![false; n];
-        for &k in g {
-            for (c, cell) in downstream.iter_mut().enumerate() {
-                *cell |= self.reach[k.index()][c];
+            in_group[k.index() / 64] |= 1 << (k.index() % 64);
+            for (w, r) in downstream.iter_mut().zip(self.row(k.index())) {
+                *w |= r;
             }
         }
-        (0..n)
-            .filter(|&c| downstream[c] && !in_group[c])
-            .find(|&c| self.reach[c].iter().zip(&in_group).any(|(&r, &m)| r && m))
-            .map(|c| KernelId(c as u32))
+        // Outside kernels reachable from a member, in id order: the first
+        // that reaches a member back is sandwiched.
+        for (wi, (&d, &m)) in downstream.iter().zip(&in_group).enumerate() {
+            let mut outside = d & !m;
+            while outside != 0 {
+                let c = wi * 64 + outside.trailing_zeros() as usize;
+                outside &= outside - 1;
+                if self.row(c).iter().zip(&in_group).any(|(r, m)| r & m != 0) {
+                    return Some(KernelId(c as u32));
+                }
+            }
+        }
+        None
     }
 
     /// Detect a cycle in the plan's group condensation (requires a valid

@@ -7,8 +7,9 @@
 # CLI, gated on the cache counters.
 # Pass `serve` to run only the daemon stage: it executes the worked
 # session from SERVING.md verbatim against a live kfused (cache-hit
-# counters, the >=10x exact-repeat latency gate, queue backpressure,
-# graceful shutdown).
+# counters, the >=10x exact-repeat latency gate, a byte-identical second
+# pass answered partly from kept contexts, queue backpressure, graceful
+# shutdown).
 set -euo pipefail
 
 # Plan-cache smoke stage (DESIGN.md §16): each workload is solved cold
@@ -77,13 +78,18 @@ for b in blocks:
     json.loads(b)
 print(f"   ok: {len(blocks)} json examples parse")
 PY
-  echo "-- worked session: launch daemon, drive SERVING.md session, drain"
+  echo "-- worked session: launch daemon, drive SERVING.md session twice, drain"
   (
     cd "$(pwd)"
     source "$serve_tmp/serving-launch"
-    python3 "$serve_tmp/serving-session"
+    python3 "$serve_tmp/serving-session" | tee "$serve_tmp/session.out"
     source "$serve_tmp/serving-epilogue"
   )
+  # The session sends its requests twice to one daemon; the second pass
+  # must answer byte for byte alike, partly from kept contexts.
+  grep -qE '^second pass: [0-9]+ responses byte-identical, context_reuses=[1-9]' \
+    "$serve_tmp/session.out" \
+    || { echo "FAIL: the worked session must repeat byte-identically and reuse a kept context"; exit 1; }
   echo "-- queue backpressure: burst into a 1-deep queue, expect queue_full"
   rm -rf /tmp/kfused-cache /tmp/kfused.sock
   ./target/release/kfuse serve --socket /tmp/kfused.sock \

@@ -3,9 +3,11 @@
 //! A counting global allocator wraps `System` (per-thread counters: the
 //! tests of one binary run on parallel threads). Three bounds:
 //!
-//! - a typed parse allocates nothing it does not keep: reading a request
-//!   line takes no more fresh blocks than the `Program` it returns has
-//!   non-empty `String`s, `Vec`s and `Box`es, plus a small constant;
+//! - a typed parse allocates nothing it does not keep: scanning a request
+//!   line takes a constant number of fresh blocks — its `id`, `op` and the
+//!   one copy of the inline program's text — and parsing that text takes
+//!   no more than the `Program` it returns has non-empty `String`s, `Vec`s
+//!   and `Box`es;
 //! - the relaxation renames in place: it takes no more than the copy of
 //!   the program it returns, the dependency graph it reads, and a
 //!   constant per redundant copy it adds;
@@ -96,14 +98,24 @@ fn a_typed_parse_allocates_only_what_the_program_keeps() {
     let text = serde_json::to_string(&kfuse_workloads::by_name("synth40").unwrap()).unwrap();
     let line = format!(r#"{{"id":"r1","op":"solve","seed":17,"program":{text}}}"#);
 
-    let (request, typed) = counted(|| serde_json::from_str::<Request>(&line).unwrap());
-    let program = request.program.unwrap().0.unwrap();
-    let kept = owned_blocks(&program);
-    // The constant: the request's own `id` and `op`.
+    // The reader thread scans the line: the request's own `id` and `op`,
+    // and one copy of the program's text — whatever the program's size.
+    let (request, scan) = counted(|| serde_json::from_str::<Request>(&line).unwrap());
+    let inline = request.program.unwrap();
+    assert_eq!(inline.text(), text);
     assert!(
-        typed <= kept + 2,
-        "a typed parse of a {}-byte request took {typed} blocks for a program that keeps {kept}",
+        scan <= 3,
+        "scanning a {}-byte request took {scan} blocks",
         line.len()
+    );
+
+    // The worker parses the text: what the program keeps, nothing else.
+    let (program, typed) = counted(|| inline.parse().unwrap());
+    let kept = owned_blocks(&program);
+    assert!(
+        typed <= kept,
+        "a typed parse of a {}-byte program took {typed} blocks for a program that keeps {kept}",
+        text.len()
     );
 
     // The bound has teeth: the tree between text and `Program` is several

@@ -106,3 +106,36 @@ proptest! {
         prop_assert!(infeasible < plans.len(), "every plan infeasible");
     }
 }
+
+/// The verifier's closure (its own hazard sweep, `u64` rows) and the
+/// planner's order-of-execution graph answer every reachability query
+/// alike: every ordered kernel pair of every built-in and of a 500-kernel
+/// clustered program.
+#[test]
+fn verifier_reachability_equals_the_order_graph() {
+    let gpu = GpuSpec::k20x();
+    for name in [
+        "quickstart",
+        "fig3",
+        "rk3",
+        "scale-les",
+        "homme",
+        "suite",
+        "synth60",
+        "synth500",
+    ] {
+        let p = kfuse_workloads::by_name(name).unwrap();
+        let (_, ctx) = pipeline::prepare(&p, &gpu, gpu.default_precision());
+        let checker = kfuse_verify::PlanChecker::new(&ctx.info);
+        let n = ctx.n_kernels() as u32;
+        let mut paths = 0usize;
+        for a in (0..n).map(KernelId) {
+            for b in (0..n).map(KernelId) {
+                let ours = checker.reaches(a, b);
+                assert_eq!(ours, ctx.exec.reaches(a, b), "{name}: {a} -> {b}");
+                paths += usize::from(ours);
+            }
+        }
+        assert!(paths > 0 || n < 3, "{name}: no hazard path at all");
+    }
+}
