@@ -28,9 +28,9 @@
 //! — and [`print::print_module`] derives the CUDA C text from it. The
 //! semantic analyses in `kfuse-verify` (barrier-interval race
 //! detection, barrier-divergence, symbolic bounds) consume the same
-//! module, so what is analyzed is exactly what is printed. The
-//! pre-refactor emitter is frozen in [`mod@reference`] as a byte-identity
-//! oracle for golden tests.
+//! module, so what is analyzed is exactly what is printed. Golden tests
+//! hold the printer to digests of the text the pre-refactor direct
+//! emitter printed.
 //!
 //! The generated text is deterministic and structurally tested; it is not
 //! compiled in this repository (no CUDA toolchain), but it is the artifact
@@ -41,8 +41,6 @@
 pub mod cuda;
 pub mod module;
 pub mod print;
-#[doc(hidden)]
-pub mod reference;
 
 pub use cuda::{emit_kernel, emit_program, CodegenOptions};
 pub use module::{build_module, GpuModule};

@@ -10,7 +10,7 @@
 //!
 //! The module is the source of truth for emission: `crate::print`
 //! renders it to CUDA C text byte-identically to the historical direct
-//! emitter (pinned by golden tests against `crate::reference`), and
+//! emitter (pinned by golden tests against digests of its text), and
 //! `kfuse-verify`'s `analysis` passes consume it semantically — barrier
 //! intervals, race regions, and symbolic bounds all read these typed
 //! statements instead of re-parsing text.

@@ -3,8 +3,9 @@
 //! Rendering is a pure function of the module: staging resolution,
 //! barrier placement, and name resolution all happened in
 //! `crate::module::build_module`, so this file only decides *text*.
-//! The output is pinned byte-for-byte against the frozen direct emitter
-//! (`crate::reference`) by golden tests over every built-in workload.
+//! The output is pinned byte-for-byte against digests of what the
+//! historical direct emitter printed, by golden tests over every
+//! built-in workload and both option sets.
 //!
 //! The one piece of logic that lives here is *site rendering*: the same
 //! resolved access prints differently at the thread's own interior site

@@ -34,8 +34,10 @@ const SHARD_COUNT: usize = 8;
 
 /// Base track number for evaluator-internal spans (memo misses,
 /// synthesis): they are emitted from whichever worker thread pays the
-/// miss, so they get per-thread tracks far above the region tracks.
-pub const WORKER_TRACK_BASE: u32 = 64;
+/// miss, so they get per-thread tracks — the top `SHARD_COUNT` track
+/// numbers. Region `i` records on track `i + 1` and a solve has fewer
+/// regions than kernels, so no program that fits in memory reaches them.
+pub const WORKER_TRACK_BASE: u32 = u32::MAX - (SHARD_COUNT as u32 - 1);
 
 static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 

@@ -3,6 +3,7 @@
 
 use kfuse_obs::{
     chrome_trace, Counter, Gauge, InMemoryRecorder, MetricsRegistry, ObsHandle, Recorder, SpanId,
+    WORKER_TRACK_BASE,
 };
 use serde_json::Value;
 use std::time::Duration;
@@ -26,7 +27,7 @@ fn populated_recorder() -> InMemoryRecorder {
     );
     rec.span(
         SpanId::MemoMiss,
-        64,
+        WORKER_TRACK_BASE,
         t0 + Duration::from_micros(40),
         Duration::from_micros(7),
         [5, 0], // group_len, unused
@@ -64,7 +65,7 @@ fn chrome_trace_round_trips_through_serde_json() {
 
     let events = v["traceEvents"].as_array().expect("traceEvents array");
     // 3 spans + 1 finite gauge sample (+∞ one skipped) + thread_name
-    // metadata for tracks {0, 1, 64}.
+    // metadata for tracks {0, 1, WORKER_TRACK_BASE}.
     let metadata = ph(events, "M");
     let spans = ph(events, "X");
     let counters = ph(events, "C");
@@ -92,7 +93,7 @@ fn chrome_trace_round_trips_through_serde_json() {
         .iter()
         .find(|e| e["name"].as_str() == Some("memo_miss"))
         .expect("memo_miss span present");
-    assert_eq!(miss["tid"].as_u64(), Some(64));
+    assert_eq!(miss["tid"].as_u64(), Some(u64::from(WORKER_TRACK_BASE)));
     assert_eq!(miss["args"]["group_len"].as_u64(), Some(5));
     assert_eq!(miss["args"].as_object().unwrap().len(), 1);
 
@@ -117,7 +118,28 @@ fn chrome_trace_round_trips_through_serde_json() {
     };
     assert_eq!(name_of(0), Some("planner"));
     assert_eq!(name_of(1), Some("region 0"));
-    assert_eq!(name_of(64), Some("eval worker 0"));
+    assert_eq!(name_of(u64::from(WORKER_TRACK_BASE)), Some("eval worker 0"));
+}
+
+/// Region tracks stay regions however many regions a solve has: region
+/// 100 records on track 101, below the evaluator-worker tracks.
+#[test]
+fn region_tracks_past_the_sixty_third_are_still_regions() {
+    let rec = InMemoryRecorder::new();
+    rec.span(
+        SpanId::RegionSolve,
+        101,
+        rec.epoch(),
+        Duration::from_micros(5),
+        [8, 100], // kernels, region
+    );
+    let v: Value = serde_json::from_str(&chrome_trace(&rec)).unwrap();
+    let events = v["traceEvents"].as_array().unwrap();
+    let names: Vec<_> = ph(events, "M")
+        .iter()
+        .map(|m| (m["tid"].as_u64(), m["args"]["name"].as_str()))
+        .collect();
+    assert_eq!(names, [(Some(101), Some("region 100"))]);
 }
 
 #[test]

@@ -16,9 +16,9 @@
 //!   updated eagerly by every mutator, so edge summaries built from it are
 //!   current even while `dirty`/`moved` marks are pending.
 //! * `order` lists live slot ids in the transient Vec-of-Vecs order the
-//!   legacy operators would have produced; [`Chromosome::finalize`] sorts
-//!   it into normalized plan order, which makes repair bit-for-bit
-//!   compatible with the reference solver.
+//!   `Vec<Vec<KernelId>>` operators produced; [`Chromosome::finalize`]
+//!   sorts it into normalized plan order, which keeps repair bit for bit
+//!   on the recorded trajectories (`hgga`'s tests).
 //! * A slot's `eval` is trusted only when `eval_known`; operators that
 //!   probed a candidate group pass the probe result along so finalize
 //!   resolves the remaining unknowns with at most one memo lookup each.

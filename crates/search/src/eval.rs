@@ -6,8 +6,8 @@
 //! groups constantly (good groups survive crossover by design), so the
 //! effective cost per *plan* evaluation collapses to a few hash lookups.
 //!
-//! The memo is engineered for concurrent use — the reference loop's rayon
-//! scoring probes one evaluator from many threads:
+//! The memo is engineered for concurrent use — any number of threads may
+//! probe one evaluator:
 //!
 //! * **Sharding.** Groups hash to one of `SHARD_COUNT` independent
 //!   `RwLock`ed shards by an order-insensitive 64-bit fingerprint, so
@@ -289,10 +289,9 @@ impl<'a> Evaluator<'a> {
         self.metrics.get(Counter::CondensationChecks)
     }
 
-    /// Record an acyclicity check performed outside [`Evaluator::plan`] —
-    /// the chromosome's incremental Kahn pass and the reference repair's
-    /// from-scratch condensation both report through this so the
-    /// per-variant counts in the scaling study are comparable.
+    /// Record an acyclicity check performed outside [`Evaluator::plan`]:
+    /// the chromosome's incremental Kahn pass reports through this, so
+    /// `condensation_checks` counts every check a solve made.
     pub(crate) fn count_condensation(&self) {
         self.metrics.incr(Counter::CondensationChecks);
     }
@@ -406,11 +405,6 @@ impl<'a> Evaluator<'a> {
             }
         }
         total
-    }
-
-    /// True if `group` satisfies every constraint.
-    pub fn feasible(&self, group: &[KernelId]) -> bool {
-        self.group(group).feasible()
     }
 }
 
@@ -658,123 +652,6 @@ fn compute_with(
     (GroupEval { time_s: t }, synth_ns)
 }
 
-/// The raw (unmemoized) group objective over the owned-spec route
-/// (`check_group` + [`PerfModel::project`]), retained for
-/// [`legacy::LegacyEvaluator`].
-fn compute_group(ctx: &PlanContext, model: &dyn PerfModel, group: &[KernelId]) -> GroupEval {
-    let spec = match ctx.check_group(group, 0) {
-        Ok(s) => s,
-        Err(_) => {
-            return GroupEval {
-                time_s: f64::INFINITY,
-            }
-        }
-    };
-    let t = model.project(&ctx.info, &spec);
-    if group.len() >= 2 {
-        // Constraint 1.1: profitability.
-        let original = ctx.info.original_sum(group);
-        if t >= original || t.is_nan() {
-            return GroupEval {
-                time_s: f64::INFINITY,
-            };
-        }
-    }
-    GroupEval { time_s: t }
-}
-
-/// The pre-sharding evaluator, retained verbatim as the reference the
-/// differential tests (`tests/differential.rs`, `stats_registry.rs`)
-/// compare the sharded evaluator and the verifier against. Not used by
-/// any solver.
-pub mod legacy {
-    use super::{GroupEval, PerfModel};
-    use kfuse_core::fuse::condensation_order;
-    use kfuse_core::plan::{FusionPlan, PlanContext};
-    use kfuse_ir::KernelId;
-    use parking_lot::RwLock;
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Single global `RwLock<HashMap>` memo with an allocating key per
-    /// lookup — the evaluator as it stood before the sharded rework.
-    pub struct LegacyEvaluator<'a> {
-        /// Planning context (metadata + graphs).
-        pub ctx: &'a PlanContext,
-        /// The projection model used as objective (Eq. 1).
-        pub model: &'a dyn PerfModel,
-        memo: RwLock<HashMap<Vec<KernelId>, GroupEval>>,
-        evaluations: AtomicU64,
-        probes: AtomicU64,
-    }
-
-    impl<'a> LegacyEvaluator<'a> {
-        /// Create an evaluator over `ctx` and `model`.
-        pub fn new(ctx: &'a PlanContext, model: &'a dyn PerfModel) -> Self {
-            LegacyEvaluator {
-                ctx,
-                model,
-                memo: RwLock::new(HashMap::new()),
-                evaluations: AtomicU64::new(0),
-                probes: AtomicU64::new(0),
-            }
-        }
-
-        /// Number of distinct objective evaluations performed.
-        pub fn evaluations(&self) -> u64 {
-            self.evaluations.load(Ordering::Relaxed)
-        }
-
-        /// Number of memo probes issued (the legacy memo probes for
-        /// singletons too, unlike the sharded evaluator's baseline
-        /// bypass).
-        pub fn probes(&self) -> u64 {
-            self.probes.load(Ordering::Relaxed)
-        }
-
-        /// Fraction of probes served from the memo. Normalized through
-        /// [`kfuse_obs::ratio`], so a fresh evaluator reports `0.0` —
-        /// matching the sharded [`super::Evaluator::hit_rate`] instead of
-        /// the `NaN` a bare `hits / probes` division would yield.
-        pub fn hit_rate(&self) -> f64 {
-            let probes = self.probes();
-            kfuse_obs::ratio(probes.saturating_sub(self.evaluations()), probes)
-        }
-
-        /// Evaluate one group (memoized).
-        pub fn group(&self, group: &[KernelId]) -> GroupEval {
-            self.probes.fetch_add(1, Ordering::Relaxed);
-            let mut key = group.to_vec();
-            key.sort_unstable();
-            if let Some(hit) = self.memo.read().get(&key) {
-                return *hit;
-            }
-            self.evaluations.fetch_add(1, Ordering::Relaxed);
-            let eval = super::compute_group(self.ctx, self.model, &key);
-            self.memo.write().insert(key, eval);
-            eval
-        }
-
-        /// Evaluate a whole plan.
-        pub fn plan(&self, plan: &FusionPlan) -> f64 {
-            let mut total = 0.0;
-            for g in &plan.groups {
-                let e = self.group(g);
-                if !e.feasible() {
-                    return f64::INFINITY;
-                }
-                total += e.time_s;
-            }
-            if plan.groups.iter().any(|g| g.len() >= 2)
-                && condensation_order(plan, &self.ctx.exec).is_err()
-            {
-                return f64::INFINITY;
-            }
-            total
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -894,11 +771,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_legacy_evaluator() {
+    fn matches_unmemoized_objective() {
         let ctx = ctx_with_stranger();
         let model = ProposedModel::default();
         let ev = Evaluator::new(&ctx, &model);
-        let old = legacy::LegacyEvaluator::new(&ctx, &model);
         let plans = [
             FusionPlan::identity(4),
             FusionPlan::new(vec![
@@ -918,10 +794,14 @@ mod tests {
         ];
         for plan in &plans {
             let a = ev.plan(plan);
-            let b = old.plan(plan);
+            let mut b = ctx.objective(plan, &model);
+            if kfuse_core::fuse::condensation_order(plan, &ctx.exec).is_err() {
+                b = f64::INFINITY;
+            }
+            assert_eq!(a.is_finite(), b.is_finite(), "feasibility of {plan:?}");
             assert!(
-                (a.is_infinite() && b.is_infinite()) || a == b,
-                "sharded {a} vs legacy {b} for {plan:?}"
+                !a.is_finite() || a.to_bits() == b.to_bits(),
+                "memoized {a} vs unmemoized {b} for {plan:?}"
             );
         }
     }

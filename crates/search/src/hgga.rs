@@ -16,10 +16,10 @@
 //! Operators apply their edits in place, carry the evaluations of the
 //! groups they probed, and [`Chromosome::finalize`] repairs + rescores only
 //! what changed — no per-offspring `Vec<Vec<KernelId>>` clones, no
-//! from-scratch plan sums. The trajectory is pinned bit for bit against
-//! the pre-rework operators kept in [`crate::reference`]: every RNG draw,
-//! probe decision and transient group order below deliberately mirrors
-//! that module.
+//! from-scratch plan sums. The trajectory is pinned bit for bit by this
+//! module's tests, against plan, objective and generation counts recorded
+//! from the `Vec<Vec<KernelId>>` operators this loop replaced: every RNG
+//! draw, probe decision and transient group order below is load-bearing.
 //!
 //! [`FusionPlan`] stays the boundary type: solver output and verifier
 //! input convert at the edges via [`Chromosome::to_plan`].
@@ -59,13 +59,13 @@ pub struct HggaConfig {
 }
 
 /// Tournament size for selection.
-pub(crate) const TOURNAMENT: usize = 3;
+const TOURNAMENT: usize = 3;
 /// Probability of crossover (else the fitter parent is cloned).
-pub(crate) const CROSSOVER_RATE: f64 = 0.85;
+const CROSSOVER_RATE: f64 = 0.85;
 /// Probability of mutating each offspring.
-pub(crate) const MUTATION_RATE: f64 = 0.35;
+const MUTATION_RATE: f64 = 0.35;
 /// Elites copied unchanged into the next generation.
-pub(crate) const ELITISM: usize = 2;
+const ELITISM: usize = 2;
 
 impl Default for HggaConfig {
     fn default() -> Self {
@@ -419,7 +419,8 @@ fn tournament(pop: &[Individual], rng: &mut SmallRng) -> usize {
 }
 
 /// Build a random feasible chromosome by constructive merging from the
-/// identity (same merge trajectory as `reference::random_plan`).
+/// identity: up to `2n` draws of a kernel and one of its sharing
+/// neighbours, merging their groups when the union is feasible.
 pub fn random_chromosome(
     ev: &Evaluator<'_>,
     rng: &mut SmallRng,
@@ -721,8 +722,8 @@ pub fn local_search(
 
         // Merge/move samples. Descriptors: [0, i, j, _, c] for a merge of
         // i and j at candidate c; [1, i, j, vi, c] for a move with the
-        // shrunk source at c and the grown target at c+1 (source first,
-        // mirroring the reference probe order).
+        // shrunk source at c and the grown target at c+1 (source first:
+        // the probe order is part of the pinned trajectory).
         scratch.bp.clear();
         scratch.descs.clear();
         let samples = 48.min(glen * glen);
@@ -795,9 +796,8 @@ pub fn local_search(
 
 /// Insert orphans into existing feasible groups, else as singletons.
 ///
-/// Each orphan draws the same bounded (8-host) random sample as the
-/// one-at-a-time loop in [`crate::reference::first_fit`] and is seated in
-/// the first feasible host in sample order. The probing is *decisive*:
+/// Each orphan draws a bounded (8-host) random sample of the groups and is
+/// seated in the first feasible host in sample order. The probing is *decisive*:
 /// `sample[0]` is scored alone — it seats the orphan four times in five —
 /// and only when it is infeasible is the rest of the sample scored, as one
 /// lane batch. Evaluations are pure, so probing past the seat could never
@@ -853,7 +853,6 @@ fn first_fit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
     use kfuse_core::fuse::condensation_order;
     use kfuse_core::model::ProposedModel;
     use kfuse_core::pipeline::prepare;
@@ -961,79 +960,98 @@ mod tests {
         }
     }
 
+    /// `(seed, plan, objective bits, generations, best generation)`; the
+    /// plan is FNV-1a of its compact JSON.
+    type Trajectory = (u64, u64, u64, u32, u32);
+
+    fn plan_digest(plan: &FusionPlan) -> u64 {
+        let json = serde_json::to_string(plan).unwrap();
+        json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Solve `ctx` once per golden row, with `config(seed)`, and require
+    /// the row back bit for bit. The rows were recorded from the
+    /// `Vec<Vec<KernelId>>` GA loop that preceded the flat chromosome,
+    /// before that loop was deleted: a mismatch means the trajectory moved.
+    fn assert_trajectories(
+        ctx: &PlanContext,
+        config: impl Fn(u64) -> HggaConfig,
+        golden: &[Trajectory],
+    ) {
+        let model = ProposedModel::default();
+        let actual: Vec<Trajectory> = golden
+            .iter()
+            .map(|&(seed, ..)| {
+                let out = HggaSolver {
+                    config: config(seed),
+                }
+                .solve(ctx, &model);
+                (
+                    seed,
+                    plan_digest(&out.plan),
+                    out.objective.to_bits(),
+                    out.stats.generations,
+                    out.stats.best_generation,
+                )
+            })
+            .collect();
+        if actual != golden {
+            for (seed, plan, objective, generations, best) in &actual {
+                eprintln!("    ({seed}, {plan:#018x}, {objective:#018x}, {generations}, {best}),");
+            }
+            panic!("the GA trajectory moved: the rows above are what this tree produces");
+        }
+    }
+
     #[test]
     fn single_island_reproduces_pre_island_solver_exactly() {
         let (_, ctx) = prepare(&program(), &GpuSpec::k20x(), FpPrecision::Double);
-        let model = ProposedModel::default();
-        for seed in [7, 42, 1234] {
-            let cfg = quick_config(seed);
-            let new = HggaSolver {
-                config: cfg.clone(),
-            }
-            .solve(&ctx, &model);
-            let old = reference::solve(&cfg, &ctx, &model);
-            assert_eq!(new.plan, old.plan, "seed {seed} plan diverged");
-            assert_eq!(new.objective, old.objective, "seed {seed} objective");
-            assert_eq!(
-                new.stats.generations, old.stats.generations,
-                "seed {seed} generations"
-            );
-            assert_eq!(
-                new.stats.best_generation, old.stats.best_generation,
-                "seed {seed} best generation"
-            );
-        }
+        #[rustfmt::skip]
+        const GOLDEN: &[Trajectory] = &[
+            (7, 0x75bc995bfeb65ac6, 0x3f164c06d574c299, 15, 0),
+            (42, 0x75bc995bfeb65ac6, 0x3f164c06d574c299, 15, 0),
+            (1234, 0x75bc995bfeb65ac6, 0x3f164c06d574c299, 15, 0),
+        ];
+        assert_trajectories(&ctx, quick_config, GOLDEN);
     }
 
     #[test]
     fn flat_solver_matches_reference_on_synthetic_workload() {
         // Same pin as above, on a machine-generated 24-kernel program: the
-        // flat-chromosome path must retrace the reference trajectory on
-        // workloads with real dependency/cycle pressure, not just the
-        // 6-kernel toy.
+        // recorded trajectories carry real dependency/cycle pressure, not
+        // just the 6-kernel toy's.
         let cfg = kfuse_workloads::synth::SynthConfig {
             kernels: 24,
             ..Default::default()
         };
         let p = kfuse_workloads::synth::generate(&cfg);
         let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
-        let model = ProposedModel::default();
-        for seed in [1, 9] {
-            let cfg = quick_config(seed);
-            let new = HggaSolver {
-                config: cfg.clone(),
-            }
-            .solve(&ctx, &model);
-            let old = reference::solve(&cfg, &ctx, &model);
-            assert_eq!(new.plan, old.plan, "seed {seed} plan diverged");
-            assert_eq!(new.objective, old.objective, "seed {seed} objective");
-            assert_eq!(
-                new.stats.best_generation, old.stats.best_generation,
-                "seed {seed} best generation"
-            );
-        }
+        #[rustfmt::skip]
+        const SYNTH24: &[Trajectory] = &[
+            (1, 0x09e7c773cf08a155, 0x3f55d4c6533eed61, 29, 14),
+            (9, 0x5ee5373a126d6911, 0x3f559424b78d8068, 27, 12),
+        ];
+        assert_trajectories(&ctx, quick_config, SYNTH24);
 
         // One case at the size where `first_fit` samples 8 of many hosts
         // (60 kernels, the Table VI population): the decisive probe order
-        // must seat every orphan where the one-at-a-time loop does.
+        // must seat every orphan where the one-at-a-time loop did.
         let p = kfuse_workloads::synth::scaling(60);
         let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
-        let cfg = HggaConfig {
+        let config = |seed| HggaConfig {
             population: 100,
             max_generations: 8,
             stall_generations: 8,
-            seed: 5,
+            seed,
             ..HggaConfig::default()
         };
-        let new = HggaSolver {
-            config: cfg.clone(),
-        }
-        .solve(&ctx, &model);
-        let old = reference::solve(&cfg, &ctx, &model);
-        assert_eq!(new.plan, old.plan);
-        assert_eq!(new.objective.to_bits(), old.objective.to_bits());
-        assert_eq!(new.stats.generations, old.stats.generations);
-        assert_eq!(new.stats.best_generation, old.stats.best_generation);
+        #[rustfmt::skip]
+        const SCALING60: &[Trajectory] = &[
+            (5, 0x3466abc92ccf38bf, 0x3f089d9b62217fe8, 8, 4),
+        ];
+        assert_trajectories(&ctx, config, SCALING60);
     }
 
     #[test]
@@ -1042,7 +1060,7 @@ mod tests {
         let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
         let model = ProposedModel::default();
         let ev = Evaluator::new(&ctx, &model);
-        // A second memo answers "was sample[0] feasible?" without
+        // A second memo answers "which host is feasible?" without
         // disturbing the probe counts under test.
         let oracle = Evaluator::new(&ctx, &model);
         let mut scratch = OpScratch::new();
@@ -1088,19 +1106,27 @@ mod tests {
             let mut idxs: Vec<usize> = (0..groups.len()).collect();
             idxs.shuffle(&mut replay);
             let sample = &idxs[..idxs.len().min(8)];
-            let mut first = groups[sample[0]].clone();
-            first.push(k);
+            // The definition: the orphan joins the first host in sample
+            // order whose union with it is feasible, else stays alone.
+            let seat = sample.iter().copied().find(|&gi| {
+                let mut union = groups[gi].clone();
+                union.push(k);
+                oracle.group(&union).feasible()
+            });
+            let first = groups[sample[0]].clone();
+            match seat {
+                Some(gi) => groups[gi].push(k),
+                None => groups.push(vec![k]),
+            }
 
-            let mut ref_rng = rng.clone();
-            reference::first_fit(&oracle, &mut groups, vec![k], &mut ref_rng);
             let before = ev.probes();
             first_fit(&ev, &mut ch, &mut [k], &mut rng, &mut scratch);
             let probes = ev.probes() - before;
 
             let host = ch.slot_members(ch.slot_of(k));
-            if oracle.feasible(&first) {
+            if seat == Some(sample[0]) {
                 assert_eq!(probes, 1, "a feasible first host needs one probe");
-                assert_eq!(host[..host.len() - 1], first[..first.len() - 1]);
+                assert_eq!(host[..host.len() - 1], first[..]);
                 seated_first += 1;
             } else {
                 assert_eq!(probes, sample.len() as u64);
@@ -1114,7 +1140,7 @@ mod tests {
                 .map(|g| ch.members_at(g).to_vec())
                 .collect();
             assert_eq!(FusionPlan::new(got), FusionPlan::new(groups));
-            assert_eq!(rng, ref_rng, "same draws as the reference");
+            assert_eq!(rng, replay, "exactly the replayed draws");
         }
         assert!(
             seated_first > 0 && seated_later + unseated > 0,

@@ -4,17 +4,17 @@
 //!   Genetic Algorithm after Falkenauer, adapted so crossover and mutation
 //!   act on *groups* (prospective new kernels) and every individual is
 //!   repaired to feasibility (constraints 1.1–1.7 plus condensation
-//!   acyclicity) before evaluation. One population, one loop; it
-//!   reproduces the frozen pre-rework solver in [`mod@reference`] bit for
-//!   bit.
+//!   acyclicity) before evaluation. One population, one loop; its tests
+//!   pin the trajectories recorded from the `Vec<Vec<KernelId>>` loop it
+//!   replaced, bit for bit.
 //! * [`chromo`] — the flat group-encoded [`chromo::Chromosome`] the HGGA
 //!   inner loop operates on: arena-backed groups with cached per-group
 //!   evaluations, delta rescoring, and an incrementally maintained
 //!   inter-group condensation summary (DESIGN.md §10).
 //! * [`eval`] — the shared, sharded, memoized group [`Evaluator`]; every
 //!   solver scores plans through it, so memo statistics are comparable
-//!   across solvers. [`mod@reference`] keeps the frozen pre-rework HGGA as
-//!   the bit-for-bit pinning baseline.
+//!   across solvers. The unmemoized `PlanContext::objective` and the
+//!   independent verifier are what its tests compare it against.
 //! * [`exhaustive`] — exact enumeration of set partitions with feasibility
 //!   pruning; the deterministic ground truth used to verify HGGA optimality
 //!   on small benchmarks (Fig. 5a).
@@ -50,7 +50,6 @@ pub mod greedy;
 pub mod hgga;
 pub mod partition;
 pub mod plancache;
-pub mod reference;
 pub mod warmstart;
 
 pub use eval::{BatchProbe, Evaluator};

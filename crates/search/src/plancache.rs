@@ -337,19 +337,11 @@ impl PlanCache {
         self.slots.is_empty()
     }
 
-    /// The entry for an exact fingerprint, if any.
-    pub fn lookup_exact(&self, fingerprint: u64) -> Option<&CacheEntry> {
-        self.exact_slot(fingerprint).map(|s| &*s.entry)
-    }
-
-    /// [`PlanCache::lookup_exact`] as a shared pointer: what a caller
-    /// keeps after releasing the lock it found the cache behind.
-    pub fn lookup_exact_shared(&self, fingerprint: u64) -> Option<Arc<CacheEntry>> {
-        self.exact_slot(fingerprint).map(|s| Arc::clone(&s.entry))
-    }
-
-    fn exact_slot(&self, fingerprint: u64) -> Option<&Slot> {
-        Some(&self.slots[*self.index.get(&fingerprint)?])
+    /// The entry for an exact fingerprint, if any, as a shared pointer: a
+    /// caller keeps it after releasing the lock it found the cache behind.
+    pub fn lookup_exact(&self, fingerprint: u64) -> Option<Arc<CacheEntry>> {
+        let slot = &self.slots[*self.index.get(&fingerprint)?];
+        Some(Arc::clone(&slot.entry))
     }
 
     /// The nearest entry by kernel-signature overlap, excluding the exact
@@ -360,23 +352,7 @@ impl PlanCache {
         fingerprint: u64,
         sigs: &[u64],
         min_overlap: f64,
-    ) -> Option<(&CacheEntry, f64)> {
-        self.near_slot(fingerprint, sigs, min_overlap)
-            .map(|(s, ov)| (&*s.entry, ov))
-    }
-
-    /// [`PlanCache::lookup_near`] as a shared pointer.
-    pub fn lookup_near_shared(
-        &self,
-        fingerprint: u64,
-        sigs: &[u64],
-        min_overlap: f64,
     ) -> Option<Arc<CacheEntry>> {
-        self.near_slot(fingerprint, sigs, min_overlap)
-            .map(|(s, _)| Arc::clone(&s.entry))
-    }
-
-    fn near_slot(&self, fingerprint: u64, sigs: &[u64], min_overlap: f64) -> Option<(&Slot, f64)> {
         let probe = sorted(sigs);
         let mut best: Option<(&Slot, f64)> = None;
         for s in &self.slots {
@@ -390,14 +366,14 @@ impl PlanCache {
                 best = Some((s, ov));
             }
         }
-        best
+        best.map(|(s, _)| Arc::clone(&s.entry))
     }
 
     /// The union of every cached region sub-fingerprint plus the whole-
     /// program fingerprints (a whole cached program is also a reusable
     /// "region" when it reappears inside a larger one).
-    pub fn region_fps(&self) -> HashSet<u64> {
-        self.regions.clone()
+    pub fn region_fps(&self) -> &HashSet<u64> {
+        &self.regions
     }
 
     fn rebuild_regions(&mut self) {
@@ -442,10 +418,8 @@ impl PlanCache {
     /// errors are returned, not panicked, so a read-only cache degrades
     /// to read-through.
     pub fn insert(&mut self, entry: CacheEntry) -> std::io::Result<()> {
-        if self
-            .lookup_exact(entry.fingerprint)
-            .is_some_and(|old| old.objective <= entry.objective)
-        {
+        let held = self.index.get(&entry.fingerprint);
+        if held.is_some_and(|&i| self.slots[i].entry.objective <= entry.objective) {
             return Ok(());
         }
         std::fs::create_dir_all(&self.dir)?;
@@ -749,11 +723,11 @@ mod tests {
         };
         cache.insert(tied(1, 0.5, 501)).unwrap();
         cache.insert(tied(2, 0.5, 502)).unwrap();
-        let near = |c: &PlanCache| c.lookup_near(42, &[10, 20, 30], 0.3).unwrap().0.fingerprint;
+        let near = |c: &PlanCache| c.lookup_near(42, &[10, 20, 30], 0.3).unwrap().fingerprint;
         assert_eq!(near(&cache), 1, "ties go to the earlier entry");
         assert_eq!(
             cache.region_fps(),
-            HashSet::from([1, 2, 500, 501, 502]),
+            &HashSet::from([1, 2, 500, 501, 502]),
             "whole-program and region fingerprints of both"
         );
 
@@ -763,21 +737,14 @@ mod tests {
         assert_eq!(near(&cache), 2, "the improved entry now arrived last");
         assert_eq!(
             cache.region_fps(),
-            HashSet::from([1, 2, 500, 502, 511]),
+            &HashSet::from([1, 2, 500, 502, 511]),
             "501 went with the entry it belonged to; 500 is still held by 2"
         );
         // A reload sees the same thing: the better line is the later one.
         let reloaded = PlanCache::open(&dir, "K20X", "Double");
         assert_eq!(near(&reloaded), 2);
         assert_eq!(reloaded.region_fps(), cache.region_fps());
-        assert_eq!(
-            cache
-                .lookup_near_shared(42, &[10, 20, 30], 0.3)
-                .unwrap()
-                .fingerprint,
-            2
-        );
-        assert!(cache.lookup_exact_shared(3).is_none());
+        assert!(cache.lookup_exact(3).is_none());
     }
 
     #[test]
@@ -791,9 +758,11 @@ mod tests {
         cache.insert(close).unwrap();
         cache.insert(far).unwrap();
 
-        let (hit, ov) = cache.lookup_near(42, &[10, 20, 30], 0.3).unwrap();
+        // Entry 1 shares two of the probe's three signatures: overlap 2/3.
+        let hit = cache.lookup_near(42, &[10, 20, 30], 0.3).unwrap();
         assert_eq!(hit.fingerprint, 1);
-        assert!((ov - 2.0 / 3.0).abs() < 1e-12);
+        assert!(cache.lookup_near(42, &[10, 20, 30], 0.66).is_some());
+        assert!(cache.lookup_near(42, &[10, 20, 30], 0.67).is_none());
         // The exact fingerprint is excluded from near lookup.
         assert!(cache.lookup_near(1, &[10, 20, 99], 0.99).is_none());
         // Below the threshold nothing matches.

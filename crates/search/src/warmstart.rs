@@ -198,8 +198,8 @@ impl WarmSolver {
             let (near, region_fps, n_entries) = {
                 let c = lock(shared);
                 (
-                    c.lookup_near_shared(fp, sigs, self.min_overlap),
-                    c.region_fps(),
+                    c.lookup_near(fp, sigs, self.min_overlap),
+                    c.region_fps().clone(),
                     c.len() as u64,
                 )
             };
@@ -306,7 +306,7 @@ impl WarmSolver {
         let fp = ctx.identity().fingerprint;
         let (exact, n_entries) = {
             let c = lock(cache);
-            (c.lookup_exact_shared(fp), c.len() as u64)
+            (c.lookup_exact(fp), c.len() as u64)
         };
         let Some(entry) = exact else {
             return Err(None);

@@ -1,19 +1,16 @@
 //! Regression: the legacy `SolveStats` view must be exactly derivable
 //! from the `kfuse-obs` metrics registry on every solver.
 //!
-//! PRs 1–4 hand-counted probes/misses/condensation-checks per solver;
-//! the observability rework replaced those with registry counters and a
-//! single `SolveStats::from_metrics` mapping. These tests pin that the
-//! mapping reproduces the hand-counted values bit for bit on all four
-//! solvers (HGGA, the frozen reference loop, greedy, exhaustive), and
-//! that rates normalize to 0.0 — never NaN —
-//! when no probe was issued (the probes==0 bugfix).
+//! Probes, misses and condensation checks were once hand-counted per
+//! solver; registry counters and a single `SolveStats::from_metrics`
+//! mapping replaced them. These tests pin that the mapping reproduces the
+//! values each solver reports bit for bit (HGGA, greedy, exhaustive), and
+//! that rates normalize to 0.0 — never NaN — when no probe was issued.
 
 use kfuse_core::model::ProposedModel;
 use kfuse_core::pipeline::{prepare, SolveOutcome, SolveStats, Solver};
 use kfuse_gpu::GpuSpec;
 use kfuse_obs::Counter;
-use kfuse_search::eval::legacy::LegacyEvaluator;
 use kfuse_search::{Evaluator, ExhaustiveSolver, GreedySolver, HggaConfig, HggaSolver};
 
 fn context(kernels: usize) -> (kfuse_ir::Program, GpuSpec) {
@@ -75,21 +72,6 @@ fn hgga_single_stats_match_registry() {
 }
 
 #[test]
-fn reference_hand_counted_stats_match_registry() {
-    // The frozen pre-rework loop still hand-counts its stats; the
-    // registry snapshot it carries must reproduce them exactly.
-    let (p, gpu) = context(20);
-    let (_, ctx) = prepare(&p, &gpu, gpu.default_precision());
-    let model = ProposedModel::default();
-    let out = kfuse_search::reference::solve(&cfg(), &ctx, &model);
-    assert_registry_matches(&out);
-    assert_eq!(
-        out.stats.generations as u64,
-        out.metrics.get(Counter::Generations)
-    );
-}
-
-#[test]
 fn greedy_stats_match_registry() {
     let (p, gpu) = context(20);
     let (_, ctx) = prepare(&p, &gpu, gpu.default_precision());
@@ -117,8 +99,7 @@ fn exhaustive_stats_match_registry() {
 
 #[test]
 fn hit_rate_is_zero_not_nan_when_no_probe_was_issued() {
-    // The probes==0 bugfix: both evaluators must report 0.0 rates from a
-    // fresh memo, not NaN (the legacy evaluator used to divide by zero).
+    // A fresh memo reports 0.0 rates, not the NaN of a bare 0 / 0.
     let (p, gpu) = context(8);
     let (_, ctx) = prepare(&p, &gpu, gpu.default_precision());
     let model = ProposedModel::default();
@@ -127,10 +108,6 @@ fn hit_rate_is_zero_not_nan_when_no_probe_was_issued() {
     assert_eq!(sharded.probes(), 0);
     assert_eq!(sharded.hit_rate(), 0.0);
     assert_eq!(sharded.miss_rate(), 0.0);
-
-    let legacy = LegacyEvaluator::new(&ctx, &model);
-    assert_eq!(legacy.probes(), 0);
-    assert_eq!(legacy.hit_rate(), 0.0);
 
     // And through the derived-stats path.
     let stats = SolveStats::from_metrics(&sharded.snapshot());

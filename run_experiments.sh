@@ -163,11 +163,10 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     exit 1
   fi
   # One memo layout: a shard's keys live in its arena, so a miss
-  # allocates nothing per entry. A boxed key coming back (outside the
-  # frozen `mod legacy` reference) would restore two allocations per miss.
+  # allocates nothing per entry. A boxed key coming back would restore
+  # two allocations per miss.
   echo "== no boxed memo keys in crates/search/src/eval.rs"
-  if awk '/^pub mod legacy/{exit} {print FILENAME":"FNR": "$0}' crates/search/src/eval.rs \
-    | grep -F 'Box<[KernelId]>'; then
+  if grep -nF 'Box<[KernelId]>' crates/search/src/eval.rs; then
     echo "FAIL: boxed memo key found (see DESIGN.md §8.2)"
     exit 1
   fi
@@ -203,6 +202,15 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
   if grep -rnE 'solve_islands|evolve_island|IslandStats|MIGRATION_SIZE|SpanId::Epoch|SpanId::Migration' \
     crates src tests; then
     echo "FAIL: a second GA loop is coming back (see DESIGN.md §8)"
+    exit 1
+  fi
+  # One implementation per concept (ROADMAP aim 2): the frozen GA loop,
+  # evaluator and CUDA emitter were recorded as digests and deleted; the
+  # tests compare against those digests and the independent verifier.
+  echo "== one implementation per concept"
+  if grep -rnE 'mod (reference|legacy)\b|LegacyEvaluator|emit_(program|kernel)_reference' \
+    crates src tests; then
+    echo "FAIL: a frozen second implementation is coming back (see DESIGN.md §10.4)"
     exit 1
   fi
   echo "== cargo doc --no-deps (missing_docs gate)"

@@ -1,6 +1,6 @@
 //! Differential tests between the KF02xx CUDA-text lint and the KF03xx
 //! structured module analysis, plus the golden byte-identity check of
-//! the module printer against the frozen reference emitter.
+//! the module printer against digests of the direct emitter it replaced.
 //!
 //! The contract pinned here (see `DESIGN.md` §14):
 //!
@@ -8,7 +8,8 @@
 //!    and randomized synthetic programs, identity and fused — analyze
 //!    with **zero errors**.
 //! 2. The module pipeline (`build_module` → `print_module`) reproduces
-//!    the frozen reference emitter byte for byte on those programs.
+//!    the direct emitter's text byte for byte on the built-ins, checked
+//!    against digests recorded from it before it was deleted.
 //! 3. Broken modules (dropped barriers, unguarded stores, unpadded
 //!    tiles, widened tile offsets) trip the expected KF03 code, and
 //!    every finding of the text lint on the printed mutant has a KF03
@@ -108,29 +109,103 @@ fn builtin_modules_analyze_without_errors() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Golden byte-identity: module printer == frozen reference emitter.
+// 2. Golden byte-identity: module printer == recorded emitter text.
 // ---------------------------------------------------------------------
 
+/// FNV-1a over a text's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(built-in, program, options, plan, CUDA text)`: the plan digest is
+/// FNV-1a of the compact JSON of the plan the fused program was built
+/// from (`None` for the unfused program), the text digest FNV-1a of what
+/// the direct emitter printed for the whole program. `f64` is the
+/// default options, `f32` single precision without `__restrict__`.
+type Printed = (&'static str, &'static str, &'static str, Option<u64>, u64);
+
+#[rustfmt::skip]
+const PRINTED: &[Printed] = &[
+    ("quickstart", "identity", "f64", None, 0xa1e2c4aee8bd28de),
+    ("quickstart", "fused", "f64", Some(0x915c9d53d72fee66), 0x047bfa4d829aad0a),
+    ("quickstart", "identity", "f32", None, 0xa13b10e6848b10d1),
+    ("quickstart", "fused", "f32", Some(0x915c9d53d72fee66), 0x0792b9bec016d830),
+    ("rk3", "identity", "f64", None, 0x9e16d615e9a3d05f),
+    ("rk3", "fused", "f64", Some(0x7f798dee6a8d2ff2), 0x5ca9c1c07517c5b5),
+    ("rk3", "identity", "f32", None, 0x39af8a54b88c16ff),
+    ("rk3", "fused", "f32", Some(0x7f798dee6a8d2ff2), 0xfbbf41746cfc6a57),
+    ("fig3", "identity", "f64", None, 0xbb7b2182aafb55df),
+    ("fig3", "fused", "f64", Some(0xd7ea0075de62cdc1), 0x1bb5e812b871f778),
+    ("fig3", "identity", "f32", None, 0x5b59821ebc9a53e9),
+    ("fig3", "fused", "f32", Some(0xd7ea0075de62cdc1), 0x5831b0c8b986015e),
+    ("scale-les", "identity", "f64", None, 0x6e433645f3aa3c71),
+    ("scale-les", "fused", "f64", Some(0xa08ba27616cd8bfa), 0x05406e35d41fd7f1),
+    ("scale-les", "identity", "f32", None, 0x90210f587e99310f),
+    ("scale-les", "fused", "f32", Some(0xa08ba27616cd8bfa), 0xb8b7aa6f6288f6bf),
+    ("homme", "identity", "f64", None, 0xede254c8a15dc6bf),
+    ("homme", "fused", "f64", Some(0xdb827aaf063029a4), 0xf3d8a3d31bb6db65),
+    ("homme", "identity", "f32", None, 0xdbc25e21acb3dfa7),
+    ("homme", "fused", "f32", Some(0xdb827aaf063029a4), 0xd0c41bcab9ca527e),
+    ("suite", "identity", "f64", None, 0xecb0538d86d5da74),
+    ("suite", "fused", "f64", Some(0xf9480e3aac84f9af), 0x710d47e169d0df1e),
+    ("suite", "identity", "f32", None, 0x539aecc7f3c343f2),
+    ("suite", "fused", "f32", Some(0xf9480e3aac84f9af), 0x66fc4769c8340ab6),
+];
+
+/// The module printer reproduces, byte for byte, what the direct
+/// (pre-module-IR) emitter printed for every built-in, identity and
+/// fused, in both option sets: the digests were recorded from that
+/// emitter before it was deleted. Plans are compared first, so a search
+/// change fails as "re-record", never as a printer regression.
 #[test]
 fn printer_is_byte_identical_to_reference_on_builtins() {
-    for opts in [
-        CodegenOptions::default(),
-        CodegenOptions {
-            double_precision: false,
-            restrict: false,
-        },
-    ] {
-        for (name, p) in builtins() {
-            let fused = fuse(&p, 3);
-            for (tag, prog) in [("identity", &p), ("fused", &fused)] {
-                let via_module = print_module(&build_module(prog, &opts));
-                let reference = kfuse_codegen::reference::emit_program_reference(prog, &opts);
-                assert_eq!(
-                    via_module, reference,
-                    "{name}/{tag}: module printer diverged from the reference emitter"
-                );
+    let options = [
+        ("f64", CodegenOptions::default()),
+        (
+            "f32",
+            CodegenOptions {
+                double_precision: false,
+                restrict: false,
+            },
+        ),
+    ];
+    let mut actual: Vec<Printed> = Vec::new();
+    for (name, p) in builtins() {
+        let r = pipeline::run(
+            &p,
+            &GpuSpec::k20x(),
+            FpPrecision::Double,
+            &ProposedModel::default(),
+            &quick_solver(3),
+        )
+        .expect("pipeline succeeds");
+        let plan = fnv1a(serde_json::to_string(&r.plan).unwrap().as_bytes());
+        for (precision, opts) in &options {
+            for (tag, prog, plan) in [("identity", &p, None), ("fused", &r.fused, Some(plan))] {
+                let text = print_module(&build_module(prog, opts));
+                actual.push((name, tag, *precision, plan, fnv1a(text.as_bytes())));
             }
         }
+    }
+    if actual != PRINTED {
+        for (name, tag, precision, plan, text) in &actual {
+            let plan = plan.map_or("None".into(), |d| format!("Some({d:#018x})"));
+            eprintln!("    ({name:?}, {tag:?}, {precision:?}, {plan}, {text:#018x}),");
+        }
+        let plans_moved = actual
+            .iter()
+            .map(|row| row.3)
+            .ne(PRINTED.iter().map(|row| row.3));
+        panic!(
+            "{}",
+            if plans_moved {
+                "a fused plan moved, so its text cannot be compared: re-record the rows above"
+            } else {
+                "the printed CUDA moved with the plans unchanged: the printer regressed"
+            }
+        );
     }
 }
 

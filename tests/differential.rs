@@ -1,7 +1,10 @@
 //! Differential testing: the independent `kfuse-verify` constraint checker
-//! against BOTH plan evaluators (the sharded production one and the legacy
-//! reference implementation). For every generated plan the three must agree
-//! on feasibility: `verifier clean <=> Evaluator finite <=> legacy finite`.
+//! against BOTH plan evaluators — the memoized production `Evaluator` and
+//! the unmemoized route, `PlanContext::objective` plus
+//! `condensation_order`. For every generated plan the three must agree on
+//! feasibility (`verifier clean <=> Evaluator finite <=> unmemoized
+//! finite`), and where the plan is feasible both evaluators must return
+//! the same objective bit for bit.
 //!
 //! 16 proptest cases x 32 plans each = 512 plans per run (>= the 500-plan
 //! floor), spanning identity plans, greedy solutions, and random
@@ -9,7 +12,7 @@
 //! capacity, and profitability.
 
 use kernel_fusion::prelude::*;
-use kfuse_search::eval::legacy::LegacyEvaluator;
+use kfuse_core::fuse::condensation_order;
 use kfuse_search::Evaluator;
 use kfuse_verify::check_plan;
 use kfuse_workloads::synth::{generate, SynthConfig};
@@ -70,7 +73,12 @@ proptest! {
         let model = ProposedModel::default();
         let (_, ctx) = pipeline::prepare(&p, &gpu, FpPrecision::Double);
         let ev = Evaluator::new(&ctx, &model);
-        let legacy = LegacyEvaluator::new(&ctx, &model);
+        // The unmemoized objective is finite only when every group is, so
+        // the plan is feasible when its condensation is also acyclic.
+        let unmemoized = |plan: &FusionPlan| {
+            let t = ctx.objective(plan, &model);
+            if condensation_order(plan, &ctx.exec).is_ok() { t } else { f64::INFINITY }
+        };
 
         let mut plans = vec![
             FusionPlan::identity(ctx.n_kernels()),
@@ -84,20 +92,28 @@ proptest! {
         let mut infeasible = 0usize;
         for plan in &plans {
             let report = check_plan(&ctx.info, plan, Some(&model));
-            let sharded = ev.plan(plan).is_finite();
-            let reference = legacy.plan(plan).is_finite();
+            let memoized = ev.plan(plan);
+            let reference = unmemoized(plan);
+            let feasible = memoized.is_finite();
             prop_assert!(
-                sharded == reference,
-                "sharded/legacy evaluators disagree on {:?}",
+                feasible == reference.is_finite(),
+                "memoized/unmemoized evaluators disagree on {:?}",
                 plan
             );
             prop_assert!(
-                report.is_clean() == sharded,
+                !feasible || memoized.to_bits() == reference.to_bits(),
+                "objective {} != unmemoized {} on {:?}",
+                memoized,
+                reference,
+                plan
+            );
+            prop_assert!(
+                report.is_clean() == feasible,
                 "verifier disagrees with the evaluators on {:?}:\n{}",
                 plan,
                 report.render_human()
             );
-            if !sharded {
+            if !feasible {
                 infeasible += 1;
             }
         }
