@@ -33,8 +33,8 @@
 //!
 //! Solver runs report through the structured observability layer in
 //! `kfuse-obs`: [`pipeline::SolveStats`] is a derived view over its
-//! metrics registry, and [`pipeline::run_observed`] threads a tracing
-//! handle through the search (see `OBSERVABILITY.md`).
+//! metrics registry, and [`pipeline::Solver::solve_observed`] threads a
+//! tracing handle through the search (see `OBSERVABILITY.md`).
 
 #![warn(missing_docs)]
 
@@ -55,7 +55,6 @@ pub mod repeat;
 pub mod spec;
 pub mod subprogram;
 pub mod synth;
-pub mod tuner;
 pub mod util;
 
 pub use batch::{BatchScratch, BatchStats, CandidateBatch, LANES};

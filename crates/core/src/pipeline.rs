@@ -120,20 +120,18 @@ pub trait Solver {
     /// Solver name for reports.
     fn name(&self) -> &str;
 
-    /// Find a (near-)optimal plan for `ctx` under `model`.
-    fn solve(&self, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome;
-
-    /// [`Solver::solve`] with an observability handle: implementations
-    /// that support tracing emit spans/gauges into `obs` during the run.
-    /// The default ignores the handle, so plain solvers keep working.
+    /// Find a (near-)optimal plan for `ctx` under `model`, emitting
+    /// spans/gauges into `obs` during the run.
     fn solve_observed(
         &self,
         ctx: &PlanContext,
         model: &dyn PerfModel,
         obs: ObsHandle<'_>,
-    ) -> SolveOutcome {
-        let _ = obs;
-        self.solve(ctx, model)
+    ) -> SolveOutcome;
+
+    /// [`Solver::solve_observed`] with tracing disabled.
+    fn solve(&self, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome {
+        self.solve_observed(ctx, model, ObsHandle::disabled())
     }
 }
 
@@ -215,17 +213,7 @@ impl Default for PipelineOptions {
 /// (the borrowing form of [`prepare_owned`]: it copies the input, and the
 /// relaxed program out of the context).
 pub fn prepare(program: &Program, gpu: &GpuSpec, precision: FpPrecision) -> (Program, PlanContext) {
-    prepare_with(program, gpu, precision, PipelineOptions::default())
-}
-
-/// [`prepare`] with explicit [`PipelineOptions`].
-pub fn prepare_with(
-    program: &Program,
-    gpu: &GpuSpec,
-    precision: FpPrecision,
-    opts: PipelineOptions,
-) -> (Program, PlanContext) {
-    let ctx = prepare_owned_with(program.clone(), gpu, precision, opts);
+    let ctx = prepare_owned(program.clone(), gpu, precision);
     let relaxed = ctx.program.clone().expect("prepare attaches the program");
     (relaxed, ctx)
 }
@@ -282,31 +270,9 @@ pub fn run_with(
     solver: &dyn Solver,
     opts: PipelineOptions,
 ) -> Result<PipelineResult, PipelineError> {
-    run_observed(
-        program,
-        gpu,
-        precision,
-        model,
-        solver,
-        opts,
-        ObsHandle::disabled(),
-    )
-}
-
-/// [`run_with`] under an observability handle: the solve phase runs via
-/// [`Solver::solve_observed`] so spans/gauges land in `obs`, and the
-/// result carries the solver's raw metrics snapshot.
-pub fn run_observed(
-    program: &Program,
-    gpu: &GpuSpec,
-    precision: FpPrecision,
-    model: &dyn PerfModel,
-    solver: &dyn Solver,
-    opts: PipelineOptions,
-    obs: ObsHandle<'_>,
-) -> Result<PipelineResult, PipelineError> {
-    let (relaxed, ctx) = prepare_with(program, gpu, precision, opts);
-    let outcome = solver.solve_observed(&ctx, model, obs);
+    let ctx = prepare_owned_with(program.clone(), gpu, precision, opts);
+    let relaxed = ctx.program.clone().expect("prepare attaches the program");
+    let outcome = solver.solve(&ctx, model);
     let specs = ctx
         .validate(&outcome.plan)
         .map_err(PipelineError::InvalidPlan)?;
@@ -336,35 +302,36 @@ mod tests {
     use kfuse_ir::builder::ProgramBuilder;
     use kfuse_ir::{Expr, KernelId};
 
-    /// A trivial solver fusing nothing — pipeline plumbing test.
-    struct IdentitySolver;
-    impl Solver for IdentitySolver {
+    /// A stub solver returning the plan its function builds for the
+    /// kernel count — pipeline plumbing tests.
+    struct FixedSolver(fn(usize) -> FusionPlan);
+    impl Solver for FixedSolver {
         fn name(&self) -> &str {
-            "identity"
+            "fixed"
         }
-        fn solve(&self, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome {
-            let plan = FusionPlan::identity(ctx.n_kernels());
+        fn solve_observed(
+            &self,
+            ctx: &PlanContext,
+            model: &dyn PerfModel,
+            _: ObsHandle<'_>,
+        ) -> SolveOutcome {
+            let plan = (self.0)(ctx.n_kernels());
             let objective = ctx.objective(&plan, model);
             SolveOutcome::new(plan, objective, SolveStats::default())
         }
     }
 
-    /// A solver that fuses the first two kernels (valid for the test
-    /// program below).
-    struct PairSolver;
-    impl Solver for PairSolver {
-        fn name(&self) -> &str {
-            "pair"
-        }
-        fn solve(&self, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome {
-            let mut groups = vec![vec![KernelId(0), KernelId(1)]];
-            for i in 2..ctx.n_kernels() {
-                groups.push(vec![KernelId(i as u32)]);
-            }
-            let plan = FusionPlan::new(groups);
-            let objective = ctx.objective(&plan, model);
-            SolveOutcome::new(plan, objective, SolveStats::default())
-        }
+    /// Fuse the first two kernels (valid for the test program below).
+    fn pair(n: usize) -> FusionPlan {
+        let mut groups = vec![vec![KernelId(0), KernelId(1)]];
+        groups.extend((2..n).map(|i| vec![KernelId(i as u32)]));
+        FusionPlan::new(groups)
+    }
+
+    fn run_program(plan: fn(usize) -> FusionPlan) -> PipelineResult {
+        let (gpu, model) = (GpuSpec::k20x(), ProposedModel::default());
+        let solver = FixedSolver(plan);
+        run(&program(), &gpu, FpPrecision::Double, &model, &solver).unwrap()
     }
 
     fn program() -> kfuse_ir::Program {
@@ -385,28 +352,14 @@ mod tests {
 
     #[test]
     fn identity_pipeline_runs_and_reports_speedup_one() {
-        let r = run(
-            &program(),
-            &GpuSpec::k20x(),
-            FpPrecision::Double,
-            &ProposedModel::default(),
-            &IdentitySolver,
-        )
-        .unwrap();
+        let r = run_program(FusionPlan::identity);
         assert!((r.speedup() - 1.0).abs() < 1e-9);
         assert_eq!(r.new_kernel_count(), 0);
     }
 
     #[test]
     fn fusing_pipeline_speeds_up() {
-        let r = run(
-            &program(),
-            &GpuSpec::k20x(),
-            FpPrecision::Double,
-            &ProposedModel::default(),
-            &PairSolver,
-        )
-        .unwrap();
+        let r = run_program(pair);
         assert!(r.speedup() > 1.0, "speedup {}", r.speedup());
         assert_eq!(r.fused_kernel_count(), 2);
         assert_eq!(r.new_kernel_count(), 1);

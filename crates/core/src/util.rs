@@ -1,4 +1,15 @@
-//! Small utilities: a fixed-size bitset for dense graph reachability.
+//! Small utilities: a fixed-size bitset for dense graph reachability, and
+//! the name truncation report columns share.
+
+/// The longest prefix of `s` of at most `max` bytes that ends on a char
+/// boundary, so a name with multi-byte characters never splits one.
+pub fn truncate_str(s: &str, max: usize) -> &str {
+    if s.len() <= max {
+        return s;
+    }
+    let end = (0..=max).rev().find(|&i| s.is_char_boundary(i));
+    &s[..end.unwrap_or(0)]
+}
 
 /// A fixed-capacity bitset over `0..len` backed by `u64` words.
 ///
@@ -182,6 +193,15 @@ mod tests {
         assert!(!b.is_empty());
         b.clear();
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn truncate_str_stops_on_a_char_boundary() {
+        assert_eq!(truncate_str("abc", 5), "abc");
+        assert_eq!(truncate_str("abcdef", 4), "abcd");
+        // 'é' occupies bytes 1..3: a 2-byte cut backs off to byte 1.
+        assert_eq!(truncate_str("aéb", 2), "a");
+        assert_eq!(truncate_str("aéb", 3), "aé");
     }
 
     #[test]

@@ -36,10 +36,6 @@ impl Solver for ExhaustiveSolver {
         "exhaustive"
     }
 
-    fn solve(&self, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome {
-        self.solve_observed(ctx, model, ObsHandle::disabled())
-    }
-
     fn solve_observed(
         &self,
         ctx: &PlanContext,

@@ -27,10 +27,6 @@ impl Solver for GreedySolver {
         "greedy"
     }
 
-    fn solve(&self, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome {
-        self.solve_observed(ctx, model, ObsHandle::disabled())
-    }
-
     fn solve_observed(
         &self,
         ctx: &PlanContext,

@@ -230,10 +230,6 @@ impl Solver for HggaSolver {
         "hgga"
     }
 
-    fn solve(&self, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome {
-        self.solve_observed(ctx, model, ObsHandle::disabled())
-    }
-
     fn solve_observed(
         &self,
         ctx: &PlanContext,

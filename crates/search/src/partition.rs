@@ -878,10 +878,6 @@ impl Solver for HggaHierSolver {
         "hgga-hier"
     }
 
-    fn solve(&self, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome {
-        self.solve_observed(ctx, model, ObsHandle::disabled())
-    }
-
     fn solve_observed(
         &self,
         ctx: &PlanContext,

@@ -109,10 +109,6 @@ impl Solver for WarmSolver {
         "hgga-warm"
     }
 
-    fn solve(&self, ctx: &PlanContext, model: &dyn PerfModel) -> SolveOutcome {
-        self.solve_observed(ctx, model, ObsHandle::disabled())
-    }
-
     fn solve_observed(
         &self,
         ctx: &PlanContext,

@@ -43,5 +43,5 @@ fn main() {
     }
     println!();
     println!("(the paper's study ran SCALE-LES at 128/256 KiB, projecting 1.56x/1.65x;");
-    println!(" see `cargo run -p kfuse-bench --bin smem_whatif` for that experiment)");
+    println!(" see `repro smem_whatif` for that experiment)");
 }

@@ -213,6 +213,16 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: a frozen second implementation is coming back (see DESIGN.md §10.4)"
     exit 1
   fi
+  # One experiment driver (DESIGN.md §4): every table and figure is a
+  # subcommand of `repro` (crates/bench/src/main.rs), so no second binary
+  # may appear beside it, and the block-size tuner's one study stays gone.
+  echo "== one experiment driver"
+  if find crates/bench/src/bin -type f 2>/dev/null | grep . \
+    || [[ $(grep -c '^\[\[bin\]\]' crates/bench/Cargo.toml) != 1 ]] \
+    || grep -n 'pub mod tuner' crates/core/src/lib.rs; then
+    echo "FAIL: a second experiment binary or core::tuner is coming back (see DESIGN.md §4)"
+    exit 1
+  fi
   echo "== cargo doc --no-deps (missing_docs gate)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
   # Tier-1 (`cargo test -q`, the root package) never runs the member
@@ -300,14 +310,7 @@ done
 echo "-- disabled-path allocation freedom (alloc_free)"
 cargo test --release -q -p kfuse-search --test alloc_free
 
-bins=(table1 fig3_motivating table5 fig5a fig5b table6 fig6 fig7_8 fig9 table7 smem_whatif fusion_efficiency ablation blocksize_study weak_scaling)
-for b in "${bins[@]}"; do
-  echo
-  echo "================================================================"
-  echo "== $b"
-  echo "================================================================"
-  ./target/release/"$b"
-done
+./target/release/repro all
 
 echo
 echo "================================================================"

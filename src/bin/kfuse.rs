@@ -270,11 +270,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     for k in &t.kernels {
         println!(
             "{:<40} {:>10.2} {:>10.2} {:>8.0}% {:>7}",
-            if k.name.len() > 38 {
-                &k.name[..38]
-            } else {
-                &k.name
-            },
+            kfuse_core::util::truncate_str(&k.name, 38),
             k.time_s * 1e6,
             k.gmem_s * 1e6,
             k.occupancy.occupancy * 100.0,

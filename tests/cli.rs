@@ -93,6 +93,26 @@ fn simulate_prints_per_kernel_table() {
 }
 
 #[test]
+fn simulate_truncates_multibyte_kernel_names() {
+    let dump = kfuse(&["example", "quickstart"]);
+    let mut p: kfuse_ir::Program = serde_json::from_slice(&dump.stdout).unwrap();
+    // Byte 38 falls inside the 'é' (bytes 37..39).
+    p.kernels[0].name = format!("{}étendue", "a".repeat(37));
+    let path = tmp("quickstart_utf8.json");
+    std::fs::write(&path, serde_json::to_string(&p).unwrap()).unwrap();
+
+    let out = kfuse(&["simulate", path.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains(&format!("{} ", "a".repeat(37))));
+    assert!(text.contains("total:"));
+}
+
+#[test]
 fn codegen_streams_cuda_to_stdout() {
     let path = tmp("rk3_cg.json");
     let dump = kfuse(&["example", "rk3"]);
