@@ -125,12 +125,6 @@ impl DependencyGraph {
         &self.share_flat[self.share_start[i] as usize..self.share_start[i + 1] as usize]
     }
 
-    /// Arrays touched by at least two kernels (*shared arrays*, Table II),
-    /// ascending.
-    pub fn shared_arrays(&self) -> &[ArrayId] {
-        &self.shared
-    }
-
     /// Number of sharing sets with ≥2 members (the paper reports 65 for
     /// SCALE-LES and 29 for HOMME).
     pub fn sharing_set_count(&self) -> usize {
@@ -212,6 +206,6 @@ mod tests {
         let b = pb.array("B");
         pb.kernel("k").write(b, Expr::at(a)).build();
         let g = DependencyGraph::build(&pb.build());
-        assert!(g.shared_arrays().is_empty());
+        assert_eq!(g.sharing_set_count(), 0);
     }
 }

@@ -247,13 +247,6 @@ impl ExecOrderGraph {
         None
     }
 
-    /// Topologically order the members of `group` (stable by kernel id,
-    /// which is the host invocation order).
-    pub fn topo_order(&self, group: &BitSet) -> Vec<KernelId> {
-        // Kernel ids are already a topological order of the full DAG.
-        group.iter().map(|i| KernelId(i as u32)).collect()
-    }
-
     /// True if `a` and `b` are order-independent (no path either way).
     pub fn independent(&self, a: KernelId, b: KernelId) -> bool {
         !self.reaches(a, b) && !self.reaches(b, a)
@@ -331,19 +324,6 @@ mod tests {
         grp2.insert(0);
         grp2.insert(2);
         assert_eq!(g.path_closure_violation_with(&grp2, &mut reach), None);
-    }
-
-    #[test]
-    fn topo_order_is_invocation_order() {
-        let g = ExecOrderGraph::build(&chain_program());
-        let mut grp = BitSet::new(4);
-        grp.insert(3);
-        grp.insert(0);
-        grp.insert(1);
-        assert_eq!(
-            g.topo_order(&grp),
-            vec![KernelId(0), KernelId(1), KernelId(3)]
-        );
     }
 
     #[test]

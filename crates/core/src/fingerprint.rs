@@ -25,16 +25,12 @@
 //! 3. [`program_fingerprint`] combines the color multiset with the global
 //!    launch/device facts.
 //!
-//! [`region_fingerprint`] reuses the colors for sub-program
-//! content-addressing: the hierarchical solver fingerprints each partition
-//! region so a cache can recognize unchanged regions inside a perturbed
-//! program. Fingerprints are advisory — cache consumers re-validate any
-//! served plan through the independent verifier, so a collision is
+//! Fingerprints are advisory — cache consumers re-validate any served
+//! plan through the independent verifier, so a collision is
 //! correctness-neutral (exactly like the group memo, which compares full
 //! member lists on a fingerprint match).
 
 use crate::metadata::{ArrayUse, ProgramInfo};
-use kfuse_ir::KernelId;
 
 /// splitmix64 finalizer — the same mixer the evaluation memo uses, kept
 /// local so `kfuse-core` does not depend on `kfuse-search`.
@@ -201,31 +197,13 @@ impl ProgramIdentity {
     }
 }
 
-/// Sub-fingerprint of a kernel region: the length-aware commutative sum
-/// of the members' per-kernel hashes. Cheap (no sub-program extraction)
-/// and order-insensitive in the member list. Callers choose the hash
-/// vector: [`kernel_signatures`] gives *perturbation-local* fingerprints
-/// (a change elsewhere in the program leaves an untouched region's
-/// fingerprint intact — what greedy-floor reuse wants), [`kernel_colors`]
-/// additionally binds each member's dependency neighborhood.
-pub fn region_fingerprint(colors: &[u64], region: &[KernelId]) -> u64 {
-    (region.len() as u64)
-        .wrapping_mul(0xa076_1d64_78bd_642f)
-        .wrapping_add(
-            region
-                .iter()
-                .map(|k| mix64(colors[k.index()]))
-                .fold(0, u64::wrapping_add),
-        )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kfuse_gpu::{FpPrecision, GpuSpec};
     use kfuse_ir::builder::ProgramBuilder;
     use kfuse_ir::stencil::Offset;
-    use kfuse_ir::{ArrayId, Expr, Kernel, Program, Segment, Statement};
+    use kfuse_ir::{ArrayId, Expr, Kernel, KernelId, Program, Segment, Statement};
     use proptest::prelude::*;
 
     fn info_of(p: &Program) -> ProgramInfo {
@@ -452,17 +430,6 @@ mod tests {
             program_fingerprint(&info_of(&fan)),
             "chain vs fan-out must differ"
         );
-    }
-
-    #[test]
-    fn region_fingerprints_are_order_insensitive_and_length_aware() {
-        let info = info_of(&program());
-        let colors = kernel_colors(&info);
-        let r1 = region_fingerprint(&colors, &[KernelId(0), KernelId(2)]);
-        let r2 = region_fingerprint(&colors, &[KernelId(2), KernelId(0)]);
-        assert_eq!(r1, r2);
-        assert_ne!(r1, region_fingerprint(&colors, &[KernelId(0)]));
-        assert_ne!(r1, region_fingerprint(&colors, &[KernelId(0), KernelId(1)]));
     }
 
     proptest! {

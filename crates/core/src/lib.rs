@@ -60,7 +60,7 @@ pub mod util;
 pub use batch::{BatchScratch, BatchStats, CandidateBatch, LANES};
 pub use depgraph::{DependencyGraph, TouchClass};
 pub use exec_order::ExecOrderGraph;
-pub use fingerprint::{kernel_colors, kernel_signatures, program_fingerprint, region_fingerprint};
+pub use fingerprint::{kernel_colors, kernel_signatures, program_fingerprint};
 pub use kinship::ShareGraph;
 pub use metadata::{KernelMeta, ProgramInfo};
 pub use model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};

@@ -76,11 +76,6 @@ impl FusionPlan {
     pub fn new_kernel_count(&self) -> usize {
         self.groups.iter().filter(|g| g.len() >= 2).count()
     }
-
-    /// Total kernel invocations after fusion (= number of groups).
-    pub fn total_calls(&self) -> usize {
-        self.groups.len()
-    }
 }
 
 /// A constraint violation.
@@ -487,7 +482,6 @@ mod tests {
         let plan = FusionPlan::identity(4);
         assert!(ctx.validate(&plan).is_ok());
         assert_eq!(plan.new_kernel_count(), 0);
-        assert_eq!(plan.total_calls(), 4);
     }
 
     #[test]

@@ -44,26 +44,6 @@ impl LaunchConfig {
         }
     }
 
-    /// Create a launch config with an explicit 2D tile shape.
-    ///
-    /// # Panics
-    /// Panics if `block_x * block_y != threads_per_block` or `blocks == 0`.
-    pub fn with_tile(blocks: u32, block_x: u32, block_y: u32) -> Self {
-        assert!(blocks > 0, "grid must have at least one block");
-        assert!(block_x > 0 && block_y > 0, "tile dims must be non-zero");
-        LaunchConfig {
-            blocks,
-            threads_per_block: block_x * block_y,
-            block_x,
-            block_y,
-        }
-    }
-
-    /// Total threads in the grid.
-    pub fn total_threads(&self) -> u64 {
-        self.blocks as u64 * self.threads_per_block as u64
-    }
-
     /// Warps per block given a warp size.
     pub fn warps_per_block(&self, warp_size: u32) -> u32 {
         self.threads_per_block.div_ceil(warp_size)
@@ -111,16 +91,8 @@ mod tests {
     }
 
     #[test]
-    fn explicit_tile() {
-        let lc = LaunchConfig::with_tile(10, 16, 8);
-        assert_eq!(lc.threads_per_block, 128);
-        assert_eq!(lc.total_threads(), 1280);
-        assert_eq!(lc.warps_per_block(32), 4);
-    }
-
-    #[test]
     fn warps_round_up() {
-        let lc = LaunchConfig::with_tile(1, 33, 1);
+        let lc = LaunchConfig::new(1, 33);
         assert_eq!(lc.warps_per_block(32), 2);
     }
 

@@ -219,11 +219,6 @@ impl GpuSpec {
         // point, asymptotically 1.0 with a full complement of warps.
         1.0 - (-2.2 * x).exp()
     }
-
-    /// Effective GMEM bandwidth (GB/s) at the given warp concurrency.
-    pub fn effective_bandwidth(&self, active_warps: f64) -> f64 {
-        self.gmem_bw_gbps * self.latency_hiding_factor(active_warps).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -284,15 +279,6 @@ mod tests {
         assert!(g.latency_hiding_factor(64.0) > 0.8);
         // Severely degraded with almost no concurrency.
         assert!(g.latency_hiding_factor(2.0) < 0.35);
-    }
-
-    #[test]
-    fn effective_bandwidth_bounded_by_peak() {
-        let g = GpuSpec::k20x();
-        for w in 0..70 {
-            assert!(g.effective_bandwidth(w as f64) <= g.gmem_bw_gbps + 1e-9);
-        }
-        assert_eq!(g.effective_bandwidth(0.0), 0.0);
     }
 
     #[test]

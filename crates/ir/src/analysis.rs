@@ -227,22 +227,6 @@ pub fn kernel_flops(p: &Program, k: &Kernel) -> u64 {
     base + halo_flops
 }
 
-/// Sum of per-kernel traffic over a whole program.
-pub fn program_traffic(p: &Program) -> KernelTraffic {
-    let mut total = KernelTraffic::default();
-    for k in &p.kernels {
-        let t = kernel_traffic(p, k);
-        total.load_elems += t.load_elems;
-        total.store_elems += t.store_elems;
-        for (a, at) in t.per_array {
-            let e = total.per_array.entry(a).or_default();
-            e.load_elems += at.load_elems;
-            e.store_elems += at.store_elems;
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,15 +360,6 @@ mod tests {
         // unstaged loads plus one ring per load reference.
         let sites = p.grid.sites();
         assert!(t.per_array[&a].load_elems > 2 * sites);
-    }
-
-    #[test]
-    fn program_traffic_sums_kernels() {
-        let (p, ..) = base();
-        let total = program_traffic(&p);
-        let t0 = kernel_traffic(&p, &p.kernels[0]);
-        let t1 = kernel_traffic(&p, &p.kernels[1]);
-        assert_eq!(total.elems(), t0.elems() + t1.elems());
     }
 
     #[test]

@@ -184,15 +184,6 @@ impl Kernel {
             .unwrap_or(0)
     }
 
-    /// FLOPs per site in statements whose expression reads `array`
-    /// (`Flop(x)`, Table III).
-    pub fn flops_involving(&self, array: ArrayId) -> u64 {
-        self.statements()
-            .filter(|st| st.expr.loads().iter().any(|(a, _)| *a == array))
-            .map(|st| st.expr.flops())
-            .sum()
-    }
-
     /// Maximum horizontal stencil radius over reads of `array`.
     pub fn read_radius(&self, array: ArrayId) -> u8 {
         self.reads()
@@ -263,8 +254,6 @@ mod tests {
     fn flop_metadata() {
         let k = k();
         assert_eq!(k.flops(), 3);
-        assert_eq!(k.flops_involving(ArrayId(0)), 3);
-        assert_eq!(k.flops_involving(ArrayId(1)), 2);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod builder;
 pub mod expr;
 pub mod kernel;
 pub mod program;
-pub mod simplify;
 pub mod stencil;
 pub mod validate;
 

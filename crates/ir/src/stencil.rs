@@ -38,12 +38,6 @@ impl Offset {
     pub fn horizontal_radius(&self) -> u8 {
         self.di.unsigned_abs().max(self.dj.unsigned_abs())
     }
-
-    /// True if the offset leaves the thread's own site in the horizontal
-    /// plane (requires neighbor data from SMEM or GMEM).
-    pub fn is_horizontal_neighbor(&self) -> bool {
-        self.di != 0 || self.dj != 0
-    }
 }
 
 impl fmt::Display for Offset {
@@ -70,20 +64,6 @@ pub fn max_radius(offsets: impl IntoIterator<Item = Offset>) -> u8 {
         .map(|o| o.horizontal_radius())
         .max()
         .unwrap_or(0)
-}
-
-/// Build the standard 2D von Neumann (plus-shaped) stencil of radius `r`
-/// in the horizontal plane, including the center.
-pub fn von_neumann_2d(r: u8) -> Vec<Offset> {
-    let r = r as i8;
-    let mut v = vec![Offset::ZERO];
-    for d in 1..=r {
-        v.push(Offset::new(d, 0, 0));
-        v.push(Offset::new(-d, 0, 0));
-        v.push(Offset::new(0, d, 0));
-        v.push(Offset::new(0, -d, 0));
-    }
-    v
 }
 
 /// Build the 3-point vertical stencil `{k-1, k, k+1}` truncated to radius
@@ -117,22 +97,15 @@ mod tests {
     }
 
     #[test]
-    fn von_neumann_counts() {
-        assert_eq!(von_neumann_2d(0).len(), 1);
-        assert_eq!(von_neumann_2d(1).len(), 5);
-        assert_eq!(von_neumann_2d(2).len(), 9);
-    }
-
-    #[test]
     fn vertical_stencil() {
         let v = vertical(1);
         assert_eq!(v.len(), 3);
-        assert!(v.iter().all(|o| !o.is_horizontal_neighbor()));
+        assert!(v.iter().all(|o| o.horizontal_radius() == 0));
     }
 
     #[test]
     fn max_radius_of_empty_is_zero() {
         assert_eq!(max_radius([]), 0);
-        assert_eq!(max_radius(von_neumann_2d(2)), 2);
+        assert_eq!(max_radius([Offset::new(0, -2, 0), Offset::new(1, 0, 3)]), 2);
     }
 }

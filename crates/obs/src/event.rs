@@ -185,9 +185,6 @@ pub enum Counter {
     CacheMisses,
     /// Solves seeded from a remapped near-match cache entry.
     WarmStarts,
-    /// Per-region greedy-floor computations skipped because the region's
-    /// sub-fingerprint hit the cache.
-    RegionFloorSkips,
     /// Request lines the daemon read off a connection (`kfuse serve`),
     /// including ones later rejected or found malformed.
     RequestsReceived,
@@ -204,7 +201,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (registry slot count).
-    pub const COUNT: usize = 29;
+    pub const COUNT: usize = 28;
 
     /// All counters, in registry/display order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -232,7 +229,6 @@ impl Counter {
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::WarmStarts,
-        Counter::RegionFloorSkips,
         Counter::RequestsReceived,
         Counter::RequestsServed,
         Counter::RequestsRejected,
@@ -266,7 +262,6 @@ impl Counter {
             Counter::CacheHits => "cache_hits",
             Counter::CacheMisses => "cache_misses",
             Counter::WarmStarts => "warm_starts",
-            Counter::RegionFloorSkips => "region_floor_skips",
             Counter::RequestsReceived => "requests_received",
             Counter::RequestsServed => "requests_served",
             Counter::RequestsRejected => "requests_rejected",

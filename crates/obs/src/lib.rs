@@ -6,8 +6,8 @@
 //! * a typed **event taxonomy** ([`SpanId`], [`Counter`], [`Gauge`]) —
 //!   every span, counter and gauge the planner can emit is enumerated, so
 //!   events are fixed-size and allocation-free to record;
-//! * a **[`Recorder`] trait** with a cheap pass-everywhere [`ObsHandle`]
-//!   and a thread-safe sharded [`InMemoryRecorder`];
+//! * a thread-safe sharded [`InMemoryRecorder`] behind a cheap
+//!   pass-everywhere [`ObsHandle`];
 //! * an always-on **[`MetricsRegistry`]** of relaxed atomics — the single
 //!   home for planner counters, from which `SolveStats` is derived;
 //! * **exporters**: [`chrome_trace`] JSON (loadable in Perfetto /
@@ -45,6 +45,5 @@ pub use event::{Counter, Gauge, SpanId, TraceEvent};
 pub use export::chrome_trace;
 pub use metrics::{ratio, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{
-    worker_track, InMemoryRecorder, ObsHandle, Recorder, SpanGuard, DEFAULT_CAPACITY,
-    WORKER_TRACK_BASE,
+    worker_track, InMemoryRecorder, ObsHandle, SpanGuard, DEFAULT_CAPACITY, WORKER_TRACK_BASE,
 };

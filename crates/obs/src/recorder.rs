@@ -1,9 +1,8 @@
-//! Recording: the [`Recorder`] trait, the cheap pass-everywhere
-//! [`ObsHandle`], RAII [`SpanGuard`]s, and the thread-safe sharded
-//! [`InMemoryRecorder`].
+//! Recording: the thread-safe sharded [`InMemoryRecorder`], the cheap
+//! pass-everywhere [`ObsHandle`], and RAII [`SpanGuard`]s.
 //!
 //! "Is observability on?" is one runtime question: an [`ObsHandle`]
-//! either carries a `&dyn Recorder` or is disabled. Disabled handles never
+//! either carries a `&InMemoryRecorder` or is disabled. Disabled handles never
 //! take a timestamp, never allocate and cost one predictable branch per
 //! call site — cheap enough to live inside the evaluation-memo miss path
 //! (proven by the `alloc_free` test in `kfuse-search`).
@@ -12,21 +11,6 @@ use crate::event::{Gauge, SpanId, TraceEvent};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// A sink for timeline events. All methods have no-op defaults, so a
-/// recorder may implement only what it cares about; implementations must
-/// be cheap and thread-safe — solvers call them from rayon workers.
-pub trait Recorder: Sync {
-    /// Record a completed span.
-    fn span(&self, id: SpanId, track: u32, start: Instant, dur: Duration, args: [u64; 2]) {
-        let _ = (id, track, start, dur, args);
-    }
-
-    /// Record a timestamped gauge sample.
-    fn value(&self, gauge: Gauge, track: u32, at: Instant, value: f64) {
-        let _ = (gauge, track, at, value);
-    }
-}
 
 /// Number of event-buffer shards. Each thread appends to a fixed shard, so
 /// concurrent region solves never contend on one lock.
@@ -139,10 +123,9 @@ impl InMemoryRecorder {
                 .push(ev);
         });
     }
-}
 
-impl Recorder for InMemoryRecorder {
-    fn span(&self, id: SpanId, track: u32, start: Instant, dur: Duration, args: [u64; 2]) {
+    /// Record a completed span. Solvers call this from rayon workers.
+    pub fn span(&self, id: SpanId, track: u32, start: Instant, dur: Duration, args: [u64; 2]) {
         self.record(TraceEvent::Span {
             id,
             track,
@@ -152,7 +135,8 @@ impl Recorder for InMemoryRecorder {
         });
     }
 
-    fn value(&self, gauge: Gauge, track: u32, at: Instant, value: f64) {
+    /// Record a timestamped gauge sample.
+    pub fn value(&self, gauge: Gauge, track: u32, at: Instant, value: f64) {
         self.record(TraceEvent::Value {
             gauge,
             track,
@@ -167,7 +151,7 @@ impl Recorder for InMemoryRecorder {
 /// every call a no-op that takes no timestamp and performs no allocation.
 #[derive(Clone, Copy, Default)]
 pub struct ObsHandle<'a> {
-    rec: Option<&'a dyn Recorder>,
+    rec: Option<&'a InMemoryRecorder>,
 }
 
 impl<'a> ObsHandle<'a> {
@@ -177,7 +161,7 @@ impl<'a> ObsHandle<'a> {
     }
 
     /// A handle recording into `rec`.
-    pub fn new(rec: &'a dyn Recorder) -> Self {
+    pub fn new(rec: &'a InMemoryRecorder) -> Self {
         ObsHandle { rec: Some(rec) }
     }
 
@@ -233,7 +217,7 @@ pub struct SpanGuard<'a> {
 }
 
 struct SpanInner<'a> {
-    rec: &'a dyn Recorder,
+    rec: &'a InMemoryRecorder,
     id: SpanId,
     start: Instant,
     args: [u64; 2],

@@ -2,7 +2,7 @@
 //! with the (vendored) serde_json and carry the documented structure.
 
 use kfuse_obs::{
-    chrome_trace, Counter, Gauge, InMemoryRecorder, MetricsRegistry, ObsHandle, Recorder, SpanId,
+    chrome_trace, Counter, Gauge, InMemoryRecorder, MetricsRegistry, ObsHandle, SpanId,
     WORKER_TRACK_BASE,
 };
 use serde_json::Value;

@@ -80,14 +80,13 @@ impl Default for HggaConfig {
 }
 
 /// External controls a caller can thread into a solve without changing
-/// the solver's configuration: warm-start seeds, a wall-clock deadline
-/// (the `--budget-ms` anytime mode), and the set of region fingerprints
-/// the plan cache knows about (hierarchical greedy-floor reuse).
+/// the solver's configuration: warm-start seeds and a wall-clock deadline
+/// (the `--budget-ms` anytime mode).
 ///
 /// The default value is the **cold** state, and every consumer gates on
-/// it: with no seeds, no deadline and no cached fingerprints the solve
-/// performs zero extra RNG draws, probes or clock reads, so cold-path
-/// trajectories stay bit-for-bit identical to a solver without controls.
+/// it: with no seeds and no deadline the solve performs zero extra RNG
+/// draws, probes or clock reads, so cold-path trajectories stay
+/// bit-for-bit identical to a solver without controls.
 #[derive(Debug, Clone, Default)]
 pub struct SolveControls {
     /// Plans injected into the initial population (each replaces the
@@ -98,16 +97,12 @@ pub struct SolveControls {
     /// Hard wall-clock deadline: the generation loop returns best-so-far
     /// at the first boundary past it.
     pub deadline: Option<Instant>,
-    /// Region fingerprints (see `kfuse_core::fingerprint`) with a cached
-    /// plan. The hierarchical solver skips the per-region greedy floor for
-    /// seeded regions whose fingerprint is in this set.
-    pub cached_region_fps: std::collections::HashSet<u64>,
 }
 
 impl SolveControls {
     /// True when the controls are the do-nothing cold state.
     pub fn is_cold(&self) -> bool {
-        self.seeds.is_empty() && self.deadline.is_none() && self.cached_region_fps.is_empty()
+        self.seeds.is_empty() && self.deadline.is_none()
     }
 
     /// True once the deadline (if any) has passed.

@@ -34,7 +34,6 @@ use crate::greedy::GreedySolver;
 use crate::hgga::{HggaConfig, HggaSolver, SolveControls};
 use kfuse_core::depgraph::DependencyGraph;
 use kfuse_core::exec_order::{ExecOrderGraph, SuccStamps};
-use kfuse_core::fingerprint::{kernel_signatures, region_fingerprint};
 use kfuse_core::fuse::{condensation_order_with, CondensationScratch};
 use kfuse_core::kinship::ShareGraph;
 use kfuse_core::metadata::ProgramInfo;
@@ -257,7 +256,7 @@ pub struct HggaHierSolver {
 }
 
 /// Minimum coupling for an agglomeration merge.
-pub(crate) const MIN_COUPLING: f64 = 1e-3;
+const MIN_COUPLING: f64 = 1e-3;
 /// Maximum stitching sweeps over the cross-region candidates.
 const STITCH_PASSES: usize = 4;
 
@@ -329,49 +328,21 @@ impl HggaHierSolver {
         ev.metrics()
             .add(Counter::BoundaryKernels, part.boundary.len() as u64);
 
-        // Warm-start projection: restrict each seed plan to the groups that
-        // fall wholly inside a region (remapped to region-local ids), and
-        // decide per region whether the cached sub-fingerprint lets the
-        // greedy floor be skipped. All of it is gated on non-cold controls,
-        // so the cold path computes no colors and skips nothing.
-        let mut region_ctrl: Vec<(SolveControls, bool)> = Vec::new();
-        region_ctrl.resize_with(part.regions.len(), Default::default);
-        if !controls.is_cold() {
-            // Region sub-fingerprints fold the members' *local* signatures
-            // (not the WL-refined colors): a perturbation elsewhere in the
-            // program must not invalidate an untouched region's entry.
-            let sigs =
-                (!controls.cached_region_fps.is_empty()).then(|| kernel_signatures(&ctx.info));
-            let mut skips = 0u64;
-            for (ri, region) in part.regions.iter().enumerate() {
-                if region.len() < 2 {
-                    continue;
-                }
-                let mut c = SolveControls {
-                    deadline: controls.deadline,
-                    ..Default::default()
-                };
-                c.seeds.extend(
-                    controls
-                        .seeds
-                        .iter()
-                        .filter_map(|plan| project_seed(plan, region)),
-                );
-                // Skip the greedy floor only when the cache both knows this
-                // exact sub-program *and* contributed a seed to climb from.
-                let skip = !c.seeds.is_empty()
-                    && sigs.as_ref().is_some_and(|sigs| {
-                        controls
-                            .cached_region_fps
-                            .contains(&region_fingerprint(sigs, region))
-                    });
-                if skip {
-                    skips += 1;
-                }
-                region_ctrl[ri] = (c, skip);
-            }
-            ev.metrics().add(Counter::RegionFloorSkips, skips);
-        }
+        // Warm-start projection: intersect each seed plan's groups with
+        // every region (remapped to region-local ids). Cold controls have
+        // no seeds, so the cold path projects nothing.
+        let region_ctrl: Vec<SolveControls> = part
+            .regions
+            .iter()
+            .map(|region| SolveControls {
+                seeds: controls
+                    .seeds
+                    .iter()
+                    .filter_map(|plan| project_seed(plan, region))
+                    .collect(),
+                deadline: controls.deadline,
+            })
+            .collect();
 
         // 2. Parallel region solves. Slots are indexed by region, so the
         // merge order — and with it the whole trajectory — is independent
@@ -396,9 +367,7 @@ impl HggaHierSolver {
                 }
                 s.spawn(move || {
                     let t0 = Instant::now();
-                    let r = solve_one_region(
-                        program, ctx, model, base_cfg, seed, ri, region, &ctrl.0, ctrl.1,
-                    );
+                    let r = solve_one_region(program, ctx, model, base_cfg, seed, ri, region, ctrl);
                     obs.record_span(
                         SpanId::RegionSolve,
                         ri as u32 + 1,
@@ -773,9 +742,8 @@ fn project_seed(plan: &FusionPlan, region: &[KernelId]) -> Option<FusionPlan> {
 /// Solve one region: extract the sub-program, build its context, run the
 /// HGGA with a region-derived RNG stream, and keep the greedy plan instead
 /// if it scores better (the warm-start quality floor). `controls` carries
-/// region-local warm-start seeds and the deadline; `skip_floor` elides the
-/// greedy floor when the plan cache already knows this sub-program.
-/// Returns groups in global kernel ids.
+/// region-local warm-start seeds and the deadline. Returns groups in
+/// global kernel ids.
 #[allow(clippy::too_many_arguments)]
 fn solve_one_region(
     program: &kfuse_ir::Program,
@@ -786,7 +754,6 @@ fn solve_one_region(
     region_idx: usize,
     region: &[KernelId],
     controls: &SolveControls,
-    skip_floor: bool,
 ) -> RegionResult {
     let (sub, map) = extract_region(program, region);
     let info = ProgramInfo::extract(&sub, &ctx.info.gpu, ctx.info.precision);
@@ -802,18 +769,15 @@ fn solve_one_region(
         },
     };
     let out = solver.solve_controlled(&sub_ctx, model, ObsHandle::disabled(), controls);
-    let mut metrics = vec![out.metrics];
-    let mut plan = out.plan;
-    if !skip_floor {
-        let greedy = GreedySolver.solve(&sub_ctx, model);
-        metrics.push(greedy.metrics);
-        if greedy.objective < out.objective - 1e-15 {
-            plan = greedy.plan;
-        }
-    }
+    let greedy = GreedySolver.solve(&sub_ctx, model);
+    let plan = if greedy.objective < out.objective - 1e-15 {
+        greedy.plan
+    } else {
+        out.plan
+    };
     RegionResult {
         groups: plan.groups.iter().map(|g| map.to_global(g)).collect(),
-        metrics,
+        metrics: vec![out.metrics, greedy.metrics],
     }
 }
 
@@ -891,7 +855,7 @@ impl Solver for HggaHierSolver {
 impl HggaHierSolver {
     /// Effective region-size cap for a program of `n` kernels, or `None`
     /// when this solver configuration would solve it flat.
-    pub fn effective_max_region(&self, n: usize) -> Option<usize> {
+    fn effective_max_region(&self, n: usize) -> Option<usize> {
         match self.partition {
             PartitionMode::Off => None,
             PartitionMode::Auto if n < Self::FLAT_THRESHOLD => None,
@@ -901,8 +865,8 @@ impl HggaHierSolver {
     }
 
     /// [`Solver::solve_observed`] with external [`SolveControls`]
-    /// (warm-start seeds, deadline, cached region fingerprints). Default
-    /// controls reproduce the uncontrolled solve bit for bit.
+    /// (warm-start seeds, deadline). Default controls reproduce the
+    /// uncontrolled solve bit for bit.
     pub fn solve_controlled(
         &self,
         ctx: &PlanContext,

@@ -4,9 +4,7 @@
 //! versioned [`CacheEntry`] keyed by the order-insensitive program
 //! fingerprint of [`kfuse_core::fingerprint`], storing the best plan
 //! found, its objective, the device/precision it was solved for, the
-//! per-kernel local signatures (near-match lookup + remapping) and the
-//! sub-fingerprints of the partition regions the hierarchical solver cut
-//! (greedy-floor reuse).
+//! per-kernel local signatures (near-match lookup + remapping).
 //!
 //! Durability over cleverness: loads are **corruption-tolerant** — a
 //! truncated line, bad JSON, version or device mismatch, or an entry with
@@ -92,8 +90,10 @@ pub struct CacheEntry {
     pub kernel_sigs: Vec<u64>,
     /// The plan's groups as kernel indices.
     pub groups: Vec<Vec<u32>>,
-    /// Region sub-fingerprints from the hierarchical solve (empty for flat
-    /// solves); lets a warm start skip per-region greedy floors.
+    /// Region sub-fingerprints. Nothing in the library reads them and new
+    /// entries write `[]`; the field stays because cache files from earlier
+    /// builds carry it and the benchmark harness names it (ROADMAP 6(b)
+    /// removes this pin).
     pub region_fps: Vec<u64>,
 }
 
@@ -228,8 +228,6 @@ pub struct PlanCache {
     slots: Vec<Slot>,
     /// Fingerprint → position in `slots`.
     index: HashMap<u64, usize>,
-    /// [`PlanCache::region_fps`], kept as entries arrive.
-    regions: HashSet<u64>,
     /// Arrival numbers handed out so far.
     arrivals: u64,
     /// Structured load warnings (corrupt/stale lines that were skipped).
@@ -237,16 +235,6 @@ pub struct PlanCache {
     /// The file ended mid-line (e.g. a killed writer); the next append
     /// must start with a newline or it would fuse with the partial line.
     unterminated: bool,
-}
-
-/// What [`PlanCache::supersede`] did with an entry.
-enum Superseded {
-    /// Its fingerprint was new.
-    Added,
-    /// It took over the slot of a worse entry.
-    Replaced,
-    /// The held entry is at least as good; the new one was dropped.
-    Kept,
 }
 
 impl PlanCache {
@@ -261,7 +249,6 @@ impl PlanCache {
             precision: precision.to_string(),
             slots: Vec::new(),
             index: HashMap::new(),
-            regions: HashSet::new(),
             arrivals: 0,
             warnings: Vec::new(),
             unterminated: false,
@@ -323,7 +310,6 @@ impl PlanCache {
             // loaded before the improvement must not displace it.
             cache.supersede(entry);
         }
-        cache.rebuild_regions();
         cache
     }
 
@@ -369,29 +355,25 @@ impl PlanCache {
         best.map(|(s, _)| Arc::clone(&s.entry))
     }
 
-    /// The union of every cached region sub-fingerprint plus the whole-
-    /// program fingerprints (a whole cached program is also a reusable
-    /// "region" when it reappears inside a larger one).
-    pub fn region_fps(&self) -> &HashSet<u64> {
-        &self.regions
-    }
-
-    fn rebuild_regions(&mut self) {
-        self.regions.clear();
+    /// The whole-program fingerprints of the resident entries plus every
+    /// region sub-fingerprint they carry, built when called. Nothing in
+    /// the library reads it; it stays because the benchmark harness names
+    /// it (ROADMAP 6(b) removes this pin).
+    pub fn region_fps(&self) -> HashSet<u64> {
+        let mut fps = HashSet::new();
         for s in &self.slots {
-            self.regions.insert(s.entry.fingerprint);
-            self.regions.extend(s.entry.region_fps.iter().copied());
+            fps.insert(s.entry.fingerprint);
+            fps.extend(s.entry.region_fps.iter().copied());
         }
+        fps
     }
 
     /// Keep `entry` iff its objective is strictly better than the one
-    /// held for its fingerprint (or none is held). Leaves `regions` to
-    /// the caller: an entry that replaces another may retire region
-    /// fingerprints, which only a rebuild can tell.
-    fn supersede(&mut self, entry: CacheEntry) -> Superseded {
+    /// held for its fingerprint (or none is held).
+    fn supersede(&mut self, entry: CacheEntry) {
         let held = self.index.get(&entry.fingerprint).copied();
         if held.is_some_and(|i| self.slots[i].entry.objective <= entry.objective) {
-            return Superseded::Kept;
+            return;
         }
         self.arrivals += 1;
         let slot = Slot {
@@ -400,14 +382,10 @@ impl PlanCache {
             entry: Arc::new(entry),
         };
         match held {
-            Some(i) => {
-                self.slots[i] = slot;
-                Superseded::Replaced
-            }
+            Some(i) => self.slots[i] = slot,
             None => {
                 self.index.insert(slot.entry.fingerprint, self.slots.len());
                 self.slots.push(slot);
-                Superseded::Added
             }
         }
     }
@@ -444,15 +422,7 @@ impl PlanCache {
             .append(true)
             .open(&path)?;
         f.write_all(buf.as_bytes())?;
-        match self.supersede(entry) {
-            Superseded::Added => {
-                let added = &self.slots[self.slots.len() - 1].entry;
-                self.regions.insert(added.fingerprint);
-                self.regions.extend(added.region_fps.iter().copied());
-            }
-            Superseded::Replaced => self.rebuild_regions(),
-            Superseded::Kept => {}
-        }
+        self.supersede(entry);
         Ok(())
     }
 
@@ -727,7 +697,7 @@ mod tests {
         assert_eq!(near(&cache), 1, "ties go to the earlier entry");
         assert_eq!(
             cache.region_fps(),
-            &HashSet::from([1, 2, 500, 501, 502]),
+            HashSet::from([1, 2, 500, 501, 502]),
             "whole-program and region fingerprints of both"
         );
 
@@ -737,7 +707,7 @@ mod tests {
         assert_eq!(near(&cache), 2, "the improved entry now arrived last");
         assert_eq!(
             cache.region_fps(),
-            &HashSet::from([1, 2, 500, 502, 511]),
+            HashSet::from([1, 2, 500, 502, 511]),
             "501 went with the entry it belonged to; 500 is still held by 2"
         );
         // A reload sees the same thing: the better line is the later one.

@@ -13,8 +13,7 @@
 //!   is *remapped* onto the current program (cached kernels matched to
 //!   current kernels by local signature, the existing sub-program
 //!   machinery's dense-renumbering convention) and injected as a
-//!   warm-start seed; under the hierarchical path, regions whose
-//!   sub-fingerprint is cached additionally skip their greedy floor.
+//!   warm-start seed.
 //! - **miss** — a normal cold solve, whose result is inserted into the
 //!   cache for next time.
 //!
@@ -30,9 +29,8 @@
 use crate::eval::Evaluator;
 use crate::greedy::GreedySolver;
 use crate::hgga::SolveControls;
-use crate::partition::{partition_regions, HggaHierSolver, MIN_COUPLING};
+use crate::partition::HggaHierSolver;
 use crate::plancache::{CacheEntry, PlanCache, CACHE_VERSION};
-use kfuse_core::fingerprint::region_fingerprint;
 use kfuse_core::model::PerfModel;
 use kfuse_core::pipeline::{SolveOutcome, SolveStats, Solver};
 use kfuse_core::plan::{FusionPlan, PlanContext};
@@ -189,15 +187,11 @@ impl WarmSolver {
                 outcome_code = PROBE_NEAR;
             }
             // Only a solve consumes the near entry (a scan over every
-            // resident entry) and the region set, so an exact hit that
-            // served never pays for them under the cache mutex.
-            let (near, region_fps, n_entries) = {
+            // resident entry), so an exact hit that served never pays for
+            // it under the cache mutex.
+            let (near, n_entries) = {
                 let c = lock(shared);
-                (
-                    c.lookup_near(fp, sigs, self.min_overlap),
-                    c.region_fps().clone(),
-                    c.len() as u64,
-                )
+                (c.lookup_near(fp, sigs, self.min_overlap), c.len() as u64)
             };
             if controls.seeds.is_empty() {
                 if let Some(entry) = &near {
@@ -211,7 +205,6 @@ impl WarmSolver {
             if outcome_code == PROBE_MISS {
                 reg.incr(Counter::CacheMisses);
             }
-            controls.cached_region_fps = region_fps;
             obs.record_span(
                 SpanId::CacheProbe,
                 0,
@@ -237,22 +230,7 @@ impl WarmSolver {
         }
 
         // Record the result for the next solve (miss and near-hit paths).
-        // Region sub-fingerprints fold *local* signatures, matching the
-        // hierarchical solver's floor-skip lookup (perturbation-local:
-        // changing one kernel leaves other regions' fingerprints intact).
         if let (Some(shared), Some((fp, sigs))) = (cache, probe) {
-            let region_fps = match (
-                self.inner.effective_max_region(ctx.n_kernels()),
-                &ctx.program,
-            ) {
-                (Some(m), Some(_)) => partition_regions(ctx, m, MIN_COUPLING)
-                    .regions
-                    .iter()
-                    .filter(|r| r.len() >= 2)
-                    .map(|r| region_fingerprint(sigs, r))
-                    .collect(),
-                _ => Vec::new(),
-            };
             let entry = CacheEntry {
                 version: CACHE_VERSION,
                 fingerprint: fp,
@@ -268,7 +246,7 @@ impl WarmSolver {
                     .iter()
                     .map(|g| g.iter().map(|k| k.0).collect())
                     .collect(),
-                region_fps,
+                region_fps: Vec::new(),
             };
             if let Err(e) = lock(shared).insert(entry) {
                 eprintln!("warning: plan cache write failed: {e}");

@@ -86,15 +86,6 @@ impl DeviceState {
         &self.grids[array.index()]
     }
 
-    /// Grow the state with extra (zeroed) arrays, e.g. after the
-    /// expandable-array relaxation added redundant copies.
-    pub fn grow_to(&mut self, arrays: usize) {
-        let n = self.dims.sites() as usize;
-        while self.grids.len() < arrays {
-            self.grids.push(vec![0.0; n]);
-        }
-    }
-
     /// Maximum absolute difference between two states on `array`.
     pub fn max_abs_diff(&self, other: &DeviceState, array: ArrayId) -> f64 {
         self.raw(array)
@@ -172,14 +163,5 @@ mod tests {
         b.set(ArrayId(0), 1, 1, 1, b.get(ArrayId(0), 1, 1, 1) + 0.5);
         assert!(!a.array_eq(&b, ArrayId(0)));
         assert!((a.max_abs_diff(&b, ArrayId(0)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn grow_to_adds_zeroed_arrays() {
-        let p = prog();
-        let mut s = DeviceState::default_init(&p);
-        s.grow_to(5);
-        assert_eq!(s.array_count(), 5);
-        assert_eq!(s.get(ArrayId(4), 0, 0, 0), 0.0);
     }
 }

@@ -108,7 +108,7 @@ impl fmt::Display for Span {
 }
 
 /// One verifier finding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Diagnostic {
     /// Stable `KF####` code (see the module docs for the code space).
     pub code: &'static str,
@@ -167,7 +167,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// A batch of diagnostics from one verification run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Report {
     /// All findings, in check order.
     pub diagnostics: Vec<Diagnostic>,

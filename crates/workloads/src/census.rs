@@ -9,10 +9,10 @@
 
 use crate::synth::{generate, SynthConfig};
 use kfuse_ir::Program;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One Table I row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CensusRow {
     /// Application name.
     pub application: &'static str,

@@ -45,7 +45,7 @@ for i, k in enumerate(p["kernels"]):
 json.dump(p, open(sys.argv[2], "w"))
 PY
     out=$(./target/release/kfuse stats "$cache_tmp/$ex-perturbed.json" --cache-dir "$dir")
-    echo "$out" | grep -E "^(cache_probes|warm_starts|region_floor_skips)"
+    echo "$out" | grep -E "^(cache_probes|warm_starts)"
     [[ $(echo "$out" | awk '$1 == "warm_starts" {print $2}') == 1 ]] \
       || { echo "FAIL: expected a near-hit warm start on the perturbed repeat"; exit 1; }
   done
@@ -307,6 +307,26 @@ print(f"   ok: {len(trace['traceEvents'])} trace events, "
       f"{sum(1 for v in metrics['counters'].values() if v)} live counters")
 PY
 done
+# The six built-ins all solve flat, so the hierarchical path gets its own
+# traced run: its three pass spans, one `region N` track per solved
+# region (never an evaluator worker's), and the regions_solved counter.
+echo "-- kfuse solve synth500 --solver hgga-hier --trace"
+./target/release/kfuse solve synth500 --solver hgga-hier \
+  --trace "$verify_tmp/hier-trace.json" --metrics "$verify_tmp/hier-metrics.json" > /dev/null
+python3 - "$verify_tmp/hier-trace.json" "$verify_tmp/hier-metrics.json" <<'PY'
+import json, re, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+spans = {e["name"] for e in events if e.get("ph") == "X"}
+for name in ("partition_pass", "region_solve", "stitch_pass"):
+    assert name in spans, f"no {name} span in the hierarchical trace"
+track = {e["tid"]: e["args"]["name"] for e in events if e.get("name") == "thread_name"}
+region_tracks = {track[e["tid"]] for e in events if e.get("name") == "region_solve"}
+assert all(re.fullmatch(r"region \d+", t) for t in region_tracks), region_tracks
+assert len(region_tracks) >= 2, f"expected >= 2 region tracks, got {region_tracks}"
+solved = json.load(open(sys.argv[2]))["counters"]["regions_solved"]
+assert solved >= 2, f"regions_solved = {solved}"
+print(f"   ok: {len(region_tracks)} region tracks, regions_solved = {solved}")
+PY
 echo "-- disabled-path allocation freedom (alloc_free)"
 cargo test --release -q -p kfuse-search --test alloc_free
 

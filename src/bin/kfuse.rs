@@ -53,20 +53,26 @@ fn usage() -> ExitCode {
 /// The device named by `--gpu` (K20X when the flag is absent). An unknown
 /// name is an error, worded like the daemon's `unsupported` rejection.
 fn parse_gpu(args: &[String]) -> Result<GpuSpec, String> {
-    let name = flag_value(args, "--gpu").unwrap_or_else(|| "k20x".into());
+    let name = flag_value(args, "--gpu")?.unwrap_or_else(|| "k20x".into());
     GpuSpec::by_name(&name).ok_or_else(|| format!("unknown gpu `{name}` (try k20x, k40, gtx750ti)"))
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Value of `flag`, or `None` when the flag is absent. A flag that ends
+/// the argument list, with no value after it, is an error naming the flag.
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v.clone())),
+            None => Err(format!("{flag} expects a value")),
+        },
+    }
 }
 
-/// Numeric value of `flag`, or `default` when the flag is absent. A value
-/// that does not parse is an error, never a silent fallback.
+/// Numeric value of `flag`, or `default` when the flag is absent. A
+/// missing or unparseable value is an error, never a silent fallback.
 fn flag_num(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
-    match flag_value(args, flag) {
+    match flag_value(args, flag)? {
         None => Ok(default),
         Some(s) => s
             .parse()
@@ -208,12 +214,12 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     println!("  sharing sets: {}", dep.sharing_set_count());
 
     let ctx = pipeline::prepare_owned(p.clone(), &gpu, gpu.default_precision());
-    if let Some(out) = flag_value(args, "--dot-deps") {
+    if let Some(out) = flag_value(args, "--dot-deps")? {
         let dot = kfuse_core::dot::dependency_dot(&p, &dep);
         std::fs::write(&out, dot).map_err(|e| e.to_string())?;
         println!("  wrote dependency graph to {out}");
     }
-    if let Some(out) = flag_value(args, "--dot-exec") {
+    if let Some(out) = flag_value(args, "--dot-exec")? {
         let dot = kfuse_core::dot::exec_order_dot(
             &p,
             &kfuse_core::exec_order::ExecOrderGraph::build(&p),
@@ -326,12 +332,12 @@ fn cmd_fuse(args: &[String]) -> Result<(), String> {
         r.stats.generations, r.stats.evaluations, r.stats.elapsed
     );
 
-    if let Some(out) = flag_value(args, "--plan-out") {
+    if let Some(out) = flag_value(args, "--plan-out")? {
         let json = serde_json::to_string_pretty(&r.plan).map_err(|e| e.to_string())?;
         std::fs::write(&out, json).map_err(|e| e.to_string())?;
         println!("wrote plan to {out}");
     }
-    if let Some(out) = flag_value(args, "--emit-cuda") {
+    if let Some(out) = flag_value(args, "--emit-cuda")? {
         let opts = kfuse_codegen::CodegenOptions::default();
         let code = kfuse_codegen::emit_program(&r.fused, &opts);
         std::fs::write(&out, code).map_err(|e| e.to_string())?;
@@ -362,12 +368,12 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
     let seed = flag_num(args, "--seed", 17)?;
     check_islands(args)?;
 
-    let partition = match flag_value(args, "--partition") {
+    let partition = match flag_value(args, "--partition")? {
         Some(v) => Some(v.parse::<PartitionMode>()?),
         None => None,
     };
-    let cache_dir = flag_value(args, "--cache-dir").map(std::path::PathBuf::from);
-    let budget = flag_value(args, "--budget-ms")
+    let cache_dir = flag_value(args, "--cache-dir")?.map(std::path::PathBuf::from);
+    let budget = flag_value(args, "--budget-ms")?
         .map(|s| {
             s.parse::<u64>()
                 .map_err(|_| format!("--budget-ms expects whole milliseconds, got `{s}`"))
@@ -379,7 +385,7 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
     // generations to cut short.
     let reuse = cache_dir.is_some() || budget.is_some();
 
-    let requested = flag_value(args, "--solver");
+    let requested = flag_value(args, "--solver")?;
     // `hgga` is `hgga-hier` with partitioning off (that mode delegates to
     // the flat GA bit for bit); `--partition` asks for the decomposition
     // layer whichever name was given.
@@ -428,7 +434,7 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
 
     let ctx = pipeline::prepare_owned(p, &gpu, gpu.default_precision());
     let model = ProposedModel::default();
-    let trace_out = flag_value(args, "--trace");
+    let trace_out = flag_value(args, "--trace")?;
     let recorder = trace_out.as_ref().map(|_| InMemoryRecorder::new());
     let obs = match &recorder {
         Some(rec) => ObsHandle::new(rec),
@@ -461,12 +467,12 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
         std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote chrome trace ({} events) to {path}", rec.len());
     }
-    if let Some(path) = flag_value(args, "--metrics") {
+    if let Some(path) = flag_value(args, "--metrics")? {
         std::fs::write(&path, out.metrics.to_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote metrics dump to {path}");
     }
-    if let Some(path) = flag_value(args, "--plan-out") {
+    if let Some(path) = flag_value(args, "--plan-out")? {
         let json = serde_json::to_string_pretty(&out.plan).map_err(|e| e.to_string())?;
         std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote plan to {path}");
@@ -512,7 +518,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let ctx = pipeline::prepare_owned(p, &gpu, gpu.default_precision());
     let relaxed = ctx.program.as_ref().expect("prepare attaches the program");
 
-    let plan = match flag_value(args, "--plan") {
+    let plan = match flag_value(args, "--plan")? {
         Some(f) => {
             let text = std::fs::read_to_string(&f).map_err(|e| format!("cannot read {f}: {e}"))?;
             serde_json::from_str::<FusionPlan>(&text)
@@ -577,15 +583,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let cfg = kfuse_serve::ServeConfig {
         workers: flag_num(args, "--workers", 1)? as usize,
         queue_depth: flag_num(args, "--queue-depth", 64)?.max(1) as usize,
-        cache_dir: flag_value(args, "--cache-dir").map(std::path::PathBuf::from),
-        gpu: flag_value(args, "--gpu").unwrap_or_else(|| "k20x".into()),
+        cache_dir: flag_value(args, "--cache-dir")?.map(std::path::PathBuf::from),
+        gpu: flag_value(args, "--gpu")?.unwrap_or_else(|| "k20x".into()),
         seed: flag_num(args, "--seed", 17)?,
         retry_after_ms: flag_num(args, "--retry-after-ms", 50)?,
     };
     // The daemon resolves device names per request; refuse an unknown
     // default before any socket is bound.
     parse_gpu(args)?;
-    let socket = flag_value(args, "--socket");
+    let socket = flag_value(args, "--socket")?;
     let use_stdin = args.iter().any(|a| a == "--stdin");
     match (socket, use_stdin) {
         (Some(path), false) => kfuse_serve::serve_unix(cfg, std::path::Path::new(&path))

@@ -331,6 +331,22 @@ fn unparseable_seed_and_islands_are_errors() {
     }
 }
 
+/// A flag that takes a value but ends the command line is an error naming
+/// the flag — never a run that quietly skips the output or falls back to
+/// the default seed or device.
+#[test]
+fn a_value_flag_without_its_value_is_an_error() {
+    for flag in ["--plan-out", "--seed", "--gpu"] {
+        let out = kfuse(&["solve", "synth60", flag]);
+        assert!(!out.status.success(), "{flag} without a value must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag} expects a value")),
+            "{flag}: {err}"
+        );
+    }
+}
+
 /// The GA evolves one population: `--islands` still parses, accepts only
 /// 1 (a no-op), and refuses any other count by naming the removal.
 #[test]

@@ -182,24 +182,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Simplification never changes program semantics.
-    #[test]
-    fn simplify_preserves_semantics(seed in 0u64..300, kernels in 3usize..10) {
-        let p = generate(&small_config(seed, kernels, kernels * 2, 0.5));
-        let mut simplified = p.clone();
-        kfuse_ir::simplify::simplify_program(&mut simplified);
-        prop_assert!(simplified.validate().is_ok());
-
-        let mut s_orig = DeviceState::default_init(&p);
-        run_reference(&p, &mut s_orig);
-        let mut s_simpl = DeviceState::default_init(&simplified);
-        run_reference(&simplified, &mut s_simpl);
-        for a in 0..p.arrays.len() {
-            let a = ArrayId(a as u32);
-            prop_assert_eq!(s_orig.max_abs_diff(&s_simpl, a), 0.0);
-        }
-    }
-
     /// A plan the evaluator scores finite always passes full validation
     /// and condensation ordering (evaluator/validator consistency).
     #[test]
