@@ -2,8 +2,8 @@
 //!
 //! The evaluation memo already content-addresses *groups* by an
 //! order-insensitive fingerprint; this module lifts the same idea to whole
-//! programs so a persistent plan cache can serve repeat and near-repeat
-//! solves (the runtime-fusion regime of Kristensen et al.). Two programs
+//! programs so a persistent plan cache can serve repeat solves (the
+//! runtime-fusion regime of Kristensen et al.). Two programs
 //! that differ only in kernel invocation order or array naming/numbering
 //! must collide, while a change to any constraint-relevant quantity —
 //! launch geometry, per-array touch facts, epochs, streams, the device —
@@ -71,9 +71,8 @@ fn use_sig(u: &ArrayUse) -> u64 {
 /// Per-kernel **local** signatures: launch + capacity + placement facts
 /// and the multiset of usage facts, independent of kernel/array numbering
 /// and of the rest of the program. Stable under small perturbations
-/// elsewhere in the program, which makes these the matching key for
-/// near-repeat lookups (a 10%-perturbed program keeps 90% of its local
-/// signatures bit-identical).
+/// elsewhere in the program: a 10%-perturbed program keeps 90% of its
+/// local signatures bit-identical.
 pub fn kernel_signatures(info: &ProgramInfo) -> Vec<u64> {
     info.kernels
         .iter()
@@ -463,8 +462,7 @@ mod tests {
         }
 
         /// Perturbing one kernel's arithmetic changes the fingerprint but
-        /// leaves every other kernel's local signature bit-identical (the
-        /// property near-repeat matching relies on).
+        /// leaves every other kernel's local signature bit-identical.
         #[test]
         fn perturbation_is_local_to_the_touched_kernel(
             n in 4usize..8,

@@ -221,7 +221,7 @@ impl PlanContext {
 
     /// The program's cache identity (kernel signatures + fingerprint),
     /// computed once per context and shared by everything that keys on
-    /// it: the warm-start probe, the cache insert, the daemon's response.
+    /// it: the cache probe, the cache insert, the daemon's response.
     pub fn identity(&self) -> &ProgramIdentity {
         self.identity
             .get_or_init(|| ProgramIdentity::of(&self.info))

@@ -175,15 +175,18 @@ pub enum Counter {
     BoundaryKernels,
     /// Cross-region group merges the stitching pass committed.
     StitchMerges,
-    /// Plan-cache lookups attempted (exact or near, hit or miss).
+    /// Plan-cache lookups attempted (hit or miss).
     CacheProbes,
     /// Plan-cache probes answered by an exact fingerprint hit whose plan
     /// re-validated cleanly and was served without a search.
     CacheHits,
     /// Plan-cache probes that found no usable entry (no match, or the
-    /// matched plan failed re-validation).
+    /// matched plan failed re-validation): every probe that is not an
+    /// exact hit, each followed by a cold solve.
     CacheMisses,
-    /// Solves seeded from a remapped near-match cache entry.
+    /// Always 0: solves were once seeded from a near-match cache entry.
+    /// Nothing increments it; it stays because the benchmark harness reads
+    /// it (ROADMAP 6(b) removes this pin).
     WarmStarts,
     /// Request lines the daemon read off a connection (`kfuse serve`),
     /// including ones later rejected or found malformed.

@@ -79,38 +79,6 @@ impl Default for HggaConfig {
     }
 }
 
-/// External controls a caller can thread into a solve without changing
-/// the solver's configuration: warm-start seeds and a wall-clock deadline
-/// (the `--budget-ms` anytime mode).
-///
-/// The default value is the **cold** state, and every consumer gates on
-/// it: with no seeds and no deadline the solve performs zero extra RNG
-/// draws, probes or clock reads, so cold-path trajectories stay
-/// bit-for-bit identical to a solver without controls.
-#[derive(Debug, Clone, Default)]
-pub struct SolveControls {
-    /// Plans injected into the initial population (each replaces the
-    /// current worst individual after construction). Infeasible groups in
-    /// a seed are repaired by the normal `finalize` path, so remapped
-    /// near-match plans are safe to inject as-is.
-    pub seeds: Vec<FusionPlan>,
-    /// Hard wall-clock deadline: the generation loop returns best-so-far
-    /// at the first boundary past it.
-    pub deadline: Option<Instant>,
-}
-
-impl SolveControls {
-    /// True when the controls are the do-nothing cold state.
-    pub fn is_cold(&self) -> bool {
-        self.seeds.is_empty() && self.deadline.is_none()
-    }
-
-    /// True once the deadline (if any) has passed.
-    fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
-
 /// The HGGA solver.
 #[derive(Debug, Clone, Default)]
 pub struct HggaSolver {
@@ -231,20 +199,21 @@ impl Solver for HggaSolver {
         model: &dyn PerfModel,
         obs: ObsHandle<'_>,
     ) -> SolveOutcome {
-        self.solve_controlled(ctx, model, obs, &SolveControls::default())
+        self.solve_controlled(ctx, model, obs, None)
     }
 }
 
 impl HggaSolver {
-    /// [`Solver::solve_observed`] with external [`SolveControls`]
-    /// (warm-start seeds and/or a deadline). Default controls reproduce
-    /// the uncontrolled solve bit for bit.
+    /// [`Solver::solve_observed`] under a wall-clock `deadline` (the
+    /// `--budget-ms` anytime mode): the generation loop returns
+    /// best-so-far at the first boundary past it. `None` is the plain
+    /// solve, bit for bit — it reads no clock and draws nothing extra.
     pub fn solve_controlled(
         &self,
         ctx: &PlanContext,
         model: &dyn PerfModel,
         obs: ObsHandle<'_>,
-        controls: &SolveControls,
+        deadline: Option<Instant>,
     ) -> SolveOutcome {
         let cfg = &self.config;
         let ev = Evaluator::observed(ctx, model, obs);
@@ -265,9 +234,6 @@ impl HggaSolver {
                 .collect()
         };
         pop.sort_by(|a, b| a.cost().total_cmp(&b.cost()));
-        if !controls.seeds.is_empty() {
-            inject_seeds(&ev, &mut pop, &controls.seeds, &mut scratch);
-        }
 
         let mut best = pop[0].chromo.to_plan();
         let mut best_cost = pop[0].cost();
@@ -278,21 +244,14 @@ impl HggaSolver {
         let mut generations = 0u32;
 
         for gen in 1..=cfg.max_generations {
-            if controls.expired() {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 break;
             }
             generations = gen;
             {
                 let mut gen_span = obs.span(SpanId::Generation);
                 gen_span.set_arg(0, gen as u64);
-                step_generation(
-                    &ev,
-                    cfg,
-                    &mut pop,
-                    &mut rng,
-                    &mut scratch,
-                    controls.deadline,
-                );
+                step_generation(&ev, cfg, &mut pop, &mut rng, &mut scratch, deadline);
             }
             ev.count(Counter::Generations, 1);
             obs.value(Gauge::GenerationBest, pop[0].cost());
@@ -331,26 +290,6 @@ impl HggaSolver {
             objective: best_cost,
             stats,
             metrics,
-        }
-    }
-}
-
-/// Seed the population with externally supplied plans (warm start): each
-/// seed is rebuilt as a chromosome, repaired + scored by the normal
-/// `finalize` path, and replaces the current worst individual. Draws no
-/// RNG, so injecting seeds perturbs nothing but population content.
-fn inject_seeds(
-    ev: &Evaluator<'_>,
-    pop: &mut [Individual],
-    seeds: &[FusionPlan],
-    scratch: &mut OpScratch,
-) {
-    for plan in seeds {
-        let mut chromo = Chromosome::from_plan(plan, ev);
-        chromo.finalize(ev, scratch);
-        if let Some(worst) = pop.last_mut() {
-            *worst = Individual { chromo };
-            pop.sort_by(|a, b| a.cost().total_cmp(&b.cost()));
         }
     }
 }

@@ -29,9 +29,9 @@
 //!   (DESIGN.md §16): a persistent JSONL plan cache keyed by the
 //!   order-insensitive program fingerprint of `kfuse_core::fingerprint`,
 //!   and the [`warmstart::WarmSolver`] wrapper that serves exact repeats
-//!   outright (after independent re-validation), seeds the GA from
-//!   remapped near matches, and enforces an anytime wall-clock budget
-//!   with a greedy quality floor.
+//!   outright (after independent re-validation), solves everything else
+//!   exactly as a cacheless call would, and enforces an anytime
+//!   wall-clock budget with a greedy quality floor.
 //!
 //! All solvers implement `Solver::solve_observed` from `kfuse-core`: pass
 //! a `kfuse_obs::ObsHandle` to record spans (generations, region solves,
@@ -55,7 +55,7 @@ pub mod warmstart;
 pub use eval::{BatchProbe, Evaluator};
 pub use exhaustive::ExhaustiveSolver;
 pub use greedy::GreedySolver;
-pub use hgga::{HggaConfig, HggaSolver, SolveControls};
+pub use hgga::{HggaConfig, HggaSolver};
 pub use partition::{partition_regions, HggaHierSolver, Partition, PartitionMode};
 pub use plancache::{CacheEntry, CacheWarning, PlanCache};
 pub use warmstart::WarmSolver;

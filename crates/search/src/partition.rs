@@ -14,7 +14,7 @@
 //! 2. **parallel region solves**: each region becomes a self-contained
 //!    sub-[`Program`](kfuse_ir::Program) (see [`kfuse_core::subprogram`])
 //!    solved by the existing HGGA with its own memo shard and a
-//!    splitmix-derived RNG stream, with a greedy warm-start as the
+//!    splitmix-derived RNG stream, with the greedy plan as the
 //!    per-region quality floor;
 //! 3. a **boundary-stitching pass** re-opening only inter-region candidate
 //!    groups (kernels whose sharing sets cross a cut) and running a
@@ -31,7 +31,7 @@
 
 use crate::eval::Evaluator;
 use crate::greedy::GreedySolver;
-use crate::hgga::{HggaConfig, HggaSolver, SolveControls};
+use crate::hgga::{HggaConfig, HggaSolver};
 use kfuse_core::depgraph::DependencyGraph;
 use kfuse_core::exec_order::{ExecOrderGraph, SuccStamps};
 use kfuse_core::fuse::{condensation_order_with, CondensationScratch};
@@ -299,7 +299,7 @@ impl HggaHierSolver {
         model: &dyn PerfModel,
         obs: ObsHandle<'_>,
         max_region: usize,
-        controls: &SolveControls,
+        deadline: Option<Instant>,
     ) -> SolveOutcome {
         let n = ctx.n_kernels();
         let program = ctx
@@ -328,22 +328,6 @@ impl HggaHierSolver {
         ev.metrics()
             .add(Counter::BoundaryKernels, part.boundary.len() as u64);
 
-        // Warm-start projection: intersect each seed plan's groups with
-        // every region (remapped to region-local ids). Cold controls have
-        // no seeds, so the cold path projects nothing.
-        let region_ctrl: Vec<SolveControls> = part
-            .regions
-            .iter()
-            .map(|region| SolveControls {
-                seeds: controls
-                    .seeds
-                    .iter()
-                    .filter_map(|plan| project_seed(plan, region))
-                    .collect(),
-                deadline: controls.deadline,
-            })
-            .collect();
-
         // 2. Parallel region solves. Slots are indexed by region, so the
         // merge order — and with it the whole trajectory — is independent
         // of how the solves are scheduled across threads.
@@ -352,12 +336,7 @@ impl HggaHierSolver {
         let seed = self.config.seed;
         let base_cfg = &self.config;
         rayon::scope(|s| {
-            for (ri, ((slot, region), ctrl)) in results
-                .iter_mut()
-                .zip(&part.regions)
-                .zip(&region_ctrl)
-                .enumerate()
-            {
+            for (ri, (slot, region)) in results.iter_mut().zip(&part.regions).enumerate() {
                 if region.len() < 2 {
                     *slot = Some(RegionResult {
                         groups: vec![region.clone()],
@@ -367,7 +346,8 @@ impl HggaHierSolver {
                 }
                 s.spawn(move || {
                     let t0 = Instant::now();
-                    let r = solve_one_region(program, ctx, model, base_cfg, seed, ri, region, ctrl);
+                    let r =
+                        solve_one_region(program, ctx, model, base_cfg, seed, ri, region, deadline);
                     obs.record_span(
                         SpanId::RegionSolve,
                         ri as u32 + 1,
@@ -699,51 +679,10 @@ impl HggaHierSolver {
     }
 }
 
-/// Restrict a whole-program seed plan to one region: each group is
-/// intersected with the region (the stitch pass can have merged region
-/// results into boundary-crossing groups, so requiring full containment
-/// would discard almost every cached plan) and intersections that keep at
-/// least two members survive, remapped to region-local ids — local id =
-/// position in the sorted region. Everything else becomes a singleton.
-/// Returns `None` when no multi-member group survives, since a
-/// pure-singleton seed is just the identity plan and teaches the region
-/// solve nothing.
-fn project_seed(plan: &FusionPlan, region: &[KernelId]) -> Option<FusionPlan> {
-    let mut covered = vec![false; region.len()];
-    let mut groups: Vec<Vec<KernelId>> = Vec::new();
-    for g in &plan.groups {
-        if g.len() < 2 {
-            continue;
-        }
-        // Region and group are both sorted, so local ids come out sorted.
-        let locals: Vec<KernelId> = g
-            .iter()
-            .filter_map(|k| region.binary_search(k).ok().map(|li| KernelId(li as u32)))
-            .collect();
-        if locals.len() >= 2 {
-            for l in &locals {
-                covered[l.index()] = true;
-            }
-            groups.push(locals);
-        }
-    }
-    if groups.is_empty() {
-        return None;
-    }
-    for (li, done) in covered.iter().enumerate() {
-        if !done {
-            groups.push(vec![KernelId(li as u32)]);
-        }
-    }
-    groups.sort_by_key(|g| g[0]);
-    Some(FusionPlan::from_sorted_groups(groups))
-}
-
 /// Solve one region: extract the sub-program, build its context, run the
-/// HGGA with a region-derived RNG stream, and keep the greedy plan instead
-/// if it scores better (the warm-start quality floor). `controls` carries
-/// region-local warm-start seeds and the deadline. Returns groups in
-/// global kernel ids.
+/// HGGA with a region-derived RNG stream under the solve's `deadline`, and
+/// keep the greedy plan instead if it scores better (the region's quality
+/// floor). Returns groups in global kernel ids.
 #[allow(clippy::too_many_arguments)]
 fn solve_one_region(
     program: &kfuse_ir::Program,
@@ -753,7 +692,7 @@ fn solve_one_region(
     seed: u64,
     region_idx: usize,
     region: &[KernelId],
-    controls: &SolveControls,
+    deadline: Option<Instant>,
 ) -> RegionResult {
     let (sub, map) = extract_region(program, region);
     let info = ProgramInfo::extract(&sub, &ctx.info.gpu, ctx.info.precision);
@@ -768,7 +707,7 @@ fn solve_one_region(
             ..base_cfg.clone()
         },
     };
-    let out = solver.solve_controlled(&sub_ctx, model, ObsHandle::disabled(), controls);
+    let out = solver.solve_controlled(&sub_ctx, model, ObsHandle::disabled(), deadline);
     let greedy = GreedySolver.solve(&sub_ctx, model);
     let plan = if greedy.objective < out.objective - 1e-15 {
         greedy.plan
@@ -848,7 +787,7 @@ impl Solver for HggaHierSolver {
         model: &dyn PerfModel,
         obs: ObsHandle<'_>,
     ) -> SolveOutcome {
-        self.solve_controlled(ctx, model, obs, &SolveControls::default())
+        self.solve_controlled(ctx, model, obs, None)
     }
 }
 
@@ -864,25 +803,25 @@ impl HggaHierSolver {
         }
     }
 
-    /// [`Solver::solve_observed`] with external [`SolveControls`]
-    /// (warm-start seeds, deadline). Default controls reproduce the
-    /// uncontrolled solve bit for bit.
+    /// [`Solver::solve_observed`] under a wall-clock `deadline`, threaded
+    /// into the flat solve or every region solve. `None` is the plain
+    /// solve, bit for bit.
     pub fn solve_controlled(
         &self,
         ctx: &PlanContext,
         model: &dyn PerfModel,
         obs: ObsHandle<'_>,
-        controls: &SolveControls,
+        deadline: Option<Instant>,
     ) -> SolveOutcome {
         match self.effective_max_region(ctx.n_kernels()) {
             // Flat delegation: identical to today's solver, bit for bit.
             // Region extraction needs the relaxed program; contexts built
             // without one also fall back to the flat path.
-            None => self.flat().solve_controlled(ctx, model, obs, controls),
+            None => self.flat().solve_controlled(ctx, model, obs, deadline),
             Some(_) if ctx.program.is_none() => {
-                self.flat().solve_controlled(ctx, model, obs, controls)
+                self.flat().solve_controlled(ctx, model, obs, deadline)
             }
-            Some(m) => self.solve_hier(ctx, model, obs, m, controls),
+            Some(m) => self.solve_hier(ctx, model, obs, m, deadline),
         }
     }
 }

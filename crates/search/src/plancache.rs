@@ -3,8 +3,8 @@
 //! One JSONL file (`plans.jsonl`) per cache directory: each line is a
 //! versioned [`CacheEntry`] keyed by the order-insensitive program
 //! fingerprint of [`kfuse_core::fingerprint`], storing the best plan
-//! found, its objective, the device/precision it was solved for, the
-//! per-kernel local signatures (near-match lookup + remapping).
+//! found, its objective, the device/precision it was solved for, and the
+//! per-kernel local signatures. A solve reads only exact hits.
 //!
 //! Durability over cleverness: loads are **corruption-tolerant** — a
 //! truncated line, bad JSON, version or device mismatch, or an entry with
@@ -80,13 +80,16 @@ pub struct CacheEntry {
     pub gpu: String,
     /// Precision tag (`"Single"`/`"Double"`), matched like the GPU.
     pub precision: String,
-    /// Kernel count, for cheap plausibility checks before remapping.
+    /// Kernel count, for a cheap plausibility check before re-validation.
     pub n_kernels: u32,
     /// Objective of the cached plan (projected seconds).
     pub objective: f64,
     /// Per-kernel local signatures in kernel-id order
-    /// ([`kfuse_core::fingerprint::kernel_signatures`]): the near-match
-    /// overlap metric and the kernel remapping key.
+    /// ([`kfuse_core::fingerprint::kernel_signatures`]). Nothing in the
+    /// library reads them beyond the load-time length check and
+    /// [`PlanCache::lookup_near`]; inserts still write them so cache files
+    /// stay readable by earlier builds, and the benchmark harness names
+    /// the field (ROADMAP 6(b) removes this pin).
     pub kernel_sigs: Vec<u64>,
     /// The plan's groups as kernel indices.
     pub groups: Vec<Vec<u32>>,
@@ -163,7 +166,8 @@ struct Slot {
     /// under the daemon's cache mutex.
     entry: Arc<CacheEntry>,
     /// `entry.kernel_sigs` in ascending order, sorted once when the entry
-    /// arrives: what every near lookup merges the probe against.
+    /// arrives: what [`PlanCache::lookup_near`] merges the probe against.
+    /// Kept only with that lookup.
     sorted_sigs: Vec<u64>,
     /// Arrival number. An improvement takes its slot over in place and
     /// gets a new number, so "earlier entry" (the near lookup's
@@ -333,6 +337,10 @@ impl PlanCache {
     /// The nearest entry by kernel-signature overlap, excluding the exact
     /// fingerprint (which [`PlanCache::lookup_exact`] already covers) and
     /// anything below `min_overlap`. Ties break to the earlier entry.
+    ///
+    /// Nothing in the library calls it: a solve never consults a near
+    /// entry. It stays because the benchmark harness times it (ROADMAP
+    /// 6(b) removes this pin).
     pub fn lookup_near(
         &self,
         fingerprint: u64,

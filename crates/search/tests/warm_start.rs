@@ -1,7 +1,7 @@
 //! Integration tests for the cross-solve reuse layer: cold-path
-//! determinism, exact-hit serving, near-hit warm starts, and the anytime
-//! budget floor — every served or warm-started plan re-checked through the
-//! independent verifier.
+//! determinism, exact-hit serving, a cache that leaves every other solve
+//! untouched, and the anytime budget floor — every served or solved plan
+//! re-checked through the independent verifier.
 
 use kfuse_core::model::ProposedModel;
 use kfuse_core::pipeline::{prepare, Solver};
@@ -118,70 +118,46 @@ fn exact_repeat_is_served_from_cache_and_reverified() {
     assert_clean(&ctx, &model, &warm);
 }
 
+/// A cache answers exact repeats and nothing else: a perturbed program
+/// solved through a cache holding its original gets the cacheless solve's
+/// plan, objective and generation count, flat and partitioned, whether
+/// one kernel or a tenth of them changed.
 #[test]
-fn near_repeat_warm_starts_and_matches_cold_quality_class() {
-    let dir = tmpdir("near");
+fn non_exact_solve_through_a_cache_equals_the_cacheless_solve() {
     let p = kfuse_workloads::synth::clustered(4, 15, 0.3);
-    let ctx = prepared(&p);
-    let model = ProposedModel::default();
-    let solver = || {
-        WarmSolver::new(
-            quick_hier(11, PartitionMode::MaxRegion(16)),
-            Some(dir.clone()),
-            None,
-        )
-    };
-
-    // Cold solve populates the cache.
-    let cold = solver().solve(&ctx, &model);
-    assert_eq!(cold.metrics.get(Counter::CacheMisses), 1);
-
-    // ~10% perturbed program: near hit, GA seeded from the remapped plan.
-    let q = perturb(&p, 10);
-    let qctx = prepared(&q);
-    let warm = solver().solve(&qctx, &model);
-    assert_eq!(warm.metrics.get(Counter::CacheProbes), 1);
-    assert_eq!(warm.metrics.get(Counter::WarmStarts), 1);
-    assert_eq!(warm.metrics.get(Counter::CacheHits), 0);
-    assert_clean(&qctx, &model, &warm);
-
-    // The warm solve's result must not be worse than solving the perturbed
-    // program cold with the same seed/config (the seed only adds a good
-    // individual; selection discards it if it does not help).
-    let cold_q = quick_hier(11, PartitionMode::MaxRegion(16)).solve(&qctx, &model);
-    assert!(
-        warm.objective <= cold_q.objective + 1e-12,
-        "warm {} vs cold {}",
-        warm.objective,
-        cold_q.objective
-    );
-}
-
-#[test]
-fn hierarchical_near_repeat_is_warm_started() {
-    let dir = tmpdir("floors");
-    let p = kfuse_workloads::synth::clustered(4, 15, 0.3);
-    let ctx = prepared(&p);
-    let model = ProposedModel::default();
-    let solver = || {
-        WarmSolver::new(
-            quick_hier(13, PartitionMode::MaxRegion(16)),
-            Some(dir.clone()),
-            None,
-        )
-    };
-    let cold = solver().solve(&ctx, &model);
-    assert_eq!(cold.metrics.get(Counter::WarmStarts), 0);
-
-    // Perturb exactly one kernel: the repeat is a near hit, and the seed is
-    // projected onto every region of the partitioned solve.
-    let mut q = p.clone();
-    let st = &mut q.kernels[0].segments[0].statements[0];
+    let mut one = p.clone();
+    let st = &mut one.kernels[0].segments[0].statements[0];
     st.expr = st.expr.clone() + Expr::lit(1.0);
-    let qctx = prepared(&q);
-    let warm = solver().solve(&qctx, &model);
-    assert_eq!(warm.metrics.get(Counter::WarmStarts), 1);
-    assert_clean(&qctx, &model, &warm);
+    let model = ProposedModel::default();
+    for (name, mode) in [
+        ("off", PartitionMode::Off),
+        ("r16", PartitionMode::MaxRegion(16)),
+    ] {
+        let dir = tmpdir(&format!("near-{name}"));
+        let solver = |dir: Option<PathBuf>| WarmSolver::new(quick_hier(11, mode), dir, None);
+        let first = solver(Some(dir.clone())).solve(&prepared(&p), &model);
+        assert_eq!(first.metrics.get(Counter::CacheMisses), 1);
+        for q in [perturb(&p, 10), one.clone()] {
+            let qctx = prepared(&q);
+            let cached = solver(Some(dir.clone())).solve(&qctx, &model);
+            let plain = solver(None).solve(&qctx, &model);
+            assert_eq!(cached.metrics.get(Counter::CacheProbes), 1, "{name}");
+            assert_eq!(cached.metrics.get(Counter::CacheMisses), 1, "{name}");
+            assert_eq!(cached.metrics.get(Counter::WarmStarts), 0, "{name}");
+            assert_eq!(cached.plan.groups, plain.plan.groups, "{name}");
+            assert_eq!(
+                cached.objective.to_bits(),
+                plain.objective.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                cached.metrics.get(Counter::Generations),
+                plain.metrics.get(Counter::Generations),
+                "{name}"
+            );
+            assert_clean(&qctx, &model, &cached);
+        }
+    }
 }
 
 #[test]

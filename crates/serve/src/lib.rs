@@ -13,9 +13,9 @@
 //!   planning context of such a program, keyed by its exact bytes, so a
 //!   byte-identical repeat is not parsed or prepared again — only
 //!   re-verified;
-//! * **near hit** — the closest cached plan warm-starts the search;
-//! * **miss** — a cold solve under the request's `budget_ms` deadline,
-//!   whose result lands in the cache for everyone.
+//! * **anything else** — a cold solve under the request's `budget_ms`
+//!   deadline, the same one an uncached daemon runs, whose result lands
+//!   in the cache for everyone.
 //!
 //! The queue is **bounded**: when it is full, new requests get an
 //! immediate structured `queue_full` rejection with a `retry_after_ms`

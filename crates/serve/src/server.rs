@@ -448,9 +448,7 @@ fn solver_for(shared: &Shared, job: &Job) -> WarmSolver {
 fn reuse_context(shared: &Shared, job: &Job, gpu: &GpuSpec, ctx: &PlanContext) -> Option<String> {
     let cache = cache_for(shared, gpu)?;
     let model = ProposedModel::default();
-    let out = solver_for(shared, job)
-        .serve_exact(ctx, &model, ObsHandle::disabled(), &cache)
-        .ok()?;
+    let out = solver_for(shared, job).serve_exact(ctx, &model, ObsHandle::disabled(), &cache)?;
     shared.metrics.incr(Counter::ContextReuses);
     Some(solve_response(shared, job, gpu, ctx, &out))
 }
@@ -467,7 +465,7 @@ fn solve_job(shared: &Shared, job: &Job, gpu: &GpuSpec, ctx: &PlanContext) -> (S
 }
 
 /// Fold a solve's counters into the daemon-wide registry, so `stats`
-/// reports cumulative cache hits / warm starts / generations, and build
+/// reports cumulative cache hits / misses / generations, and build
 /// its response line.
 fn solve_response(
     shared: &Shared,
@@ -482,8 +480,6 @@ fn solve_response(
 
     let outcome = if out.metrics.get(Counter::CacheHits) > 0 {
         "exact_hit"
-    } else if out.metrics.get(Counter::WarmStarts) > 0 {
-        "warm_start"
     } else if out.metrics.get(Counter::CacheProbes) > 0 {
         "cold"
     } else {

@@ -594,7 +594,7 @@ fn near_novel_verify_and_failed_requests_are_never_kept() {
     let novel = c.request(&inline_solve("n", &rk3));
     assert!(novel.contains(r#""outcome":"cold""#), "{novel}");
     let near = c.request(&inline_solve("w", &near));
-    assert!(near.contains(r#""outcome":"warm_start""#), "{near}");
+    assert!(near.contains(r#""outcome":"cold""#), "{near}");
     for _ in 0..2 {
         let r = c.request(&format!(
             r#"{{"id":"v","op":"verify","program":{rk3},"plan":[[0]]}}"#

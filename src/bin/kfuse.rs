@@ -39,8 +39,7 @@ fn usage() -> ExitCode {
                         [--seed N] [--partition auto|off|MAX_REGION]\n             \
                         [--cache-dir DIR] [--budget-ms N]\n             \
                         [--trace FILE] [--metrics FILE] [--plan-out FILE]\n  \
-         kfuse stats    <program.json|example> [--gpu ...] [--solver ...] [--seed N]\n             \
-                        [--partition auto|off|MAX_REGION] [--cache-dir DIR] [--budget-ms N]\n  \
+         kfuse stats    <program.json|example> [any solve flag]\n  \
          kfuse codegen  <program.json> [--single]\n  \
          kfuse verify   <program.json> [--gpu ...] [--plan FILE] [--json]\n  \
          kfuse lint     <program.json|kernels.cu> [--gpu ...] [--fuse] [--seed N] [--json]\n  \
@@ -80,17 +79,34 @@ fn flag_num(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
     }
 }
 
-/// `--islands` outlived the island model it selected: it still parses, and
-/// the one population the GA runs is the only count it accepts.
-fn check_islands(args: &[String]) -> Result<(), String> {
-    match flag_num(args, "--islands", 1)? {
-        1 => Ok(()),
-        n => Err(format!(
-            "--islands {n}: the island model was removed; the GA evolves one population \
-             (omit the flag or pass --islands 1)"
-        )),
-    }
-}
+/// A subcommand's entry point.
+type Run = fn(&[String]) -> Result<(), String>;
+
+/// `solve` and `stats` share one argument parser, so one flag list.
+const SOLVE_FLAGS: &str =
+    "--gpu --solver --seed --partition --cache-dir --budget-ms --trace --metrics --plan-out";
+
+/// Every subcommand with the one list of flags it accepts.
+const COMMANDS: &[(&str, Run, &str)] = &[
+    ("example", cmd_example, ""),
+    (
+        "analyze",
+        cmd_analyze,
+        "--gpu --seed --dot-deps --dot-exec --fuse --json",
+    ),
+    ("simulate", cmd_simulate, "--gpu"),
+    ("fuse", cmd_fuse, "--gpu --seed --emit-cuda --plan-out"),
+    ("solve", |args| cmd_solve(args, true), SOLVE_FLAGS),
+    ("stats", |args| cmd_solve(args, false), SOLVE_FLAGS),
+    ("codegen", cmd_codegen, "--single"),
+    ("verify", cmd_verify, "--gpu --plan --json"),
+    ("lint", cmd_lint, "--gpu --seed --fuse --json"),
+    (
+        "serve",
+        cmd_serve,
+        "--socket --stdin --workers --queue-depth --cache-dir --gpu --seed --retry-after-ms",
+    ),
+];
 
 fn load_program(path: &str) -> Result<Program, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -118,19 +134,19 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
+    let Some(&(name, run, flags)) = COMMANDS.iter().find(|c| c.0 == cmd.as_str()) else {
+        return usage();
+    };
     let rest = &args[1..];
-    let result = match cmd.as_str() {
-        "example" => cmd_example(rest),
-        "analyze" => cmd_analyze(rest),
-        "simulate" => cmd_simulate(rest),
-        "fuse" => cmd_fuse(rest),
-        "solve" => cmd_solve(rest, true),
-        "stats" => cmd_solve(rest, false),
-        "codegen" => cmd_codegen(rest),
-        "verify" => cmd_verify(rest),
-        "lint" => cmd_lint(rest),
-        "serve" => cmd_serve(rest),
-        _ => return usage(),
+    // Refuse any `--flag` the subcommand does not accept before it runs: a
+    // misspelled flag would otherwise be ignored, and the run would quietly
+    // use that flag's default.
+    let unknown = rest
+        .iter()
+        .find(|a| a.starts_with("--") && !flags.split(' ').any(|f| f == a.as_str()));
+    let result = match unknown {
+        Some(flag) => Err(format!("kfuse {name}: unknown flag `{flag}`")),
+        None => run(rest),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -294,7 +310,6 @@ fn cmd_fuse(args: &[String]) -> Result<(), String> {
     };
     let p = load_program(path)?;
     let gpu = parse_gpu(args)?;
-    check_islands(args)?;
     let r = fuse_pipeline(&p, &gpu, args)?;
 
     println!(
@@ -366,7 +381,6 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
     };
     let gpu = parse_gpu(args)?;
     let seed = flag_num(args, "--seed", 17)?;
-    check_islands(args)?;
 
     let partition = match flag_value(args, "--partition")? {
         Some(v) => Some(v.parse::<PartitionMode>()?),
@@ -380,9 +394,8 @@ fn cmd_solve(args: &[String], full_output: bool) -> Result<(), String> {
         })
         .transpose()?
         .map(std::time::Duration::from_millis);
-    // Plan reuse and deadlines live in the warm-start wrapper around the
-    // GA; the enumerative solvers have neither populations to seed nor
-    // generations to cut short.
+    // Plan reuse and deadlines live in `WarmSolver`, the wrapper around
+    // the GA; the enumerative solvers have no generations to cut short.
     let reuse = cache_dir.is_some() || budget.is_some();
 
     let requested = flag_value(args, "--solver")?;

@@ -310,17 +310,15 @@ fn solve_hgga_is_hier_with_partition_off() {
 /// A numeric flag that does not parse is an error on every subcommand,
 /// never a silent fall back to the default.
 #[test]
-fn unparseable_seed_and_islands_are_errors() {
+fn unparseable_seed_is_an_error_on_every_subcommand() {
     let path = tmp("rk3_badflags.json");
     let dump = kfuse(&["example", "rk3"]);
     std::fs::write(&path, &dump.stdout).unwrap();
     let path = path.to_str().unwrap();
     for args in [
         vec!["solve", "rk3", "--seed", "abc"],
-        vec!["solve", "rk3", "--islands", "two"],
         vec!["stats", "rk3", "--seed", "abc"],
         vec!["fuse", path, "--seed", "abc"],
-        vec!["fuse", path, "--islands", "two"],
         vec!["analyze", path, "--fuse", "--seed", "abc"],
         vec!["lint", path, "--fuse", "--seed", "abc"],
     ] {
@@ -347,34 +345,42 @@ fn a_value_flag_without_its_value_is_an_error() {
     }
 }
 
-/// The GA evolves one population: `--islands` still parses, accepts only
-/// 1 (a no-op), and refuses any other count by naming the removal.
+/// Every subcommand refuses a flag it does not know, naming the flag and
+/// the subcommand, before it runs — a misspelled `--solver` or `--budget-ms`
+/// never solves with the default instead.
 #[test]
-fn islands_flag_accepts_only_one_population() {
-    let out = kfuse(&["solve", "rk3", "--islands", "4"]);
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("island model was removed"), "{err}");
-
-    let plan = |name: &str, extra: &[&str]| -> Vec<u8> {
-        let path = tmp(&format!("{name}-{}.json", std::process::id()));
-        let path_s = path.to_str().unwrap();
-        let mut args = vec!["solve", "rk3", "--seed", "5", "--plan-out", path_s];
-        args.extend_from_slice(extra);
+fn an_unknown_flag_is_an_error_on_every_subcommand() {
+    let path = tmp("rk3_unknownflag.json");
+    let dump = kfuse(&["example", "rk3"]);
+    std::fs::write(&path, &dump.stdout).unwrap();
+    let path = path.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["example", "rk3", "--pretty"], "--pretty"),
+        (vec!["analyze", path, "--jsno"], "--jsno"),
+        (vec!["simulate", path, "--gpus", "k40"], "--gpus"),
+        (vec!["fuse", path, "--sed", "5"], "--sed"),
+        (
+            vec!["solve", "quickstart", "--sovler", "greedy"],
+            "--sovler",
+        ),
+        (vec!["solve", "quickstart", "--budget", "5"], "--budget"),
+        (vec!["stats", "quickstart", "--seeds", "5"], "--seeds"),
+        (vec!["codegen", path, "--singel"], "--singel"),
+        (vec!["verify", path, "--plans", "p.json"], "--plans"),
+        (vec!["lint", path, "--fsue"], "--fsue"),
+        (vec!["serve", "--stdin", "--worker", "2"], "--worker"),
+    ] {
         let out = kfuse(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("kfuse {}: unknown flag `{flag}`", args[0]);
+        assert!(err.contains(&want), "{args:?}: {err}");
         assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
+            out.stdout.is_empty(),
+            "{args:?} ran: {}",
+            String::from_utf8_lossy(&out.stdout)
         );
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        bytes
-    };
-    assert_eq!(
-        plan("islands-one", &["--islands", "1"]),
-        plan("islands-none", &[])
-    );
+    }
 }
 
 #[test]
