@@ -233,13 +233,15 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
   # crates' tests or the unit tests of the vendored JSON stand-ins that
   # carry every program, request and cache entry; the linear-parse gate
   # runs optimized too, where a regression to quadratic shows at the
-  # sizes the daemon sees.
+  # sizes the daemon sees, and so does the skip route's request line cut
+  # at every byte (a debug build takes a sample of the cuts).
   # The allocation bounds (the memo's; the typed parser's, the
   # relaxation's and plan validation's) count what optimized code
   # allocates, so they run in release as well.
   echo "== cargo test --workspace (debug) + linear-parse and allocation gates (release)"
   cargo test -q --workspace
   cargo test --release -q --test serialization parse_time_scales_linearly_with_input_size
+  cargo test --release -q --test serialization skip_route_reads_every_prefix_of_a_request_line
   cargo test --release -q -p kfuse-search --test alloc_free
   cargo test --release -q --test alloc_bounds
 fi

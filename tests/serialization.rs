@@ -227,15 +227,13 @@ fn string_heavy_document(bytes: usize) -> String {
     doc
 }
 
-/// Fastest of five parses of each document, the two interleaved so a
-/// slow phase of the machine falls on both.
-fn parse_times(small: &str, large: &str) -> (f64, f64) {
+/// Fastest of five runs of `read` on each document, the two interleaved
+/// so a slow phase of the machine falls on both.
+fn best_times(small: &str, large: &str, read: fn(&str)) -> (f64, f64) {
     let time = |doc: &str| {
         let t = std::time::Instant::now();
-        let v: Value = serde_json::from_str(doc).unwrap();
-        let dt = t.elapsed().as_secs_f64();
-        assert!(v.as_array().is_some_and(|a| !a.is_empty()));
-        dt
+        read(doc);
+        t.elapsed().as_secs_f64()
     };
     let mut best = (f64::INFINITY, f64::INFINITY);
     for _ in 0..5 {
@@ -247,23 +245,35 @@ fn parse_times(small: &str, large: &str) -> (f64, f64) {
 /// Parsing is linear in the input: four times the bytes cost about four
 /// times the time. The quadratic string scan this guards against read 16.
 /// No absolute threshold — only the ratio, at a size large enough to time.
+/// The skip route (`Scanner::value_text`) is held to the same ratio on
+/// the same two documents.
 #[test]
 fn parse_time_scales_linearly_with_input_size() {
+    let parse = |doc: &str| {
+        let v: Value = serde_json::from_str(doc).unwrap();
+        assert!(v.as_array().is_some_and(|a| !a.is_empty()));
+    };
+    let skip = |doc: &str| assert_eq!(Scanner::new(doc).value_text().unwrap().len(), doc.len());
     let mut n = 64 * 1024;
     loop {
         let (small, large) = (string_heavy_document(n), string_heavy_document(4 * n));
-        let (t_small, t_large) = parse_times(&small, &large);
+        let (t_small, t_large) = best_times(&small, &large, parse);
         if t_small < 5e-3 {
             n *= 2;
             continue;
         }
-        assert!(
-            t_large <= 8.0 * t_small,
-            "{} B parse in {t_small:.4} s but {} B in {t_large:.4} s ({:.1}x for 4x the bytes)",
-            small.len(),
-            large.len(),
-            t_large / t_small
-        );
+        for (route, (t_small, t_large)) in [
+            ("parse", (t_small, t_large)),
+            ("skip", best_times(&small, &large, skip)),
+        ] {
+            assert!(
+                t_large <= 8.0 * t_small,
+                "{route}: {} B in {t_small:.4} s but {} B in {t_large:.4} s ({:.1}x for 4x the bytes)",
+                small.len(),
+                large.len(),
+                t_large / t_small
+            );
+        }
         break;
     }
 }
@@ -321,25 +331,92 @@ fn malformed_documents_are_errors_never_panics() {
     }
 }
 
+/// RFC 8259 §7: a string carries U+0000–U+001F escaped, and `\u` takes
+/// exactly four hex digits. Both are named errors on every route.
+#[test]
+fn strings_reject_raw_control_characters_and_signed_hex_escapes() {
+    for (line, error) in [
+        (
+            r#"{"id":"a\u+123","op":"ping"}"#,
+            "invalid \\u escape at byte 9",
+        ),
+        (
+            "{\"id\":\"a\tb\u{1}c\",\"op\":\"ping\"}",
+            "control character in string at byte 8",
+        ),
+        (
+            "{\"op\":\"ping\",\"x\":[\"\u{1f}\"]}",
+            "control character in string at byte 19",
+        ),
+    ] {
+        assert_eq!(
+            agree::<Request>(line.as_bytes()),
+            Err(error.to_string()),
+            "{line}"
+        );
+    }
+    // Each control character at each offset of the word-at-a-time scan,
+    // after ASCII and after a multi-byte character; DEL and above are text.
+    for c in (0u8..0x20).map(char::from) {
+        for before in ["", "é", "x"]
+            .iter()
+            .flat_map(|s| (0..20).map(|n| s.repeat(n)))
+        {
+            let doc = format!("[\"{before}{c}\"]");
+            let want = format!("control character in string at byte {}", 2 + before.len());
+            assert_eq!(agree::<Vec<String>>(doc.as_bytes()), Err(want), "{doc:?}");
+        }
+    }
+    for text in ["\u{7f}", " ", "é\u{80}", "\u{10ffff}"] {
+        let doc = format!("[\"{text}\"]");
+        assert!(agree::<Vec<String>>(doc.as_bytes()).is_ok(), "{doc:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Typed vs tree. `from_str::<T>` builds a `T` straight from the bytes;
+// Typed vs skip vs tree. `from_str::<T>` builds a `T` straight from the
+// bytes; `Scanner::value_text` validates a value and keeps only its span;
 // `from_value::<T>(from_str::<Value>(..))` builds a tree and consumes it.
-// The second is the specification of the first: same value or same error,
-// on everything this system reads and on every way those texts go wrong.
+// The last is the specification of the other two: same value or same
+// error, on everything this system reads and on every way those texts go
+// wrong.
 // ---------------------------------------------------------------------------
 
 use kfuse_search::plancache::{CacheEntry, CACHE_VERSION};
 use kfuse_serve::Request;
-use serde::Deserialize;
+use serde::{Deserialize, Scanner};
 use std::fmt::Debug;
 
-/// What both routes make of `doc` (bytes, so that a cut inside a
+/// The skip route against the tree route's reading of the same bytes:
+/// `Scanner::value_text` on the whole of `doc` returns the whole text
+/// where the tree route accepts, and the tree route's message at the same
+/// byte where it rejects. Bytes that are not UTF-8 never reach a scanner.
+fn skip_agrees(doc: &[u8], tree: &serde_json::Result<Value>) {
+    let Ok(text) = std::str::from_utf8(doc) else {
+        assert!(tree.is_err());
+        return;
+    };
+    let skip = Scanner::new(text).value_text().map_err(|e| e.0);
+    let want = tree.as_ref().map(|_| text).map_err(ToString::to_string);
+    assert_eq!(
+        skip,
+        want,
+        "skip (left) and tree (right) disagree on {} bytes: {}",
+        doc.len(),
+        String::from_utf8_lossy(&doc[..doc.len().min(300)])
+    );
+}
+
+/// What the three routes make of `doc` (bytes, so that a cut inside a
 /// multi-byte character is an input too), as comparable text. The typed
-/// route must never panic and must answer exactly what the tree route does.
+/// and skip routes must never panic and must answer exactly what the tree
+/// route does.
 fn agree<T: Deserialize + Debug>(doc: &[u8]) -> Result<String, String> {
     let show =
         |r: Result<T, serde_json::Error>| r.map(|v| format!("{v:?}")).map_err(|e| e.to_string());
-    let tree = show(serde_json::from_slice::<Value>(doc).and_then(serde_json::from_value::<T>));
+    let syntax = serde_json::from_slice::<Value>(doc);
+    skip_agrees(doc, &syntax);
+    let tree = show(syntax.and_then(serde_json::from_value::<T>));
     let typed = show(serde_json::from_slice::<T>(doc));
     assert_eq!(
         typed,
@@ -653,5 +730,163 @@ fn typed_program_parse_time_scales_linearly_with_input_size() {
             best.1
         );
         break;
+    }
+}
+
+/// The skip route, leaf by leaf, against the tree route: each leaf alone
+/// and where a value stands in arrays and objects (so the byte it ends at
+/// matters), and whether the tree route takes it at all.
+fn leaf_agrees(leaf: &str) -> bool {
+    for doc in [
+        leaf.to_string(),
+        format!("[{leaf}]"),
+        format!("[ {leaf} ,0]"),
+        format!("{{\"k\":{leaf}}}"),
+        format!("{{\"k\" : {leaf} ,\"j\":[]}}"),
+    ] {
+        skip_agrees(doc.as_bytes(), &serde_json::from_str(&doc));
+    }
+    serde_json::from_str::<Value>(leaf).is_ok()
+}
+
+/// `parse_number` converts the text its grammar reads — an optional `-`,
+/// digits, an optional `.` and digits, an optional exponent — and the
+/// skip route checks that grammar without converting: a mantissa digit
+/// and, with an exponent, an exponent digit. A value cannot start with
+/// `.`, so `.5` fails where `-.5` passes.
+#[test]
+fn skip_route_reads_every_number_form_as_the_tree_route_does() {
+    for (leaf, accepted) in [
+        ("1.", true),
+        ("-1.", true),
+        (".5", false),
+        ("-.5", true),
+        ("1.e5", true),
+        ("1.e", false),
+        ("1e", false),
+        ("1e+", false),
+        (".", false),
+        ("-.", false),
+        ("-", false),
+        ("-e5", false),
+        ("00", true),
+        ("-00", true),
+        ("9999999999999999999999", true),
+        ("1e400", true),
+        ("0.0e-0", true),
+        ("-0", true),
+        ("1E+2", true),
+        ("+1", false),
+    ] {
+        assert_eq!(leaf_agrees(leaf), accepted, "{leaf}");
+    }
+}
+
+/// Escapes, keywords, and brackets and separators in every wrong place,
+/// with the whitespace JSON allows around each.
+#[test]
+fn skip_route_reads_every_string_keyword_and_bracket_as_the_tree_route_does() {
+    for (leaf, accepted) in [
+        ("[[],{}]", true),
+        ("{\"a\":[{}],\"b\":{\"c\":[]}}", true),
+        ("[ \t\n\r1 , [ 2 ] ]", true),
+        ("{ \"a\" :\n1 ,\r\"b\"\t: { } }", true),
+        ("[1}", false),
+        ("{\"a\":1]", false),
+        ("[{]", false),
+        ("{\"a\":[}", false),
+        ("[1,]", false),
+        ("[,1]", false),
+        ("[1 2]", false),
+        ("[[]", false),
+        ("{\"a\":1,}", false),
+        ("{,}", false),
+        ("{\"a\" 1}", false),
+        ("{\"a\":}", false),
+        ("{\"a\"}", false),
+        ("{\"a\":1 \"b\":2}", false),
+        ("{\"a\":{}", false),
+        ("{1:1}", false),
+        ("{a:1}", false),
+        ("[\"a\":1]", false),
+        (r#""\"\\\/\b\f\n\r\t""#, true),
+        (r#""éÉ\u0000""#, true),
+        (r#""😀""#, true),
+        (r#""\ud83d""#, false),
+        (r#""\ud83dx""#, false),
+        (r#""\ud83dA""#, false),
+        (r#""\ud83d\ud83d""#, false),
+        (r#""\ude00""#, false),
+        (r#""\ude00\ud83d""#, false),
+        (r#""\u12""#, false),
+        (r#""\u""#, false),
+        (r#""\ud83d\u12""#, false),
+        (r#""\u+123""#, false),
+        (r#""\u-123""#, false),
+        (r#""\u12g4""#, false),
+        (r#""\x""#, false),
+        (r#""\"#, false),
+        (r#""abc"#, false),
+        ("\"\\\u{1}\"", false),
+        ("\"\\\u{e9}\"", false),
+        ("true", true),
+        ("false", true),
+        ("null", true),
+        ("tru", false),
+        ("nul", false),
+        ("falsy", false),
+        ("True", false),
+    ] {
+        assert_eq!(leaf_agrees(leaf), accepted, "{leaf}");
+    }
+}
+
+/// Nesting at the limit and one past it, in arrays, in objects and in
+/// both; and under a typed reader, whose unknown-key skip starts one
+/// level down.
+#[test]
+fn skip_route_nests_to_the_tree_routes_limit() {
+    for depth in [1, 127, 128, 129, 200] {
+        for (open, leaf, close) in [
+            ("[", "", "]"),
+            ("{\"k\":", "0", "}"),
+            ("[{\"k\":", "0", "}]"),
+        ] {
+            let levels = open.matches(['[', '{']).count();
+            let doc = open.repeat(depth / levels) + leaf + &close.repeat(depth / levels);
+            assert_eq!(
+                leaf_agrees(&doc),
+                depth / levels * levels <= 128,
+                "{depth} {open}"
+            );
+        }
+        let line = format!(
+            r#"{{"op":"ping","x":{}{}}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        assert_eq!(
+            agree::<Request>(line.as_bytes()).is_ok(),
+            depth < 128,
+            "{depth}"
+        );
+    }
+}
+
+/// A request line carrying the inline `synth40` program, cut at every
+/// byte: inside every key, string, number, keyword and bracket run. Each
+/// cut parses its prefix into a tree, so a debug build takes every cut of
+/// the first 2 KiB and every 29th after that; `run_experiments.sh` runs
+/// this test optimized, at every byte.
+#[test]
+fn skip_route_reads_every_prefix_of_a_request_line_as_the_tree_route_does() {
+    let program = serde_json::to_string(&kfuse_workloads::by_name("synth40").unwrap()).unwrap();
+    let line = format!(r#"{{"id":"h1","op":"solve","program":{program},"gpu":"k20x","seed":3}}"#);
+    let step = if cfg!(debug_assertions) { 29 } else { 1 };
+    for cut in (0..2048).chain((2048..=line.len()).step_by(step)) {
+        let doc = &line.as_bytes()[..cut];
+        let tree = serde_json::from_slice::<Value>(doc);
+        assert_eq!(tree.is_ok(), cut == line.len());
+        skip_agrees(doc, &tree);
     }
 }
