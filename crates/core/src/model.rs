@@ -32,7 +32,6 @@ use crate::synth::{SpecView, NO_SLOT, READS, WRITES};
 use kfuse_gpu::{occupancy, LaunchConfig};
 use kfuse_ir::KernelId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// A codeless projection of a fused kernel's runtime.
 pub trait PerfModel: Sync {
@@ -69,37 +68,24 @@ pub trait PerfModel: Sync {
 /// all stores remain.
 pub fn projected_fused_bytes(info: &ProgramInfo, spec: &GroupSpec) -> u64 {
     let metas: Vec<_> = spec.members.iter().map(|&k| info.meta(k)).collect();
-    let mut arrays: BTreeSet<kfuse_ir::ArrayId> = BTreeSet::new();
-    for m in &metas {
-        for u in &m.uses {
-            arrays.insert(u.array);
-        }
-    }
+    // Every member's use of every array, one run per array.
+    let mut uses: Vec<_> = metas.iter().flat_map(|m| &m.uses).collect();
+    uses.sort_unstable_by_key(|u| u.array);
     let mut elems = 0u64;
-    for a in arrays {
-        let loads: Vec<u64> = metas
-            .iter()
-            .filter_map(|m| m.use_of(a))
-            .filter(|u| u.reads)
-            .map(|u| u.load_elems)
-            .collect();
-        let stores: u64 = metas
-            .iter()
-            .filter_map(|m| m.use_of(a))
-            .map(|u| u.store_elems)
-            .sum();
-        elems += stores;
-        match spec.pivot(a) {
+    for run in uses.chunk_by(|a, b| a.array == b.array) {
+        let loads = || run.iter().filter(|u| u.reads).map(|u| u.load_elems);
+        elems += run.iter().map(|u| u.store_elems).sum::<u64>();
+        match spec.pivot(run[0].array) {
             Some(p) if p.produced => {} // produced on-chip: no loads
             Some(p) => {
                 // One fetch of tile(+halo); approximate with the smallest
                 // member fetch plus the halo ring.
-                let base = loads.iter().copied().min().unwrap_or(0);
+                let base = loads().min().unwrap_or(0);
                 let ring =
                     info.halo_area(u32::from(p.halo)) * u64::from(info.blocks) * u64::from(info.nz);
                 elems += base + ring;
             }
-            None => elems += loads.iter().sum::<u64>(),
+            None => elems += loads().sum::<u64>(),
         }
     }
     // Computed halos widen the GMEM footprint of the producers' inputs:

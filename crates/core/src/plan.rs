@@ -13,6 +13,7 @@
 
 use crate::exec_order::ExecOrderGraph;
 use crate::fingerprint::ProgramIdentity;
+use crate::fuse::{condensation_order_with, CondensationScratch};
 use crate::kinship::ShareGraph;
 use crate::metadata::ProgramInfo;
 use crate::model::PerfModel;
@@ -137,6 +138,9 @@ pub enum PlanError {
         /// Original sum (s).
         original_sum: f64,
     },
+    /// The groups' condensation has a dependency cycle: no launch order
+    /// realizes the plan.
+    CondensationCycle,
 }
 
 impl fmt::Display for PlanError {
@@ -179,6 +183,9 @@ impl fmt::Display for PlanError {
                 f,
                 "group {group} projected {projected:.3e}s ≥ original sum {original_sum:.3e}s"
             ),
+            PlanError::CondensationCycle => {
+                write!(f, "the plan's group condensation has a cycle")
+            }
         }
     }
 }
@@ -380,9 +387,8 @@ impl PlanContext {
         Ok(projected)
     }
 
-    /// Validate an entire plan: partition validity plus the structural
-    /// constraints of every group. Returns the synthesized specs.
-    pub fn validate(&self, plan: &FusionPlan) -> Result<Vec<GroupSpec>, PlanError> {
+    /// Partition validity (1.2/1.4): every kernel in exactly one group.
+    fn check_partition(&self, plan: &FusionPlan) -> Result<(), PlanError> {
         let n = self.n_kernels();
         let mut seen = vec![false; n];
         for g in &plan.groups {
@@ -393,11 +399,18 @@ impl PlanContext {
                 seen[k.index()] = true;
             }
         }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            return Err(PlanError::NotPartition {
+        match seen.iter().position(|&s| !s) {
+            Some(missing) => Err(PlanError::NotPartition {
                 kernel: KernelId(missing as u32),
-            });
+            }),
+            None => Ok(()),
         }
+    }
+
+    /// Validate an entire plan: partition validity plus the structural
+    /// constraints of every group. Returns the synthesized specs.
+    pub fn validate(&self, plan: &FusionPlan) -> Result<Vec<GroupSpec>, PlanError> {
+        self.check_partition(plan)?;
         let mut scratch = SynthScratch::new();
         plan.groups
             .iter()
@@ -407,6 +420,56 @@ impl PlanContext {
                     .map(|view| view.to_spec())
             })
             .collect()
+    }
+
+    /// Check and score a plan in one pass, materializing no spec: the
+    /// partition check, then per group [`PlanContext::check_group_with`],
+    /// the view's projection and the profitability gate (1.1), the sum in
+    /// group order, and the condensation's acyclicity.
+    ///
+    /// It accepts exactly the plans [`PlanContext::validate`] accepts whose
+    /// memoized search objective is finite, and returns that objective bit
+    /// for bit: each group is scored as the search scores it
+    /// ([`crate::batch::score_scalar`], members sorted) and the sum is
+    /// taken in the same order. A group whose projection is not finite is
+    /// [`PlanError::Unprofitable`].
+    pub fn check_and_score(
+        &self,
+        plan: &FusionPlan,
+        model: &dyn PerfModel,
+    ) -> Result<f64, PlanError> {
+        self.check_partition(plan)?;
+        let mut scratch = SynthScratch::new();
+        let mut sorted = Vec::new();
+        let mut total = 0.0;
+        for (gi, g) in plan.groups.iter().enumerate() {
+            let g = if g.windows(2).all(|w| w[0] < w[1]) {
+                g.as_slice()
+            } else {
+                sorted.clear();
+                sorted.extend_from_slice(g);
+                sorted.sort_unstable();
+                sorted.as_slice()
+            };
+            let view = self.check_group_with(g, gi, &mut scratch)?;
+            let projected = model.project_view(&self.info, &view);
+            let original_sum = self.info.original_sum(g);
+            if !projected.is_finite() || (g.len() >= 2 && projected >= original_sum) {
+                return Err(PlanError::Unprofitable {
+                    group: gi,
+                    projected,
+                    original_sum,
+                });
+            }
+            total += projected;
+        }
+        if plan.groups.iter().any(|g| g.len() >= 2) {
+            let mut condensation = CondensationScratch::new();
+            if condensation_order_with(plan, &self.exec, &mut condensation).is_err() {
+                return Err(PlanError::CondensationCycle);
+            }
+        }
+        Ok(total)
     }
 
     /// The search objective (Eq. 1): total projected runtime of the plan

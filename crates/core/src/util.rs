@@ -122,12 +122,12 @@ impl BitSet {
 }
 
 /// Heap bytes a vector owns: its capacity, not its length.
-pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
 
 /// Heap bytes a vector of rows owns: its own buffer and every row's.
-pub(crate) fn rows_bytes<T>(v: &Vec<Vec<T>>) -> usize {
+pub fn rows_bytes<T>(v: &Vec<Vec<T>>) -> usize {
     vec_bytes(v) + v.iter().map(vec_bytes).sum::<usize>()
 }
 

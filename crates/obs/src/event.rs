@@ -200,11 +200,14 @@ pub enum Counter {
     /// Exact hits the daemon served from a planning context it kept for
     /// the request's exact program bytes, without parsing or preparing.
     ContextReuses,
+    /// Request lines whose inline program the daemon's context memo
+    /// vouched for: bytes it had kept, so the reader did not scan them.
+    ProgramTextsVouched,
 }
 
 impl Counter {
     /// Number of counters (registry slot count).
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 29;
 
     /// All counters, in registry/display order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -236,6 +239,7 @@ impl Counter {
         Counter::RequestsServed,
         Counter::RequestsRejected,
         Counter::ContextReuses,
+        Counter::ProgramTextsVouched,
     ];
 
     /// Stable snake_case name (metrics-dump key).
@@ -269,6 +273,7 @@ impl Counter {
             Counter::RequestsServed => "requests_served",
             Counter::RequestsRejected => "requests_rejected",
             Counter::ContextReuses => "context_reuses",
+            Counter::ProgramTextsVouched => "program_texts_vouched",
         }
     }
 }

@@ -5,9 +5,9 @@
 //! [`PlanCache`]:
 //!
 //! - **exact hit** — the program's order-insensitive fingerprint matches a
-//!   cached entry. The cached plan is rebuilt, re-validated through the
-//!   independent `kfuse-verify` checker, re-scored, and served without any
-//!   search.
+//!   cached entry. The cached plan is rebuilt, checked and re-scored in
+//!   one pass, re-validated through the independent `kfuse-verify`
+//!   checker, and served without any search.
 //! - **anything else** — no entry, or an entry that fails re-validation
 //!   (an isomorphic reorder, cache corruption, model drift): the same
 //!   cold solve a cacheless call runs, whose result is inserted into the
@@ -22,7 +22,6 @@
 //! for bit the plain hierarchical solve — cold-path determinism is
 //! untouched.
 
-use crate::eval::Evaluator;
 use crate::greedy::GreedySolver;
 use crate::partition::HggaHierSolver;
 use crate::plancache::{CacheEntry, PlanCache, CACHE_VERSION};
@@ -30,6 +29,7 @@ use kfuse_core::model::PerfModel;
 use kfuse_core::pipeline::{SolveOutcome, SolveStats, Solver};
 use kfuse_core::plan::PlanContext;
 use kfuse_obs::{Counter, Gauge, MetricsRegistry, ObsHandle, SpanId};
+use kfuse_verify::{CheckerTables, PlanChecker};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -156,7 +156,7 @@ impl WarmSolver {
         // program is identified once per context (the daemon reads the
         // same identity for its response).
         if let Some(shared) = cache {
-            if let Some(served) = self.serve_exact(ctx, model, obs, shared) {
+            if let Some(served) = self.serve_exact(ctx, None, model, obs, shared) {
                 return served;
             }
             reg.incr(Counter::CacheProbes);
@@ -218,16 +218,18 @@ impl WarmSolver {
 impl WarmSolver {
     /// The exact-hit half of [`WarmSolver::solve_shared`]: look the
     /// program's fingerprint up in `cache` and serve that entry's plan if
-    /// it still re-validates, passes the independent verifier and
-    /// re-scores finite. It reads only what those checks read, so a
-    /// caller that kept a context of the program can serve a repeat
-    /// without preparing it again — the daemon does.
+    /// it still passes the plan rules and the independent verifier and
+    /// scores finite. It reads only what those checks read, so a caller
+    /// that kept a context of the program can serve a repeat without
+    /// preparing it again — the daemon does, and keeps the verifier's
+    /// per-program `tables` beside it; without them they are built here.
     ///
     /// `None` when no entry serves; then nothing is counted or recorded,
     /// and the caller solving on counts its probe once.
     pub fn serve_exact(
         &self,
         ctx: &PlanContext,
+        tables: Option<&CheckerTables>,
         model: &dyn PerfModel,
         obs: ObsHandle<'_>,
         cache: &Mutex<PlanCache>,
@@ -238,7 +240,7 @@ impl WarmSolver {
             let c = lock(cache);
             (c.lookup_exact(fp), c.len() as u64)
         };
-        let served = self.try_serve(ctx, model, exact?.as_ref())?;
+        let served = try_serve(ctx, tables, model, exact?.as_ref())?;
         let reg = MetricsRegistry::new();
         reg.incr(Counter::CacheProbes);
         reg.incr(Counter::CacheHits);
@@ -251,41 +253,45 @@ impl WarmSolver {
         );
         Some(finish(served, &reg, start))
     }
+}
 
-    /// Serve an exact hit: rebuild the cached plan, re-validate it through
-    /// the plan rules *and* the independent verifier, and re-score it.
-    /// `None` when anything disqualifies the entry (treated as a miss).
-    fn try_serve(
-        &self,
-        ctx: &PlanContext,
-        model: &dyn PerfModel,
-        entry: &CacheEntry,
-    ) -> Option<SolveOutcome> {
-        if entry.n_kernels as usize != ctx.n_kernels() {
-            return None;
-        }
-        let plan = entry.plan()?;
-        if ctx.validate(&plan).is_err() {
-            return None;
-        }
-        if !kfuse_verify::check_plan(&ctx.info, &plan, Some(model)).is_clean() {
-            return None;
-        }
-        let ev = Evaluator::new(ctx, model);
-        let objective = ev.plan(&plan);
-        if !objective.is_finite() {
-            return None;
-        }
-        ev.metrics().set_gauge(Gauge::BestObjective, objective);
-        let metrics = ev.snapshot();
-        let stats = SolveStats::from_metrics(&metrics);
-        Some(SolveOutcome {
-            plan,
-            objective,
-            stats,
-            metrics,
-        })
+/// Serve an exact hit: rebuild the cached plan, check and score it in one
+/// pass ([`PlanContext::check_and_score`]), and run the independent
+/// verifier over it. `None` when anything disqualifies the entry (treated
+/// as a miss).
+fn try_serve(
+    ctx: &PlanContext,
+    tables: Option<&CheckerTables>,
+    model: &dyn PerfModel,
+    entry: &CacheEntry,
+) -> Option<SolveOutcome> {
+    if entry.n_kernels as usize != ctx.n_kernels() {
+        return None;
     }
+    let plan = entry.plan()?;
+    let objective = ctx.check_and_score(&plan, model).ok()?;
+    let checker = match tables {
+        Some(tables) => PlanChecker::with_tables(&ctx.info, tables),
+        None => PlanChecker::new(&ctx.info),
+    };
+    if !checker.check(&plan, Some(model)).is_clean() {
+        return None;
+    }
+    // The one condensation check the score made, counted as a solve
+    // counts it.
+    let reg = MetricsRegistry::new();
+    if plan.groups.iter().any(|g| g.len() >= 2) {
+        reg.incr(Counter::CondensationChecks);
+    }
+    reg.set_gauge(Gauge::BestObjective, objective);
+    let metrics = reg.snapshot();
+    let stats = SolveStats::from_metrics(&metrics);
+    Some(SolveOutcome {
+        plan,
+        objective,
+        stats,
+        metrics,
+    })
 }
 
 /// Fold the wrapper's cache counters into a solve outcome's metrics.

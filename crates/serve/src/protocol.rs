@@ -66,7 +66,9 @@ pub struct Request {
 
 /// A request's inline `program`, kept as the exact JSON text the client
 /// sent. Reading the request line validates it as JSON and copies its
-/// bytes, nothing more; the worker [parses](InlineProgram::parse) it only
+/// bytes, nothing more — and a reader whose scanner vouches for the text
+/// (the daemon's, for bytes its context memo keeps) copies it without
+/// validating it again. The worker [parses](InlineProgram::parse) it only
 /// when the daemon does not already hold the context of those very bytes.
 ///
 /// JSON that is not a `Program` does not make the *request* malformed:

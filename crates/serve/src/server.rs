@@ -10,8 +10,9 @@
 //!
 //! Admission happens on the *reader* thread, which is also where a
 //! request line is read — once, straight into a [`Request`]. The inline
-//! program is checked as JSON there and kept as its exact text; no
-//! `Value` tree of the line is ever built. Control ops (`ping`,
+//! program is checked as JSON there, unless the [`ContextMemo`] vouches
+//! for its bytes, and kept as its exact text; no `Value` tree of the line
+//! is ever built. Control ops (`ping`,
 //! `stats`, `shutdown`) are answered inline and never touch the queue;
 //! `solve`/`verify` are either enqueued or refused immediately with a
 //! structured error ([`ErrorCode::QueueFull`] backpressure when the
@@ -30,7 +31,7 @@
 //! assert. Latency is the client's to measure; the daemon's own telemetry
 //! is the metrics registry behind the `stats` op.
 
-use crate::memo::{ContextMemo, CONTEXT_MEMO_BYTES};
+use crate::memo::{ContextMemo, Kept, CONTEXT_MEMO_BYTES};
 use crate::protocol::{
     error_response, hex_u64, num_f64, num_u64, obj, ok_response, ErrorCode, Request,
     PROTOCOL_VERSION,
@@ -43,6 +44,7 @@ use kfuse_ir::{KernelId, Program};
 use kfuse_obs::{Counter, Gauge, MetricsRegistry, ObsHandle};
 use kfuse_search::{HggaHierSolver, PlanCache, WarmSolver};
 use serde_json::Value;
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -408,8 +410,8 @@ fn process(shared: &Shared, job: &Job) -> (String, Option<ErrorCode>) {
         _ => None,
     };
     if let Some(key) = &key {
-        if let Some(ctx) = shared.memo.get(key) {
-            if let Some(line) = reuse_context(shared, job, &gpu, &ctx) {
+        if let Some(kept) = shared.memo.get(key) {
+            if let Some(line) = reuse_context(shared, job, &gpu, &kept) {
                 return (line, None);
             }
             shared.memo.remove(key);
@@ -443,12 +445,20 @@ fn solver_for(shared: &Shared, job: &Job) -> WarmSolver {
 }
 
 /// Serve a solve from a kept context: the exact-hit half of the full
-/// path, cache probe and every re-check included. `None` when the cached
-/// plan does not serve.
-fn reuse_context(shared: &Shared, job: &Job, gpu: &GpuSpec, ctx: &PlanContext) -> Option<String> {
+/// path, cache probe and every re-check included, the verifier on the
+/// tables kept with the context. `None` when the cached plan does not
+/// serve.
+fn reuse_context(shared: &Shared, job: &Job, gpu: &GpuSpec, kept: &Kept) -> Option<String> {
     let cache = cache_for(shared, gpu)?;
     let model = ProposedModel::default();
-    let out = solver_for(shared, job).serve_exact(ctx, &model, ObsHandle::disabled(), &cache)?;
+    let ctx = &kept.ctx;
+    let out = solver_for(shared, job).serve_exact(
+        ctx,
+        Some(&kept.tables),
+        &model,
+        ObsHandle::disabled(),
+        &cache,
+    )?;
     shared.metrics.incr(Counter::ContextReuses);
     Some(solve_response(shared, job, gpu, ctx, &out))
 }
@@ -530,18 +540,23 @@ fn verify_job(job: &Job, ctx: &PlanContext) -> (String, Option<ErrorCode>) {
     for g in raw {
         let mut members = Vec::with_capacity(g.len());
         for &k in g {
-            if k >= n || std::mem::replace(&mut seen[k as usize], true) {
-                return (
-                    error_response(
-                        id,
-                        ErrorCode::MalformedRequest,
-                        &format!("`plan` is not a partition of 0..{n}: bad kernel index {k}"),
-                        vec![],
-                    ),
-                    Some(ErrorCode::MalformedRequest),
-                );
-            }
-            members.push(KernelId(k));
+            let what = if k >= n {
+                format!("bad kernel index {k}")
+            } else if std::mem::replace(&mut seen[k as usize], true) {
+                format!("kernel index {k} appears more than once")
+            } else {
+                members.push(KernelId(k));
+                continue;
+            };
+            return (
+                error_response(
+                    id,
+                    ErrorCode::MalformedRequest,
+                    &format!("`plan` is not a partition of 0..{n}: {what}"),
+                    vec![],
+                ),
+                Some(ErrorCode::MalformedRequest),
+            );
         }
         if members.is_empty() {
             continue;
@@ -605,9 +620,20 @@ fn handle_line(shared: &Arc<Shared>, line: &str, reply: &Reply) {
     shared.metrics.incr(Counter::RequestsReceived);
 
     // One pass from the line to the typed request, inline program
-    // included. A line that is JSON but not a request is the rare case
-    // that pays a second, skipping pass to echo its `id`.
-    let req: Request = match serde_json::from_str(line) {
+    // included: a program text the memo keeps is vouched for, not scanned
+    // again. A line that is JSON but not a request is the rare case that
+    // pays a second, skipping pass to echo its `id`.
+    let vouched = Cell::new(false);
+    let vouch = |rest: &str| {
+        let len = shared.memo.vouch(rest);
+        vouched.set(vouched.get() | len.is_some());
+        len
+    };
+    let parsed = serde_json::from_str_vouched::<Request>(line, &vouch);
+    if vouched.get() {
+        shared.metrics.incr(Counter::ProgramTextsVouched);
+    }
+    let req = match parsed {
         Ok(r) => r,
         Err(e) => {
             shared.metrics.incr(Counter::RequestsRejected);

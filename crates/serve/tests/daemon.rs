@@ -193,6 +193,24 @@ fn error_paths_return_structured_codes() {
     let r = c.request(r#"{"id":"x","op":"verify","example":"quickstart","plan":[[0,7]]}"#);
     assert!(r.contains(r#""code":"malformed_request""#), "{r}");
 
+    // A plan that names a kernel twice is malformed for the repeat, not
+    // for the index; an index past the program is the other message.
+    for plan in ["[[0,0],[1]]", "[[0],[1,0]]"] {
+        let r = c.request(&format!(
+            r#"{{"id":"x","op":"verify","example":"rk3","plan":{plan}}}"#
+        ));
+        assert!(r.contains(r#""code":"malformed_request""#), "{r}");
+        assert!(
+            r.contains("not a partition of 0..18: kernel index 0 appears more than once"),
+            "{r}"
+        );
+    }
+    let r = c.request(r#"{"id":"x","op":"verify","example":"rk3","plan":[[0],[18]]}"#);
+    assert!(
+        r.contains("not a partition of 0..18: bad kernel index 18"),
+        "{r}"
+    );
+
     // A plan the independent verifier rejects, with diagnostics attached.
     let r = c.request(r#"{"id":"x","op":"verify","example":"fig3","plan":[[0,1,2,3,4]]}"#);
     assert!(r.contains(r#""code":"verifier_rejected""#), "{r}");
@@ -550,6 +568,61 @@ fn the_third_identical_request_reuses_the_context_of_the_second() {
     assert_eq!(third, second);
     assert_eq!(memo_stats(&c), (1, held));
 
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `program_texts_vouched` counter from `stats`.
+fn vouched(c: &kfuse_serve::LocalClient) -> u64 {
+    let stats: serde_json::Value =
+        serde_json::from_str(&c.request(r#"{"id":"s","op":"stats"}"#)).unwrap();
+    stats["result"]["metrics"]["counters"]["program_texts_vouched"]
+        .as_u64()
+        .unwrap()
+}
+
+#[test]
+fn kept_program_texts_are_vouched_for_and_answered_alike() {
+    let (daemon, dir) = cached_daemon("memo-vouch");
+    let fresh = Daemon::start(ServeConfig::default());
+    let c = daemon.client();
+    let rk3 = serde_json::to_string(&kfuse_workloads::by_name("rk3").unwrap()).unwrap();
+    let line = inline_solve("x", &rk3);
+    c.request(&line);
+    let hit = c.request(&line);
+    assert_eq!(vouched(&c), 0, "nothing is kept before the exact hit");
+
+    // Kept: every later line carrying those bytes is vouched for, a
+    // `verify` too, and answered as before.
+    assert_eq!(c.request(&line), hit);
+    let verify = format!(r#"{{"id":"v","op":"verify","program":{rk3},"plan":[[0]]}}"#);
+    assert!(c.request(&verify).contains(r#""valid":true"#));
+    assert_eq!(vouched(&c), 2);
+
+    // The same first 64 bytes and then other ones: scanned, and answered
+    // as a daemon that keeps nothing answers it.
+    let answered_alike = |line: &str| {
+        let r = c.request(line);
+        assert_eq!(r, fresh.client().request(line));
+        assert!(r.contains(r#""code":"malformed_request""#), "{r}");
+    };
+    let at = rk3.find(r#""kernels":"#).unwrap();
+    assert!(at > 64, "the break lies past the indexed prefix");
+    answered_alike(&inline_solve(
+        "b",
+        &format!("{}\"kernels\";{}", &rk3[..at], &rk3[at + 10..]),
+    ));
+    assert_eq!(vouched(&c), 2);
+
+    // The kept text and then anything else: vouched for, and failing
+    // after it where the scan fails.
+    let line_tail = |tail: &str| format!(r#"{{"id":"g","op":"solve","program":{rk3}{tail}"#);
+    for tail in ["}}", " x}", "", ",}", "x"] {
+        answered_alike(&line_tail(tail));
+    }
+    assert_eq!(vouched(&c), 7);
+
+    fresh.shutdown();
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

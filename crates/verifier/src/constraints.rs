@@ -19,11 +19,17 @@ use kfuse_core::metadata::ProgramInfo;
 use kfuse_core::model::PerfModel;
 use kfuse_core::plan::FusionPlan;
 use kfuse_core::spec::{GroupSpec, PivotSpec};
+use kfuse_core::util::{rows_bytes, vec_bytes};
 use kfuse_ir::KernelId;
+use std::borrow::Cow;
 
-/// Plan verifier with pre-computed (independently derived) graphs.
-pub struct PlanChecker<'a> {
-    info: &'a ProgramInfo,
+/// The verifier's per-program tables, derived from [`ProgramInfo`] alone
+/// and independent of any plan: hazard successors, their transitive
+/// closure and the sharing components. A caller that checks many plans of
+/// one program (the daemon keeps one per kept context) builds them once
+/// and checks each plan with [`PlanChecker::with_tables`].
+#[derive(Debug, Clone)]
+pub struct CheckerTables {
     /// Hazard-edge successor lists (RAW/WAW/WAR + epoch ordering edges).
     succs: Vec<Vec<usize>>,
     /// Words per closure row (`n / 64`, rounded up).
@@ -35,9 +41,9 @@ pub struct PlanChecker<'a> {
     comp: Vec<usize>,
 }
 
-impl<'a> PlanChecker<'a> {
-    /// Build the checker's own graphs from metadata.
-    pub fn new(info: &'a ProgramInfo) -> Self {
+impl CheckerTables {
+    /// Derive the tables from metadata.
+    pub fn new(info: &ProgramInfo) -> Self {
         let n = info.kernels.len();
         let n_arrays = info.n_arrays;
 
@@ -134,12 +140,45 @@ impl<'a> PlanChecker<'a> {
         }
         let comp: Vec<usize> = (0..n).map(|k| find(&mut parent, k)).collect();
 
-        PlanChecker {
-            info,
+        CheckerTables {
             succs,
             words,
             reach,
             comp,
+        }
+    }
+
+    /// Heap bytes the tables hold (capacities, not allocator footprint).
+    pub fn heap_bytes(&self) -> usize {
+        rows_bytes(&self.succs) + vec_bytes(&self.reach) + vec_bytes(&self.comp)
+    }
+}
+
+/// Plan verifier over a program's [`CheckerTables`], owned or borrowed.
+pub struct PlanChecker<'a> {
+    info: &'a ProgramInfo,
+    tables: Cow<'a, CheckerTables>,
+}
+
+impl<'a> PlanChecker<'a> {
+    /// Build the checker's own tables from metadata.
+    pub fn new(info: &'a ProgramInfo) -> Self {
+        PlanChecker {
+            info,
+            tables: Cow::Owned(CheckerTables::new(info)),
+        }
+    }
+
+    /// A checker over tables built earlier from this very `info`.
+    pub fn with_tables(info: &'a ProgramInfo, tables: &'a CheckerTables) -> Self {
+        debug_assert_eq!(
+            tables.comp.len(),
+            info.kernels.len(),
+            "tables of another program"
+        );
+        PlanChecker {
+            info,
+            tables: Cow::Borrowed(tables),
         }
     }
 
@@ -156,7 +195,7 @@ impl<'a> PlanChecker<'a> {
 
     /// Closure row of kernel `u`.
     fn row(&self, u: usize) -> &[u64] {
-        &self.reach[u * self.words..][..self.words]
+        &self.tables.reach[u * self.tables.words..][..self.tables.words]
     }
 
     /// Run every plan-level check. With a model, profitability (1.1) is
@@ -255,8 +294,8 @@ impl<'a> PlanChecker<'a> {
                 ));
             }
             // 1.5 — kinship: one sharing component per group.
-            let c0 = self.comp[g[0].index()];
-            if let Some(&k) = g.iter().find(|k| self.comp[k.index()] != c0) {
+            let c0 = self.tables.comp[g[0].index()];
+            if let Some(&k) = g.iter().find(|k| self.tables.comp[k.index()] != c0) {
                 diags.push(Diagnostic::error(
                     diag::KF_KINSHIP,
                     Span::group_kernel(gi, k.0),
@@ -337,8 +376,8 @@ impl<'a> PlanChecker<'a> {
 
     /// First outside kernel sandwiched between two members, if any.
     fn path_closure_violator(&self, g: &[KernelId]) -> Option<KernelId> {
-        let mut in_group = vec![0u64; self.words];
-        let mut downstream = vec![0u64; self.words];
+        let mut in_group = vec![0u64; self.tables.words];
+        let mut downstream = vec![0u64; self.tables.words];
         for &k in g {
             in_group[k.index() / 64] |= 1 << (k.index() % 64);
             for (w, r) in downstream.iter_mut().zip(self.row(k.index())) {
@@ -373,7 +412,7 @@ impl<'a> PlanChecker<'a> {
         }
         let mut gsuccs: Vec<Vec<usize>> = vec![Vec::new(); m];
         for u in 0..n {
-            for &v in &self.succs[u] {
+            for &v in &self.tables.succs[u] {
                 let (gu, gv) = (group_of[u], group_of[v]);
                 if gu != gv {
                     gsuccs[gu].push(gv);
@@ -427,86 +466,81 @@ impl<'a> PlanChecker<'a> {
         members.sort_unstable();
         let metas: Vec<_> = members.iter().map(|&k| info.meta(k)).collect();
 
-        // Dense per-array aggregation (indexed by array id, visited in
-        // ascending order — the same order a sorted map would give).
-        #[derive(Default, Clone)]
+        // The arrays the members use, ascending and deduplicated: every
+        // per-array table below is indexed by position in this list, so
+        // the work scales with the group, not with the program.
+        let mut ids: Vec<u32> = metas
+            .iter()
+            .flat_map(|m| m.uses.iter().map(|u| u.array.0))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let slot = |a: kfuse_ir::ArrayId| ids.binary_search(&a.0).expect("a member's array");
+
+        // Per-array aggregation over the members, in member order.
+        #[derive(Default, Clone, Copy)]
         struct Usage {
-            touched: bool,
-            readers: Vec<usize>,
-            writers: Vec<usize>,
+            /// Distinct members that read or write the array.
+            touchers: u32,
+            last_toucher: Option<usize>,
+            first_writer: Option<usize>,
+            last_reader: Option<usize>,
             thread_load: u32,
             read_radius: u8,
+            pivot: bool,
+            produced: bool,
+            halo: u32,
         }
-        let mut usage: Vec<Usage> = vec![Usage::default(); info.n_arrays];
+        let mut usage: Vec<Usage> = vec![Usage::default(); ids.len()];
         for (mi, m) in metas.iter().enumerate() {
             for u in &m.uses {
-                let e = &mut usage[u.array.index()];
-                e.touched = true;
-                if u.reads {
-                    e.readers.push(mi);
+                let e = &mut usage[slot(u.array)];
+                if (u.reads || u.writes) && e.last_toucher != Some(mi) {
+                    e.touchers += 1;
+                    e.last_toucher = Some(mi);
                 }
-                if u.writes {
-                    e.writers.push(mi);
+                if u.reads {
+                    e.last_reader = Some(mi);
+                }
+                if u.writes && e.first_writer.is_none() {
+                    e.first_writer = Some(mi);
                 }
                 e.thread_load = e.thread_load.max(u.thread_load);
                 e.read_radius = e.read_radius.max(u.read_radius);
             }
         }
-        let union_arrays = usage.iter().filter(|e| e.touched).count() as u32;
+        let union_arrays = ids.len() as u32;
 
         // Pivot selection: cross-member reuse or an already-staged array.
-        let pivot_ids: Vec<usize> = (0..info.n_arrays)
-            .filter(|&a| {
-                let e = &usage[a];
-                if !e.touched {
-                    return false;
-                }
-                let mut touchers: Vec<usize> =
-                    e.readers.iter().chain(&e.writers).copied().collect();
-                touchers.sort_unstable();
-                touchers.dedup();
-                touchers.len() >= 2 || e.thread_load > 1
-            })
-            .collect();
-
-        let is_produced = |a: usize| -> bool {
-            let e = &usage[a];
-            e.writers.iter().any(|&w| e.readers.iter().any(|&r| r >= w))
-        };
-        let produced: Vec<bool> = (0..info.n_arrays).map(is_produced).collect();
-        let pivot_set: Vec<bool> = {
-            let mut s = vec![false; info.n_arrays];
-            for &a in &pivot_ids {
-                s[a] = true;
-            }
-            s
-        };
+        // Produced: some member reads the array at or after a writer.
+        for e in &mut usage {
+            e.pivot = e.touchers >= 2 || e.thread_load > 1;
+            e.produced = matches!((e.first_writer, e.last_reader), (Some(w), Some(r)) if r >= w);
+        }
 
         // Cascaded halo fixpoint, swept in member order with in-place
         // updates (a member's extension sees halos raised earlier in the
         // same sweep), capped at |members| sweeps.
-        let mut halo = vec![0u32; info.n_arrays];
         for _ in 0..members.len().max(1) {
             let mut changed = false;
             for (mi, m) in metas.iter().enumerate() {
                 let ext: u32 = m
                     .uses
                     .iter()
-                    .filter(|u| u.writes && pivot_set[u.array.index()] && produced[u.array.index()])
-                    .map(|u| halo[u.array.index()])
+                    .filter(|u| u.writes)
+                    .map(|u| &usage[slot(u.array)])
+                    .filter(|e| e.pivot && e.produced)
+                    .map(|e| e.halo)
                     .max()
                     .unwrap_or(0);
-                for u in &m.uses {
-                    let a = u.array.index();
-                    if !u.reads || !pivot_set[a] || !produced[a] {
-                        continue;
-                    }
-                    if !usage[a].writers.iter().any(|&w| w <= mi) {
+                for u in m.uses.iter().filter(|u| u.reads) {
+                    let e = &mut usage[slot(u.array)];
+                    if !e.pivot || !e.produced || e.first_writer.is_none_or(|w| w > mi) {
                         continue;
                     }
                     let need = ext + u32::from(u.read_radius);
-                    if need > halo[a] {
-                        halo[a] = need;
+                    if need > e.halo {
+                        e.halo = need;
                         changed = true;
                     }
                 }
@@ -516,26 +550,28 @@ impl<'a> PlanChecker<'a> {
             }
         }
 
-        // Staging medium and barrier placement.
-        let mut pivots = Vec::with_capacity(pivot_ids.len());
+        // Staging medium and barrier placement: a member reading a produced
+        // SMEM pivot after its first writer waits at a barrier.
+        let smem = |e: &Usage| e.thread_load > 1 || e.halo > 0 || e.read_radius > 0;
         let mut barrier_before = vec![false; members.len()];
-        for &a in &pivot_ids {
-            let e = &usage[a];
-            let smem = e.thread_load > 1 || halo[a] > 0 || e.read_radius > 0;
-            if produced[a] && smem {
-                let first_writer = *e.writers.iter().min().unwrap();
-                for &r in e.readers.iter().filter(|&&r| r > first_writer) {
-                    barrier_before[r] = true;
-                }
-            }
-            pivots.push(PivotSpec {
-                array: kfuse_ir::ArrayId(a as u32),
-                halo: halo[a].min(255) as u8,
-                smem,
-                produced: produced[a],
-                ro_cache: false,
+        for (mi, m) in metas.iter().enumerate() {
+            barrier_before[mi] = m.uses.iter().filter(|u| u.reads).any(|u| {
+                let e = &usage[slot(u.array)];
+                e.pivot && e.produced && smem(e) && e.first_writer.is_some_and(|w| mi > w)
             });
         }
+        let mut pivots: Vec<PivotSpec> = ids
+            .iter()
+            .zip(&usage)
+            .filter(|(_, e)| e.pivot)
+            .map(|(&a, e)| PivotSpec {
+                array: kfuse_ir::ArrayId(a),
+                halo: e.halo.min(255) as u8,
+                smem: smem(e),
+                produced: e.produced,
+                ro_cache: false,
+            })
+            .collect();
 
         let elem = info.elem_bytes();
         let pad = |raw: u64| -> u64 {

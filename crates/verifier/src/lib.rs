@@ -39,7 +39,7 @@ pub mod diag;
 pub mod hazards;
 
 pub use analysis::{analyze_module, analyze_module_counted, analyze_module_with};
-pub use constraints::{check_plan, check_plan_with, PlanChecker};
+pub use constraints::{check_plan, check_plan_with, CheckerTables, PlanChecker};
 pub use cuda_lint::{lint, lint_with};
 pub use diag::{Diagnostic, Report, Severity, Span};
 pub use hazards::{check_program, check_program_with};

@@ -1,7 +1,7 @@
 //! Allocation bounds of the request path's front end.
 //!
 //! A counting global allocator wraps `System` (per-thread counters: the
-//! tests of one binary run on parallel threads). Three bounds:
+//! tests of one binary run on parallel threads). Four bounds:
 //!
 //! - a typed parse allocates nothing it does not keep: scanning a request
 //!   line takes a constant number of fresh blocks — its `id`, `op` and the
@@ -13,7 +13,12 @@
 //!   constant per redundant copy it adds;
 //! - validating a plan allocates the specs it returns: one synthesis
 //!   scratch warmed once, then nothing per group but the group's own
-//!   three vectors.
+//!   three vectors;
+//! - re-checking a kept exact hit (`WarmSolver::serve_exact` with the
+//!   verifier's kept tables: the one-pass check and score, then the
+//!   verifier) takes one warm scratch, a constant, and a constant per
+//!   group — no block per kernel or per array, so neither a per-hit
+//!   evaluator nor per-hit verifier tables fit under it.
 //!
 //! Fresh blocks (`alloc`) are what is counted; a `Vec` that grows by
 //! `realloc` keeps being the one block the bound allows it.
@@ -24,9 +29,13 @@ use kernel_fusion::prelude::*;
 use kfuse_core::depgraph::DependencyGraph;
 use kfuse_core::relax::relax_expandable;
 use kfuse_core::synth::SynthScratch;
+use kfuse_obs::ObsHandle;
+use kfuse_search::plancache::{CacheEntry, PlanCache, CACHE_VERSION};
 use kfuse_serve::Request;
+use kfuse_verify::CheckerTables;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -178,4 +187,78 @@ fn validate_allocates_the_specs_it_returns_and_one_warm_scratch() {
          {warm_scratch} + 1 = {bound}",
         specs.len()
     );
+}
+
+/// The blocks one `serve_exact` of a kept program may take beyond a warm
+/// synthesis scratch: the plan's outer vectors, the partition and cover
+/// checks, the condensation scratches and the outcome.
+const HIT_FIXED_BLOCKS: u64 = 16;
+
+/// The blocks it may take per group: the group's own vector, the
+/// verifier's re-derived spec and path-closure masks, and its successor
+/// lists in the two condensations.
+const HIT_BLOCKS_PER_GROUP: u64 = 14;
+
+#[test]
+fn an_exact_hit_rechecks_in_a_constant_plus_a_constant_per_group() {
+    let model = ProposedModel::default();
+    let gpu = GpuSpec::k20x();
+    let dir = std::env::temp_dir()
+        .join("kfuse-alloc-bounds")
+        .join(format!("hit-{}", std::process::id()));
+    let solver = WarmSolver::new(HggaHierSolver::with_seed(1), None, None);
+    for name in ["rk3", "homme", "scale-les"] {
+        let p = kfuse_workloads::by_name(name).unwrap();
+        let (_, ctx) = pipeline::prepare(&p, &gpu, gpu.default_precision());
+        let tables = CheckerTables::new(&ctx.info);
+        for plan in [
+            GreedySolver.solve(&ctx, &model).plan,
+            FusionPlan::identity(ctx.n_kernels()),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let precision = format!("{:?}", ctx.info.precision);
+            let mut cache = PlanCache::open(&dir, &ctx.info.gpu.name, &precision);
+            let identity = ctx.identity();
+            cache
+                .insert(CacheEntry {
+                    version: CACHE_VERSION,
+                    fingerprint: identity.fingerprint,
+                    program: ctx.info.name.clone(),
+                    gpu: ctx.info.gpu.name.clone(),
+                    precision,
+                    n_kernels: ctx.n_kernels() as u32,
+                    objective: 0.0,
+                    kernel_sigs: identity.signatures.to_vec(),
+                    groups: plan
+                        .groups
+                        .iter()
+                        .map(|g| g.iter().map(|k| k.0).collect())
+                        .collect(),
+                    region_fps: Vec::new(),
+                })
+                .unwrap();
+            let cache = Mutex::new(cache);
+
+            let widest = plan.groups.iter().max_by_key(|g| g.len()).unwrap();
+            let (_, warm_scratch) = counted(|| {
+                let mut scratch = SynthScratch::new();
+                ctx.check_group_with(widest, 0, &mut scratch).map(|_| ())
+            });
+            let (out, hit) = counted(|| {
+                solver.serve_exact(&ctx, Some(&tables), &model, ObsHandle::disabled(), &cache)
+            });
+            assert_eq!(out.expect("the plan is served").plan, plan);
+            let groups = plan.groups.len() as u64;
+            let bound = warm_scratch + HIT_FIXED_BLOCKS + HIT_BLOCKS_PER_GROUP * groups;
+            assert!(
+                hit <= bound,
+                "{name}: an exact hit of {groups} groups over {} kernels took {hit} blocks; \
+                 scratch {warm_scratch} + {HIT_FIXED_BLOCKS} + {HIT_BLOCKS_PER_GROUP} x {groups} \
+                 = {bound}",
+                ctx.n_kernels()
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -163,6 +163,62 @@ fn gen_value(rng: &mut SmallRng, depth: u32) -> Value {
     }
 }
 
+/// A kept program text — vouched for by a callback that knows only it —
+/// changes no reading of a request line: whatever follows it on the line,
+/// the vouched route answers what the plain one does, errors and their
+/// bytes included. A text that begins like the kept one and breaks later
+/// is not vouched for, and neither is a span that is no array or object.
+#[test]
+fn vouching_changes_no_parse_and_no_error() {
+    let kept = serde_json::to_string(&kfuse_workloads::by_name("rk3").unwrap()).unwrap();
+    let vouch = |rest: &str| rest.starts_with(kept.as_str()).then_some(kept.len());
+    let read = |line: &str, vouch: serde::Vouch<'_>| {
+        serde_json::from_str_vouched::<Request>(line, vouch)
+            .map(|r| format!("{r:?}"))
+            .map_err(|e| e.to_string())
+    };
+    let plain = |line: &str| read(line, &|_| None);
+    let at = kept.find(r#""kernels":"#).unwrap();
+    assert!(at > 64);
+    let broken = format!("{}\"kernels\";{}", &kept[..at], &kept[at + 10..]);
+    let head = r#"{"id":"v","op":"solve","program":"#;
+    let mut failures = 0;
+    for (program, tail) in [
+        (kept.as_str(), "}"),
+        (kept.as_str(), r#","op":"verify","plan":[[0]]}"#),
+        (kept.as_str(), " }"),
+        (kept.as_str(), "x}"),
+        (kept.as_str(), "}}"),
+        (kept.as_str(), ",}"),
+        (kept.as_str(), ""),
+        (&kept[..kept.len() - 1], "}"),
+        (&kept[..kept.len() - 1], ""),
+        (broken.as_str(), "}"),
+    ] {
+        let line = format!("{head}{program}{tail}");
+        let want = plain(&line);
+        failures += usize::from(want.is_err());
+        assert_eq!(read(&line, &vouch), want, "{tail:?}");
+        // The vouched span is where the plain route's error says it is.
+        if let Err(e) = &want {
+            if program == kept && !tail.is_empty() {
+                let byte: usize = e.rsplit(' ').next().unwrap().parse().unwrap();
+                assert!(byte >= head.len() + kept.len(), "{e}");
+            }
+        }
+    }
+    assert_eq!(failures, 7);
+
+    // A callback that vouches for a span which is no container — here the
+    // first two digits of a number — is not taken at its word.
+    let line = r#"{"op":"solve","program":12345}"#;
+    let lying = |rest: &str| rest.starts_with("12").then_some(2);
+    assert_eq!(read(line, &lying), plain(line));
+    let lying = |rest: &str| rest.starts_with('{').then_some(1);
+    let line = format!("{head}{kept}}}");
+    assert_eq!(read(&line, &lying), plain(&line));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -428,6 +484,37 @@ fn agree<T: Deserialize + Debug>(doc: &[u8]) -> Result<String, String> {
     typed
 }
 
+/// Vouches for every text the skip route accepts at the start of `rest`.
+/// The documents it is used on nest far below [`serde::MAX_DEPTH`], so
+/// such a text is valid wherever it stands in them.
+fn vouch_valid(rest: &str) -> Option<usize> {
+    Scanner::new(rest).value_text().ok().map(str::len)
+}
+
+/// [`agree`], and then the typed and skip routes once more through a
+/// scanner that vouches for every valid value text: vouching changes no
+/// reading, and no error or the byte it is reported at.
+fn agree_vouched<T: Deserialize + Debug>(doc: &[u8]) -> Result<String, String> {
+    let plain = agree::<T>(doc);
+    if let Ok(text) = std::str::from_utf8(doc) {
+        let vouched = serde_json::from_str_vouched::<T>(text, &vouch_valid)
+            .map(|v| format!("{v:?}"))
+            .map_err(|e| e.to_string());
+        assert_eq!(
+            vouched, plain,
+            "vouched (left) and plain (right) disagree on {text:.300}"
+        );
+        assert_eq!(
+            Scanner::with_vouch(text, &vouch_valid)
+                .value_text()
+                .map_err(|e| e.0),
+            Scanner::new(text).value_text().map_err(|e| e.0),
+            "vouched (left) and plain (right) skips disagree on {text:.300}"
+        );
+    }
+    plain
+}
+
 /// One step from a node of a tree to a child.
 #[derive(Clone)]
 enum Step {
@@ -538,13 +625,13 @@ fn mutants(doc: &str, budget: usize, visit: &mut dyn FnMut(&[u8])) {
     }
 }
 
-/// `agree::<T>` on `doc` (which must parse) and on its whole corpus;
-/// returns how many mutants both routes still accepted.
+/// `agree_vouched::<T>` on `doc` (which must parse) and on its whole
+/// corpus; returns how many mutants both routes still accepted.
 fn differential<T: Deserialize + Debug>(doc: &str, budget: usize) -> usize {
-    agree::<T>(doc.as_bytes()).unwrap_or_else(|e| panic!("fixture does not parse: {e}"));
+    agree_vouched::<T>(doc.as_bytes()).unwrap_or_else(|e| panic!("fixture does not parse: {e}"));
     let mut accepted = 0;
     mutants(doc, budget, &mut |m| {
-        accepted += usize::from(agree::<T>(m).is_ok());
+        accepted += usize::from(agree_vouched::<T>(m).is_ok());
     });
     accepted
 }
@@ -585,10 +672,10 @@ fn typed_route_answers_what_the_tree_route_answers() {
             accepted > 0,
             "{name}: no mutant is harmless? (unknown keys are)"
         );
-        agree::<Program>(serde_json::to_string_pretty(&p).unwrap().as_bytes()).unwrap();
+        agree_vouched::<Program>(serde_json::to_string_pretty(&p).unwrap().as_bytes()).unwrap();
     }
     let large = kfuse_workloads::by_name("synth500").unwrap();
-    agree::<Program>(serde_json::to_string(&large).unwrap().as_bytes()).unwrap();
+    agree_vouched::<Program>(serde_json::to_string(&large).unwrap().as_bytes()).unwrap();
     let pretty = serde_json::to_string_pretty(&kfuse_workloads::by_name("rk3").unwrap()).unwrap();
     differential::<Program>(&pretty, 20);
 
@@ -636,15 +723,19 @@ proptest! {
     fn random_documents_read_the_same_on_both_routes(seed in 0u64..u64::MAX) {
         let tree = gen_value(&mut SmallRng::seed_from_u64(seed), 4);
         for text in [serde_json::to_string(&tree).unwrap(), serde_json::to_string_pretty(&tree).unwrap()] {
-            prop_assert_eq!(agree::<Value>(text.as_bytes()).is_ok(), true);
-            let _ = agree::<Program>(text.as_bytes());
-            let _ = agree::<Request>(text.as_bytes());
-            let _ = agree::<CacheEntry>(text.as_bytes());
-            let _ = agree::<Vec<Option<f64>>>(text.as_bytes());
-            let _ = agree::<std::collections::BTreeMap<String, Value>>(text.as_bytes());
+            prop_assert_eq!(agree_vouched::<Value>(text.as_bytes()).is_ok(), true);
+            let _ = agree_vouched::<Program>(text.as_bytes());
+            let _ = agree_vouched::<Request>(text.as_bytes());
+            let _ = agree_vouched::<CacheEntry>(text.as_bytes());
+            let _ = agree_vouched::<Vec<Option<f64>>>(text.as_bytes());
+            let _ = agree_vouched::<std::collections::BTreeMap<String, Value>>(text.as_bytes());
             for cut in (0..text.len()).step_by(97) {
-                let _ = agree::<Expr>(&text.as_bytes()[..cut]);
+                let _ = agree_vouched::<Expr>(&text.as_bytes()[..cut]);
             }
+            // The random tree as a request's program, where the vouching
+            // callback is consulted.
+            let line = format!(r#"{{"op":"solve","program":{text}}}"#);
+            let _ = agree_vouched::<Request>(line.as_bytes());
         }
     }
 }
