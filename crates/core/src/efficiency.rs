@@ -56,8 +56,9 @@ pub fn ideal_fused_bytes(info: &ProgramInfo, group: &[KernelId]) -> u64 {
 }
 
 /// Fusion efficiency of one new kernel (Eq. 12): the ratio of memory
-/// reduction to runtime reduction. 1.0 means runtime shrank exactly as
-/// much as the traffic; the paper observes 87–96%.
+/// reduction to runtime reduction — the traffic ratio is Eq. 11's
+/// theoretical gain. 1.0 means runtime shrank exactly as much as the
+/// traffic; the paper observes 87–96%.
 ///
 /// * `fused_elems` / `fused_time_s` — measured traffic (LD+ST elements)
 ///   and runtime of the new kernel;
@@ -71,13 +72,6 @@ pub fn fusion_efficiency(
     let mem_ratio = fused_elems as f64 / orig_elems.max(1) as f64;
     let time_ratio = fused_time_s / orig_time_s.max(f64::MIN_POSITIVE);
     mem_ratio / time_ratio
-}
-
-/// Theoretical maximum performance gain of a fusion (Eq. 11): the traffic
-/// ratio itself, under the Roofline assumption that compute fully hides
-/// behind memory.
-pub fn theoretical_gain(fused_elems: u64, orig_elems: u64) -> f64 {
-    fused_elems as f64 / orig_elems.max(1) as f64
 }
 
 /// Result of the reducible-traffic analysis for one program (Table I).
@@ -238,11 +232,6 @@ mod tests {
         // Typical paper range check: 60% traffic, 65% time → ~0.92.
         let fe = fusion_efficiency(60, 0.65, 100, 1.0);
         assert!(fe > 0.87 && fe < 0.96);
-    }
-
-    #[test]
-    fn theoretical_gain_is_traffic_ratio() {
-        assert!((theoretical_gain(40, 100) - 0.4).abs() < 1e-12);
     }
 
     /// Three kernels sharing A heavily; one isolated kernel.

@@ -46,7 +46,7 @@ pub struct SolveStats {
     /// projection cost (`evaluations / probes`).
     pub miss_rate: f64,
     /// Total wall-clock nanoseconds on the memo-miss path (synthesis,
-    /// projection, insert), summed over worker threads.
+    /// projection, insert), summed over every evaluator of the solve.
     pub miss_ns: u64,
     /// Nanoseconds of `miss_ns` spent inside group synthesis proper.
     pub synth_ns: u64,

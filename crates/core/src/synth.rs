@@ -549,10 +549,9 @@ impl SynthTables {
 /// Reusable synthesis scratch: dense per-compact-array slots validated by
 /// an epoch stamp, plus the output buffers a [`SpecView`] borrows.
 ///
-/// Lifetime rules: one scratch per thread (solvers thread one through
-/// their operator scratch; `Evaluator::group` falls back to a
-/// thread-local). A scratch warms to a program's dimensions on first use
-/// and never allocates again for that program.
+/// Lifetime rules: one scratch per thread (the search evaluator owns the
+/// one its memo misses synthesize into). A scratch warms to a program's
+/// dimensions on first use and never allocates again for that program.
 #[derive(Debug, Clone, Default)]
 pub struct SynthScratch {
     gen: u32,
@@ -578,11 +577,6 @@ pub struct SynthScratch {
     pub(crate) group_bits: BitSet,
     /// Reachability scratch for `path_closure_violation_with`.
     pub(crate) reach: BitSet,
-    /// Spare member buffer for the prober: a memo probe of a group too
-    /// large for its stack key sorts the members here before the lookup,
-    /// so one per-thread scratch covers sort → lookup → synthesis.
-    /// Synthesis itself never touches it.
-    pub key: Vec<KernelId>,
 }
 
 impl SynthScratch {

@@ -337,8 +337,8 @@ pub enum TraceEvent {
         /// What kind of work this was.
         id: SpanId,
         /// Logical track (chrome-trace `tid`): 0 for the coordinator,
-        /// region index + 1 for hierarchical region solves, worker-thread
-        /// shard + 64 for evaluator-internal spans.
+        /// region index + 1 for hierarchical region solves,
+        /// [`crate::WORKER_TRACK_BASE`] for evaluator-internal spans.
         track: u32,
         /// Start, as an [`Instant`] (converted to epoch-relative
         /// microseconds at export time).

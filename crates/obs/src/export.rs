@@ -52,7 +52,7 @@ fn track_name(track: u32) -> String {
 /// Spans become complete events (`"ph": "X"`, timestamps in microseconds
 /// relative to the recorder's epoch), gauge samples become counter events
 /// (`"ph": "C"`), and every track gets a `thread_name` metadata record so
-/// the timeline reads "planner", "region 0", "eval worker 3" instead of
+/// the timeline reads "planner", "region 0", "eval worker 0" instead of
 /// bare numbers. The number of events dropped at the capacity cap is
 /// reported under `otherData.dropped_events`.
 pub fn chrome_trace(recorder: &InMemoryRecorder) -> String {

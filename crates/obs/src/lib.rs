@@ -6,7 +6,7 @@
 //! * a typed **event taxonomy** ([`SpanId`], [`Counter`], [`Gauge`]) —
 //!   every span, counter and gauge the planner can emit is enumerated, so
 //!   events are fixed-size and allocation-free to record;
-//! * a thread-safe sharded [`InMemoryRecorder`] behind a cheap
+//! * a thread-safe [`InMemoryRecorder`] (one buffer) behind a cheap
 //!   pass-everywhere [`ObsHandle`];
 //! * an always-on **[`MetricsRegistry`]** of relaxed atomics — the single
 //!   home for planner counters, from which `SolveStats` is derived;
@@ -29,10 +29,10 @@
 //!
 //! Chrome-trace `tid`s are logical tracks, not OS threads: track 0 is the
 //! coordinator/planner, track `region + 1` is a hierarchical region solve,
-//! and [`WORKER_TRACK_BASE`]` + shard` hosts evaluator-internal spans
-//! (memo misses, synthesis) emitted from whichever worker thread paid
-//! them. See `OBSERVABILITY.md` at the repository root for the full event
-//! taxonomy, exporter formats and a Perfetto walkthrough.
+//! and [`WORKER_TRACK_BASE`] hosts evaluator-internal spans (memo
+//! misses, synthesis, batch scoring). See `OBSERVABILITY.md` at the
+//! repository root for the full event taxonomy, exporter formats and a
+//! Perfetto walkthrough.
 
 #![warn(missing_docs)]
 
@@ -44,6 +44,4 @@ mod recorder;
 pub use event::{Counter, Gauge, SpanId, TraceEvent};
 pub use export::chrome_trace;
 pub use metrics::{ratio, MetricsRegistry, MetricsSnapshot};
-pub use recorder::{
-    worker_track, InMemoryRecorder, ObsHandle, SpanGuard, DEFAULT_CAPACITY, WORKER_TRACK_BASE,
-};
+pub use recorder::{InMemoryRecorder, ObsHandle, SpanGuard, DEFAULT_CAPACITY, WORKER_TRACK_BASE};

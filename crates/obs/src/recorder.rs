@@ -1,4 +1,4 @@
-//! Recording: the thread-safe sharded [`InMemoryRecorder`], the cheap
+//! Recording: the thread-safe [`InMemoryRecorder`], the cheap
 //! pass-everywhere [`ObsHandle`], and RAII [`SpanGuard`]s.
 //!
 //! "Is observability on?" is one runtime question: an [`ObsHandle`]
@@ -8,33 +8,15 @@
 //! (proven by the `alloc_free` test in `kfuse-search`).
 
 use crate::event::{Gauge, SpanId, TraceEvent};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Number of event-buffer shards. Each thread appends to a fixed shard, so
-/// concurrent region solves never contend on one lock.
-const SHARD_COUNT: usize = 8;
-
-/// Base track number for evaluator-internal spans (memo misses,
-/// synthesis): they are emitted from whichever worker thread pays the
-/// miss, so they get per-thread tracks — the top `SHARD_COUNT` track
-/// numbers. Region `i` records on track `i + 1` and a solve has fewer
-/// regions than kernels, so no program that fits in memory reaches them.
-pub const WORKER_TRACK_BASE: u32 = u32::MAX - (SHARD_COUNT as u32 - 1);
-
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's shard index, assigned round-robin on first use.
-    static THREAD_SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % SHARD_COUNT;
-}
-
-/// The track evaluator-internal spans should record against on the
-/// calling thread (see [`WORKER_TRACK_BASE`]).
-pub fn worker_track() -> u32 {
-    THREAD_SHARD.with(|&s| WORKER_TRACK_BASE + s as u32)
-}
+/// The track evaluator-internal spans (memo misses, synthesis, batch
+/// scoring) record on, exported as `eval worker 0`. It is the lowest of
+/// the top eight track numbers, which stay clear of region tracks: region
+/// `i` records on track `i + 1` and a solve has fewer regions than
+/// kernels, so no program that fits in memory reaches them.
+pub const WORKER_TRACK_BASE: u32 = u32::MAX - 7;
 
 /// Default cap on buffered events (~48 bytes each, so ≈100 MB worst
 /// case). Past the cap events are counted and dropped, never reallocated.
@@ -42,17 +24,22 @@ pub const DEFAULT_CAPACITY: usize = 2_000_000;
 
 /// A thread-safe, allocation-lean in-memory recorder.
 ///
-/// Events append to one of `SHARD_COUNT` mutex-guarded buffers selected
-/// by a per-thread index, so concurrent region solves and evaluator workers
-/// rarely share a lock. A hard capacity bounds memory on long runs: once
-/// reached, further events are dropped and counted ([`Self::dropped`])
-/// rather than silently truncating the timeline's head.
+/// Events append to one mutex-guarded buffer; the threads that record
+/// concurrently are the region solves, one span each. A hard capacity
+/// bounds memory on long runs: once reached, further events are dropped
+/// and counted ([`Self::dropped`]) rather than silently truncating the
+/// timeline's head.
 pub struct InMemoryRecorder {
     epoch: Instant,
-    shards: Vec<Mutex<Vec<TraceEvent>>>,
-    stored: AtomicUsize,
-    dropped: AtomicU64,
+    buf: Mutex<Buffer>,
     capacity: usize,
+}
+
+/// The recorded events and the number dropped at the cap.
+#[derive(Default)]
+struct Buffer {
+    events: Vec<TraceEvent>,
+    dropped: u64,
 }
 
 impl Default for InMemoryRecorder {
@@ -72,9 +59,7 @@ impl InMemoryRecorder {
     pub fn with_capacity(capacity: usize) -> Self {
         InMemoryRecorder {
             epoch: Instant::now(),
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(Vec::new())).collect(),
-            stored: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+            buf: Mutex::default(),
             capacity,
         }
     }
@@ -84,14 +69,18 @@ impl InMemoryRecorder {
         self.epoch
     }
 
+    fn buf(&self) -> std::sync::MutexGuard<'_, Buffer> {
+        self.buf.lock().expect("a thread panicked while recording")
+    }
+
     /// Events dropped because the capacity was reached.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.buf().dropped
     }
 
     /// Events currently buffered.
     pub fn len(&self) -> usize {
-        self.stored.load(Ordering::Relaxed).min(self.capacity)
+        self.buf().events.len()
     }
 
     /// True if nothing has been recorded.
@@ -101,30 +90,21 @@ impl InMemoryRecorder {
 
     /// Snapshot of all buffered events, sorted by timestamp.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.lock().expect("recorder shard poisoned").iter());
-        }
+        let mut all = self.buf().events.clone();
         all.sort_by_key(|e| e.at());
         all
     }
 
     fn record(&self, ev: TraceEvent) {
-        // `stored` over-counts past the cap (by the number of dropped
-        // events), which is harmless: it only gates admission.
-        if self.stored.fetch_add(1, Ordering::Relaxed) >= self.capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut buf = self.buf();
+        if buf.events.len() < self.capacity {
+            buf.events.push(ev);
+        } else {
+            buf.dropped += 1;
         }
-        THREAD_SHARD.with(|&s| {
-            self.shards[s]
-                .lock()
-                .expect("recorder shard poisoned")
-                .push(ev);
-        });
     }
 
-    /// Record a completed span. Solvers call this from rayon workers.
+    /// Record a completed span.
     pub fn span(&self, id: SpanId, track: u32, start: Instant, dur: Duration, args: [u64; 2]) {
         self.record(TraceEvent::Span {
             id,
@@ -147,7 +127,7 @@ impl InMemoryRecorder {
 }
 
 /// The handle planner code records through. `Copy`, pointer-sized, and
-/// safe to pass into rayon workers. A disabled handle (the default) makes
+/// safe to pass into the region solves' threads. A disabled handle (the default) makes
 /// every call a no-op that takes no timestamp and performs no allocation.
 #[derive(Clone, Copy, Default)]
 pub struct ObsHandle<'a> {

@@ -27,10 +27,10 @@
 //!   order so the f64 result is bitwise equal to [`Evaluator::plan`] on
 //!   the converted [`FusionPlan`].
 
-use crate::eval::{BatchProbe, Evaluator, GroupEval};
+use crate::eval::{Evaluator, GroupEval};
+use kfuse_core::batch::CandidateBatch;
 use kfuse_core::exec_order::{ExecOrderGraph, SuccStamps};
 use kfuse_core::plan::FusionPlan;
-use kfuse_core::synth::SynthScratch;
 use kfuse_ir::KernelId;
 use kfuse_obs::Counter;
 use std::cmp::Reverse;
@@ -103,14 +103,11 @@ pub struct OpScratch {
     pub(crate) injected: Vec<bool>,
     pub(crate) donors: Vec<u32>,
     pub(crate) chosen: Vec<u32>,
-    /// Per-worker SoA synthesis scratch: every memo-miss evaluation issued
-    /// through this worker synthesizes into these buffers.
-    pub(crate) synth: SynthScratch,
-    /// Per-worker batched memo probe: operators queue candidate moves here
-    /// and rescore them lane-per-candidate in one flush.
-    pub(crate) bp: BatchProbe,
+    /// Candidate queue: operators queue candidate moves here and rescore
+    /// them lane-per-candidate in one [`Evaluator::group_batch`] flush.
+    pub(crate) cands: CandidateBatch,
     /// Evaluations written back by [`Evaluator::group_batch`], indexed by
-    /// candidate position in `bp`.
+    /// candidate position in `cands`.
     pub(crate) bevals: Vec<GroupEval>,
     /// One packed descriptor per queued sample, replayed after the flush:
     /// `[kind-or-slot, i, j, vi, candidate index]` (operators assign their
@@ -687,20 +684,20 @@ impl Chromosome {
         // `initial` (splits), so the memberships probed here are exactly
         // the ones the one-at-a-time loop would have probed.
         let initial = self.order.len();
-        scratch.bp.clear();
+        scratch.cands.clear();
         scratch.descs.clear();
         for pos in 0..initial {
             let sid = self.order[pos];
             let s = self.slots[sid as usize];
             if s.len >= 2 && !s.eval_known {
                 scratch
-                    .bp
+                    .cands
                     .push(&self.arena[s.start as usize..(s.start + s.len) as usize]);
                 scratch.descs.push([sid, 0, 0, 0, 0]);
             }
         }
         if scratch.descs.len() >= 2 {
-            ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+            ev.group_batch(&scratch.cands, &mut scratch.bevals);
             for (d, e) in scratch.descs.iter().zip(&scratch.bevals) {
                 let slot = &mut self.slots[d[0] as usize];
                 slot.eval = *e;
@@ -726,7 +723,7 @@ impl Chromosome {
                 s.eval
             } else {
                 let members = &self.arena[s.start as usize..(s.start + s.len) as usize];
-                let e = ev.group_with(members, &mut scratch.synth);
+                let e = ev.group(members);
                 let slot = &mut self.slots[sid as usize];
                 slot.eval = e;
                 slot.eval_known = true;
@@ -791,9 +788,9 @@ impl Chromosome {
         self.normalized = true;
     }
 
-    /// Internal consistency check used by debug assertions and tests.
-    #[cfg(any(test, debug_assertions))]
-    pub fn check_invariants(&self) {
+    /// Internal consistency check for the unit tests below.
+    #[cfg(test)]
+    fn check_invariants(&self) {
         let mut seen = vec![false; self.n_kernels];
         for &sid in &self.order {
             let s = &self.slots[sid as usize];

@@ -6,31 +6,31 @@
 //! groups constantly (good groups survive crossover by design), so the
 //! effective cost per *plan* evaluation collapses to a few hash lookups.
 //!
-//! The memo is engineered for concurrent use — any number of threads may
-//! probe one evaluator:
+//! An evaluator belongs to one solve on one thread: the hierarchical
+//! planner runs its independent region solves in parallel, each with its
+//! own evaluator, so nothing here locks (`Evaluator` is not `Sync`).
 //!
 //! * **Sharding.** Groups hash to one of `SHARD_COUNT` independent
-//!   `RwLock`ed shards by an order-insensitive 64-bit fingerprint, so
-//!   writers on one shard never stall readers on another.
+//!   shards by an order-insensitive 64-bit fingerprint, so the memo grows
+//!   in sixteen small steps rather than one large one.
 //! * **Arena-backed shards.** A shard is a fingerprint → chain-head map,
 //!   one entry list and one member-id arena the entries point into; a
 //!   miss appends to those three and allocates nothing beyond their
 //!   amortized growth, and dropping a shard is three frees.
 //! * **Allocation-free probes.** The probe key is the group sorted into a
-//!   stack buffer (beyond `STACK_KEY` members, into a buffer the caller's
-//!   scratch owns). Entries are compared by their full sorted member
-//!   list, so fingerprint collisions are correctness-neutral.
+//!   stack buffer (beyond `STACK_KEY` members, into a buffer the
+//!   evaluator's scratch owns). Entries are compared by their full sorted
+//!   member list, so fingerprint collisions are correctness-neutral.
 //! * **Singleton bypass.** Per-kernel baseline costs are precomputed into
-//!   a dense array at construction; singleton groups never touch the memo
-//!   or its locks at all.
+//!   a dense array at construction; singleton groups never touch the memo.
 //!
 //! Active-constraint pruning (§III-C) falls out of
 //! [`kfuse_core::plan::PlanContext::check_group`]: capacity checks run only
 //! for groups that actually stage pivots, and the first violated constraint
 //! short-circuits the rest. Plan evaluation likewise short-circuits: the
 //! first infeasible group aborts before any condensation (acyclicity) work
-//! is done, and the condensation check itself runs against thread-local
-//! reusable scratch ([`kfuse_core::fuse::CondensationScratch`]).
+//! is done, and the condensation check itself reuses the evaluator's
+//! scratch ([`kfuse_core::fuse::CondensationScratch`]).
 
 use kfuse_core::batch::{score_into, score_scalar, BatchScratch, BatchStats, CandidateBatch};
 use kfuse_core::fuse::{condensation_order_with, CondensationScratch};
@@ -39,17 +39,21 @@ use kfuse_core::plan::{FusionPlan, PlanContext};
 use kfuse_core::synth::SynthScratch;
 use kfuse_ir::KernelId;
 use kfuse_obs::{
-    ratio, worker_track, Counter, MetricsRegistry, MetricsSnapshot, ObsHandle, SpanId,
+    ratio, Counter, MetricsRegistry, MetricsSnapshot, ObsHandle, SpanId, WORKER_TRACK_BASE,
 };
-use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Number of memo shards. A power of two so the shard index is a mask of
-/// the fingerprint; 16 keeps contention negligible for the thread counts
-/// that make sense on one host while wasting little memory on small runs.
+/// the fingerprint. Nothing contends for them (an evaluator belongs to one
+/// thread); they are kept for peak memory. With one unlocked table instead,
+/// plans stayed byte-identical but `hgga-hier` peak RSS rose 27–31 % on
+/// `synth500` and 13–19 % on `synth1000` and `synth2000` (EXPERIMENTS.md,
+/// *One thread per evaluator*) — most likely because one table grows in a
+/// few large doublings that each hold the old and the new buffers at once,
+/// where sixteen shards double one at a time (the cause is not isolated).
 const SHARD_COUNT: usize = 16;
 
 /// Largest group whose probe key is sorted on the stack.
@@ -144,19 +148,15 @@ impl Shard {
         None
     }
 
-    /// Memoize `eval` for `key` and return the eval the memo now answers
-    /// with: the stored one if a racing thread inserted first (bitwise
-    /// equal — same pure function — so this only avoids a duplicate
-    /// entry). A shard whose entry list or key arena would pass
-    /// [`Shard::limit`] stores nothing and hands `eval` back.
-    fn get_or_insert(&mut self, fp: u64, key: &[KernelId], eval: GroupEval) -> GroupEval {
-        if let Some(stored) = self.get(fp, key) {
-            return stored;
-        }
+    /// Memoize `eval` for `key`, which the caller has just missed on. A
+    /// shard whose entry list or key arena would pass [`Shard::limit`]
+    /// stores nothing.
+    fn insert(&mut self, fp: u64, key: &[KernelId], eval: GroupEval) {
+        debug_assert!(self.get(fp, key).is_none(), "{key:?} memoized twice");
         let idx = self.entries.len();
         let off = self.keys.len();
         if idx >= self.limit || off.saturating_add(key.len()) > self.limit {
-            return eval;
+            return;
         }
         let next = self.heads.insert(fp, idx as u32).unwrap_or(NIL);
         self.entries.push(Entry {
@@ -166,33 +166,58 @@ impl Shard {
             eval,
         });
         self.keys.extend_from_slice(key);
-        eval
     }
 }
 
-thread_local! {
-    static CONDENSATION_SCRATCH: RefCell<CondensationScratch> =
-        RefCell::new(CondensationScratch::new());
-    /// Fallback synthesis scratch for callers without their own (tests,
-    /// one-off probes). Solver hot loops pass per-thread scratch through
-    /// [`Evaluator::group_with`] instead.
-    static SYNTH_SCRATCH: RefCell<SynthScratch> = RefCell::new(SynthScratch::new());
+/// The evaluator's reusable buffers. Every buffer is retained across
+/// calls, so steady-state probing allocates nothing.
+#[derive(Default)]
+struct Scratch {
+    /// Scalar-miss synthesis.
+    synth: SynthScratch,
+    /// The plan-level acyclicity check.
+    cond: CondensationScratch,
+    /// Sorted-key buffer for groups beyond [`STACK_KEY`] members.
+    heap_key: Vec<KernelId>,
+    /// Distinct batch misses (canonically sorted keys) awaiting scoring.
+    miss: CandidateBatch,
+    /// Fingerprint of each entry in `miss` (parallel array).
+    miss_fp: Vec<u64>,
+    /// `(candidate index, miss index)` pairs resolved after the flush.
+    pending: Vec<(u32, u32)>,
+    /// Scored seconds per miss (parallel to `miss`).
+    times: Vec<f64>,
+    /// Lane-batched synthesis + projection scratch.
+    core: BatchScratch,
 }
 
-/// Shared, thread-safe objective evaluator.
+/// Memoized objective evaluator for one solve on one thread.
 ///
 /// All counters live in an owned [`MetricsRegistry`] (the `kfuse-obs`
 /// taxonomy); the accessor methods below are derived views over it, and
 /// solvers snapshot it into their [`kfuse_core::pipeline::SolveOutcome`].
+///
+/// The memo and the scratch sit in `RefCell`s, so an evaluator cannot be
+/// shared between threads; a caller that wants that must bring the
+/// synchronization back:
+///
+/// ```compile_fail,E0277
+/// fn share(ev: &kfuse_search::Evaluator<'_>) {
+///     std::thread::scope(|s| {
+///         s.spawn(|| ev.probes());
+///     });
+/// }
+/// ```
 pub struct Evaluator<'a> {
     /// Planning context (metadata + graphs).
     pub ctx: &'a PlanContext,
     /// The projection model used as objective (Eq. 1).
     pub model: &'a dyn PerfModel,
-    shards: Vec<RwLock<Shard>>,
+    shards: [RefCell<Shard>; SHARD_COUNT],
     /// Dense per-kernel baseline: `baseline[k]` is the singleton eval of
     /// kernel `k`, precomputed so singleton groups bypass the memo.
     baseline: Vec<GroupEval>,
+    scratch: RefCell<Scratch>,
     metrics: MetricsRegistry,
     obs: ObsHandle<'a>,
 }
@@ -204,20 +229,20 @@ impl<'a> Evaluator<'a> {
     }
 
     /// [`Self::new`] with a tracing handle: memo misses and synthesis emit
-    /// spans on the calling worker's track. A disabled handle costs one
-    /// branch on the miss path and nothing on the hit path.
+    /// spans on the evaluator track ([`WORKER_TRACK_BASE`]). A disabled
+    /// handle costs one branch on the miss path and nothing on the hit
+    /// path.
     pub fn observed(ctx: &'a PlanContext, model: &'a dyn PerfModel, obs: ObsHandle<'a>) -> Self {
-        let mut scratch = SynthScratch::new();
+        let mut scratch = Scratch::default();
         let baseline = (0..ctx.n_kernels())
-            .map(|i| compute_with(ctx, model, &[KernelId(i as u32)], &mut scratch).0)
+            .map(|i| compute_with(ctx, model, &[KernelId(i as u32)], &mut scratch.synth).0)
             .collect();
         Evaluator {
             ctx,
             model,
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(Shard::new(OFFSET_LIMIT)))
-                .collect(),
+            shards: std::array::from_fn(|_| RefCell::new(Shard::new(OFFSET_LIMIT))),
             baseline,
+            scratch: RefCell::new(scratch),
             metrics: MetricsRegistry::new(),
             obs,
         }
@@ -272,13 +297,13 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Total wall-clock nanoseconds spent on the memo-miss path (group
-    /// synthesis + projection + insert), summed over all threads.
+    /// synthesis + projection + insert).
     pub fn miss_ns(&self) -> u64 {
         self.metrics.get(Counter::MissNs)
     }
 
     /// Nanoseconds of [`Self::miss_ns`] spent inside group synthesis
-    /// proper (`synthesize_into`), summed over all threads.
+    /// proper (`synthesize_into`).
     pub fn synth_ns(&self) -> u64 {
         self.metrics.get(Counter::SynthNs)
     }
@@ -310,17 +335,42 @@ impl<'a> Evaluator<'a> {
         self.baseline[k.index()]
     }
 
-    /// Evaluate one group (memoized). `group` need not be sorted. Misses
-    /// synthesize into a thread-local scratch; hot loops that already own
-    /// scratch should call [`Self::group_with`].
+    /// Evaluate one group (memoized). `group` need not be sorted.
     pub fn group(&self, group: &[KernelId]) -> GroupEval {
-        self.group_inner(group, None)
-    }
-
-    /// [`Self::group`] with caller-owned synthesis scratch, skipping the
-    /// thread-local borrow on the miss path.
-    pub fn group_with(&self, group: &[KernelId], scratch: &mut SynthScratch) -> GroupEval {
-        self.group_inner(group, Some(scratch))
+        if let [k] = group {
+            return self.baseline[k.index()];
+        }
+        self.metrics.incr(Counter::MemoProbes);
+        let s = &mut *self.scratch.borrow_mut();
+        with_sorted_key(group, &mut s.heap_key, |key| {
+            let fp = fingerprint(key);
+            let shard = self.shard(fp);
+            if let Some(hit) = shard.borrow().get(fp, key) {
+                return hit;
+            }
+            self.metrics.incr(Counter::MemoMisses);
+            let t0 = Instant::now();
+            let (eval, synth_ns) = compute_with(self.ctx, self.model, key, &mut s.synth);
+            self.metrics.add(Counter::SynthNs, synth_ns);
+            shard.borrow_mut().insert(fp, key, eval);
+            let miss = t0.elapsed();
+            self.metrics.add(Counter::MissNs, miss.as_nanos() as u64);
+            if self.obs.is_enabled() {
+                // Reuse the timestamps the miss path measures anyway: the
+                // synthesis span is nested at the front of the miss span.
+                let len = key.len() as u64;
+                self.obs
+                    .record_span(SpanId::MemoMiss, WORKER_TRACK_BASE, t0, miss, [len, 0]);
+                self.obs.record_span(
+                    SpanId::Synthesis,
+                    WORKER_TRACK_BASE,
+                    t0,
+                    Duration::from_nanos(synth_ns),
+                    [len, 0],
+                );
+            }
+            eval
+        })
     }
 
     /// The raw objective with no memo interaction and no stat counters:
@@ -332,53 +382,9 @@ impl<'a> Evaluator<'a> {
         compute_with(self.ctx, self.model, group, scratch).0
     }
 
-    fn group_inner(&self, group: &[KernelId], scratch: Option<&mut SynthScratch>) -> GroupEval {
-        if let [k] = group {
-            return self.baseline[k.index()];
-        }
-        match scratch {
-            Some(s) => self.probe(group, s),
-            None => SYNTH_SCRATCH.with(|s| self.probe(group, &mut s.borrow_mut())),
-        }
-    }
-
-    /// One scalar multi-member memo probe; a miss synthesizes into
-    /// `scratch` and publishes the result.
-    fn probe(&self, group: &[KernelId], scratch: &mut SynthScratch) -> GroupEval {
-        self.metrics.incr(Counter::MemoProbes);
-        let mut heap_key = std::mem::take(&mut scratch.key);
-        let eval = with_sorted_key(group, &mut heap_key, |key| {
-            let fp = fingerprint(key);
-            let shard = &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize];
-            if let Some(hit) = shard.read().get(fp, key) {
-                return hit;
-            }
-            self.metrics.incr(Counter::MemoMisses);
-            let t0 = Instant::now();
-            let (eval, synth_ns) = compute_with(self.ctx, self.model, key, scratch);
-            self.metrics.add(Counter::SynthNs, synth_ns);
-            let eval = shard.write().get_or_insert(fp, key, eval);
-            let miss = t0.elapsed();
-            self.metrics.add(Counter::MissNs, miss.as_nanos() as u64);
-            if self.obs.is_enabled() {
-                // Reuse the timestamps the miss path measures anyway: the
-                // synthesis span is nested at the front of the miss span.
-                let track = worker_track();
-                let len = key.len() as u64;
-                self.obs
-                    .record_span(SpanId::MemoMiss, track, t0, miss, [len, 0]);
-                self.obs.record_span(
-                    SpanId::Synthesis,
-                    track,
-                    t0,
-                    Duration::from_nanos(synth_ns),
-                    [len, 0],
-                );
-            }
-            eval
-        });
-        scratch.key = heap_key;
-        eval
+    /// The shard that holds the group with fingerprint `fp`.
+    fn shard(&self, fp: u64) -> &RefCell<Shard> {
+        &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize]
     }
 
     /// Evaluate a whole plan: sum of group times, or infinity if any group
@@ -397,122 +403,31 @@ impl<'a> Evaluator<'a> {
         }
         if any_multi {
             self.metrics.incr(Counter::CondensationChecks);
-            let acyclic = CONDENSATION_SCRATCH.with(|s| {
-                condensation_order_with(plan, &self.ctx.exec, &mut s.borrow_mut()).is_ok()
-            });
-            if !acyclic {
+            let cond = &mut self.scratch.borrow_mut().cond;
+            if condensation_order_with(plan, &self.ctx.exec, cond).is_err() {
                 return f64::INFINITY;
             }
         }
         total
     }
-}
 
-/// Reusable state for [`Evaluator::group_batch`]: a candidate queue, the
-/// distinct-miss queue behind it, and the lane-batched scoring scratch.
-/// One per solver thread; every buffer is retained across calls, so
-/// steady-state probing allocates nothing.
-pub struct BatchProbe {
-    /// Candidates exactly as enqueued by the caller.
-    cands: CandidateBatch,
-    /// Distinct memo misses (canonically sorted keys) awaiting scoring.
-    miss: CandidateBatch,
-    /// Fingerprint of each entry in `miss` (parallel array).
-    miss_fp: Vec<u64>,
-    /// `(candidate index, miss index)` pairs resolved after the flush.
-    pending: Vec<(u32, u32)>,
-    /// Scored seconds per miss (parallel to `miss`).
-    times: Vec<f64>,
-    /// Sorted-key buffer for candidates beyond [`STACK_KEY`] members.
-    heap_key: Vec<KernelId>,
-    /// Lane-batched synthesis + projection scratch.
-    core: BatchScratch,
-}
-
-impl Default for BatchProbe {
-    fn default() -> Self {
-        BatchProbe::new()
-    }
-}
-
-impl BatchProbe {
-    /// An empty probe; its buffers size themselves on first use.
-    pub fn new() -> Self {
-        BatchProbe {
-            cands: CandidateBatch::new(),
-            miss: CandidateBatch::new(),
-            miss_fp: Vec::new(),
-            pending: Vec::new(),
-            times: Vec::new(),
-            heap_key: Vec::new(),
-            core: BatchScratch::new(),
-        }
-    }
-
-    /// Remove every queued candidate, keeping capacity.
-    pub fn clear(&mut self) {
-        self.cands.clear();
-    }
-
-    /// Enqueue a complete candidate; returns its index.
-    pub fn push(&mut self, group: &[KernelId]) -> usize {
-        self.cands.push(group)
-    }
-
-    /// Append one member to the candidate currently being built (close it
-    /// with [`BatchProbe::seal`]).
-    pub fn push_member(&mut self, k: KernelId) {
-        self.cands.push_member(k);
-    }
-
-    /// Append members to the candidate currently being built.
-    pub fn extend_members(&mut self, ks: &[KernelId]) {
-        self.cands.extend_members(ks);
-    }
-
-    /// Close the candidate built member-by-member; returns its index.
-    pub fn seal(&mut self) -> usize {
-        self.cands.seal()
-    }
-
-    /// Number of candidates queued.
-    pub fn len(&self) -> usize {
-        self.cands.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.cands.is_empty()
-    }
-
-    /// The members of queued candidate `i`, exactly as enqueued.
-    pub fn group(&self, i: usize) -> &[KernelId] {
-        self.cands.group(i)
-    }
-}
-
-impl<'a> Evaluator<'a> {
-    /// Evaluate every candidate queued in `probe` (memoized), leaving
-    /// `out[i]` as the eval of candidate `i`. Equivalent to calling
-    /// [`Self::group`] per candidate — bitwise-identical results — but
-    /// memo misses are gathered and scored lane-per-candidate through
-    /// [`kfuse_core::batch::score_into`], so a probe batch pays the
-    /// synthesis + projection cost once per [`kfuse_core::batch::LANES`]
-    /// distinct misses instead of once per miss.
-    ///
-    /// The queue survives the call — callers replay scored candidates by
-    /// index (`probe.group(i)` / `out[i]`) — and is reset by the next
-    /// [`BatchProbe::clear`].
-    pub fn group_batch(&self, probe: &mut BatchProbe, out: &mut Vec<GroupEval>) {
-        let BatchProbe {
-            cands,
+    /// Evaluate every candidate of `cands` (memoized), leaving `out[i]` as
+    /// the eval of candidate `i`. Equivalent to calling [`Self::group`]
+    /// per candidate — bitwise-identical results — but memo misses are
+    /// gathered and scored lane-per-candidate through
+    /// [`kfuse_core::batch::score_into`], so a batch pays the synthesis +
+    /// projection cost once per [`kfuse_core::batch::LANES`] distinct
+    /// misses instead of once per miss.
+    pub fn group_batch(&self, cands: &CandidateBatch, out: &mut Vec<GroupEval>) {
+        let Scratch {
+            heap_key,
             miss,
             miss_fp,
             pending,
             times,
-            heap_key,
             core,
-        } = probe;
+            ..
+        } = &mut *self.scratch.borrow_mut();
         miss.clear();
         miss_fp.clear();
         pending.clear();
@@ -527,8 +442,7 @@ impl<'a> Evaluator<'a> {
             multi_probes += 1;
             let eval = with_sorted_key(group, heap_key, |key| {
                 let fp = fingerprint(key);
-                let shard = &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize];
-                if let Some(hit) = shard.read().get(fp, key) {
+                if let Some(hit) = self.shard(fp).borrow().get(fp, key) {
                     return hit;
                 }
                 // Distinct miss, or an in-batch duplicate of one already
@@ -546,37 +460,36 @@ impl<'a> Evaluator<'a> {
             out.push(eval);
         }
         self.metrics.add(Counter::MemoProbes, multi_probes);
-        if !miss.is_empty() {
-            let t0 = Instant::now();
-            let stats = score_into(self.ctx, self.model, miss, core, times);
-            self.metrics.add(Counter::MemoMisses, miss.len() as u64);
-            self.metrics.add(Counter::SynthNs, stats.synth_ns);
-            self.metrics.add(Counter::BatchesScored, stats.batches);
-            self.metrics.add(Counter::BatchLanesFilled, stats.lanes);
-            // Publish in queue order so single-threaded runs populate the
-            // memo deterministically.
-            for j in 0..miss.len() {
-                let fp = miss_fp[j];
-                let shard = &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize];
-                let eval = GroupEval { time_s: times[j] };
-                times[j] = shard.write().get_or_insert(fp, miss.group(j), eval).time_s;
-            }
-            let dur = t0.elapsed();
-            self.metrics.add(Counter::MissNs, dur.as_nanos() as u64);
-            if self.obs.is_enabled() {
-                self.obs.record_span(
-                    SpanId::BatchScore,
-                    worker_track(),
-                    t0,
-                    dur,
-                    [miss.len() as u64, stats.lanes],
-                );
-            }
-            for &(i, j) in pending.iter() {
-                out[i as usize] = GroupEval {
-                    time_s: times[j as usize],
-                };
-            }
+        if miss.is_empty() {
+            return;
+        }
+        let t0 = Instant::now();
+        let stats = score_into(self.ctx, self.model, miss, core, times);
+        self.metrics.add(Counter::MemoMisses, miss.len() as u64);
+        self.metrics.add(Counter::SynthNs, stats.synth_ns);
+        self.metrics.add(Counter::BatchesScored, stats.batches);
+        self.metrics.add(Counter::BatchLanesFilled, stats.lanes);
+        // Publish in queue order so the memo fills deterministically.
+        for (j, (&fp, &time_s)) in miss_fp.iter().zip(times.iter()).enumerate() {
+            self.shard(fp)
+                .borrow_mut()
+                .insert(fp, miss.group(j), GroupEval { time_s });
+        }
+        let dur = t0.elapsed();
+        self.metrics.add(Counter::MissNs, dur.as_nanos() as u64);
+        if self.obs.is_enabled() {
+            self.obs.record_span(
+                SpanId::BatchScore,
+                WORKER_TRACK_BASE,
+                t0,
+                dur,
+                [miss.len() as u64, stats.lanes],
+            );
+        }
+        for &(i, j) in pending.iter() {
+            out[i as usize] = GroupEval {
+                time_s: times[j as usize],
+            };
         }
     }
 
@@ -596,8 +509,8 @@ impl<'a> Evaluator<'a> {
 }
 
 /// Run `f` on `group` sorted into canonical order: on the stack for groups
-/// up to [`STACK_KEY`] members, else in `heap_key` (caller-owned scratch,
-/// so steady-state probes of large groups allocate nothing either).
+/// up to [`STACK_KEY`] members, else in `heap_key` (evaluator-owned
+/// scratch, so steady-state probes of large groups allocate nothing either).
 fn with_sorted_key<R>(
     group: &[KernelId],
     heap_key: &mut Vec<KernelId>,
@@ -832,8 +745,8 @@ mod tests {
         // retrievable, neither answers for the other or for a third key.
         let mut shard = Shard::new(OFFSET_LIMIT);
         let (a, b, c) = (ids(&[1, 2]), ids(&[3, 4, 5]), ids(&[1, 3]));
-        assert_eq!(shard.get_or_insert(7, &a, t(1.0)), t(1.0));
-        assert_eq!(shard.get_or_insert(7, &b, t(2.0)), t(2.0));
+        shard.insert(7, &a, t(1.0));
+        shard.insert(7, &b, t(2.0));
         assert_eq!(shard.get(7, &a), Some(t(1.0)));
         assert_eq!(shard.get(7, &b), Some(t(2.0)));
         assert_eq!(shard.get(7, &c), None);
@@ -843,33 +756,22 @@ mod tests {
     }
 
     #[test]
-    fn racing_insert_keeps_the_first_entry() {
-        // The interleaving of two threads missing on one key: both
-        // computed, the second publish finds the first one's entry.
-        let mut shard = Shard::new(OFFSET_LIMIT);
-        let key = ids(&[2, 9]);
-        assert_eq!(shard.get_or_insert(5, &key, t(1.0)), t(1.0));
-        assert_eq!(shard.get_or_insert(5, &key, t(3.0)), t(1.0));
-        assert_eq!(shard.entries.len(), 1);
-        assert_eq!(shard.keys.len(), 2);
-    }
-
-    #[test]
     fn full_shard_returns_evals_without_memoizing() {
         // A shard at its offset high-water mark (faked: the real one is
         // u32::MAX) takes no further entries, and neither wraps nor panics.
         let mut shard = Shard::new(4);
-        shard.get_or_insert(1, &ids(&[0, 1, 2]), t(1.0));
+        shard.insert(1, &ids(&[0, 1, 2]), t(1.0));
         // Key arena would pass the limit (3 + 2 > 4).
-        assert_eq!(shard.get_or_insert(2, &ids(&[0, 1]), t(2.0)), t(2.0));
+        shard.insert(2, &ids(&[0, 1]), t(2.0));
         assert_eq!(shard.get(2, &ids(&[0, 1])), None);
         assert_eq!(shard.heads.len(), 1, "no head may point at a refused entry");
         // What was stored before still answers.
         assert_eq!(shard.get(1, &ids(&[0, 1, 2])), Some(t(1.0)));
         // Entry list at the limit, key arena not.
         let mut shard = Shard::new(1);
-        shard.get_or_insert(1, &ids(&[0]), t(1.0));
-        assert_eq!(shard.get_or_insert(2, &[], t(2.0)), t(2.0));
+        shard.insert(1, &ids(&[0]), t(1.0));
+        shard.insert(2, &[], t(2.0));
+        assert_eq!(shard.get(2, &[]), None);
         assert_eq!(shard.entries.len(), 1);
 
         // Through the evaluator: every probe of the refused group is a
@@ -880,21 +782,22 @@ mod tests {
         let expect = ev.group(&ids(&[0, 1]));
         let misses = ev.evaluations();
         for shard in &mut ev.shards {
-            *shard = RwLock::new(Shard::new(0));
+            *shard = RefCell::new(Shard::new(0));
         }
-        let mut probe = BatchProbe::new();
+        let mut cands = CandidateBatch::new();
         let mut out = Vec::new();
-        probe.push(&ids(&[1, 0]));
-        ev.group_batch(&mut probe, &mut out);
+        cands.push(&ids(&[1, 0]));
+        ev.group_batch(&cands, &mut out);
         assert_eq!((ev.group(&ids(&[0, 1])), out[0]), (expect, expect));
         assert_eq!(ev.evaluations(), misses + 2);
     }
 
     #[test]
-    fn four_threads_on_one_evaluator_leave_no_duplicate_entry() {
-        // Concurrent sharing: four workers probing the
-        // same groups through both paths, released together so publishes
-        // collide. Every distinct key ends up stored exactly once.
+    fn interleaved_scalar_and_batched_probes_store_each_key_once() {
+        // One thread alternating the two probe paths over overlapping
+        // windows of one group list, each batch carrying its window twice
+        // (in-batch duplicates, one of them reversed). Every distinct key
+        // is stored once and paid for exactly once.
         let p = kfuse_workloads::synth::scaling(24);
         let ctx = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double).1;
         let model = ProposedModel::default();
@@ -902,34 +805,31 @@ mod tests {
         let groups: Vec<Vec<KernelId>> = (0..24u32)
             .flat_map(|i| (i + 1..24).map(move |j| ids(&[i, j])))
             .collect();
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
-            for worker in 0..4 {
-                let (ev, groups, start) = (&ev, &groups, &start);
-                s.spawn(move || {
-                    let mut synth = SynthScratch::new();
-                    let mut probe = BatchProbe::new();
-                    let mut out = Vec::new();
-                    start.wait();
-                    for chunk in groups.chunks(8) {
-                        if worker % 2 == 0 {
-                            for g in chunk {
-                                ev.group_with(g, &mut synth);
-                            }
-                        } else {
-                            probe.clear();
-                            for g in chunk {
-                                probe.push(g);
-                            }
-                            ev.group_batch(&mut probe, &mut out);
-                        }
-                    }
-                });
+        let mut cands = CandidateBatch::new();
+        let mut out = Vec::new();
+        for (round, start) in (0..groups.len()).step_by(5).enumerate() {
+            let window = &groups[start..(start + 8).min(groups.len())];
+            if round % 2 == 0 {
+                for g in window {
+                    ev.group(g);
+                }
+            } else {
+                cands.clear();
+                for g in window {
+                    cands.push(g);
+                    cands.extend_members(&[g[1], g[0]]);
+                    cands.seal();
+                }
+                ev.group_batch(&cands, &mut out);
+                for (i, g) in window.iter().enumerate() {
+                    assert_eq!(out[2 * i], out[2 * i + 1]);
+                    assert_eq!(out[2 * i], ev.group(g));
+                }
             }
-        });
+        }
         let mut stored = std::collections::HashSet::new();
         for shard in &ev.shards {
-            let shard = shard.read();
+            let shard = shard.borrow();
             for e in &shard.entries {
                 let off = e.key_off as usize;
                 let key = shard.keys[off..off + e.key_len as usize].to_vec();
@@ -937,8 +837,7 @@ mod tests {
             }
         }
         assert_eq!(stored.len(), groups.len());
-        // Racing workers may each have paid for a key; the memo kept one.
-        assert!(ev.evaluations() >= groups.len() as u64);
+        assert_eq!(ev.evaluations(), groups.len() as u64);
     }
 
     #[test]

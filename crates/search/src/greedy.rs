@@ -8,12 +8,11 @@
 //! objective. It is fast and serves as the non-architecture-aware /
 //! non-global baseline the HGGA is compared against.
 
-use crate::eval::{BatchProbe, Evaluator, GroupEval};
-use kfuse_core::fuse::{condensation_order_with, CondensationScratch};
+use crate::eval::{Evaluator, GroupEval};
+use kfuse_core::batch::CandidateBatch;
 use kfuse_core::model::PerfModel;
 use kfuse_core::pipeline::{SolveOutcome, SolveStats, Solver};
 use kfuse_core::plan::{FusionPlan, PlanContext};
-use kfuse_core::synth::SynthScratch;
 use kfuse_ir::KernelId;
 use kfuse_obs::{Counter, ObsHandle, SpanId};
 use std::time::Instant;
@@ -42,12 +41,10 @@ impl Solver for GreedySolver {
 
         // Steady-state buffers: the probe pair-merge, the candidate plan's
         // group storage (inner Vec capacity reclaimed after each check via
-        // `plan.groups`), and the condensation work arrays.
+        // `plan.groups`), and the row's merge candidates.
         let mut merged: Vec<KernelId> = Vec::new();
         let mut cand_pool: Vec<Vec<KernelId>> = Vec::new();
-        let mut cscratch = CondensationScratch::new();
-        let mut sscratch = SynthScratch::new();
-        let mut probe = BatchProbe::new();
+        let mut cands = CandidateBatch::new();
         let mut evals: Vec<GroupEval> = Vec::new();
         let mut row: Vec<u32> = Vec::new();
 
@@ -61,23 +58,22 @@ impl Solver for GreedySolver {
                 // passes the kinship prefilter, scored in one flush. The
                 // solver has no RNG and evaluations are pure, so the
                 // best-merge choice is unchanged.
-                probe.clear();
+                cands.clear();
                 row.clear();
                 for j in i + 1..groups.len() {
                     // Kinship prefilter: skip cross-component pairs.
                     if ctx.share.component(groups[i][0]) != ctx.share.component(groups[j][0]) {
                         continue;
                     }
-                    probe.extend_members(&groups[i]);
-                    probe.extend_members(&groups[j]);
-                    probe.seal();
+                    cands.extend_members(&groups[i]);
+                    cands.extend_members(&groups[j]);
+                    cands.seal();
                     row.push(j as u32);
                 }
-                ev.group_batch(&mut probe, &mut evals);
+                ev.group_batch(&cands, &mut evals);
                 for (c, &j) in row.iter().enumerate() {
                     let j = j as usize;
-                    let cur = ev.group_with(&groups[i], &mut sscratch).time_s
-                        + ev.group_with(&groups[j], &mut sscratch).time_s;
+                    let cur = ev.group(&groups[i]).time_s + ev.group(&groups[j]).time_s;
                     let t = evals[c].time_s;
                     if !t.is_finite() {
                         continue;
@@ -87,7 +83,8 @@ impl Solver for GreedySolver {
                     merged.extend_from_slice(&groups[j]);
                     let gain = cur - t;
                     if gain > 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
-                        // Verify the merged plan remains realizable. The
+                        // Verify the merged plan remains realizable (feasible
+                        // and acyclic: `Evaluator::plan` is ∞ otherwise). The
                         // candidate's group vectors are drawn from a pool so
                         // repeated checks allocate nothing once warm.
                         while cand_pool.len() < groups.len() - 1 {
@@ -106,9 +103,7 @@ impl Solver for GreedySolver {
                         cand_pool[w].clear();
                         cand_pool[w].extend_from_slice(&merged);
                         let plan = FusionPlan::new(std::mem::take(&mut cand_pool));
-                        if ev.plan(&plan).is_finite()
-                            && condensation_order_with(&plan, &ctx.exec, &mut cscratch).is_ok()
-                        {
+                        if ev.plan(&plan).is_finite() {
                             best = Some((i, j, gain));
                         }
                         cand_pool = plan.groups;

@@ -378,7 +378,7 @@ pub fn random_chromosome(
         scratch.probe.clear();
         scratch.probe.extend_from_slice(ch.slot_members(ga));
         scratch.probe.extend_from_slice(ch.slot_members(gb));
-        let e = ev.group_with(&scratch.probe, &mut scratch.synth);
+        let e = ev.group(&scratch.probe);
         if e.feasible() {
             let (i, j) = (ch.position_of_slot(ga), ch.position_of_slot(gb));
             ch.merge_into(i, j, e);
@@ -516,7 +516,7 @@ pub fn mutate(
                     scratch.probe.clear();
                     scratch.probe.extend_from_slice(ch.members_at(gi));
                     scratch.probe.extend_from_slice(ch.members_at(gj));
-                    let e = ev.group_with(&scratch.probe, &mut scratch.synth);
+                    let e = ev.group(&scratch.probe);
                     if e.feasible() {
                         ch.merge_append(gi, gj, e);
                     }
@@ -542,20 +542,20 @@ pub fn mutate(
                     // source probe when the target failed; probing it
                     // anyway costs a shared lane sweep and cannot change
                     // the accept decision (evaluations are pure).
-                    scratch.bp.clear();
-                    scratch.bp.extend_members(ch.members_at(gj));
-                    scratch.bp.push_member(k);
-                    scratch.bp.seal();
+                    scratch.cands.clear();
+                    scratch.cands.extend_members(ch.members_at(gj));
+                    scratch.cands.push_member(k);
+                    scratch.cands.seal();
                     let src_len = ch.members_at(gi).len() - 1;
                     if src_len > 0 {
                         for (x, &m) in ch.members_at(gi).iter().enumerate() {
                             if x != vi {
-                                scratch.bp.push_member(m);
+                                scratch.cands.push_member(m);
                             }
                         }
-                        scratch.bp.seal();
+                        scratch.cands.seal();
                     }
-                    ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+                    ev.group_batch(&scratch.cands, &mut scratch.bevals);
                     let target = scratch.bevals[0];
                     let source = (target.feasible() && src_len > 0).then(|| scratch.bevals[1]);
                     let ok =
@@ -588,7 +588,7 @@ enum Act {
 /// Candidate moves are *batched*: each sampling phase generates its
 /// samples with the exact RNG draws of the one-at-a-time loop (the
 /// chromosome is untouched while sampling, so the draws see identical
-/// state), queues the implied groups in a [`crate::eval::BatchProbe`],
+/// state), queues the implied groups in a [`kfuse_core::batch::CandidateBatch`],
 /// scores them lane-per-candidate in one flush, and then replays the
 /// winner selection in sample order with identical float comparisons —
 /// the chosen action, and therefore the trajectory, is bit-for-bit that
@@ -609,7 +609,7 @@ pub fn local_search(
         // Improving bipartitions first: sample random splits of larger
         // groups and take the best one found. Descriptor: [gi, ca, _, _, _]
         // with the halves at candidates ca and ca+1.
-        scratch.bp.clear();
+        scratch.cands.clear();
         scratch.descs.clear();
         for _ in 0..12 {
             let gi = rng.gen_range(0..glen);
@@ -628,11 +628,11 @@ pub fn local_search(
             if scratch.split_a.is_empty() || scratch.split_b.is_empty() {
                 continue;
             }
-            let ca = scratch.bp.push(&scratch.split_a);
-            scratch.bp.push(&scratch.split_b);
+            let ca = scratch.cands.push(&scratch.split_a);
+            scratch.cands.push(&scratch.split_b);
             scratch.descs.push([gi as u32, ca as u32, 0, 0, 0]);
         }
-        ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+        ev.group_batch(&scratch.cands, &mut scratch.bevals);
         let mut best_split: Option<(f64, usize, usize, GroupEval, GroupEval)> = None;
         for d in &scratch.descs {
             let (gi, ca) = (d[0] as usize, d[1] as usize);
@@ -645,8 +645,8 @@ pub fn local_search(
             }
         }
         if let Some((_, gi, ca, ea, eb)) = best_split {
-            ch.replace_members(gi, scratch.bp.group(ca), Some(ea));
-            ch.push_group(scratch.bp.group(ca + 1), Some(eb));
+            ch.replace_members(gi, scratch.cands.group(ca), Some(ea));
+            ch.push_group(scratch.cands.group(ca + 1), Some(eb));
             continue;
         }
 
@@ -654,7 +654,7 @@ pub fn local_search(
         // i and j at candidate c; [1, i, j, vi, c] for a move with the
         // shrunk source at c and the grown target at c+1 (source first:
         // the probe order is part of the pinned trajectory).
-        scratch.bp.clear();
+        scratch.cands.clear();
         scratch.descs.clear();
         let samples = 48.min(glen * glen);
         for _ in 0..samples {
@@ -664,28 +664,28 @@ pub fn local_search(
                 continue;
             }
             if rng.gen_bool(0.5) {
-                scratch.bp.extend_members(ch.members_at(i));
-                scratch.bp.extend_members(ch.members_at(j));
-                let c = scratch.bp.seal();
+                scratch.cands.extend_members(ch.members_at(i));
+                scratch.cands.extend_members(ch.members_at(j));
+                let c = scratch.cands.seal();
                 scratch.descs.push([0, i as u32, j as u32, 0, c as u32]);
             } else if ch.members_at(i).len() >= 2 {
                 let vi = rng.gen_range(0..ch.members_at(i).len());
                 let k = ch.members_at(i)[vi];
                 for (x, &m) in ch.members_at(i).iter().enumerate() {
                     if x != vi {
-                        scratch.bp.push_member(m);
+                        scratch.cands.push_member(m);
                     }
                 }
-                let c = scratch.bp.seal();
-                scratch.bp.extend_members(ch.members_at(j));
-                scratch.bp.push_member(k);
-                scratch.bp.seal();
+                let c = scratch.cands.seal();
+                scratch.cands.extend_members(ch.members_at(j));
+                scratch.cands.push_member(k);
+                scratch.cands.seal();
                 scratch
                     .descs
                     .push([1, i as u32, j as u32, vi as u32, c as u32]);
             }
         }
-        ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+        ev.group_batch(&scratch.cands, &mut scratch.bevals);
         let mut best: Option<(f64, Act)> = None;
         for d in &scratch.descs {
             let (i, j, c) = (d[1] as usize, d[2] as usize, d[4] as usize);
@@ -752,17 +752,17 @@ fn first_fit(
             scratch.probe.clear();
             scratch.probe.extend_from_slice(ch.members_at(first));
             scratch.probe.push(k);
-            let e = ev.group_with(&scratch.probe, &mut scratch.synth);
+            let e = ev.group(&scratch.probe);
             if e.feasible() {
                 seat = Some((first, e));
             } else {
-                scratch.bp.clear();
+                scratch.cands.clear();
                 for &gi in rest {
-                    scratch.bp.extend_members(ch.members_at(gi));
-                    scratch.bp.push_member(k);
-                    scratch.bp.seal();
+                    scratch.cands.extend_members(ch.members_at(gi));
+                    scratch.cands.push_member(k);
+                    scratch.cands.seal();
                 }
-                ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+                ev.group_batch(&scratch.cands, &mut scratch.bevals);
                 seat = rest
                     .iter()
                     .zip(&scratch.bevals)
@@ -936,7 +936,7 @@ mod tests {
     }
 
     #[test]
-    fn single_island_reproduces_pre_island_solver_exactly() {
+    fn toy_program_trajectories_match_recorded_rows() {
         let (_, ctx) = prepare(&program(), &GpuSpec::k20x(), FpPrecision::Double);
         #[rustfmt::skip]
         const GOLDEN: &[Trajectory] = &[

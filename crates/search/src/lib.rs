@@ -11,10 +11,10 @@
 //!   inner loop operates on: arena-backed groups with cached per-group
 //!   evaluations, delta rescoring, and an incrementally maintained
 //!   inter-group condensation summary (DESIGN.md §10).
-//! * [`eval`] — the shared, sharded, memoized group [`Evaluator`]; every
-//!   solver scores plans through it, so memo statistics are comparable
-//!   across solvers. The unmemoized `PlanContext::objective` and the
-//!   independent verifier are what its tests compare it against.
+//! * [`eval`] — the memoized group [`Evaluator`], one per solve and
+//!   thread; every solver scores plans through it, so memo statistics are
+//!   comparable across solvers. The unmemoized `PlanContext::objective`
+//!   and the independent verifier are what its tests compare it against.
 //! * [`exhaustive`] — exact enumeration of set partitions with feasibility
 //!   pruning; the deterministic ground truth used to verify HGGA optimality
 //!   on small benchmarks (Fig. 5a).
@@ -52,7 +52,7 @@ pub mod partition;
 pub mod plancache;
 pub mod warmstart;
 
-pub use eval::{BatchProbe, Evaluator};
+pub use eval::Evaluator;
 pub use exhaustive::ExhaustiveSolver;
 pub use greedy::GreedySolver;
 pub use hgga::{HggaConfig, HggaSolver};

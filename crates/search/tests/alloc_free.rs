@@ -19,7 +19,7 @@ use kfuse_core::synth::SynthScratch;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::KernelId;
 use kfuse_obs::ObsHandle;
-use kfuse_search::{BatchProbe, Evaluator};
+use kfuse_search::Evaluator;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -174,16 +174,15 @@ fn memo_hit_path_with_disabled_obs_is_allocation_free() {
     let groups = group_pool(ctx.n_kernels());
 
     // Warm: every group pays its one miss (scratch sizing + memo insert).
-    let mut scratch = SynthScratch::new();
     for g in &groups {
-        std::hint::black_box(ev.group_with(g, &mut scratch));
+        std::hint::black_box(ev.group(g));
     }
 
     let probes_before = ev.probes();
     let before = allocations();
     for _ in 0..3 {
         for g in &groups {
-            std::hint::black_box(ev.group_with(g, &mut scratch));
+            std::hint::black_box(ev.group(g));
         }
     }
     let delta = allocations() - before;
@@ -202,7 +201,7 @@ fn memo_hit_path_with_disabled_obs_is_allocation_free() {
 #[test]
 fn distinct_misses_allocate_only_for_amortized_growth() {
     // 20 000 distinct multi-member groups over 60 kernels (every pair,
-    // then triples). The first half warms the probe's queues and takes
+    // then triples). The first half warms the evaluator's queues and takes
     // each shard's three arrays past their small sizes; the second half —
     // 10 000 further distinct misses, every one published to the memo —
     // may then allocate only where an array doubles: at most once each
@@ -221,15 +220,15 @@ fn distinct_misses_allocate_only_for_amortized_growth() {
     let groups: Vec<Vec<KernelId>> = pairs.chain(triples).take(20_000).collect();
     assert_eq!(groups.len(), 20_000);
 
-    let mut probe = BatchProbe::new();
+    let mut cands = CandidateBatch::new();
     let mut out = Vec::new();
     let mut sweep = |groups: &[Vec<KernelId>]| {
         for chunk in groups.chunks(48) {
-            probe.clear();
+            cands.clear();
             for g in chunk {
-                probe.push(g);
+                cands.push(g);
             }
-            ev.group_batch(&mut probe, &mut out);
+            ev.group_batch(&cands, &mut out);
         }
     };
     sweep(&groups[..10_000]);
@@ -247,8 +246,8 @@ fn distinct_misses_allocate_only_for_amortized_growth() {
 #[test]
 fn large_group_probes_are_allocation_free_once_warm() {
     // Groups beyond the 32-member stack key (returned plans of synth100
-    // carry 34-member groups) sort into caller-owned scratch on both probe
-    // paths, so re-probing them allocates nothing.
+    // carry 34-member groups) sort into the evaluator's scratch on both
+    // probe paths, so re-probing them allocates nothing.
     let p = kfuse_workloads::synth::scaling(60);
     let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
     let model = ProposedModel::default();
@@ -257,21 +256,20 @@ fn large_group_probes_are_allocation_free_once_warm() {
         .map(|i| (0..34 + i).rev().map(|k| KernelId(k + i)).collect())
         .collect();
 
-    let mut scratch = SynthScratch::new();
-    let mut probe = BatchProbe::new();
+    let mut cands = CandidateBatch::new();
     let mut out = Vec::new();
-    let mut round = |scratch: &mut SynthScratch| {
-        probe.clear();
+    let mut round = || {
+        cands.clear();
         for g in &groups {
-            std::hint::black_box(ev.group_with(g, scratch));
-            probe.push(g);
+            std::hint::black_box(ev.group(g));
+            cands.push(g);
         }
-        ev.group_batch(&mut probe, &mut out);
+        ev.group_batch(&cands, &mut out);
     };
-    round(&mut scratch);
+    round();
     let before = allocations();
     for _ in 0..3 {
-        round(&mut scratch);
+        round();
     }
     let delta = allocations() - before;
     assert_eq!(delta, 0, "large-group probes allocated {delta} times");

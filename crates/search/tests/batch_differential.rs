@@ -12,7 +12,7 @@ use kfuse_core::plan::PlanContext;
 use kfuse_core::synth::SynthScratch;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::KernelId;
-use kfuse_search::eval::{BatchProbe, Evaluator};
+use kfuse_search::eval::Evaluator;
 use kfuse_verify::PlanChecker;
 use kfuse_workloads::synth::{generate, SynthConfig};
 use proptest::prelude::*;
@@ -122,24 +122,24 @@ fn group_batch_matches_sequential_group_probes() {
         let model = ProposedModel::default();
         let batched = Evaluator::new(&ctx, &model);
         let sequential = Evaluator::new(&ctx, &model);
-        let mut probe = BatchProbe::new();
+        let mut cands = CandidateBatch::new();
         let mut out = Vec::new();
         for round in 0..2u64 {
-            probe.clear();
+            cands.clear();
             for c in 0..40u64 {
                 // Every third candidate repeats the previous one; every
                 // fifth is a singleton.
                 let salt = splitmix64(0xF00D ^ (c - (c % 3 == 2) as u64));
                 if c % 5 == 4 {
-                    probe.push(&[KernelId((salt % n as u64) as u32)]);
+                    cands.push(&[KernelId((salt % n as u64) as u32)]);
                 } else {
-                    probe.push(&random_group(n, salt));
+                    cands.push(&random_group(n, salt));
                 }
             }
-            batched.group_batch(&mut probe, &mut out);
-            assert_eq!(out.len(), probe.len());
+            batched.group_batch(&cands, &mut out);
+            assert_eq!(out.len(), cands.len());
             for (i, got) in out.iter().enumerate() {
-                let want = sequential.group(probe.group(i)).time_s;
+                let want = sequential.group(cands.group(i)).time_s;
                 assert!(
                     want.total_cmp(&got.time_s).is_eq(),
                     "{} round {round} candidate {i}: batched {} != sequential {want}",

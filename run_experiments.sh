@@ -172,6 +172,18 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: boxed memo key found (see DESIGN.md §8.2)"
     exit 1
   fi
+  # One thread per evaluator: each solve owns its evaluator, so the memo
+  # and its scratch take no locks and no thread-local fallback.
+  echo "== the evaluator takes no locks"
+  if grep -nE 'RwLock|Mutex|thread_local!|parking_lot' crates/search/src/eval.rs; then
+    echo "FAIL: a lock or thread-local is back in eval.rs (see DESIGN.md §8.2)"
+    exit 1
+  fi
+  if grep -rl --include=Cargo.toml --exclude-dir=benchmark --exclude-dir=target \
+      'parking_lot' .; then
+    echo "FAIL: a Cargo.toml names parking_lot"
+    exit 1
+  fi
   # One pass per layer on the request path (DESIGN.md §3.1, §17.2): the
   # all-pairs kinship matrix, a `Value` tree between a request line and
   # its `Program`, and a per-array rebuild of every expression in the
@@ -315,7 +327,8 @@ PY
 done
 # The six built-ins all solve flat, so the hierarchical path gets its own
 # traced run: its three pass spans, one `region N` track per solved
-# region (never an evaluator worker's), and the regions_solved counter.
+# region (never an evaluator worker's), every evaluator span on the one
+# `eval worker 0` track, and the regions_solved counter.
 echo "-- kfuse solve synth500 --solver hgga-hier --trace"
 ./target/release/kfuse solve synth500 --solver hgga-hier \
   --trace "$verify_tmp/hier-trace.json" --metrics "$verify_tmp/hier-metrics.json" > /dev/null
@@ -329,6 +342,9 @@ track = {e["tid"]: e["args"]["name"] for e in events if e.get("name") == "thread
 region_tracks = {track[e["tid"]] for e in events if e.get("name") == "region_solve"}
 assert all(re.fullmatch(r"region \d+", t) for t in region_tracks), region_tracks
 assert len(region_tracks) >= 2, f"expected >= 2 region tracks, got {region_tracks}"
+eval_spans = ("memo_miss", "synthesis", "batch_score")
+eval_tracks = {track[e["tid"]] for e in events if e.get("name") in eval_spans}
+assert eval_tracks == {"eval worker 0"}, f"evaluator spans on {eval_tracks}"
 solved = json.load(open(sys.argv[2]))["counters"]["regions_solved"]
 assert solved >= 2, f"regions_solved = {solved}"
 print(f"   ok: {len(region_tracks)} region tracks, regions_solved = {solved}")
