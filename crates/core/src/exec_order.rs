@@ -178,18 +178,12 @@ impl ExecOrderGraph {
             + self.reach.iter().map(BitSet::heap_bytes).sum::<usize>()
     }
 
-    /// Direct predecessors of `k` (kernels with a hazard edge `u → k`).
-    pub fn preds_of(&self, k: KernelId) -> &[KernelId] {
-        &self.preds[k.index()]
-    }
-
     /// Summarize the inter-group edges leaving one group: collect into
     /// `out` the distinct groups (per the `group_of` map) that the direct
     /// successors of `members` fall into, excluding the group `own`
     /// itself. This is the per-group building block of the
-    /// plan-condensation DAG; the plan evaluator's incremental
-    /// condensation cache rebuilds exactly these summaries for dirty
-    /// groups only.
+    /// plan-condensation DAG that [`crate::fuse::condensation_order_with`]
+    /// orders.
     ///
     /// The list is deduplicated through `seen` but **not sorted**: it
     /// comes out in first-encounter order over `members`. Kahn's pass only

@@ -29,6 +29,10 @@ pub enum FuseError {
     OrderCycle(usize, usize),
     /// A group references an unknown kernel.
     UnknownKernel(KernelId),
+    /// The plan leaves a kernel out of every group.
+    MissingKernel(KernelId),
+    /// The plan lists a kernel more than once.
+    DuplicateKernel(KernelId),
 }
 
 impl std::fmt::Display for FuseError {
@@ -41,25 +45,50 @@ impl std::fmt::Display for FuseError {
                 )
             }
             FuseError::UnknownKernel(k) => write!(f, "plan references unknown kernel {k}"),
+            FuseError::MissingKernel(k) => write!(f, "plan leaves out kernel {k}"),
+            FuseError::DuplicateKernel(k) => write!(f, "plan lists kernel {k} twice"),
         }
     }
 }
 
 impl std::error::Error for FuseError {}
 
+/// Kernel groups that [`condensation_order_with`] can order: a
+/// [`FusionPlan`], or a search representation that never materializes
+/// one. Group `i`'s first member keys Kahn's ready heap, so in plan normal
+/// form (members sorted, groups sorted by first member) the order follows
+/// host invocation order.
+pub trait Grouping {
+    /// Number of groups.
+    fn group_count(&self) -> usize;
+    /// Members of group `i`, for `i < group_count()`.
+    fn group(&self, i: usize) -> &[KernelId];
+}
+
+impl Grouping for FusionPlan {
+    fn group_count(&self) -> usize {
+        self.groups.len()
+    }
+
+    fn group(&self, i: usize) -> &[KernelId] {
+        &self.groups[i]
+    }
+}
+
 /// Reusable buffers for [`condensation_order_with`].
 ///
 /// The HGGA evaluates the condensation of thousands of candidate plans per
 /// second; rebuilding the kernel→group map and the Kahn queue from scratch
-/// each time made the check allocation-bound. A scratch kept per thread (or
-/// per solver) amortizes every buffer across calls: after warm-up the check
-/// performs no heap allocation at all on cycle-free plans whose group count
-/// does not grow.
+/// each time made the check allocation-bound. A scratch kept per solver
+/// amortizes every buffer across calls: after warm-up the check performs
+/// no heap allocation at all on cycle-free plans whose group count does
+/// not exceed an earlier call's.
 #[derive(Debug, Default)]
 pub struct CondensationScratch {
     /// Dense kernel index → group index map (`u32::MAX` = unassigned).
     group_of: Vec<u32>,
-    /// Per-group successor lists (inner vectors keep their capacity).
+    /// Per-group successor lists; lists past the current group count keep
+    /// their capacity for a later call.
     succ: Vec<Vec<u32>>,
     /// Dedup marks for building `succ`.
     seen: SuccStamps,
@@ -92,48 +121,63 @@ pub fn condensation_order(
     Ok(std::mem::take(&mut scratch.order))
 }
 
-/// [`condensation_order`] against caller-owned scratch buffers. The
-/// returned slice borrows `scratch.order` and is valid until the next call.
-pub fn condensation_order_with<'s>(
-    plan: &FusionPlan,
+/// [`condensation_order`] over any [`Grouping`], against caller-owned
+/// scratch buffers. The returned slice borrows `scratch.order` and is
+/// valid until the next call.
+///
+/// The groups must partition the kernels of `exec`: an unknown, missing
+/// or repeated kernel is an error naming it. On a cycle,
+/// [`FuseError::OrderCycle`]'s first index is the first group, in
+/// grouping order, that Kahn's pass leaves stuck.
+pub fn condensation_order_with<'s, G: Grouping + ?Sized>(
+    groups: &G,
     exec: &ExecOrderGraph,
     scratch: &'s mut CondensationScratch,
 ) -> Result<&'s [usize], FuseError> {
     const UNASSIGNED: u32 = u32::MAX;
-    let n_groups = plan.groups.len();
+    let n_groups = groups.group_count();
     let n_kernels = exec.len();
 
     scratch.group_of.clear();
     scratch.group_of.resize(n_kernels, UNASSIGNED);
-    for (gi, g) in plan.groups.iter().enumerate() {
+    let mut assigned = 0;
+    for gi in 0..n_groups {
+        let g = groups.group(gi);
         for &k in g {
-            if k.index() >= n_kernels {
-                return Err(FuseError::UnknownKernel(k));
+            let slot = scratch
+                .group_of
+                .get_mut(k.index())
+                .ok_or(FuseError::UnknownKernel(k))?;
+            if *slot != UNASSIGNED {
+                return Err(FuseError::DuplicateKernel(k));
             }
-            scratch.group_of[k.index()] = gi as u32;
+            *slot = gi as u32;
         }
+        assigned += g.len();
+    }
+    if assigned != n_kernels {
+        // No kernel is unknown or repeated, so one is unassigned.
+        let k = scratch.group_of.iter().position(|&g| g == UNASSIGNED);
+        let k = k.expect("fewer assignments than kernels leave one unassigned");
+        return Err(FuseError::MissingKernel(KernelId(k as u32)));
     }
 
     // Edges between groups from direct kernel edges.
-    scratch.succ.truncate(n_groups);
-    for s in &mut scratch.succ {
-        s.clear();
+    if scratch.succ.len() < n_groups {
+        scratch.succ.resize_with(n_groups, Vec::new);
     }
-    scratch.succ.resize_with(n_groups, Vec::new);
     scratch.indeg.clear();
     scratch.indeg.resize(n_groups, 0);
-    for (gi, g) in plan.groups.iter().enumerate() {
+    for gi in 0..n_groups {
+        let succ = &mut scratch.succ[gi];
         exec.group_succs_into(
-            g,
+            groups.group(gi),
             &scratch.group_of,
             gi as u32,
             &mut scratch.seen,
-            &mut scratch.succ[gi],
+            succ,
         );
-    }
-    for gi in 0..n_groups {
-        for i in 0..scratch.succ[gi].len() {
-            let gj = scratch.succ[gi][i];
+        for &gj in succ.iter() {
             scratch.indeg[gj as usize] += 1;
         }
     }
@@ -143,18 +187,22 @@ pub fn condensation_order_with<'s>(
     scratch.ready.clear();
     for (gi, &d) in scratch.indeg.iter().enumerate() {
         if d == 0 {
-            scratch.ready.push(Reverse((plan.groups[gi][0], gi as u32)));
+            scratch
+                .ready
+                .push(Reverse((groups.group(gi)[0], gi as u32)));
         }
     }
     scratch.order.clear();
     scratch.order.reserve(n_groups);
     while let Some(Reverse((_, gi))) = scratch.ready.pop() {
         scratch.order.push(gi as usize);
-        for i in 0..scratch.succ[gi as usize].len() {
-            let gj = scratch.succ[gi as usize][i] as usize;
-            scratch.indeg[gj] -= 1;
-            if scratch.indeg[gj] == 0 {
-                scratch.ready.push(Reverse((plan.groups[gj][0], gj as u32)));
+        for &gj in &scratch.succ[gi as usize] {
+            let d = &mut scratch.indeg[gj as usize];
+            *d -= 1;
+            if *d == 0 {
+                scratch
+                    .ready
+                    .push(Reverse((groups.group(gj as usize)[0], gj)));
             }
         }
     }
@@ -428,6 +476,32 @@ mod tests {
             condensation_order(&plan, &exec),
             Err(FuseError::OrderCycle(..))
         ));
+    }
+
+    #[test]
+    fn a_plan_that_leaves_out_a_kernel_is_rejected() {
+        // k1 follows k0 but sits in no group: nothing may index the
+        // successor marks by the unassigned sentinel.
+        let exec = ExecOrderGraph::build(&program());
+        let plan = FusionPlan::new(vec![vec![KernelId(0), KernelId(2)], vec![KernelId(3)]]);
+        assert_eq!(
+            condensation_order(&plan, &exec),
+            Err(FuseError::MissingKernel(KernelId(1)))
+        );
+    }
+
+    #[test]
+    fn a_plan_that_lists_a_kernel_twice_is_rejected() {
+        let exec = ExecOrderGraph::build(&program());
+        let plan = FusionPlan::new(vec![
+            vec![KernelId(0), KernelId(1)],
+            vec![KernelId(1), KernelId(2)],
+            vec![KernelId(3)],
+        ]);
+        assert_eq!(
+            condensation_order(&plan, &exec),
+            Err(FuseError::DuplicateKernel(KernelId(1)))
+        );
     }
 
     #[test]

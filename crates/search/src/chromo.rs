@@ -4,17 +4,14 @@
 //! A [`Chromosome`] stores every kernel id in one contiguous arena; groups
 //! are `(start, len)` slots over that arena, each carrying a cached
 //! [`GroupEval`] so genetic operators never re-probe groups they did not
-//! touch. Operators mark the slots whose membership changed (`dirty`) and
-//! the kernels that moved between slots (`moved`); the incremental
-//! condensation cache rebuilds only the inter-group successor summaries
-//! incident to those marks before the cycle test, instead of re-deriving
-//! the whole condensation DAG per candidate plan.
+//! touch. Sealing checks the group condensation with the one Kahn pass,
+//! [`condensation_order_with`], over the chromosome itself (it is a
+//! [`Grouping`]), so no [`FusionPlan`] is built per candidate.
 //!
 //! Invariants the HGGA relies on (see DESIGN.md §10):
 //!
 //! * `group_of[k]` always names the live slot holding kernel `k` — it is
-//!   updated eagerly by every mutator, so edge summaries built from it are
-//!   current even while `dirty`/`moved` marks are pending.
+//!   updated eagerly by every mutator.
 //! * `order` lists live slot ids in the transient Vec-of-Vecs order the
 //!   `Vec<Vec<KernelId>>` operators produced; [`Chromosome::finalize`]
 //!   sorts it into normalized plan order, which keeps repair bit for bit
@@ -29,30 +26,24 @@
 
 use crate::eval::{Evaluator, GroupEval};
 use kfuse_core::batch::CandidateBatch;
-use kfuse_core::exec_order::{ExecOrderGraph, SuccStamps};
+use kfuse_core::fuse::{condensation_order_with, CondensationScratch, FuseError, Grouping};
 use kfuse_core::plan::FusionPlan;
 use kfuse_ir::KernelId;
 use kfuse_obs::Counter;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 const NO_SLOT: u32 = u32::MAX;
 
-/// One group: a region of the member arena plus cached evaluation state
-/// and a region of the flat edge arena (successor slot ids).
+/// One group: a region of the member arena plus cached evaluation state.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     start: u32,
     len: u32,
-    estart: u32,
-    elen: u32,
     eval: GroupEval,
     eval_known: bool,
     alive: bool,
 }
 
-/// Flat grouping chromosome with per-group cached evaluations and an
-/// incrementally maintained inter-group edge summary.
+/// Flat grouping chromosome with per-group cached evaluations.
 #[derive(Clone, Debug)]
 pub struct Chromosome {
     /// Member arena; live slots own disjoint regions (dead regions linger
@@ -63,15 +54,6 @@ pub struct Chromosome {
     order: Vec<u32>,
     /// Kernel index → live slot id; eagerly maintained.
     group_of: Vec<u32>,
-    /// Flat successor-slot-id lists, indexed by each slot's `(estart, elen)`.
-    edges: Vec<u32>,
-    /// True when `edges` reflects the current membership except for the
-    /// pending `dirty`/`moved` marks; false forces a full rebuild.
-    cond_valid: bool,
-    /// Slots whose own membership changed since the last edge refresh.
-    dirty: Vec<u32>,
-    /// Kernels whose slot assignment changed since the last edge refresh.
-    moved: Vec<KernelId>,
     cost: f64,
     /// True when every live region is sorted and `order` is sorted by
     /// first member — i.e. the groups are in [`FusionPlan`] normal form.
@@ -84,15 +66,9 @@ pub struct Chromosome {
 #[derive(Default)]
 pub struct OpScratch {
     // Chromosome internals.
-    succ_buf: Vec<u32>,
-    succ_seen: SuccStamps,
-    stale: Vec<u32>,
-    indeg: Vec<u32>,
-    heap: BinaryHeap<Reverse<(KernelId, u32)>>,
-    perm: Vec<u32>,
+    cond: CondensationScratch,
     arena2: Vec<KernelId>,
     slots2: Vec<Slot>,
-    edges2: Vec<u32>,
     // Operator buffers (owned here so operators allocate nothing steady-state).
     pub(crate) probe: Vec<KernelId>,
     pub(crate) orphans: Vec<KernelId>,
@@ -132,8 +108,6 @@ impl Chromosome {
             .map(|k| Slot {
                 start: k as u32,
                 len: 1,
-                estart: 0,
-                elen: 0,
                 eval: ev.singleton(KernelId(k as u32)),
                 eval_known: true,
                 alive: true,
@@ -144,10 +118,6 @@ impl Chromosome {
             slots,
             order: (0..n as u32).collect(),
             group_of: (0..n as u32).collect(),
-            edges: Vec::new(),
-            cond_valid: false,
-            dirty: Vec::new(),
-            moved: Vec::new(),
             cost: f64::NAN,
             normalized: true,
             n_kernels: n,
@@ -177,8 +147,6 @@ impl Chromosome {
             slots.push(Slot {
                 start,
                 len: g.len() as u32,
-                estart: 0,
-                elen: 0,
                 eval,
                 eval_known,
                 alive: true,
@@ -189,10 +157,6 @@ impl Chromosome {
             order: (0..slots.len() as u32).collect(),
             slots,
             group_of,
-            edges: Vec::new(),
-            cond_valid: false,
-            dirty: Vec::new(),
-            moved: Vec::new(),
             cost: f64::NAN,
             normalized: true,
             n_kernels: n,
@@ -270,10 +234,6 @@ impl Chromosome {
         }
     }
 
-    fn mark_dirty(&mut self, sid: u32) {
-        self.dirty.push(sid);
-    }
-
     fn touch(&mut self) {
         self.cost = f64::NAN;
         self.normalized = false;
@@ -288,19 +248,15 @@ impl Chromosome {
         self.arena.extend_from_slice(members);
         for &k in members {
             self.group_of[k.index()] = sid;
-            self.moved.push(k);
         }
         self.slots.push(Slot {
             start,
             len: members.len() as u32,
-            estart: 0,
-            elen: 0,
             eval: eval.unwrap_or(GroupEval { time_s: f64::NAN }),
             eval_known: eval.is_some(),
             alive: true,
         });
         self.order.push(sid);
-        self.mark_dirty(sid);
         self.touch();
         sid
     }
@@ -324,8 +280,6 @@ impl Chromosome {
         s.eval = eval;
         s.eval_known = true;
         self.group_of[k.index()] = sid;
-        self.moved.push(k);
-        self.mark_dirty(sid);
         self.touch();
     }
 
@@ -349,7 +303,6 @@ impl Chromosome {
             let e = eval.expect("shrunk group needs its probed eval");
             s.eval = e;
             s.eval_known = true;
-            self.mark_dirty(sid);
         }
         self.touch();
     }
@@ -372,13 +325,10 @@ impl Chromosome {
         for idx in start as usize..self.arena.len() {
             let k = self.arena[idx];
             self.group_of[k.index()] = sid;
-            self.moved.push(k);
         }
         self.slots.push(Slot {
             start,
             len,
-            estart: 0,
-            elen: 0,
             eval,
             eval_known: true,
             alive: true,
@@ -387,7 +337,6 @@ impl Chromosome {
         self.order.remove(hi);
         self.order.remove(lo);
         self.order.push(sid);
-        self.mark_dirty(sid);
         self.touch();
     }
 
@@ -410,7 +359,6 @@ impl Chromosome {
         for idx in range {
             let k = self.arena[idx];
             self.group_of[k.index()] = si;
-            self.moved.push(k);
         }
         let s = &mut self.slots[si as usize];
         s.len += d.len;
@@ -418,7 +366,6 @@ impl Chromosome {
         s.eval_known = true;
         self.slots[sj as usize].alive = false;
         self.order.remove(j);
-        self.mark_dirty(si);
         self.touch();
     }
 
@@ -443,7 +390,6 @@ impl Chromosome {
         for &k in members {
             self.group_of[k.index()] = sid;
         }
-        self.mark_dirty(sid);
         self.touch();
     }
 
@@ -485,123 +431,13 @@ impl Chromosome {
             self.slots.push(Slot {
                 start,
                 len: 1,
-                estart: 0,
-                elen: 0,
                 eval: ev.singleton(k),
                 eval_known: true,
                 alive: true,
             });
             self.group_of[k.index()] = new_sid;
             self.order.push(new_sid);
-            self.moved.push(k);
-            self.dirty.push(new_sid);
         }
-    }
-
-    /// Rebuild the successor-slot summary of `sid`, appending at the edge
-    /// arena tail.
-    fn rebuild_slot_edges(&mut self, sid: u32, exec: &ExecOrderGraph, scratch: &mut OpScratch) {
-        let s = self.slots[sid as usize];
-        let members = &self.arena[s.start as usize..(s.start + s.len) as usize];
-        exec.group_succs_into(
-            members,
-            &self.group_of,
-            sid,
-            &mut scratch.succ_seen,
-            &mut scratch.succ_buf,
-        );
-        let estart = self.edges.len() as u32;
-        self.edges.extend_from_slice(&scratch.succ_buf);
-        let s = &mut self.slots[sid as usize];
-        s.estart = estart;
-        s.elen = scratch.succ_buf.len() as u32;
-    }
-
-    /// Bring the edge summaries up to date. Incremental when possible: only
-    /// slots whose membership changed, plus slots with an exec-order edge
-    /// into a moved kernel, are rebuilt. A non-stale slot's successor list
-    /// cannot have changed — it could only change if some successor kernel
-    /// of its members moved, and then the slot is a predecessor-slot of a
-    /// moved kernel and is in the stale set.
-    fn refresh_edges(&mut self, exec: &ExecOrderGraph, scratch: &mut OpScratch) {
-        if !self.cond_valid {
-            self.edges.clear();
-            let mut order = std::mem::take(&mut self.order);
-            for &sid in &order {
-                self.rebuild_slot_edges(sid, exec, scratch);
-            }
-            std::mem::swap(&mut self.order, &mut order);
-            self.cond_valid = true;
-            self.dirty.clear();
-            self.moved.clear();
-            return;
-        }
-        let mut stale = std::mem::take(&mut scratch.stale);
-        stale.clear();
-        for &sid in &self.dirty {
-            if self.slots[sid as usize].alive {
-                stale.push(sid);
-            }
-        }
-        for &k in &self.moved {
-            for &p in exec.preds_of(k) {
-                let sid = self.group_of[p.index()];
-                debug_assert!(self.slots[sid as usize].alive);
-                stale.push(sid);
-            }
-        }
-        stale.sort_unstable();
-        stale.dedup();
-        for &sid in &stale {
-            self.rebuild_slot_edges(sid, exec, scratch);
-        }
-        scratch.stale = stale;
-        self.dirty.clear();
-        self.moved.clear();
-    }
-
-    /// Kahn's algorithm over the cached edge summary, keyed exactly like
-    /// [`kfuse_core::fuse::condensation_order_with`] (min first-kernel
-    /// first). Requires normalized regions so `arena[start]` is each
-    /// group's minimum member. Leaves `scratch.indeg` populated so the
-    /// caller can find the first stuck group. Returns true if acyclic.
-    fn kahn(&self, scratch: &mut OpScratch) -> bool {
-        debug_assert!(self.normalized);
-        scratch.indeg.clear();
-        scratch.indeg.resize(self.slots.len(), 0);
-        for &sid in &self.order {
-            let s = &self.slots[sid as usize];
-            for &g in &self.edges[s.estart as usize..(s.estart + s.elen) as usize] {
-                scratch.indeg[g as usize] += 1;
-            }
-        }
-        scratch.heap.clear();
-        for &sid in &self.order {
-            if scratch.indeg[sid as usize] == 0 {
-                let s = &self.slots[sid as usize];
-                scratch
-                    .heap
-                    .push(Reverse((self.arena[s.start as usize], sid)));
-            }
-        }
-        let mut done = 0usize;
-        while let Some(Reverse((_, sid))) = scratch.heap.pop() {
-            done += 1;
-            let s = &self.slots[sid as usize];
-            for &g in &self.edges[s.estart as usize..(s.estart + s.elen) as usize] {
-                let d = &mut scratch.indeg[g as usize];
-                *d -= 1;
-                if *d == 0 {
-                    let t = &self.slots[g as usize];
-                    self.heap_push(scratch, self.arena[t.start as usize], g);
-                }
-            }
-        }
-        done == self.order.len()
-    }
-
-    fn heap_push(&self, scratch: &mut OpScratch, key: KernelId, sid: u32) {
-        scratch.heap.push(Reverse((key, sid)));
     }
 
     /// Sort members within each live region and the order by first member.
@@ -621,43 +457,21 @@ impl Chromosome {
         self.normalized = true;
     }
 
-    /// Compact arena, slots and edges so live data is contiguous and slot
-    /// ids equal transient positions. Keeps the edge cache valid (ids are
-    /// remapped), so the next mutation round stays incremental.
+    /// Compact arena and slots so live data is contiguous and slot ids
+    /// equal transient positions.
     fn repack(&mut self, scratch: &mut OpScratch) {
-        scratch.perm.clear();
-        scratch.perm.resize(self.slots.len(), NO_SLOT);
-        for (new, &sid) in self.order.iter().enumerate() {
-            scratch.perm[sid as usize] = new as u32;
-        }
         scratch.arena2.clear();
         scratch.slots2.clear();
-        scratch.edges2.clear();
         for &sid in &self.order {
             let s = self.slots[sid as usize];
             let start = scratch.arena2.len() as u32;
             scratch
                 .arena2
                 .extend_from_slice(&self.arena[s.start as usize..(s.start + s.len) as usize]);
-            let estart = scratch.edges2.len() as u32;
-            for &g in &self.edges[s.estart as usize..(s.estart + s.elen) as usize] {
-                let ng = scratch.perm[g as usize];
-                debug_assert_ne!(ng, NO_SLOT, "edge to a dead slot survived refresh");
-                scratch.edges2.push(ng);
-            }
-            scratch.slots2.push(Slot {
-                start,
-                len: s.len,
-                estart,
-                elen: s.elen,
-                eval: s.eval,
-                eval_known: s.eval_known,
-                alive: true,
-            });
+            scratch.slots2.push(Slot { start, ..s });
         }
         std::mem::swap(&mut self.arena, &mut scratch.arena2);
         std::mem::swap(&mut self.slots, &mut scratch.slots2);
-        std::mem::swap(&mut self.edges, &mut scratch.edges2);
         self.order.clear();
         self.order.extend(0..self.slots.len() as u32);
         for (sid, s) in self.slots.iter().enumerate() {
@@ -738,26 +552,20 @@ impl Chromosome {
         }
         if killed {
             self.compact_order();
-            self.normalized = false;
             self.normalize_order_only();
         }
 
-        // Phase 2: split the first stuck group (minimal first member) until
-        // the condensation is acyclic — the legacy victim choice.
+        // Phase 2: split the first stuck group in plan order until the
+        // condensation is acyclic — the legacy victim choice.
         loop {
-            self.refresh_edges(&ev.ctx.exec, scratch);
             ev.count_condensation();
-            if self.kahn(scratch) {
-                break;
-            }
-            let victim = *self
-                .order
-                .iter()
-                .find(|&&sid| scratch.indeg[sid as usize] > 0)
-                .expect("cycle without a stuck group");
-            self.split_slot(victim, ev);
+            let stuck = match condensation_order_with(self, &ev.ctx.exec, &mut scratch.cond) {
+                Ok(_) => break,
+                Err(FuseError::OrderCycle(stuck, _)) => stuck,
+                Err(e) => unreachable!("a chromosome partitions its kernels: {e}"),
+            };
+            self.split_slot(self.order[stuck], ev);
             self.compact_order();
-            self.normalized = false;
             self.normalize_order_only();
         }
 
@@ -806,6 +614,18 @@ impl Chromosome {
             seen.iter().all(|&s| s),
             "chromosome does not cover all kernels"
         );
+    }
+}
+
+/// The live groups in transient order; in plan normal form after
+/// [`Chromosome::finalize`] normalizes.
+impl Grouping for Chromosome {
+    fn group_count(&self) -> usize {
+        self.order.len()
+    }
+
+    fn group(&self, i: usize) -> &[KernelId] {
+        self.members_at(i)
     }
 }
 
@@ -901,47 +721,52 @@ mod tests {
     }
 
     #[test]
-    fn incremental_edges_match_full_rebuild() {
+    fn sealing_splits_the_first_stuck_group_the_condensation_check_names() {
+        // {k1,k4} and {k2,k3} are mutually ordered (k1→k2, k3→k4); {k5}
+        // waits on both, so Kahn's pass leaves groups 1, 2 and 3 stuck.
         let ctx = context();
         let model = kfuse_core::model::ProposedModel::default();
         let ev = Evaluator::new(&ctx, &model);
         let mut scratch = OpScratch::new();
-        let mut ch = Chromosome::identity(&ev);
+        let plan = FusionPlan::new(vec![
+            vec![k(0)],
+            vec![k(1), k(4)],
+            vec![k(2), k(3)],
+            vec![k(5)],
+        ]);
+        assert!(ev.group(&plan.groups[1]).feasible() && ev.group(&plan.groups[2]).feasible());
+        let mut ch = Chromosome::from_plan(&plan, &ev);
+        let mut cond = CondensationScratch::new();
+        let over_plan = condensation_order_with(&plan, &ctx.exec, &mut cond).map(<[usize]>::to_vec);
+        let over_chromosome =
+            condensation_order_with(&ch, &ctx.exec, &mut cond).map(<[usize]>::to_vec);
+        assert_eq!(over_plan, Err(FuseError::OrderCycle(1, 2)));
+        assert_eq!(over_chromosome, over_plan);
+
+        // Both pairs are feasible, so only the cycle repair splits: one
+        // check finds the cycle, the second passes the repaired grouping.
+        let before = ev.snapshot();
         ch.finalize(&ev, &mut scratch);
-
-        // The solver's move: re-home k0 into the last group, then drop it
-        // from its emptied source slot. Edges refresh incrementally.
-        let to = ch.group_count() - 1;
-        let grown = ev.group(&[k(5), k(0)]);
-        ch.push_member(to, k(0), grown);
-        ch.remove_member(0, 0, None);
         ch.check_invariants();
-        ch.normalize();
-        ch.refresh_edges(&ctx.exec, &mut scratch);
-        let incr_ok = ch.kahn(&mut scratch);
-
-        // Same membership, edges rebuilt from scratch.
-        let mut full = ch.clone();
-        full.cond_valid = false;
-        full.refresh_edges(&ctx.exec, &mut scratch);
-        let full_ok = full.kahn(&mut scratch);
-
-        assert_eq!(incr_ok, full_ok);
-        // Successor *sets* per slot: summaries are deduplicated in
-        // first-encounter order, not sorted.
-        use std::collections::BTreeSet;
-        let snap = |c: &Chromosome| -> Vec<BTreeSet<u32>> {
-            c.order
-                .iter()
-                .map(|&sid| {
-                    let s = &c.slots[sid as usize];
-                    let edges = &c.edges[s.estart as usize..(s.estart + s.elen) as usize];
-                    let set: BTreeSet<u32> = edges.iter().copied().collect();
-                    assert_eq!(set.len(), edges.len(), "duplicate successor in a summary");
-                    set
-                })
-                .collect()
-        };
-        assert_eq!(snap(&ch), snap(&full));
+        let after = ev.snapshot();
+        assert_eq!(
+            after.get(Counter::GroupsSplit),
+            before.get(Counter::GroupsSplit)
+        );
+        assert_eq!(
+            after.get(Counter::CondensationChecks),
+            before.get(Counter::CondensationChecks) + 2
+        );
+        assert_eq!(
+            ch.to_plan(),
+            FusionPlan::new(vec![
+                vec![k(0)],
+                vec![k(1)],
+                vec![k(2), k(3)],
+                vec![k(4)],
+                vec![k(5)],
+            ])
+        );
+        assert_eq!(ch.cost(), ev.plan(&ch.to_plan()));
     }
 }

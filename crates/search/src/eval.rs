@@ -112,7 +112,7 @@ struct Entry {
 /// One memo shard. `heads` maps a fingerprint to the newest entry carrying
 /// it; entries with equal fingerprints chain through [`Entry::next`] and
 /// are told apart by their full member list (in practice a chain holds a
-/// single entry). Nothing is ever removed, so indices and offsets are
+/// single entry). Nothing is ever evicted, so indices and offsets are
 /// stable for the evaluator's lifetime.
 struct Shard {
     heads: HashMap<u64, u32, BuildHasherDefault<FingerprintHasher>>,
@@ -315,7 +315,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Record an acyclicity check performed outside [`Evaluator::plan`]:
-    /// the chromosome's incremental Kahn pass reports through this, so
+    /// a chromosome seal's `condensation_order_with` reports through this, so
     /// `condensation_checks` counts every check a solve made.
     pub(crate) fn count_condensation(&self) {
         self.metrics.incr(Counter::CondensationChecks);

@@ -12,7 +12,8 @@
 //!
 //! The inner loop runs on the flat [`Chromosome`] representation
 //! ([`crate::chromo`]): one contiguous member arena, per-group cached
-//! [`GroupEval`]s and an incrementally maintained condensation-edge cache.
+//! [`GroupEval`]s; sealing checks the condensation with the one Kahn pass
+//! in `kfuse_core::fuse`, over the chromosome itself.
 //! Operators apply their edits in place, carry the evaluations of the
 //! groups they probed, and [`Chromosome::finalize`] repairs + rescores only
 //! what changed — no per-offspring `Vec<Vec<KernelId>>` clones, no
@@ -904,7 +905,7 @@ mod tests {
     /// Solve `ctx` once per golden row, with `config(seed)`, and require
     /// the row back bit for bit. The rows were recorded from the
     /// `Vec<Vec<KernelId>>` GA loop that preceded the flat chromosome,
-    /// before that loop was deleted: a mismatch means the trajectory moved.
+    /// before that loop was deleted: a mismatch means the trajectory changed.
     fn assert_trajectories(
         ctx: &PlanContext,
         config: impl Fn(u64) -> HggaConfig,
@@ -931,7 +932,7 @@ mod tests {
             for (seed, plan, objective, generations, best) in &actual {
                 eprintln!("    ({seed}, {plan:#018x}, {objective:#018x}, {generations}, {best}),");
             }
-            panic!("the GA trajectory moved: the rows above are what this tree produces");
+            panic!("the GA trajectory changed: the rows above are what this tree produces");
         }
     }
 

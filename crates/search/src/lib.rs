@@ -9,8 +9,9 @@
 //!   replaced, bit for bit.
 //! * [`chromo`] — the flat group-encoded [`chromo::Chromosome`] the HGGA
 //!   inner loop operates on: arena-backed groups with cached per-group
-//!   evaluations, delta rescoring, and an incrementally maintained
-//!   inter-group condensation summary (DESIGN.md §10).
+//!   evaluations and delta rescoring; sealing asks the one condensation
+//!   check, `kfuse_core::fuse::condensation_order_with`, over the
+//!   chromosome itself (DESIGN.md §10).
 //! * [`eval`] — the memoized group [`Evaluator`], one per solve and
 //!   thread; every solver scores plans through it, so memo statistics are
 //!   comparable across solvers. The unmemoized `PlanContext::objective`

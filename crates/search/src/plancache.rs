@@ -165,13 +165,9 @@ struct Slot {
     /// Shared, so a hit hands out a pointer instead of copying the entry
     /// under the daemon's cache mutex.
     entry: Arc<CacheEntry>,
-    /// `entry.kernel_sigs` in ascending order, sorted once when the entry
-    /// arrives: what [`PlanCache::lookup_near`] merges the probe against.
-    /// Kept only with that lookup.
-    sorted_sigs: Vec<u64>,
     /// Arrival number. An improvement takes its slot over in place and
     /// gets a new number, so "earlier entry" (the near lookup's
-    /// tie-break) means what it meant when improved entries moved to the
+    /// tie-break) means what it meant when improved entries went to the
     /// end of a list.
     seq: u64,
 }
@@ -337,6 +333,8 @@ impl PlanCache {
     /// The nearest entry by kernel-signature overlap, excluding the exact
     /// fingerprint (which [`PlanCache::lookup_exact`] already covers) and
     /// anything below `min_overlap`. Ties break to the earlier entry.
+    /// Each entry's signatures are sorted into one buffer per call; the
+    /// cache keeps no sorted copy beside them.
     ///
     /// Nothing in the library calls it: a solve never consults a near
     /// entry. It stays because the benchmark harness times it (ROADMAP
@@ -348,12 +346,16 @@ impl PlanCache {
         min_overlap: f64,
     ) -> Option<Arc<CacheEntry>> {
         let probe = sorted(sigs);
+        let mut held = Vec::new();
         let mut best: Option<(&Slot, f64)> = None;
         for s in &self.slots {
             if s.entry.fingerprint == fingerprint {
                 continue;
             }
-            let ov = sorted_overlap(&s.sorted_sigs, &probe);
+            held.clear();
+            held.extend_from_slice(&s.entry.kernel_sigs);
+            held.sort_unstable();
+            let ov = sorted_overlap(&held, &probe);
             if ov >= min_overlap
                 && best.is_none_or(|(b, best_ov)| ov > best_ov || (ov == best_ov && s.seq < b.seq))
             {
@@ -385,7 +387,6 @@ impl PlanCache {
         }
         self.arrivals += 1;
         let slot = Slot {
-            sorted_sigs: sorted(&entry.kernel_sigs),
             seq: self.arrivals,
             entry: Arc::new(entry),
         };
@@ -689,8 +690,8 @@ mod tests {
 
     #[test]
     fn an_improvement_is_the_latest_arrival_and_retires_its_regions() {
-        // What the side tables must reproduce of a list that moved an
-        // improved entry to its end and was rescanned per request.
+        // What the side tables must reproduce of a list that put an
+        // improved entry at its end and was rescanned per request.
         let dir = tmpdir("arrival");
         let mut cache = PlanCache::open(&dir, "K20X", "Double");
         let tied = |fp: u64, objective: f64, region: u64| {

@@ -229,6 +229,16 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: a frozen second implementation is coming back (see DESIGN.md §10.4)"
     exit 1
   fi
+  # One condensation check (ROADMAP aim 2, DESIGN.md §10.2): kfuse-core's
+  # `condensation_order_with` is the one Kahn pass over group
+  # condensations; the GA chromosome asks it instead of keeping its own
+  # edge cache and pass. The verifier's `condensation_cycle` stays as the
+  # deliberate independent duplicate.
+  echo "== one condensation check"
+  if grep -rnE 'BinaryHeap|fn kahn|refresh_edges|cond_valid' crates/search/src; then
+    echo "FAIL: kfuse-search checks the condensation on its own again (see DESIGN.md §10.2)"
+    exit 1
+  fi
   # One experiment driver (DESIGN.md §4): every table and figure is a
   # subcommand of `repro` (crates/bench/src/main.rs), so no second binary
   # may appear beside it, and the block-size tuner's one study stays gone.
