@@ -1,52 +1,59 @@
-//! Lane-batched candidate-group scoring: check + synthesis + projection
-//! for up to [`LANES`] candidate groups per sweep over the SoA
-//! [`SynthTables`].
+//! The one group synthesis sweep: check + synthesis + projection for up
+//! to [`LANES`] candidate groups per sweep over the SoA [`SynthTables`].
 //!
-//! The HGGA's memo-miss path (ISSUE 6 / ROADMAP item 3) is branch-light
-//! integer arithmetic over CSR use rows — the textbook shape for SIMD.
-//! This module restructures it lane-per-candidate with fixed-width
-//! hand-unrolled lane arrays (`[u32; LANES]` / `[u64; LANES]` columns)
-//! that LLVM auto-vectorizes on stable Rust (no nightly `std::simd`):
+//! The HGGA's memo-miss path is branch-light integer arithmetic over CSR
+//! use rows — the textbook shape for SIMD. This module runs it
+//! lane-per-candidate with fixed-width hand-unrolled lane arrays
+//! (`[u32; LANES]` / `[u64; LANES]` columns) that LLVM auto-vectorizes on
+//! stable Rust (no nightly `std::simd`):
 //!
 //! * [`CandidateBatch`] — a flat CSR list of candidate groups to score.
-//! * [`BatchScratch`] — reusable lane-column scratch: one `[T; LANES]`
-//!   slot per compact array id, epoch-stamped like [`SynthScratch`], with
-//!   all eight lanes of a column initialized on an array's *first* touch
-//!   by any lane (a vector splat) so per-lane clearing is free.
-//! * [`synthesize_batch`] — the scalar [`SynthTables::synthesize_into`]
-//!   pipeline run lane-wise, returning a borrowed [`BatchView`].
+//! * [`BatchScratch`] — reusable lane-column scratch: one packed
+//!   `[T; LANES]` slot per compact array id, validated by an epoch stamp
+//!   so clearing between sweeps is O(arrays touched), and each lane's slot
+//!   seeded on that lane's first touch; plus the two bitsets of the
+//!   structural checks.
+//! * [`synthesize_batch`] — the synthesis of 1..=[`LANES`] candidates,
+//!   returning a borrowed [`BatchView`]. A lone group is a batch of one:
+//!   `PlanContext::check_group_with`, `validate`, `check_and_score` and
+//!   [`GroupSpec::synthesize`] all run this sweep at fill 1.
 //! * [`score_into`] — the full per-candidate scoring sequence of the
 //!   evaluator's miss path (structure check → synthesis → capacity limits
 //!   → model projection → profitability gate), batched.
 //!
-//! # Determinism rules (bitwise identity with the scalar path)
+//! # Determinism rules (lane isolation)
 //!
-//! Every phase is lanewise: lane `l` performs exactly the integer
-//! operations the scalar sweep performs for that candidate, in the same
-//! order; reductions (`min`/`max`/sums over a lane's members) stay in the
-//! pinned scalar order (members ascending, uses in row order, touched
-//! arrays ascending). The only floating point is the model projection,
-//! which reuses the shared scalar helpers per lane. Three exact integer
-//! reformulations fund the speedup (all `u64` identities over the same
-//! term multiset, so bit-for-bit equal):
+//! A lane's result depends on its own candidate only: scored alone or at
+//! any position among any batch-mates, it is bit for bit the same. Every
+//! phase is lanewise — lane `l` reads and writes only lane `l` of a column
+//! — and reductions (`min`/`max`/sums over a lane's members) run in one
+//! pinned order: members ascending, uses in row order, touched arrays
+//! ascending. The only floating point is the model projection, which
+//! feeds each lane through the same scalar float sequence as
+//! [`crate::model::PerfModel::project`]. The verifier's `derive_spec` is
+//! the independent check of every lane. The exact integer formulations
+//! the sweep relies on (all `u64`/`u32` identities over the same term
+//! multiset, so bit-for-bit equal to the direct definitions):
 //!
+//! * members are sorted, so `produced` (∃ writer w, reader r with r ≥ w)
+//!   collapses to one comparison, `max_reader1 > min_writer`, and the
+//!   halo-read gate "some writer ≤ mi" is `min_writer ≤ mi`;
+//! * `|union of touched arrays|` is a popcount over OR-ed touch bitsets;
 //! * per-array `read_tl` / `write_refs` aggregates collapse the
 //!   projection's pivot×member×use rescans into O(touched + pivots);
 //! * the cascaded-halo fixpoint is skipped when no produced pivot is read
 //!   at a radius (its first pass provably changes nothing);
 //! * barrier placement and the Eq. 10 halo-FLOP terms fuse into one
-//!   member-major sweep: both only consult *produced* pivots, whose
-//!   `smem` flag the read-only-cache demotion never touches.
-//!
-//! [`score_scalar`] is the definition of the memoized miss path; the
-//! differential suite pins the lane path against it and the verifier on
-//! three GPU specs.
+//!   member-major sweep (idempotent bool OR / exact `u64` sums): both only
+//!   consult *produced* pivots, whose `smem` flag the read-only-cache
+//!   demotion never touches.
 
 use crate::metadata::ProgramInfo;
 use crate::model::PerfModel;
 use crate::plan::PlanContext;
 use crate::spec::{GroupSpec, PivotSpec};
-use crate::synth::{SynthScratch, SynthTables, NO_SLOT, READS, WRITES};
+use crate::synth::{SynthTables, NO_SLOT, READS, WRITES};
+use crate::util::BitSet;
 use kfuse_ir::KernelId;
 use std::time::Instant;
 
@@ -147,36 +154,7 @@ impl BatchStats {
     }
 }
 
-/// The scalar scoring unit of the evaluator's miss path: structure check,
-/// SoA synthesis, capacity limits, model projection, profitability gate.
-/// Returns the projected time (`f64::INFINITY` when infeasible or
-/// unprofitable) and the nanoseconds spent in synthesis.
-///
-/// This is the single scalar definition: the memoizing evaluator runs it
-/// and the lane path ([`score_into`]) is tested bitwise against it.
-pub fn score_scalar(
-    ctx: &PlanContext,
-    model: &dyn PerfModel,
-    group: &[KernelId],
-    scratch: &mut SynthScratch,
-) -> (f64, u64) {
-    if ctx.check_group_structure(group, 0, scratch).is_err() {
-        return (f64::INFINITY, 0);
-    }
-    let t0 = Instant::now();
-    let view = ctx.synth.synthesize_into(&ctx.info, group, scratch);
-    let synth_ns = t0.elapsed().as_nanos() as u64;
-    if ctx.check_view_limits(&view, 0).is_err() {
-        return (f64::INFINITY, synth_ns);
-    }
-    let t = model.project_view(&ctx.info, &view);
-    if group.len() >= 2 && (t >= ctx.info.original_sum(group) || t.is_nan()) {
-        return (f64::INFINITY, synth_ns);
-    }
-    (t, synth_ns)
-}
-
-/// Per-array `u32` lane aggregates, packed so one array's whole scalar
+/// Per-array `u32` lane aggregates, packed so one array's whole per-lane
 /// state spans four consecutive cache lines instead of seven scattered
 /// ones — the aggregation sweep and the pivot phases are latency-bound
 /// on these columns once the program's array count outgrows L1.
@@ -208,9 +186,10 @@ pub(crate) struct LaneSums {
 
 /// Reusable lane-batched synthesis scratch: one packed column slot per
 /// compact array id (`LaneAgg`/`LaneSums`), epoch-stamped; per-lane
-/// output buffers a [`BatchView`] borrows; plus an embedded
-/// [`SynthScratch`] for the structural (bitset) checks. Warm once per
-/// program, then allocation free — the counting-allocator test pins this.
+/// output buffers a [`BatchView`] borrows (a lane's are sized on the
+/// first sweep that fills it); plus the two bitsets of the structural
+/// checks. Warm once per program, then allocation free — the
+/// counting-allocator tests pin this for one lane and for eight.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     gen: u32,
@@ -242,7 +221,10 @@ pub struct BatchScratch {
     pivots: [Vec<PivotSpec>; LANES],
     barrier_before: [Vec<bool>; LANES],
     ro_order: Vec<u32>,
-    scalar: SynthScratch,
+    /// Group-membership bitset for the structural checks (path closure).
+    pub(crate) group_bits: BitSet,
+    /// Reachability scratch for `path_closure_violation_with`.
+    pub(crate) reach: BitSet,
 }
 
 impl BatchScratch {
@@ -251,9 +233,10 @@ impl BatchScratch {
         BatchScratch::default()
     }
 
-    /// Resize every column and reserve every output buffer to its upper
-    /// bound for `tables`, so no later call can ever grow a buffer.
-    fn ensure(&mut self, tables: &SynthTables, n_kernels: usize) {
+    /// Resize every column to `tables` and reserve lanes `0..fill`'s
+    /// output buffers to their upper bounds, so no later sweep of that
+    /// fill or less can ever grow a buffer.
+    fn ensure(&mut self, tables: &SynthTables, n_kernels: usize, fill: usize) {
         let n = tables.n_compact();
         if self.stamp.len() != n {
             self.gen = 0;
@@ -277,10 +260,6 @@ impl BatchScratch {
             self.fix_r.reserve(tables.u_cidx.len());
             self.ro_order.clear();
             self.ro_order.reserve(n);
-            for l in 0..LANES {
-                self.pivots[l].clear();
-                self.pivots[l].reserve(n);
-            }
         }
         if self.union_words.len() != tables.words {
             self.union_words.clear();
@@ -291,11 +270,18 @@ impl BatchScratch {
         if self.fix_m.capacity() < n_kernels {
             self.fix_m.reserve(n_kernels);
         }
-        for l in 0..LANES {
+        // Every lane buffer is cleared by the sweep before it is written.
+        for l in 0..fill {
             if self.members[l].capacity() < n_kernels {
+                self.members[l].clear();
                 self.members[l].reserve(n_kernels);
             }
+            if self.pivots[l].capacity() < n {
+                self.pivots[l].clear();
+                self.pivots[l].reserve(n);
+            }
             if self.barrier_before[l].capacity() < n_kernels {
+                self.barrier_before[l].clear();
                 self.barrier_before[l].reserve(n_kernels);
             }
         }
@@ -303,10 +289,9 @@ impl BatchScratch {
 }
 
 /// A batch of synthesized fusion specifications borrowed from a
-/// [`BatchScratch`] — the lane-parallel counterpart of
-/// [`crate::synth::SpecView`]. Lane `l < fill()` describes the `l`-th
-/// candidate passed to [`synthesize_batch`]; each lane's fields are
-/// bit-for-bit the scalar synthesis of that candidate.
+/// [`BatchScratch`], valid until the next sweep on that scratch. Lane
+/// `l < fill()` describes the `l`-th candidate passed to
+/// [`synthesize_batch`]; its fields do not depend on the other lanes.
 pub struct BatchView<'a> {
     pub(crate) tables: &'a SynthTables,
     fill: usize,
@@ -387,8 +372,9 @@ impl BatchView<'_> {
         self.barriers[l] > 0
     }
 
-    /// Materialize lane `l` as an owned [`GroupSpec`] (differential
-    /// comparisons and the default `project_batch` off the hot path).
+    /// Materialize lane `l` as an owned [`GroupSpec`]: what `validate`,
+    /// `check_group` and [`GroupSpec::synthesize`] hand to consumers off
+    /// the search's hot path (and the default `project_batch`).
     pub fn lane_spec(&self, l: usize) -> GroupSpec {
         GroupSpec {
             members: self.members[l].clone(),
@@ -405,20 +391,20 @@ impl BatchView<'_> {
     }
 }
 
-/// Synthesize up to [`LANES`] candidates of `batch` (those selected by
-/// `cands`) lane-parallel into `s`, returning a borrowed [`BatchView`].
-/// Each lane reproduces [`SynthTables::synthesize_into`] decision for
-/// decision; see the module docs for the determinism rules.
+/// Synthesize 1..=[`LANES`] candidate groups (members in any order),
+/// lane `l` from `cands[l]`, into `s`, returning a borrowed [`BatchView`].
+/// After the scratch has warmed to this table's dimensions and this fill,
+/// the call performs **zero heap allocations**. See the module docs for
+/// the determinism rules.
 pub fn synthesize_batch<'s>(
     tables: &'s SynthTables,
     info: &ProgramInfo,
-    batch: &CandidateBatch,
-    cands: &[usize],
+    cands: &[&[KernelId]],
     s: &'s mut BatchScratch,
 ) -> BatchView<'s> {
     let fill = cands.len();
     debug_assert!((1..=LANES).contains(&fill));
-    s.ensure(tables, info.kernels.len());
+    s.ensure(tables, info.kernels.len(), fill);
     s.gen = s.gen.wrapping_add(1);
     if s.gen == 0 {
         // Epoch wraparound: invalidate every stamp once per 2^32 calls.
@@ -450,17 +436,19 @@ pub fn synthesize_batch<'s>(
     union_words.fill([0; LANES]);
     produced_words.fill([0; LANES]);
     let mut m_len = [0usize; LANES];
-    for (l, &ci) in cands.iter().enumerate() {
+    for (l, &g) in cands.iter().enumerate() {
         let mem = &mut members[l];
         mem.clear();
-        mem.extend_from_slice(batch.group(ci));
+        mem.extend_from_slice(g);
         mem.sort_unstable();
         m_len[l] = mem.len();
     }
 
-    // --- Aggregation sweep, lane-outer / member-inner: per lane the exact
-    // scalar updates; a column's eight lanes initialize together on the
-    // array's first touch by any lane (one splat store per column).
+    // --- Aggregation sweep, lane-outer / member-inner: per-array usage
+    // across each lane's group (who reads, who writes, widest thread load
+    // and read radius), one pass over each member's use row. A column is
+    // stamped on its first touch by any lane and seeded per lane on that
+    // lane's first touch.
     let mut flops_base = [0u64; LANES];
     let mut live = [0u32; LANES];
     let mut base_regs = [0u32; LANES];
@@ -498,10 +486,9 @@ pub fn synthesize_batch<'s>(
                 let sm = &mut sums[c];
                 if lane_mask[c] & bit == 0 {
                     // First touch of this column by this lane: seed the
-                    // lane's aggregates directly. Writing one lane of each
-                    // column costs what the scalar slot init costs — a
-                    // whole-column splat on the batch's first touch would
-                    // write LANES× that and dominate the sweep.
+                    // lane's aggregates directly. A whole-column splat on
+                    // the batch's first touch would write LANES× that and
+                    // dominate the sweep.
                     lane_mask[c] |= bit;
                     nt += 1;
                     a.touch_count[l] = 1;
@@ -575,9 +562,16 @@ pub fn synthesize_batch<'s>(
     }
 
     // --- Pivot selection, touched-major / lane-inner: preserves each
-    // lane's ascending pivot order. `needs_fix` gates the halo fixpoint:
-    // with no produced pivot read at a radius, its first pass provably
-    // sets nothing (every need is 0), so skipping it is exact.
+    // lane's ascending pivot order. A pivot is an array touched by ≥2
+    // members (cross-kernel reuse), or with thread load > 1 in some member
+    // (the original kernel already staged it, §VI-B2 "rigorously
+    // optimized"). It is `produced` when a member writes it and the same
+    // or a later member reads it (the same-member case covers
+    // write-then-read across statements of one original kernel; its
+    // staged copy is produced on-chip just the same). `needs_fix` gates
+    // the halo fixpoint: with no produced pivot read at a radius, its
+    // first pass provably sets nothing (every need is 0), so skipping it
+    // is exact.
     let mut needs_fix = [false; LANES];
     for p in pivots.iter_mut().take(fill) {
         p.clear();
@@ -586,7 +580,7 @@ pub fn synthesize_batch<'s>(
         let c = cu as usize;
         // Most columns are touched by one or two of the eight lanes, so
         // walking set bits beats a dense lane loop. `trailing_zeros`
-        // yields lanes ascending — the same visit order as before.
+        // yields lanes ascending.
         let a = &mut agg[c];
         let mut lm = lane_mask[c];
         while lm != 0 {
@@ -616,13 +610,15 @@ pub fn synthesize_batch<'s>(
         }
     }
 
-    // --- Cascaded halo fixpoint per lane, identical execution order to
-    // the scalar loop (members ascending, uses in array order, in-place
-    // halo updates visible within the pass). The produced set and
-    // `min_writer` never change inside the fixpoint, so which uses can
-    // act is pass-invariant: one filtering scan builds per-member op
-    // lists, and every pass then walks only those (same order — the
-    // lists preserve member and use order — hence the same halos).
+    // --- Cascaded halo fixpoint per lane: a member whose written pivot
+    // has halo h executes its statements over tile+h, so its reads of
+    // other produced pivots must reach h + radius. Members ascending, uses
+    // in array order, in-place halo updates visible within the pass. The
+    // produced set and `min_writer` never change inside the fixpoint, so
+    // which uses can act is pass-invariant: one filtering scan builds
+    // per-member op lists, and every pass then walks only those (same
+    // order — the lists preserve member and use order — hence the same
+    // halos).
     for l in 0..fill {
         if !needs_fix[l] {
             continue;
@@ -691,11 +687,13 @@ pub fn synthesize_batch<'s>(
         }
     }
 
-    // --- Medium decision per pivot (register vs SMEM staging). The
-    // `has_pivot` mask is load-bearing: columns are lane-lazily
-    // initialized, so `pivot_slot[c][l]` is stale for lanes that never
-    // touched `c` this generation — and it narrows the sweep to exactly
-    // the (array, lane) pairs that own a pivot.
+    // --- Medium decision per pivot: register staging suffices when every
+    // thread only ever touches its own site and no halo is needed
+    // (§II-D1); anything else is an SMEM tile. The `has_pivot` mask is
+    // load-bearing: columns are lane-lazily initialized, so
+    // `pivot_slot[c][l]` is stale for lanes that never touched `c` this
+    // generation — and it narrows the sweep to exactly the (array, lane)
+    // pairs that own a pivot.
     let mut has_prod_smem = [false; LANES];
     for &cu in touched.iter() {
         let c = cu as usize;
@@ -716,11 +714,13 @@ pub fn synthesize_batch<'s>(
     }
 
     // --- Barrier placement + Eq. 10 halo-FLOP terms, one member-major
-    // sweep per lane. Both consult only produced pivots, whose `smem`
+    // sweep per lane: a reader of a produced SMEM pivot after its first
+    // writer needs a barrier, and each writer of a produced SMEM pivot
+    // adds its redundant halo compute (one exact integer term per
+    // (member, pivot)). Both consult only produced pivots, whose `smem`
     // flag the demotion below never changes, so running this before
-    // demotion matches the scalar phase order (barriers before, FLOPs
-    // after) exactly. Lanes with no produced SMEM pivot are skipped:
-    // the scalar sweeps would contribute nothing for them.
+    // demotion is exact. Lanes with no produced SMEM pivot are skipped:
+    // they have no barrier and no halo-FLOP term.
     let tile0 = info.tile_area(0).max(1);
     let mut flops = flops_base;
     let mut barriers = [0u32; LANES];
@@ -758,8 +758,8 @@ pub fn synthesize_batch<'s>(
                 }
                 let fl = tables.u_flags[u];
                 if fl & READS != 0 && mi as u32 > agg[c].min_writer[l] {
-                    // Idempotent bool: the scalar sweep `break`s at the
-                    // first hit, this one keeps scanning for FLOP terms.
+                    // Idempotent bool: later hits keep scanning for FLOP
+                    // terms.
                     bb[mi] = true;
                 }
                 if fl & WRITES != 0 && p.halo > 0 {
@@ -770,8 +770,11 @@ pub fn synthesize_batch<'s>(
         barriers[l] = bb.iter().filter(|&&b| b).count() as u32;
     }
 
-    // --- SMEM demand with Eq. 7 padding, then the §II-C read-only-cache
-    // demotion — per lane, the scalar sequence verbatim.
+    // --- SMEM demand with Eq. 7 padding, then the §II-C relaxation
+    // (opt-in): when the fused kernel's SMEM demand exceeds capacity,
+    // demote clean (loaded) pivots to the hardware read-only cache,
+    // largest tiles first (stable: ties keep array order), as long as they
+    // fit its capacity. Produced pivots must stay in SMEM (coherence).
     let elem = info.elem_bytes();
     let banks = u64::from(info.gpu.smem_banks);
     let padded = |raw: u64| if raw == 0 { 0 } else { raw + raw / banks };
@@ -854,6 +857,16 @@ pub fn synthesize_batch<'s>(
                 staging_regs += info.halo_area(u32::from(p.halo)).div_ceil(threads64) as u32;
             }
         }
+        // Eq. 6: bookkeeping + addressing registers for the union of
+        // touched arrays (R_Adr), the widest member's live stencil
+        // operands (RegFac-scaled, from metadata), one fetch/value
+        // register per staged pivot (R_fetch, Eq. 5) plus the per-thread
+        // share of a produced SMEM pivot's halo ring, and the per-segment
+        // scheduling registers the compiler keeps live across barriers (2
+        // per extra member). The residual the codeless projection cannot
+        // see — operand pipelining scaled by the widest pivot's thread
+        // load — is what produces the occasional measured-unprofitable
+        // fusion (§VI-D2).
         projected_regs[l] = if m_len[l] == 1 {
             base_regs[l]
         } else {
@@ -882,13 +895,14 @@ pub fn synthesize_batch<'s>(
 }
 
 /// Score every candidate of `batch` into `out[i]` (projected seconds;
-/// `f64::INFINITY` for infeasible or unprofitable groups), bit-for-bit
-/// what [`score_scalar`] returns for the same candidate. Structural
-/// checks run scalar (bitset closure is already O(words)); candidates
-/// that pass are packed into full lanes — structurally infeasible ones
-/// never waste a lane — and chunks of up to [`LANES`] run through
-/// [`synthesize_batch`], capacity limits, the model's `project_batch`
-/// and the profitability gate.
+/// `f64::INFINITY` for infeasible or unprofitable groups). Structural
+/// checks run per candidate (bitset closure is already O(words));
+/// candidates that pass are packed into full lanes — structurally
+/// infeasible ones never waste a lane — and chunks of up to [`LANES`] run
+/// through [`synthesize_batch`], the capacity limits
+/// ([`PlanContext::check_lane_limits`]), the model's `project_batch` and
+/// the profitability gate. A candidate's score does not depend on its
+/// batch-mates: a one-candidate batch is the scalar objective.
 pub fn score_into(
     ctx: &PlanContext,
     model: &dyn PerfModel,
@@ -902,10 +916,7 @@ pub fn score_into(
     let mut pend = [0usize; LANES];
     let mut np = 0usize;
     for i in 0..batch.len() {
-        if ctx
-            .check_group_structure(batch.group(i), 0, &mut s.scalar)
-            .is_err()
-        {
+        if ctx.check_group_structure(batch.group(i), 0, s).is_err() {
             continue; // out[i] stays INFINITY
         }
         pend[np] = i;
@@ -932,8 +943,13 @@ fn score_chunk(
     out: &mut [f64],
     stats: &mut BatchStats,
 ) {
+    let mut groups: [&[KernelId]; LANES] = [&[]; LANES];
+    for (g, &i) in groups.iter_mut().zip(cands) {
+        *g = batch.group(i);
+    }
+    let groups = &groups[..cands.len()];
     let t0 = Instant::now();
-    let view = synthesize_batch(&ctx.synth, &ctx.info, batch, cands, s);
+    let view = synthesize_batch(&ctx.synth, &ctx.info, groups, s);
     stats.synth_ns += t0.elapsed().as_nanos() as u64;
     stats.batches += 1;
     stats.lanes += cands.len() as u64;
@@ -941,21 +957,13 @@ fn score_chunk(
     let mut times = [f64::INFINITY; LANES];
     model.project_batch(&ctx.info, &view, &mut times);
 
-    let capacity = u64::from(ctx.info.gpu.smem_per_smx);
-    let max_regs = ctx.info.gpu.max_regs_per_thread;
-    for (l, &i) in cands.iter().enumerate() {
-        // Same semantics as `check_view_limits` (1.6, 1.7).
-        let sb = view.smem_bytes(l);
-        if sb > 0 && sb > capacity {
+    for (l, (&i, g)) in cands.iter().zip(groups).enumerate() {
+        if ctx.check_lane_limits(&view, l, 0).is_err() {
             continue; // out[i] stays INFINITY
         }
-        if view.projected_regs(l) > max_regs {
-            continue;
-        }
         let t = times[l];
-        let g = batch.group(i);
-        // Profitability gate over the candidate *as enqueued* — the
-        // scalar path sums `original_sum` in the caller's member order.
+        // Profitability gate over the candidate *as enqueued*:
+        // `original_sum` adds in the caller's member order.
         if g.len() >= 2 && (t >= ctx.info.original_sum(g) || t.is_nan()) {
             continue;
         }
@@ -992,53 +1000,53 @@ mod tests {
         pb.build()
     }
 
-    /// Every subset of the chain program, packed 8 per batch, must
-    /// synthesize lane-for-lane identical to the scalar sweep, and
-    /// `score_into` must reproduce `score_scalar` bitwise.
-    #[test]
-    fn lanes_match_scalar_on_all_subsets() {
-        for gpu in [GpuSpec::k20x(), GpuSpec::k40(), GpuSpec::gtx750ti()] {
-            let p = chain_program();
-            let info = ProgramInfo::extract(&p, &gpu, FpPrecision::Double);
-            let tables = SynthTables::build(&info);
-            let n = info.kernels.len() as u32;
-            let mut batch = CandidateBatch::new();
-            let mut groups = Vec::new();
-            for mask in 1u32..(1 << n) {
-                let g: Vec<KernelId> = (0..n)
+    fn all_subsets(n: u32) -> Vec<Vec<KernelId>> {
+        (1u32..(1 << n))
+            .map(|mask| {
+                (0..n)
                     .filter(|i| mask & (1 << i) != 0)
                     .map(KernelId)
-                    .collect();
-                batch.push(&g);
-                groups.push(g);
-            }
-            let mut bs = BatchScratch::new();
-            let mut ss = SynthScratch::new();
-            for first in (0..groups.len()).step_by(LANES) {
-                let cands: Vec<usize> = (first..(first + LANES).min(groups.len())).collect();
-                let view = synthesize_batch(&tables, &info, &batch, &cands, &mut bs);
-                for (l, &gi) in cands.iter().enumerate() {
-                    let sv = tables.synthesize_into(&info, &groups[gi], &mut ss);
-                    let (a, b) = (view.lane_spec(l), sv.to_spec());
-                    assert_eq!(a.members, b.members, "{} {gi}", gpu.name);
-                    assert_eq!(a.pivots, b.pivots, "{} {gi}", gpu.name);
-                    assert_eq!(a.barrier_before, b.barrier_before, "{} {gi}", gpu.name);
-                    assert_eq!(a.smem_bytes, b.smem_bytes, "{} {gi}", gpu.name);
-                    assert_eq!(a.projected_regs, b.projected_regs, "{} {gi}", gpu.name);
-                    assert_eq!(a.flops, b.flops, "{} {gi}", gpu.name);
-                    assert_eq!(a.halo_bytes, b.halo_bytes, "{} {gi}", gpu.name);
-                    assert_eq!(a.ro_bytes, b.ro_bytes, "{} {gi}", gpu.name);
-                    assert_eq!(a.active_threads, b.active_threads, "{} {gi}", gpu.name);
-                    assert_eq!(a.complex, b.complex, "{} {gi}", gpu.name);
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every subset of the chain program synthesizes the same spec alone
+    /// (fill 1) and at every lane position of a full batch whose other
+    /// lanes hold the other subsets (lane isolation).
+    #[test]
+    fn lanes_are_isolated_on_all_subsets() {
+        for gpu in [GpuSpec::k20x(), GpuSpec::k40(), GpuSpec::gtx750ti()] {
+            let info = ProgramInfo::extract(&chain_program(), &gpu, FpPrecision::Double);
+            let tables = SynthTables::build(&info);
+            let groups = all_subsets(info.kernels.len() as u32);
+            let mut alone = BatchScratch::new();
+            let mut full = BatchScratch::new();
+            for (gi, g) in groups.iter().enumerate() {
+                let want = synthesize_batch(&tables, &info, &[g], &mut alone).lane_spec(0);
+                for l in 0..LANES {
+                    let mut cands: [&[KernelId]; LANES] =
+                        std::array::from_fn(|j| &groups[(gi + j + 1) % groups.len()][..]);
+                    cands[l] = g;
+                    let got = synthesize_batch(&tables, &info, &cands, &mut full).lane_spec(l);
+                    // Every field of `GroupSpec` is integral or boolean, so
+                    // equal `Debug` text is field-for-field equality.
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{} subset {gi} at lane {l}",
+                        gpu.name
+                    );
                 }
             }
         }
     }
 
-    /// `score_into` == `score_scalar` bitwise under every model,
-    /// including structurally infeasible and unprofitable candidates.
+    /// `score_into` gives every candidate of a multi-sweep batch the score
+    /// a batch of that candidate alone gives it, bit for bit, under every
+    /// model — structurally infeasible and unprofitable candidates too.
     #[test]
-    fn score_into_matches_score_scalar() {
+    fn score_into_scores_each_candidate_as_a_batch_of_one() {
         let p = chain_program();
         let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
         let models: [Box<dyn PerfModel>; 3] = [
@@ -1046,33 +1054,37 @@ mod tests {
             Box::new(SimpleModel),
             Box::new(ProposedModel::default()),
         ];
-        let n = ctx.n_kernels() as u32;
         let mut batch = CandidateBatch::new();
-        for mask in 1u32..(1 << n) {
-            let g: Vec<KernelId> = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(KernelId)
-                .collect();
+        for g in all_subsets(ctx.n_kernels() as u32) {
             batch.push(&g);
+            // The same members reversed: a second lane of the same group.
+            batch.extend_members(&g);
+            let start = batch.data.len() - g.len();
+            batch.data[start..].reverse();
+            batch.seal();
         }
         let mut bs = BatchScratch::new();
-        let mut ss = SynthScratch::new();
-        let mut out = Vec::new();
+        let mut one = CandidateBatch::new();
+        let (mut out, mut alone) = (Vec::new(), Vec::new());
         let structural: usize = (0..batch.len())
             .filter(|&i| {
-                ctx.check_group_structure(batch.group(i), 0, &mut ss)
+                ctx.check_group_structure(batch.group(i), 0, &mut bs)
                     .is_ok()
             })
             .count();
         for m in &models {
             let stats = score_into(&ctx, m.as_ref(), &batch, &mut bs, &mut out);
             assert_eq!(stats.lanes as usize, structural);
+            assert!(stats.batches >= 2, "the batch spans several sweeps");
             for (i, &got) in out.iter().enumerate() {
-                let (want, _) = score_scalar(&ctx, m.as_ref(), batch.group(i), &mut ss);
+                one.clear();
+                one.push(batch.group(i));
+                score_into(&ctx, m.as_ref(), &one, &mut bs, &mut alone);
                 assert!(
-                    want.total_cmp(&got).is_eq(),
-                    "{} cand {i}: batch {got} != scalar {want}",
+                    alone[0].total_cmp(&got).is_eq(),
+                    "{} cand {i}: in a batch {got} != alone {}",
                     m.name(),
+                    alone[0],
                 );
             }
         }

@@ -141,7 +141,7 @@ pub fn reducible_traffic(ctx: &crate::plan::PlanContext) -> ReducibleTraffic {
         FusionPlan::new(groups.iter().filter(|g| !g.is_empty()).cloned().collect())
     };
 
-    let mut scratch = crate::synth::SynthScratch::new();
+    let mut scratch = crate::batch::BatchScratch::new();
     for (_, members) in &sharing {
         for w in members.windows(2) {
             let (ga, gb) = (group_of[w[0]], group_of[w[1]]);

@@ -66,4 +66,4 @@ pub use metadata::{KernelMeta, ProgramInfo};
 pub use model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};
 pub use plan::{FusionPlan, PlanError};
 pub use spec::GroupSpec;
-pub use synth::{SpecView, SynthScratch, SynthTables};
+pub use synth::SynthTables;

@@ -24,11 +24,18 @@
 //!
 //! All models return the **measured** runtime for single-member groups
 //! (an unfused kernel keeps its observed performance).
+//!
+//! Every model has two routes: [`PerfModel::project`] over an owned
+//! [`GroupSpec`] — what the verifier runs on its own `derive_spec`, the
+//! independent check — and [`PerfModel::project_batch`] over the lanes of
+//! the one synthesis sweep ([`crate::batch::synthesize_batch`]), which
+//! the search, `check_and_score` and every allocation-free path use. Per
+//! lane the two agree bit for bit.
 
 use crate::batch::{BatchView, LANES};
 use crate::metadata::ProgramInfo;
 use crate::spec::{GroupSpec, PivotSpec};
-use crate::synth::{SpecView, NO_SLOT, READS, WRITES};
+use crate::synth::NO_SLOT;
 use kfuse_gpu::{occupancy, LaunchConfig};
 use kfuse_ir::KernelId;
 use serde::{Deserialize, Serialize};
@@ -40,14 +47,6 @@ pub trait PerfModel: Sync {
 
     /// Projected runtime (seconds) of the new kernel described by `spec`.
     fn project(&self, info: &ProgramInfo, spec: &GroupSpec) -> f64;
-
-    /// Projected runtime over a borrowed SoA [`SpecView`] — must agree
-    /// bit-for-bit with [`PerfModel::project`] on the materialized spec.
-    /// The default materializes; the built-in models override it with
-    /// allocation-free view arithmetic.
-    fn project_view(&self, info: &ProgramInfo, view: &SpecView<'_>) -> f64 {
-        self.project(info, &view.to_spec())
-    }
 
     /// Projected runtimes for every populated lane of a synthesized
     /// [`BatchView`], written to `out[0..view.fill()]` — each lane must
@@ -115,70 +114,11 @@ pub fn projected_fused_bytes(info: &ProgramInfo, spec: &GroupSpec) -> u64 {
     elems * info.elem_bytes()
 }
 
-/// [`projected_fused_bytes`] over a borrowed SoA view: same integer
-/// result, zero allocations. Per-array load/store aggregates come from the
-/// synthesis sweep's scratch slots; the halo-widening input-reference
-/// count is the precomputed per-kernel read-reference column minus the
-/// producer's own read of the pivot.
-pub fn projected_fused_bytes_view(info: &ProgramInfo, view: &SpecView<'_>) -> u64 {
-    let t = view.tables;
-    let grid = u64::from(info.blocks) * u64::from(info.nz);
-    let mut elems = 0u64;
-    for &cu in view.touched {
-        let c = cu as usize;
-        elems += view.store_sum[c];
-        let slot = view.pivot_slot[c];
-        if slot == NO_SLOT {
-            elems += view.load_sum[c];
-            continue;
-        }
-        let p = &view.pivots[slot as usize];
-        if p.produced {
-            continue; // produced on-chip: no loads
-        }
-        // One fetch of tile(+halo); approximate with the smallest member
-        // fetch plus the halo ring.
-        let base = if view.max_reader1[c] > 0 {
-            view.load_min[c]
-        } else {
-            0
-        };
-        elems += base + info.halo_area(u32::from(p.halo)) * grid;
-    }
-    // Computed halos widen the GMEM footprint of the producers' inputs
-    // (§II-D2), exactly as in the spec-route loop above.
-    for p in view.pivots {
-        if !(p.smem && p.produced && p.halo > 0) {
-            continue;
-        }
-        let ring = info.halo_area(u32::from(p.halo)) * grid;
-        let pc = t.compact[p.array.index()];
-        for &k in view.members {
-            let ki = k.index();
-            let mut writes_pivot = false;
-            let mut own_read = 0u64;
-            for u in t.use_range(ki) {
-                if t.u_cidx[u] == pc {
-                    let fl = t.u_flags[u];
-                    writes_pivot = fl & WRITES != 0;
-                    if fl & READS != 0 {
-                        own_read = u64::from(t.u_thread_load[u]);
-                    }
-                    break; // at most one use per (kernel, array)
-                }
-            }
-            if writes_pivot {
-                elems += ring * (t.k_read_refs[ki] - own_read);
-            }
-        }
-    }
-    elems * info.elem_bytes()
-}
-
-/// [`projected_fused_bytes_view`] for every lane of a batch: the same
-/// integer per lane, with the per-pivot member×use rescans of the
-/// halo-widening term collapsed into the `write_refs` per-array aggregate
-/// gathered during the batch aggregation sweep (an exact `u64`
+/// [`projected_fused_bytes`] for every lane of a batch: the same integer
+/// per lane, with no allocation. Per-array load/store aggregates come
+/// from the sweep's lane columns, and the per-pivot member×use rescans of
+/// the halo-widening term collapse into the `write_refs` per-array
+/// aggregate gathered during the aggregation sweep (an exact `u64`
 /// distribution of `ring` over the same term multiset).
 fn projected_fused_bytes_batch(info: &ProgramInfo, view: &BatchView<'_>) -> [u64; LANES] {
     let t = view.tables;
@@ -234,7 +174,7 @@ fn projected_fused_bytes_batch(info: &ProgramInfo, view: &BatchView<'_>) -> [u64
     elems.map(|e| e * eb)
 }
 
-/// [`projected_smem_bytes_moved_view`] for every lane of a batch: the
+/// [`projected_smem_bytes_moved`] for every lane of a batch: the
 /// per-pivot member scan becomes one multiply against the `read_tl`
 /// per-array aggregate (exact `u64` distribution of `sites · elem`).
 fn projected_smem_bytes_moved_batch(info: &ProgramInfo, view: &BatchView<'_>) -> [u64; LANES] {
@@ -260,7 +200,7 @@ fn projected_smem_bytes_moved_batch(info: &ProgramInfo, view: &BatchView<'_>) ->
 }
 
 /// Shared Roofline arithmetic: identical float sequence for the spec and
-/// view paths.
+/// lane paths.
 fn roofline_time(info: &ProgramInfo, bytes: u64, flops: u64) -> f64 {
     let t_mem = bytes as f64 / (info.gpu.gmem_bw_gbps * 1e9);
     let t_cmp = flops as f64 / (info.gpu.peak_gflops * 1e9);
@@ -281,13 +221,6 @@ impl PerfModel for RooflineModel {
             return info.meta(spec.members[0]).runtime_s;
         }
         roofline_time(info, projected_fused_bytes(info, spec), spec.flops)
-    }
-
-    fn project_view(&self, info: &ProgramInfo, view: &SpecView<'_>) -> f64 {
-        if view.members.len() == 1 {
-            return info.meta(view.members[0]).runtime_s;
-        }
-        roofline_time(info, projected_fused_bytes_view(info, view), view.flops)
     }
 
     fn project_batch(&self, info: &ProgramInfo, view: &BatchView<'_>, out: &mut [f64; LANES]) {
@@ -317,10 +250,6 @@ impl PerfModel for SimpleModel {
         simple_time(info, &spec.members, &spec.pivots)
     }
 
-    fn project_view(&self, info: &ProgramInfo, view: &SpecView<'_>) -> f64 {
-        simple_time(info, view.members, view.pivots)
-    }
-
     fn project_batch(&self, info: &ProgramInfo, view: &BatchView<'_>, out: &mut [f64; LANES]) {
         for (l, o) in out.iter_mut().enumerate().take(view.fill()) {
             *o = simple_time(info, view.members(l), view.pivots(l));
@@ -329,7 +258,7 @@ impl PerfModel for SimpleModel {
 }
 
 /// The simple model's arithmetic over (members, pivots) slices — both the
-/// spec and the view path run this exact float sequence (member-order sum,
+/// spec and the lane path run this exact float sequence (member-order sum,
 /// pivot-major/member-minor savings accumulation).
 fn simple_time(info: &ProgramInfo, members: &[KernelId], pivots: &[PivotSpec]) -> f64 {
     if members.len() == 1 {
@@ -429,30 +358,10 @@ impl ProposedModel {
             || projected_smem_bytes_moved(info, spec),
         )
     }
-
-    /// [`Self::breakdown`] over a borrowed SoA view: the same scalar bundle
-    /// is extracted from the view and fed through the shared Eq. 6–10
-    /// arithmetic, so the result is bit-for-bit the materialized one.
-    pub fn breakdown_view(&self, info: &ProgramInfo, view: &SpecView<'_>) -> ProposedBreakdown {
-        breakdown_parts(
-            info,
-            projected_fused_bytes_view(info, view),
-            SpecScalars {
-                smem_bytes: view.smem_bytes,
-                projected_regs: view.projected_regs,
-                flops: view.flops,
-                halo_bytes: view.halo_bytes,
-                active_threads: view.active_threads,
-                n_smem_pivots: view.pivots.iter().filter(|p| p.smem).count(),
-                barriers: view.barrier_count(),
-            },
-            || projected_smem_bytes_moved_view(info, view),
-        )
-    }
 }
 
 /// The scalar columns of a synthesized spec that the proposed projection
-/// consumes, bundled so the spec and view entry points drive one shared
+/// consumes, bundled so the spec and lane entry points drive one shared
 /// float sequence.
 struct SpecScalars {
     smem_bytes: u64,
@@ -464,8 +373,8 @@ struct SpecScalars {
     barriers: u32,
 }
 
-/// Eqs. 6–10 arithmetic shared by [`ProposedModel::breakdown`] and
-/// [`ProposedModel::breakdown_view`]. `smem_moved` is lazy so the
+/// Eqs. 6–10 arithmetic shared by [`ProposedModel::breakdown`] and the
+/// proposed model's `project_batch`. `smem_moved` is lazy so the
 /// `blocks_smx == 0` early return skips the staging-traffic sweep.
 fn breakdown_parts(
     info: &ProgramInfo,
@@ -571,38 +480,6 @@ fn projected_smem_bytes_moved(info: &ProgramInfo, spec: &GroupSpec) -> u64 {
     bytes
 }
 
-/// [`projected_smem_bytes_moved`] over a borrowed SoA view: the per-member
-/// reading-use lookup scans the kernel's CSR use row instead of a binary
-/// search over `uses`, yielding the same integer sum with no allocation.
-fn projected_smem_bytes_moved_view(info: &ProgramInfo, view: &SpecView<'_>) -> u64 {
-    let t = view.tables;
-    let elem = info.elem_bytes();
-    let blocks = u64::from(info.blocks);
-    let nz = u64::from(info.nz);
-    let sites = blocks * info.tile_area(0) * nz;
-    let mut bytes = 0u64;
-    for p in view.pivots {
-        if !p.smem {
-            continue;
-        }
-        let tile = blocks * info.tile_area(u32::from(p.halo)) * nz;
-        // Fill (loaded pivots) or produced write (produced pivots).
-        bytes += tile * elem;
-        let pc = t.compact[p.array.index()];
-        for &m in view.members {
-            for u in t.use_range(m.index()) {
-                if t.u_cidx[u] == pc {
-                    if t.u_flags[u] & READS != 0 {
-                        bytes += u64::from(t.u_thread_load[u]) * sites * elem;
-                    }
-                    break; // at most one use per (kernel, array)
-                }
-            }
-        }
-    }
-    bytes
-}
-
 impl PerfModel for ProposedModel {
     fn name(&self) -> &'static str {
         "proposed"
@@ -615,13 +492,6 @@ impl PerfModel for ProposedModel {
         self.breakdown(info, spec).t_pro
     }
 
-    fn project_view(&self, info: &ProgramInfo, view: &SpecView<'_>) -> f64 {
-        if view.members.len() == 1 {
-            return info.meta(view.members[0]).runtime_s;
-        }
-        self.breakdown_view(info, view).t_pro
-    }
-
     fn project_batch(&self, info: &ProgramInfo, view: &BatchView<'_>, out: &mut [f64; LANES]) {
         let bytes = projected_fused_bytes_batch(info, view);
         let smem = projected_smem_bytes_moved_batch(info, view);
@@ -631,11 +501,10 @@ impl PerfModel for ProposedModel {
                 *o = info.meta(members[0]).runtime_s;
                 continue;
             }
-            // The same scalar bundle as `breakdown_view`, fed through the
+            // The same scalar bundle as `breakdown`, fed through the
             // shared Eq. 6–10 float sequence. `smem` is precomputed for
             // all lanes; `breakdown_parts` ignores it on the
-            // `blocks_smx == 0` early return exactly like the lazy scalar
-            // closure.
+            // `blocks_smx == 0` early return.
             *o = breakdown_parts(
                 info,
                 bytes[l],

@@ -11,6 +11,7 @@
 //! * (1.1) — profitability: each fused kernel's projected runtime must
 //!   beat its *original sum* (checked against a chosen [`PerfModel`]).
 
+use crate::batch::{synthesize_batch, BatchScratch, BatchView, LANES};
 use crate::exec_order::ExecOrderGraph;
 use crate::fingerprint::ProgramIdentity;
 use crate::fuse::{condensation_order_with, CondensationScratch};
@@ -18,7 +19,7 @@ use crate::kinship::ShareGraph;
 use crate::metadata::ProgramInfo;
 use crate::model::PerfModel;
 use crate::spec::GroupSpec;
-use crate::synth::{SpecView, SynthScratch, SynthTables};
+use crate::synth::SynthTables;
 use crate::util::vec_bytes;
 use kfuse_ir::KernelId;
 use serde::{Deserialize, Serialize};
@@ -200,7 +201,7 @@ pub struct PlanContext {
     pub exec: ExecOrderGraph,
     /// Sharing graph with kinship distances.
     pub share: ShareGraph,
-    /// Precomputed SoA synthesis tables for the allocation-free miss path.
+    /// Precomputed SoA synthesis tables the one synthesis sweep reads.
     pub synth: SynthTables,
     /// The relaxed program the context was extracted from, when the
     /// caller has it (the pipeline sets this; hand-built contexts may
@@ -270,8 +271,8 @@ impl PlanContext {
         group: &[KernelId],
         group_idx: usize,
     ) -> Result<GroupSpec, PlanError> {
-        self.check_group_with(group, group_idx, &mut SynthScratch::new())
-            .map(|view| view.to_spec())
+        self.check_group_with(group, group_idx, &mut BatchScratch::new())
+            .map(|view| view.lane_spec(0))
     }
 
     /// The *structural* constraints alone (sync/stream splits, kinship,
@@ -281,7 +282,7 @@ impl PlanContext {
         &self,
         group: &[KernelId],
         group_idx: usize,
-        scratch: &mut SynthScratch,
+        scratch: &mut BatchScratch,
     ) -> Result<(), PlanError> {
         if group.len() < 2 {
             return Ok(());
@@ -318,50 +319,56 @@ impl PlanContext {
         Ok(())
     }
 
-    /// The capacity constraints (1.6, 1.7) over a synthesized view — the
-    /// back half of [`PlanContext::check_group_with`]: SMEM first, then
-    /// registers.
-    pub fn check_view_limits(
+    /// The capacity constraints (1.6, 1.7) over lane `lane` of a
+    /// synthesized batch — the back half of
+    /// [`PlanContext::check_group_with`], and the limits
+    /// [`crate::batch::score_into`] applies to every lane: SMEM first,
+    /// then registers.
+    pub fn check_lane_limits(
         &self,
-        view: &SpecView<'_>,
+        view: &BatchView<'_>,
+        lane: usize,
         group_idx: usize,
     ) -> Result<(), PlanError> {
         // Active-constraint pruning (§III-C): capacity checks only matter
         // for groups that actually stage pivots.
-        if view.smem_bytes > 0 {
+        let bytes = view.smem_bytes(lane);
+        if bytes > 0 {
             let capacity = u64::from(self.info.gpu.smem_per_smx);
             // 1.6 — a single block's SMEM demand must fit an SMX.
-            if view.smem_bytes > capacity {
+            if bytes > capacity {
                 return Err(PlanError::SmemOverflow {
                     group: group_idx,
-                    bytes: view.smem_bytes,
+                    bytes,
                     capacity,
                 });
             }
         }
         // 1.7.
-        if view.projected_regs > self.info.gpu.max_regs_per_thread {
+        let regs = view.projected_regs(lane);
+        if regs > self.info.gpu.max_regs_per_thread {
             return Err(PlanError::RegOverflow {
                 group: group_idx,
-                regs: view.projected_regs,
+                regs,
             });
         }
         Ok(())
     }
 
     /// Every constraint a group can violate on its own, in the order
-    /// errors are reported: structural checks, synthesis into `scratch`,
-    /// capacity checks. Allocation-free once `scratch` is warm; the view
-    /// borrows it until the next call.
+    /// errors are reported: structural checks, synthesis of the group as
+    /// a one-lane batch into `scratch`, capacity checks. Allocation-free
+    /// once `scratch` is warm; the view (its lane 0) borrows it until the
+    /// next call.
     pub fn check_group_with<'s>(
         &'s self,
         group: &[KernelId],
         group_idx: usize,
-        scratch: &'s mut SynthScratch,
-    ) -> Result<SpecView<'s>, PlanError> {
+        scratch: &'s mut BatchScratch,
+    ) -> Result<BatchView<'s>, PlanError> {
         self.check_group_structure(group, group_idx, scratch)?;
-        let view = self.synth.synthesize_into(&self.info, group, scratch);
-        self.check_view_limits(&view, group_idx)?;
+        let view = synthesize_batch(&self.synth, &self.info, &[group], scratch);
+        self.check_lane_limits(&view, 0, group_idx)?;
         Ok(view)
     }
 
@@ -411,27 +418,27 @@ impl PlanContext {
     /// constraints of every group. Returns the synthesized specs.
     pub fn validate(&self, plan: &FusionPlan) -> Result<Vec<GroupSpec>, PlanError> {
         self.check_partition(plan)?;
-        let mut scratch = SynthScratch::new();
+        let mut scratch = BatchScratch::new();
         plan.groups
             .iter()
             .enumerate()
             .map(|(gi, g)| {
                 self.check_group_with(g, gi, &mut scratch)
-                    .map(|view| view.to_spec())
+                    .map(|view| view.lane_spec(0))
             })
             .collect()
     }
 
     /// Check and score a plan in one pass, materializing no spec: the
     /// partition check, then per group [`PlanContext::check_group_with`],
-    /// the view's projection and the profitability gate (1.1), the sum in
-    /// group order, and the condensation's acyclicity.
+    /// the lane's `project_batch` and the profitability gate (1.1), the
+    /// sum in group order, and the condensation's acyclicity.
     ///
     /// It accepts exactly the plans [`PlanContext::validate`] accepts whose
     /// memoized search objective is finite, and returns that objective bit
-    /// for bit: each group is scored as the search scores it
-    /// ([`crate::batch::score_scalar`], members sorted) and the sum is
-    /// taken in the same order. A group whose projection is not finite is
+    /// for bit: each group is scored as the search scores it (a one-lane
+    /// [`crate::batch::score_into`], members sorted) and the sum is taken
+    /// in the same order. A group whose projection is not finite is
     /// [`PlanError::Unprofitable`].
     pub fn check_and_score(
         &self,
@@ -439,8 +446,9 @@ impl PlanContext {
         model: &dyn PerfModel,
     ) -> Result<f64, PlanError> {
         self.check_partition(plan)?;
-        let mut scratch = SynthScratch::new();
+        let mut scratch = BatchScratch::new();
         let mut sorted = Vec::new();
+        let mut times = [f64::INFINITY; LANES];
         let mut total = 0.0;
         for (gi, g) in plan.groups.iter().enumerate() {
             let g = if g.windows(2).all(|w| w[0] < w[1]) {
@@ -452,7 +460,8 @@ impl PlanContext {
                 sorted.as_slice()
             };
             let view = self.check_group_with(g, gi, &mut scratch)?;
-            let projected = model.project_view(&self.info, &view);
+            model.project_batch(&self.info, &view, &mut times);
+            let projected = times[0];
             let original_sum = self.info.original_sum(g);
             if !projected.is_finite() || (g.len() >= 2 && projected >= original_sum) {
                 return Err(PlanError::Unprofitable {
@@ -475,13 +484,13 @@ impl PlanContext {
     /// The search objective (Eq. 1): total projected runtime of the plan
     /// under `model`. Infeasible groups contribute [`f64::INFINITY`].
     pub fn objective(&self, plan: &FusionPlan, model: &dyn PerfModel) -> f64 {
-        let mut scratch = SynthScratch::new();
+        let mut scratch = BatchScratch::new();
         plan.groups
             .iter()
             .enumerate()
             .map(|(gi, g)| match self.check_group_with(g, gi, &mut scratch) {
                 Ok(view) => {
-                    let t = model.project(&self.info, &view.to_spec());
+                    let t = model.project(&self.info, &view.lane_spec(0));
                     if g.len() >= 2 && t >= self.info.original_sum(g) {
                         // Constraint 1.1: unprofitable groups are infeasible;
                         // charging the original sum would hide the violation,

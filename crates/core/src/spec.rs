@@ -16,13 +16,15 @@
 //!   padding (Eq. 7);
 //! * total FLOPs including redundant halo computation (Eq. 10 numerator).
 //!
-//! The decisions themselves have one definition in this crate,
-//! [`SynthTables::synthesize_into`]; a `GroupSpec` is its borrowed
-//! `SpecView` materialized, and [`GroupSpec::synthesize`] is the
-//! convenience form for callers without a `PlanContext`.
+//! The decisions themselves have one definition in this crate, the
+//! synthesis sweep [`crate::batch::synthesize_batch`]; a `GroupSpec` is
+//! one lane of it materialized ([`crate::batch::BatchView::lane_spec`]),
+//! and [`GroupSpec::synthesize`] is the convenience form — a batch of one
+//! — for callers without a `PlanContext`.
 
+use crate::batch::{synthesize_batch, BatchScratch};
 use crate::metadata::ProgramInfo;
-use crate::synth::{SynthScratch, SynthTables};
+use crate::synth::SynthTables;
 use kfuse_ir::{ArrayId, KernelId};
 use serde::{Deserialize, Serialize};
 
@@ -80,9 +82,8 @@ impl GroupSpec {
     /// Builds the [`SynthTables`] per call: to synthesize more than a
     /// handful of groups, hold a `PlanContext` and use `check_group_with`.
     pub fn synthesize(info: &ProgramInfo, group: &[KernelId]) -> GroupSpec {
-        SynthTables::build(info)
-            .synthesize_into(info, group, &mut SynthScratch::new())
-            .to_spec()
+        let tables = SynthTables::build(info);
+        synthesize_batch(&tables, info, &[group], &mut BatchScratch::new()).lane_spec(0)
     }
 
     /// Number of barriers in the fused kernel.

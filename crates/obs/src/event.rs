@@ -20,10 +20,11 @@ pub enum SpanId {
     InitialPopulation,
     /// One HGGA generation.
     Generation,
-    /// One evaluation-memo miss: group synthesis + projection + insert.
+    /// One evaluation-memo miss of a lone probe: group synthesis as a
+    /// one-lane batch + projection + insert.
     MemoMiss,
-    /// The SoA group-synthesis portion of a memo miss
-    /// (`SynthTables::synthesize_into`).
+    /// The group-synthesis portion of a memo miss
+    /// (`kfuse_core::batch::synthesize_batch`).
     Synthesis,
     /// One lane-batched scoring flush: all distinct memo misses of a
     /// probe batch synthesized and projected lane-per-candidate.
@@ -156,9 +157,9 @@ pub enum Counter {
     GreedyMerges,
     /// Complete set partitions scored by the exhaustive solver.
     PartitionsScored,
-    /// Lane sweeps executed by the batched evaluator (one per chunk of up
-    /// to `LANES` candidates; one per candidate under the scalar
-    /// fallback).
+    /// Lane sweeps executed by `group_batch` miss flushes (one per chunk
+    /// of up to `LANES` candidates). A lone `group` miss is a one-lane
+    /// sweep counted under `MemoMisses` only.
     BatchesScored,
     /// Candidate lanes actually filled across those sweeps.
     /// `BatchLanesFilled / BatchesScored` is the average batch fill.

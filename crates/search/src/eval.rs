@@ -23,6 +23,11 @@
 //!   member list, so fingerprint collisions are correctness-neutral.
 //! * **Singleton bypass.** Per-kernel baseline costs are precomputed into
 //!   a dense array at construction; singleton groups never touch the memo.
+//! * **One synthesis sweep.** Every miss is scored by
+//!   [`kfuse_core::batch::score_into`]: [`Evaluator::group_batch`] packs
+//!   its distinct misses eight to a sweep, and a lone [`Evaluator::group`]
+//!   miss is a one-candidate batch. A candidate's score does not depend on
+//!   its batch-mates, so the two probe paths memoize the same evals.
 //!
 //! Active-constraint pruning (§III-C) falls out of
 //! [`kfuse_core::plan::PlanContext::check_group`]: capacity checks run only
@@ -32,11 +37,10 @@
 //! is done, and the condensation check itself reuses the evaluator's
 //! scratch ([`kfuse_core::fuse::CondensationScratch`]).
 
-use kfuse_core::batch::{score_into, score_scalar, BatchScratch, BatchStats, CandidateBatch};
+use kfuse_core::batch::{score_into, BatchScratch, BatchStats, CandidateBatch};
 use kfuse_core::fuse::{condensation_order_with, CondensationScratch};
 use kfuse_core::model::PerfModel;
 use kfuse_core::plan::{FusionPlan, PlanContext};
-use kfuse_core::synth::SynthScratch;
 use kfuse_ir::KernelId;
 use kfuse_obs::{
     ratio, Counter, MetricsRegistry, MetricsSnapshot, ObsHandle, SpanId, WORKER_TRACK_BASE,
@@ -173,13 +177,12 @@ impl Shard {
 /// calls, so steady-state probing allocates nothing.
 #[derive(Default)]
 struct Scratch {
-    /// Scalar-miss synthesis.
-    synth: SynthScratch,
     /// The plan-level acyclicity check.
     cond: CondensationScratch,
     /// Sorted-key buffer for groups beyond [`STACK_KEY`] members.
     heap_key: Vec<KernelId>,
-    /// Distinct batch misses (canonically sorted keys) awaiting scoring.
+    /// Distinct misses (canonically sorted keys) awaiting scoring: a
+    /// `group_batch` flush, or the one key of a `group` miss.
     miss: CandidateBatch,
     /// Fingerprint of each entry in `miss` (parallel array).
     miss_fp: Vec<u64>,
@@ -187,7 +190,7 @@ struct Scratch {
     pending: Vec<(u32, u32)>,
     /// Scored seconds per miss (parallel to `miss`).
     times: Vec<f64>,
-    /// Lane-batched synthesis + projection scratch.
+    /// Synthesis + projection lane scratch.
     core: BatchScratch,
 }
 
@@ -234,8 +237,20 @@ impl<'a> Evaluator<'a> {
     /// path.
     pub fn observed(ctx: &'a PlanContext, model: &'a dyn PerfModel, obs: ObsHandle<'a>) -> Self {
         let mut scratch = Scratch::default();
-        let baseline = (0..ctx.n_kernels())
-            .map(|i| compute_with(ctx, model, &[KernelId(i as u32)], &mut scratch.synth).0)
+        for i in 0..ctx.n_kernels() {
+            scratch.miss.push(&[KernelId(i as u32)]);
+        }
+        score_into(
+            ctx,
+            model,
+            &scratch.miss,
+            &mut scratch.core,
+            &mut scratch.times,
+        );
+        let baseline = scratch
+            .times
+            .iter()
+            .map(|&time_s| GroupEval { time_s })
             .collect();
         Evaluator {
             ctx,
@@ -303,7 +318,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Nanoseconds of [`Self::miss_ns`] spent inside group synthesis
-    /// proper (`synthesize_into`).
+    /// proper (`synthesize_batch`).
     pub fn synth_ns(&self) -> u64 {
         self.metrics.get(Counter::SynthNs)
     }
@@ -341,8 +356,14 @@ impl<'a> Evaluator<'a> {
             return self.baseline[k.index()];
         }
         self.metrics.incr(Counter::MemoProbes);
-        let s = &mut *self.scratch.borrow_mut();
-        with_sorted_key(group, &mut s.heap_key, |key| {
+        let Scratch {
+            heap_key,
+            miss,
+            times,
+            core,
+            ..
+        } = &mut *self.scratch.borrow_mut();
+        with_sorted_key(group, heap_key, |key| {
             let fp = fingerprint(key);
             let shard = self.shard(fp);
             if let Some(hit) = shard.borrow().get(fp, key) {
@@ -350,7 +371,12 @@ impl<'a> Evaluator<'a> {
             }
             self.metrics.incr(Counter::MemoMisses);
             let t0 = Instant::now();
-            let (eval, synth_ns) = compute_with(self.ctx, self.model, key, &mut s.synth);
+            // A one-lane sweep. Its stats stay out of `BatchesScored` and
+            // `BatchLanesFilled`, which count `group_batch` flushes only.
+            miss.clear();
+            miss.push(key);
+            let synth_ns = score_into(self.ctx, self.model, miss, core, times).synth_ns;
+            let eval = GroupEval { time_s: times[0] };
             self.metrics.add(Counter::SynthNs, synth_ns);
             shard.borrow_mut().insert(fp, key, eval);
             let miss = t0.elapsed();
@@ -371,15 +397,6 @@ impl<'a> Evaluator<'a> {
             }
             eval
         })
-    }
-
-    /// The raw objective with no memo interaction and no stat counters:
-    /// structure checks, SoA synthesis into `scratch`, view projection and
-    /// the profitability gate. This is the unit the `alloc_free` test
-    /// holds allocation-free and `batch_differential` compares the
-    /// lane-batched path against.
-    pub fn evaluate_uncached(&self, group: &[KernelId], scratch: &mut SynthScratch) -> GroupEval {
-        compute_with(self.ctx, self.model, group, scratch).0
     }
 
     /// The shard that holds the group with fingerprint `fp`.
@@ -494,10 +511,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The raw batched objective with no memo interaction and no stat
-    /// counters: every candidate of `batch` scored through the
-    /// lane-batched path into `out`. This is the unit the `alloc_free`
-    /// test holds allocation-free and `batch_differential` compares
-    /// against [`Self::evaluate_uncached`] bit for bit.
+    /// counters: every candidate of `batch` scored through the lane sweep
+    /// into `out`. This is the unit the `alloc_free` test holds
+    /// allocation-free and `batch_differential` holds to lane isolation
+    /// (a candidate scores the same alone and among any batch-mates).
     pub fn evaluate_uncached_batch(
         &self,
         batch: &CandidateBatch,
@@ -547,22 +564,6 @@ fn fingerprint(group: &[KernelId]) -> u64 {
         acc = acc.wrapping_add(splitmix64(k.0 as u64));
     }
     acc
-}
-
-/// The raw (unmemoized) group objective over the allocation-free SoA path:
-/// structure checks, synthesis into `scratch`, limit checks on the view,
-/// view projection, profitability. Returns the eval plus the nanoseconds
-/// spent inside `synthesize_into`. Delegates to
-/// [`kfuse_core::batch::score_scalar`] — the single scalar definition the
-/// lane-batched path is proven bitwise-identical against.
-fn compute_with(
-    ctx: &PlanContext,
-    model: &dyn PerfModel,
-    group: &[KernelId],
-    scratch: &mut SynthScratch,
-) -> (GroupEval, u64) {
-    let (t, synth_ns) = score_scalar(ctx, model, group, scratch);
-    (GroupEval { time_s: t }, synth_ns)
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Zero-allocation guarantees of the steady-state evaluation paths.
 //!
-//! A counting global allocator wraps `System`; after warming the synthesis
-//! scratch once, re-evaluating distinct groups through
-//! [`Evaluator::evaluate_uncached`] (structure checks + SoA synthesis +
-//! view projection + profitability) must not allocate at all. Memo
+//! A counting global allocator wraps `System`; after warming the lane
+//! scratch once, re-scoring distinct groups one at a time — the one-lane
+//! batch a scalar memo miss runs through
+//! [`Evaluator::evaluate_uncached_batch`] (structure checks + synthesis +
+//! `project_batch` + profitability) — must not allocate at all, and
+//! neither must full eight-lane batches. Memo
 //! insertion is outside this unit and held to its own bound: a shard
 //! appends to three growable arrays, so a long sweep of distinct misses
 //! allocates only for their amortized growth.
@@ -12,10 +14,9 @@
 //! disabled ([`ObsHandle::disabled`]), the memo *hit* path with its
 //! always-on registry counters must also stay allocation-free.
 
-use kfuse_core::batch::{BatchScratch, CandidateBatch};
+use kfuse_core::batch::{synthesize_batch, BatchScratch, CandidateBatch, LANES};
 use kfuse_core::model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};
 use kfuse_core::pipeline::prepare;
-use kfuse_core::synth::SynthScratch;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::KernelId;
 use kfuse_obs::ObsHandle;
@@ -80,50 +81,66 @@ fn miss_path_is_allocation_free_once_warm() {
     let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
     let model = ProposedModel::default();
     let ev = Evaluator::new(&ctx, &model);
-    let extra: [Box<dyn PerfModel>; 2] = [Box::new(RooflineModel), Box::new(SimpleModel)];
+    let models: [Box<dyn PerfModel>; 3] = [
+        Box::new(RooflineModel),
+        Box::new(SimpleModel),
+        Box::new(ProposedModel::default()),
+    ];
 
     // Distinct groups built BEFORE the measured region.
     let groups = group_pool(ctx.n_kernels());
 
-    // Warm the scratch to the program's dimensions (first call sizes every
-    // slot array and the pivot/touched buffers to their upper bounds).
-    let mut scratch = SynthScratch::new();
+    // Warm the scratch to the program's dimensions (the first one-lane
+    // sweep sizes every column and lane 0's output buffers to their upper
+    // bounds; the pool's widest group sizes the candidate queue).
+    let mut scratch = BatchScratch::new();
+    let mut one = CandidateBatch::new();
+    let mut times: Vec<f64> = Vec::new();
+    let mut score_alone = |g: &[KernelId], scratch: &mut BatchScratch| {
+        one.clear();
+        one.push(g);
+        ev.evaluate_uncached_batch(&one, scratch, &mut times);
+        std::hint::black_box(times[0]);
+    };
     for g in &groups {
-        std::hint::black_box(ev.evaluate_uncached(g, &mut scratch));
+        score_alone(g, &mut scratch);
     }
 
     let before = allocations();
     for _ in 0..3 {
         for g in &groups {
-            std::hint::black_box(ev.evaluate_uncached(g, &mut scratch));
+            score_alone(g, &mut scratch);
         }
     }
     let delta = allocations() - before;
     assert_eq!(
         delta,
         0,
-        "steady-state miss-path evaluation must not allocate ({delta} allocations over {} evals)",
+        "steady-state one-lane miss scoring must not allocate ({delta} allocations over {} evals)",
         3 * groups.len()
     );
 
-    // The other two models share the same guarantee through project_view.
-    for m in &extra {
+    // Every model's `project_batch` over a one-lane sweep shares the same
+    // guarantee.
+    for m in &models {
         let before = allocations();
         for g in &groups {
             if g.len() < 2 {
                 continue;
             }
-            let view = ctx.synth.synthesize_into(&ctx.info, g, &mut scratch);
-            std::hint::black_box(m.project_view(&ctx.info, &view));
+            let view = synthesize_batch(&ctx.synth, &ctx.info, &[g], &mut scratch);
+            let mut t = [0.0; LANES];
+            m.project_batch(&ctx.info, &view, &mut t);
+            std::hint::black_box(t);
         }
         let delta = allocations() - before;
-        assert_eq!(delta, 0, "{} project_view must not allocate", m.name());
+        assert_eq!(delta, 0, "{} project_batch must not allocate", m.name());
     }
 }
 
 #[test]
 fn batched_miss_path_is_allocation_free_once_warm() {
-    // The lane-batched analogue of the scalar guarantee above: once the
+    // The eight-lane analogue of the one-lane guarantee above: once the
     // candidate queue, lane scratch, and output vector have sized
     // themselves, re-scoring whole batches through
     // [`Evaluator::evaluate_uncached_batch`] must not allocate.

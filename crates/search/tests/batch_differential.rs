@@ -1,15 +1,15 @@
-//! Differential property tests for lane-batched candidate evaluation
-//! (ISSUE 6 satellite): the batched check + synthesis + projection path
-//! must be bitwise indistinguishable from the scalar [`SynthScratch`]
-//! path on every GPU table, every model, and every ragged fill 1..=8 —
-//! and each synthesized lane must agree field-for-field with the
-//! verifier's independent [`PlanChecker::derive_spec`].
+//! Differential property tests of the one synthesis sweep's lane
+//! isolation: a candidate's check + synthesis + projection score is bit
+//! for bit the same alone (fill 1), in its own batch, and at every lane
+//! position among random batch-mates — on every GPU table, every model,
+//! and every ragged fill 1..=8 — and it is the verifier's independent
+//! [`PlanChecker::derive_spec`] → `project` → profitability gate; each
+//! synthesized lane also agrees field-for-field with `derive_spec`.
 
-use kfuse_core::batch::{synthesize_batch, BatchScratch, CandidateBatch};
+use kfuse_core::batch::{synthesize_batch, BatchScratch, CandidateBatch, LANES};
 use kfuse_core::model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};
 use kfuse_core::pipeline::prepare;
 use kfuse_core::plan::PlanContext;
-use kfuse_core::synth::SynthScratch;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::KernelId;
 use kfuse_search::eval::Evaluator;
@@ -48,8 +48,8 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// Deterministic pseudo-random group of 1..=6 distinct kernels; includes
-/// structurally infeasible and unprofitable candidates on purpose — the
-/// batched path must reproduce the scalar verdict for those too.
+/// structurally infeasible and unprofitable candidates on purpose — their
+/// verdict must not depend on the batch either.
 fn random_group(n: usize, salt: u64) -> Vec<KernelId> {
     let len = 1 + (splitmix64(salt) as usize % 6).min(n - 1);
     let mut g: Vec<KernelId> = (0..len as u64)
@@ -60,28 +60,88 @@ fn random_group(n: usize, salt: u64) -> Vec<KernelId> {
     g
 }
 
-/// `evaluate_uncached_batch` vs. per-candidate `evaluate_uncached`,
-/// compared with `total_cmp` so INF == INF passes and any ULP drift
-/// fails.
-fn assert_batch_matches_scalar(ev: &Evaluator<'_>, batch: &CandidateBatch, what: &str) {
+/// The oracle of one candidate's score: the core's structural check, then
+/// the verifier's `derive_spec` through the capacity limits (1.6, 1.7),
+/// the model's `project` and the profitability gate (1.1).
+fn oracle(ev: &Evaluator<'_>, checker: &PlanChecker, g: &[KernelId], bs: &mut BatchScratch) -> f64 {
+    let ctx = ev.ctx;
+    if ctx.check_group_structure(g, 0, bs).is_err() {
+        return f64::INFINITY;
+    }
+    let spec = checker.derive_spec(g);
+    let gpu = &ctx.info.gpu;
+    if spec.smem_bytes > u64::from(gpu.smem_per_smx)
+        || spec.projected_regs > gpu.max_regs_per_thread
+    {
+        return f64::INFINITY;
+    }
+    let t = ev.model.project(&ctx.info, &spec);
+    if g.len() >= 2 && (t >= ctx.info.original_sum(g) || t.is_nan()) {
+        return f64::INFINITY;
+    }
+    t
+}
+
+/// Lane isolation, with the verifier as every lane's oracle: each
+/// candidate of `batch` scores the same in `batch`, alone, and at every
+/// lane position of a full batch whose other lanes hold random
+/// structure-passing groups (a mate that fails the structural check would
+/// take no lane, so a singleton stands in for it). Scores are compared
+/// with `total_cmp`, so INF == INF passes and any ULP drift fails.
+fn assert_lanes_isolated(ev: &Evaluator<'_>, batch: &CandidateBatch, salt: u64, what: &str) {
+    let checker = PlanChecker::new(&ev.ctx.info);
+    let n = ev.ctx.n_kernels();
     let mut bs = BatchScratch::new();
-    let mut ss = SynthScratch::new();
     let mut times = Vec::new();
     let stats = ev.evaluate_uncached_batch(batch, &mut bs, &mut times);
     assert_eq!(times.len(), batch.len(), "{what}: one time per candidate");
     assert!(stats.batches >= 1 || batch.is_empty(), "{what}: stats");
+    let mut probe = CandidateBatch::new();
+    let mut got = Vec::new();
     for (i, &batched) in times.iter().enumerate() {
-        let scalar = ev.evaluate_uncached(batch.group(i), &mut ss).time_s;
+        let g = batch.group(i);
+        let want = oracle(ev, &checker, g, &mut bs);
         assert!(
-            scalar.total_cmp(&batched).is_eq(),
-            "{what}: candidate {i} ({:?}) batched {batched} != scalar {scalar}",
-            batch.group(i),
+            want.total_cmp(&batched).is_eq(),
+            "{what}: candidate {i} ({g:?}) batched {batched} != verifier {want}",
         );
+        probe.clear();
+        probe.push(g);
+        ev.evaluate_uncached_batch(&probe, &mut bs, &mut got);
+        assert!(
+            got[0].total_cmp(&batched).is_eq(),
+            "{what}: candidate {i} ({g:?}) alone {} != batched {batched}",
+            got[0],
+        );
+        for lane in 0..LANES {
+            probe.clear();
+            for j in 0..LANES {
+                if j == lane {
+                    probe.push(g);
+                    continue;
+                }
+                let mate = random_group(
+                    n,
+                    splitmix64(salt ^ ((i * LANES + j) as u64) << 8 ^ lane as u64),
+                );
+                if ev.ctx.check_group_structure(&mate, 0, &mut bs).is_ok() {
+                    probe.push(&mate);
+                } else {
+                    probe.push(&mate[..1]);
+                }
+            }
+            ev.evaluate_uncached_batch(&probe, &mut bs, &mut got);
+            assert!(
+                got[lane].total_cmp(&batched).is_eq(),
+                "{what}: candidate {i} ({g:?}) at lane {lane} {} != batched {batched}",
+                got[lane],
+            );
+        }
     }
 }
 
 #[test]
-fn batched_scoring_matches_scalar_on_every_gpu_model_and_fill() {
+fn lanes_are_isolated_on_every_gpu_model_and_fill() {
     for gpu in &gpus() {
         let ctx = context(14, 0xD1FF ^ splitmix64(gpu.name.len() as u64), gpu);
         let n = ctx.n_kernels();
@@ -98,9 +158,10 @@ fn batched_scoring_matches_scalar_on_every_gpu_model_and_fill() {
                             splitmix64((mi * 1000 + fill * 64 + base + c) as u64),
                         ));
                     }
-                    assert_batch_matches_scalar(
+                    assert_lanes_isolated(
                         &ev,
                         &batch,
+                        (mi * 100 + fill * 10 + base) as u64,
                         &format!("{} model {mi} fill {fill} base {base}", gpu.name),
                     );
                 }
@@ -156,8 +217,8 @@ fn group_batch_matches_sequential_group_probes() {
 }
 
 /// Every lane of `synthesize_batch` must agree field-for-field with the
-/// verifier's independently written `derive_spec` — the same oracle the
-/// scalar path is pinned against — including ragged fills 1..=8.
+/// verifier's independently written `derive_spec`, including ragged fills
+/// 1..=8.
 #[test]
 fn lane_specs_match_verifier_derive_spec() {
     for gpu in &gpus() {
@@ -166,16 +227,15 @@ fn lane_specs_match_verifier_derive_spec() {
         let checker = PlanChecker::new(&ctx.info);
         let mut scratch = BatchScratch::new();
         for fill in 1usize..=8 {
-            let mut batch = CandidateBatch::new();
-            for c in 0..fill {
-                batch.push(&random_group(n, splitmix64((fill * 16 + c) as u64)));
-            }
-            let cands: Vec<usize> = (0..fill).collect();
-            let view = synthesize_batch(&ctx.synth, &ctx.info, &batch, &cands, &mut scratch);
+            let groups: Vec<Vec<KernelId>> = (0..fill)
+                .map(|c| random_group(n, splitmix64((fill * 16 + c) as u64)))
+                .collect();
+            let cands: Vec<&[KernelId]> = groups.iter().map(Vec::as_slice).collect();
+            let view = synthesize_batch(&ctx.synth, &ctx.info, &cands, &mut scratch);
             assert_eq!(view.fill(), fill);
-            for l in 0..fill {
+            for (l, g) in groups.iter().enumerate() {
                 let ours = view.lane_spec(l);
-                let oracle = checker.derive_spec(batch.group(l));
+                let oracle = checker.derive_spec(g);
                 let what = format!("{} fill {fill} lane {l}", gpu.name);
                 assert_eq!(ours.members, oracle.members, "members {what}");
                 assert_eq!(ours.pivots, oracle.pivots, "pivots {what}");
@@ -198,10 +258,10 @@ fn lane_specs_match_verifier_derive_spec() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random workloads, random candidate mixes: batched == scalar
-    /// bitwise under the proposed model on all three GPU tables.
+    /// Random workloads, random candidate mixes: lane isolation under the
+    /// proposed model on all three GPU tables.
     #[test]
-    fn batched_scoring_matches_scalar_on_random_workloads(
+    fn lanes_are_isolated_on_random_workloads(
         seed in 0u64..10_000,
         kernels in 4usize..16,
     ) {
@@ -217,7 +277,7 @@ proptest! {
                     splitmix64(seed ^ (c as u64 * 0x9e37_79b9)),
                 ));
             }
-            assert_batch_matches_scalar(&ev, &batch, &format!("{} seed {seed}", gpu.name));
+            assert_lanes_isolated(&ev, &batch, seed, &format!("{} seed {seed}", gpu.name));
         }
     }
 }

@@ -458,8 +458,8 @@ impl<'a> PlanChecker<'a> {
     /// (pivot selection, cascaded halos, Eq. 6 registers, Eq. 7 padded
     /// SMEM, §II-C read-only-cache demotion) — the one deliberate
     /// duplicate of `kfuse-core`'s synthesis. Field-for-field equivalence
-    /// with `SynthTables::synthesize_into` is asserted by the differential
-    /// tests.
+    /// with every lane of `kfuse_core::batch::synthesize_batch` is
+    /// asserted by the differential tests.
     pub fn derive_spec(&self, group: &[KernelId]) -> GroupSpec {
         let info = self.info;
         let mut members = group.to_vec();

@@ -146,7 +146,7 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
   echo "== no cargo features outside vendor/"
   if grep -rnE 'cfg(_attr|!)?\(.*feature' crates src tests examples \
     || grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
-    echo "FAIL: cargo feature gate found (see DESIGN.md §13.4)"
+    echo "FAIL: cargo feature gate found (see DESIGN.md §11.6)"
     exit 1
   fi
   # One committed source per number: timings come from benchmark/
@@ -201,13 +201,22 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: relax.rs rebuilds expressions instead of renaming in place (see DESIGN.md §3.1)"
     exit 1
   fi
-  # One group synthesis in kfuse-core (DESIGN.md §11): `GroupSpec` is a
-  # `SpecView` materialized. The deleted second body aggregated into
-  # `BTreeMap`s over `&KernelMeta`s; either name in spec.rs means it is
-  # being written again.
+  # One group synthesis in kfuse-core (DESIGN.md §11): `GroupSpec` is one
+  # lane of the synthesis sweep materialized (`BatchView::lane_spec`). The
+  # deleted second body aggregated into `BTreeMap`s over `&KernelMeta`s;
+  # either name in spec.rs means it is being written again.
   echo "== one group synthesis in kfuse-core"
   if grep -nE 'BTreeMap|KernelMeta' crates/core/src/spec.rs; then
     echo "FAIL: spec.rs synthesizes on its own again (see DESIGN.md §11)"
+    exit 1
+  fi
+  # One synthesis sweep (DESIGN.md §11): a lone group is a one-lane batch
+  # of `synthesize_batch`; the scalar sweep, its borrowed view, its
+  # per-model projection route and its scoring unit were deleted.
+  echo "== one synthesis sweep"
+  if grep -rnE 'fn synthesize_into|struct SpecView|fn project_view|fn score_scalar|fn breakdown_view|struct SynthScratch' \
+    crates src tests; then
+    echo "FAIL: a second, scalar synthesis sweep is coming back (see DESIGN.md §11)"
     exit 1
   fi
   # One GA loop (DESIGN.md §8): the GA evolves one population; the

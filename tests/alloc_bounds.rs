@@ -11,9 +11,9 @@
 //! - the relaxation renames in place: it takes no more than the copy of
 //!   the program it returns, the dependency graph it reads, and a
 //!   constant per redundant copy it adds;
-//! - validating a plan allocates the specs it returns: one synthesis
-//!   scratch warmed once, then nothing per group but the group's own
-//!   three vectors;
+//! - validating a plan allocates the specs it returns: one lane scratch
+//!   (`BatchScratch`, each group synthesized as a one-lane batch) warmed
+//!   once, then nothing per group but the group's own three vectors;
 //! - re-checking a kept exact hit (`WarmSolver::serve_exact` with the
 //!   verifier's kept tables: the one-pass check and score, then the
 //!   verifier) takes one warm scratch, a constant, and a constant per
@@ -26,9 +26,9 @@
 //! memo's `alloc_free`.
 
 use kernel_fusion::prelude::*;
+use kfuse_core::batch::BatchScratch;
 use kfuse_core::depgraph::DependencyGraph;
 use kfuse_core::relax::relax_expandable;
-use kfuse_core::synth::SynthScratch;
 use kfuse_obs::ObsHandle;
 use kfuse_search::plancache::{CacheEntry, PlanCache, CACHE_VERSION};
 use kfuse_serve::Request;
@@ -162,11 +162,12 @@ fn validate_allocates_the_specs_it_returns_and_one_warm_scratch() {
     let plan = GreedySolver.solve(&ctx, &ProposedModel::default()).plan;
     assert!(plan.new_kernel_count() > 10, "SCALE-LES fuses many groups");
 
-    // What one scratch costs to warm to this program: its slot columns,
-    // output buffers and the two structural-check bitsets.
+    // What one scratch costs to warm to this program at fill 1: its lane
+    // columns, lane 0's output buffers and the two structural-check
+    // bitsets.
     let widest = plan.groups.iter().max_by_key(|g| g.len()).unwrap();
     let (_, warm_scratch) = counted(|| {
-        let mut scratch = SynthScratch::new();
+        let mut scratch = BatchScratch::new();
         ctx.check_group_with(widest, 0, &mut scratch).map(|_| ())
     });
 
@@ -190,7 +191,7 @@ fn validate_allocates_the_specs_it_returns_and_one_warm_scratch() {
 }
 
 /// The blocks one `serve_exact` of a kept program may take beyond a warm
-/// synthesis scratch: the plan's outer vectors, the partition and cover
+/// lane scratch: the plan's outer vectors, the partition and cover
 /// checks, the condensation scratches and the outcome.
 const HIT_FIXED_BLOCKS: u64 = 16;
 
@@ -242,7 +243,7 @@ fn an_exact_hit_rechecks_in_a_constant_plus_a_constant_per_group() {
 
             let widest = plan.groups.iter().max_by_key(|g| g.len()).unwrap();
             let (_, warm_scratch) = counted(|| {
-                let mut scratch = SynthScratch::new();
+                let mut scratch = BatchScratch::new();
                 ctx.check_group_with(widest, 0, &mut scratch).map(|_| ())
             });
             let (out, hit) = counted(|| {

@@ -1,18 +1,20 @@
 //! Differential testing of group synthesis: `kfuse-core`'s one synthesis
-//! (`SynthTables::synthesize_into`, materialized by `to_spec()`) against
+//! sweep (`synthesize_batch`, a lane materialized by `lane_spec`) against
 //! the one deliberate duplicate, the independent verifier's re-derivation
 //! (`PlanChecker::derive_spec`), on all ten `GroupSpec` fields — plus
 //! bitwise agreement of every performance model's `project` (over the
-//! verifier's spec) and `project_view` (over the core's view).
+//! verifier's spec) and `project_batch` (over the core's lanes), with the
+//! group alone in its batch (fill 1) and in lane 7 of a full one.
 //!
 //! Groups are sampled with no feasibility filter, so the sweep covers
 //! degenerate shapes (singletons, disconnected members, capacity
 //! violations) as well as profitable fusions, across all three GPU specs.
 
 use kernel_fusion::prelude::*;
+use kfuse_core::batch::{synthesize_batch, BatchScratch, LANES};
 use kfuse_core::metadata::ProgramInfo;
 use kfuse_core::spec::GroupSpec;
-use kfuse_core::synth::{SynthScratch, SynthTables};
+use kfuse_core::synth::SynthTables;
 use kfuse_ir::stencil::Offset;
 use kfuse_verify::PlanChecker;
 use kfuse_workloads::synth::{generate, SynthConfig};
@@ -86,32 +88,39 @@ fn check_program_on(gpu: &GpuSpec, seed: u64, kernels: usize) {
     let (_, ctx) = pipeline::prepare(&p, gpu, FpPrecision::Double);
     let checker = PlanChecker::new(&ctx.info);
     let models = models();
-    let mut scratch = SynthScratch::new();
+    let mut scratch = BatchScratch::new();
     let mut state = seed ^ 0x5EED_CAFE;
-    for _ in 0..32 {
+    // Batch-mates for the full-batch lane: the previous groups drawn.
+    let mut mates: Vec<Vec<KernelId>> = vec![vec![KernelId(0)]; LANES - 1];
+    for i in 0..32 {
         let group = random_group(ctx.n_kernels(), &mut state);
-
-        // The independent verifier re-derives the spec the core
-        // synthesizes...
         let derived = checker.derive_spec(&group);
-        let view = ctx.synth.synthesize_into(&ctx.info, &group, &mut scratch);
-        assert_specs_eq(
-            &view.to_spec(),
-            &derived,
-            &format!("core vs verifier, {} {group:?}", gpu.name),
-        );
-        // ...and every model projects the two bitwise identically.
-        for m in &models {
-            let spec_t = m.project(&ctx.info, &derived);
-            let view_t = m.project_view(&ctx.info, &view);
-            assert_eq!(
-                spec_t.to_bits(),
-                view_t.to_bits(),
-                "{} project vs project_view, {} {group:?}",
-                m.name(),
-                gpu.name
+        let mut full: Vec<&[KernelId]> = mates.iter().map(Vec::as_slice).collect();
+        full.push(&group);
+        for (cands, lane) in [(vec![&group[..]], 0), (full, LANES - 1)] {
+            let what = format!("{} {group:?} fill {}", gpu.name, cands.len());
+            // The independent verifier re-derives the spec the core
+            // synthesizes...
+            let view = synthesize_batch(&ctx.synth, &ctx.info, &cands, &mut scratch);
+            assert_specs_eq(
+                &view.lane_spec(lane),
+                &derived,
+                &format!("core vs verifier, {what}"),
             );
+            // ...and every model projects the two bitwise identically.
+            for m in &models {
+                let mut lane_t = [f64::NAN; LANES];
+                m.project_batch(&ctx.info, &view, &mut lane_t);
+                let spec_t = m.project(&ctx.info, &derived);
+                assert_eq!(
+                    spec_t.to_bits(),
+                    lane_t[lane].to_bits(),
+                    "{} project vs project_batch, {what}",
+                    m.name(),
+                );
+            }
         }
+        mates[i % (LANES - 1)] = group;
     }
 }
 
@@ -134,7 +143,7 @@ fn check_all_subsets(p: &Program, gpu: &GpuSpec) {
     let info = ProgramInfo::extract(p, gpu, FpPrecision::Double);
     let tables = SynthTables::build(&info);
     let checker = PlanChecker::new(&info);
-    let mut scratch = SynthScratch::new();
+    let mut scratch = BatchScratch::new();
     let n = info.kernels.len() as u32;
     for pass in 0..2 {
         for mask in 1u32..(1 << n) {
@@ -142,9 +151,9 @@ fn check_all_subsets(p: &Program, gpu: &GpuSpec) {
                 .filter(|k| mask & (1 << k) != 0)
                 .map(KernelId)
                 .collect();
-            let view = tables.synthesize_into(&info, &group, &mut scratch);
+            let view = synthesize_batch(&tables, &info, &[&group], &mut scratch);
             assert_specs_eq(
-                &view.to_spec(),
+                &view.lane_spec(0),
                 &checker.derive_spec(&group),
                 &format!("{} mask {mask:b} pass {pass} on {}", p.name, gpu.name),
             );
