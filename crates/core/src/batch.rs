@@ -437,6 +437,9 @@ pub fn synthesize_batch<'s>(
     produced_words.fill([0; LANES]);
     let mut m_len = [0usize; LANES];
     for (l, &g) in cands.iter().enumerate() {
+        // Eq. 6's `2 * (m_len - 1)` and every per-lane sweep assume one
+        // member at least; plan checks reject empty groups before this.
+        debug_assert!(!g.is_empty(), "lane {l} is an empty group");
         let mem = &mut members[l];
         mem.clear();
         mem.extend_from_slice(g);
@@ -1040,6 +1043,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lane 1 is an empty group")]
+    fn an_empty_lane_is_refused_in_debug_builds() {
+        // Plan checks reject empty groups before synthesis; a lane that
+        // still arrives empty trips the guard, not Eq. 6's `m_len - 1`.
+        let info = ProgramInfo::extract(&chain_program(), &GpuSpec::k20x(), FpPrecision::Double);
+        let tables = SynthTables::build(&info);
+        let g = [KernelId(0), KernelId(1)];
+        synthesize_batch(&tables, &info, &[&g, &[]], &mut BatchScratch::new());
     }
 
     /// `score_into` gives every candidate of a multi-sweep batch the score

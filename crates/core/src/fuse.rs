@@ -33,6 +33,8 @@ pub enum FuseError {
     MissingKernel(KernelId),
     /// The plan lists a kernel more than once.
     DuplicateKernel(KernelId),
+    /// The group at this index has no members.
+    EmptyGroup(usize),
 }
 
 impl std::fmt::Display for FuseError {
@@ -47,6 +49,7 @@ impl std::fmt::Display for FuseError {
             FuseError::UnknownKernel(k) => write!(f, "plan references unknown kernel {k}"),
             FuseError::MissingKernel(k) => write!(f, "plan leaves out kernel {k}"),
             FuseError::DuplicateKernel(k) => write!(f, "plan lists kernel {k} twice"),
+            FuseError::EmptyGroup(gi) => write!(f, "group {gi} is empty"),
         }
     }
 }
@@ -125,8 +128,9 @@ pub fn condensation_order(
 /// scratch buffers. The returned slice borrows `scratch.order` and is
 /// valid until the next call.
 ///
-/// The groups must partition the kernels of `exec`: an unknown, missing
-/// or repeated kernel is an error naming it. On a cycle,
+/// The groups must partition the kernels of `exec` into non-empty groups:
+/// an empty group, or an unknown, missing or repeated kernel, is an error
+/// naming it. On a cycle,
 /// [`FuseError::OrderCycle`]'s first index is the first group, in
 /// grouping order, that Kahn's pass leaves stuck.
 pub fn condensation_order_with<'s, G: Grouping + ?Sized>(
@@ -143,6 +147,9 @@ pub fn condensation_order_with<'s, G: Grouping + ?Sized>(
     let mut assigned = 0;
     for gi in 0..n_groups {
         let g = groups.group(gi);
+        if g.is_empty() {
+            return Err(FuseError::EmptyGroup(gi));
+        }
         for &k in g {
             let slot = scratch
                 .group_of
@@ -488,6 +495,22 @@ mod tests {
             condensation_order(&plan, &exec),
             Err(FuseError::MissingKernel(KernelId(1)))
         );
+    }
+
+    #[test]
+    fn a_plan_with_an_empty_group_is_rejected() {
+        // Kahn's pass keys every ready group by its first member; an empty
+        // group must be an error before that, not an index panic.
+        let exec = ExecOrderGraph::build(&program());
+        let g = |ks: &[u32]| ks.iter().map(|&k| KernelId(k)).collect::<Vec<_>>();
+        let plan = FusionPlan {
+            groups: vec![g(&[0, 1]), g(&[]), g(&[2]), g(&[3])],
+        };
+        assert_eq!(
+            condensation_order(&plan, &exec),
+            Err(FuseError::EmptyGroup(1))
+        );
+        assert_eq!(FuseError::EmptyGroup(1).to_string(), "group 1 is empty");
     }
 
     #[test]

@@ -64,6 +64,6 @@ pub use fingerprint::{kernel_colors, kernel_signatures, program_fingerprint};
 pub use kinship::ShareGraph;
 pub use metadata::{KernelMeta, ProgramInfo};
 pub use model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};
-pub use plan::{FusionPlan, PlanError};
+pub use plan::{FusionPlan, PlanError, ScoreScratch};
 pub use spec::GroupSpec;
 pub use synth::SynthTables;

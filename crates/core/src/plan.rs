@@ -88,6 +88,11 @@ pub enum PlanError {
         /// A kernel appearing zero or several times (first found).
         kernel: KernelId,
     },
+    /// A group has no members: the parts of a partition are non-empty.
+    EmptyGroup {
+        /// Index of the empty group.
+        group: usize,
+    },
     /// Constraint 1.3: a kernel outside the group lies on a dependency
     /// path between two members.
     PathClosure {
@@ -150,6 +155,9 @@ impl fmt::Display for PlanError {
             PlanError::NotPartition { kernel } => {
                 write!(f, "plan is not a partition (kernel {kernel})")
             }
+            PlanError::EmptyGroup { group } => {
+                write!(f, "plan is not a partition (group {group} is empty)")
+            }
             PlanError::PathClosure { group, violator } => {
                 write!(
                     f,
@@ -192,6 +200,25 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+/// The reusable buffers of [`PlanContext::check_and_score`]: the
+/// partition marks, a group re-sort buffer, the synthesis lanes and the
+/// condensation pass. A check against a scratch warmed on the same
+/// program allocates nothing.
+#[derive(Default)]
+pub struct ScoreScratch {
+    seen: Vec<bool>,
+    sorted: Vec<KernelId>,
+    batch: BatchScratch,
+    cond: CondensationScratch,
+}
+
+impl ScoreScratch {
+    /// Fresh scratch; buffers grow on first use and are then reused.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
 
 /// Pre-computed context for constraint checks: graphs plus metadata.
 pub struct PlanContext {
@@ -394,11 +421,16 @@ impl PlanContext {
         Ok(projected)
     }
 
-    /// Partition validity (1.2/1.4): every kernel in exactly one group.
-    fn check_partition(&self, plan: &FusionPlan) -> Result<(), PlanError> {
+    /// Partition validity (1.2/1.4): every kernel in exactly one group,
+    /// and no group empty. `seen` is scratch for the kernel marks.
+    fn check_partition(&self, plan: &FusionPlan, seen: &mut Vec<bool>) -> Result<(), PlanError> {
         let n = self.n_kernels();
-        let mut seen = vec![false; n];
-        for g in &plan.groups {
+        seen.clear();
+        seen.resize(n, false);
+        for (gi, g) in plan.groups.iter().enumerate() {
+            if g.is_empty() {
+                return Err(PlanError::EmptyGroup { group: gi });
+            }
             for &k in g {
                 if k.index() >= n || seen[k.index()] {
                     return Err(PlanError::NotPartition { kernel: k });
@@ -417,7 +449,7 @@ impl PlanContext {
     /// Validate an entire plan: partition validity plus the structural
     /// constraints of every group. Returns the synthesized specs.
     pub fn validate(&self, plan: &FusionPlan) -> Result<Vec<GroupSpec>, PlanError> {
-        self.check_partition(plan)?;
+        self.check_partition(plan, &mut Vec::new())?;
         let mut scratch = BatchScratch::new();
         plan.groups
             .iter()
@@ -440,14 +472,23 @@ impl PlanContext {
     /// [`crate::batch::score_into`], members sorted) and the sum is taken
     /// in the same order. A group whose projection is not finite is
     /// [`PlanError::Unprofitable`].
+    ///
+    /// The buffers are the caller's: one that checks the same program
+    /// again (the daemon, for its kept contexts) keeps one
+    /// [`ScoreScratch`] beside it.
     pub fn check_and_score(
         &self,
         plan: &FusionPlan,
         model: &dyn PerfModel,
+        scratch: &mut ScoreScratch,
     ) -> Result<f64, PlanError> {
-        self.check_partition(plan)?;
-        let mut scratch = BatchScratch::new();
-        let mut sorted = Vec::new();
+        let ScoreScratch {
+            seen,
+            sorted,
+            batch,
+            cond,
+        } = scratch;
+        self.check_partition(plan, seen)?;
         let mut times = [f64::INFINITY; LANES];
         let mut total = 0.0;
         for (gi, g) in plan.groups.iter().enumerate() {
@@ -459,7 +500,7 @@ impl PlanContext {
                 sorted.sort_unstable();
                 sorted.as_slice()
             };
-            let view = self.check_group_with(g, gi, &mut scratch)?;
+            let view = self.check_group_with(g, gi, batch)?;
             model.project_batch(&self.info, &view, &mut times);
             let projected = times[0];
             let original_sum = self.info.original_sum(g);
@@ -472,11 +513,10 @@ impl PlanContext {
             }
             total += projected;
         }
-        if plan.groups.iter().any(|g| g.len() >= 2) {
-            let mut condensation = CondensationScratch::new();
-            if condensation_order_with(plan, &self.exec, &mut condensation).is_err() {
-                return Err(PlanError::CondensationCycle);
-            }
+        if plan.groups.iter().any(|g| g.len() >= 2)
+            && condensation_order_with(plan, &self.exec, cond).is_err()
+        {
+            return Err(PlanError::CondensationCycle);
         }
         Ok(total)
     }
@@ -575,6 +615,14 @@ mod tests {
             ctx.validate(&plan),
             Err(PlanError::NotPartition { .. })
         ));
+        // Every kernel once, but an empty group beside them.
+        let mut plan = FusionPlan::identity(4);
+        plan.groups.push(Vec::new());
+        let err = PlanError::EmptyGroup { group: 4 };
+        assert_eq!(ctx.validate(&plan).unwrap_err(), err);
+        let model = ProposedModel::default();
+        let scratch = &mut ScoreScratch::new();
+        assert_eq!(ctx.check_and_score(&plan, &model, scratch), Err(err));
     }
 
     #[test]

@@ -13,14 +13,23 @@
 //! * **Sharding.** Groups hash to one of `SHARD_COUNT` independent
 //!   shards by an order-insensitive 64-bit fingerprint, so the memo grows
 //!   in sixteen small steps rather than one large one.
-//! * **Arena-backed shards.** A shard is a fingerprint → chain-head map,
-//!   one entry list and one member-id arena the entries point into; a
-//!   miss appends to those three and allocates nothing beyond their
-//!   amortized growth, and dropping a shard is three frees.
-//! * **Allocation-free probes.** The probe key is the group sorted into a
-//!   stack buffer (beyond `STACK_KEY` members, into a buffer the
-//!   evaluator's scratch owns). Entries are compared by their full sorted
-//!   member list, so fingerprint collisions are correctness-neutral.
+//! * **One slot per group.** A shard is an open-addressed slot table
+//!   (linear probing, power-of-two capacity grown at ¾ load, 24-byte
+//!   slots of fingerprint, eval, key offset and key length) and one byte
+//!   arena holding each group's sorted member ids LEB128 delta-encoded —
+//!   about a byte per member. A miss appends to those two and allocates
+//!   nothing beyond their amortized growth; dropping a shard is two
+//!   frees. The arena's offsets are `u32`: a shard whose arena would pass
+//!   4 GiB stores nothing more and keeps answering by recomputing. A
+//!   memoized pair or triple costs about 43 bytes (`alloc_free.rs`), and
+//!   `cold_mid` peaks at 38.8 MiB RSS (DESIGN.md §8.2).
+//! * **Allocation-free, exact probes.** The probe key is the group sorted
+//!   into a stack buffer (beyond `STACK_KEY` members, into a buffer the
+//!   evaluator's scratch owns). The shard comes from the fingerprint's
+//!   low bits, the home slot from the bits above them; a slot answers
+//!   only if its stored bytes decode to exactly the sorted key, so
+//!   fingerprint collisions are correctness-neutral and a hit encodes
+//!   nothing.
 //! * **Singleton bypass.** Per-kernel baseline costs are precomputed into
 //!   a dense array at construction; singleton groups never touch the memo.
 //! * **One synthesis sweep.** Every miss is scored by
@@ -46,8 +55,6 @@ use kfuse_obs::{
     ratio, Counter, MetricsRegistry, MetricsSnapshot, ObsHandle, SpanId, WORKER_TRACK_BASE,
 };
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Number of memo shards. A power of two so the shard index is a mask of
@@ -78,60 +85,61 @@ impl GroupEval {
     }
 }
 
-/// Identity hasher for the shard maps: the group fingerprint is already
-/// splitmix64-mixed, so re-hashing it through SipHash would only burn
-/// cycles on the hit path.
-#[derive(Default)]
-struct FingerprintHasher(u64);
+/// Low fingerprint bits that pick the shard; the slot index is taken from
+/// the bits above them.
+const SHARD_BITS: u32 = SHARD_COUNT.trailing_zeros();
 
-impl Hasher for FingerprintHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("shard keys are hashed via write_u64 only");
-    }
-}
-
-/// End-of-chain marker for [`Shard::heads`] values and [`Entry::next`].
-const NIL: u32 = u32::MAX;
-
-/// Exclusive bound on a shard's entry indices and key-arena offsets (both
-/// are stored as `u32`, and [`NIL`] is reserved).
+/// Exclusive bound on a shard's key-arena offsets (stored as `u32`).
 const OFFSET_LIMIT: usize = u32::MAX as usize;
 
-/// One memoized group: its sorted member list is
-/// `keys[key_off..key_off + key_len]` of the owning shard.
-struct Entry {
-    key_off: u32,
-    key_len: u32,
-    /// Next entry with the same fingerprint, or [`NIL`].
-    next: u32,
+/// Capacity of a shard's first slot table.
+const MIN_SLOTS: usize = 16;
+
+/// One slot of a shard's table: a memoized group's fingerprint and eval,
+/// and where its encoded members sit in the shard's key arena
+/// (`keys[key_off..key_off + key_len]`). 24 bytes.
+#[derive(Clone, Copy)]
+struct Slot {
+    fp: u64,
     eval: GroupEval,
+    key_off: u32,
+    /// Encoded key bytes. Every stored key is at least one byte long, so
+    /// 0 marks a free slot.
+    key_len: u32,
 }
 
-/// One memo shard. `heads` maps a fingerprint to the newest entry carrying
-/// it; entries with equal fingerprints chain through [`Entry::next`] and
-/// are told apart by their full member list (in practice a chain holds a
-/// single entry). Nothing is ever evicted, so indices and offsets are
-/// stable for the evaluator's lifetime.
+/// An unoccupied slot.
+const FREE: Slot = Slot {
+    fp: 0,
+    eval: GroupEval { time_s: 0.0 },
+    key_off: 0,
+    key_len: 0,
+};
+
+/// One memo shard: an open-addressed slot table and the byte arena its
+/// keys live in. Slots are probed linearly from the fingerprint's home
+/// index and told apart by their full member list (the fingerprint only
+/// filters), so collisions are exact. Nothing is ever evicted, so arena
+/// offsets are stable for the evaluator's lifetime.
 struct Shard {
-    heads: HashMap<u64, u32, BuildHasherDefault<FingerprintHasher>>,
-    entries: Vec<Entry>,
-    keys: Vec<KernelId>,
+    /// Power-of-two capacity (empty before the first insert), at most
+    /// three quarters occupied so every probe ends on a free slot.
+    slots: Vec<Slot>,
+    /// Occupied slots.
+    len: usize,
+    /// Every stored group's sorted members, LEB128 delta-encoded by
+    /// [`encode_key`], back to back.
+    keys: Vec<u8>,
     /// [`OFFSET_LIMIT`] in every evaluator; tests lower it to reach the
-    /// full-shard path without filling 16 GiB of keys.
+    /// full-shard path without filling 4 GiB of keys.
     limit: usize,
 }
 
 impl Shard {
     fn new(limit: usize) -> Self {
         Shard {
-            heads: HashMap::default(),
-            entries: Vec::new(),
+            slots: Vec::new(),
+            len: 0,
             keys: Vec::new(),
             limit,
         }
@@ -140,37 +148,119 @@ impl Shard {
     /// The memoized eval of the group with fingerprint `fp` and sorted
     /// members `key`.
     fn get(&self, fp: u64, key: &[KernelId]) -> Option<GroupEval> {
-        let mut i = *self.heads.get(&fp)?;
-        while i != NIL {
-            let e = &self.entries[i as usize];
-            let off = e.key_off as usize;
-            if &self.keys[off..off + e.key_len as usize] == key {
-                return Some(e.eval);
-            }
-            i = e.next;
+        if self.slots.is_empty() {
+            return None;
         }
-        None
+        let mask = self.slots.len() - 1;
+        let mut i = home(fp, mask);
+        loop {
+            let s = &self.slots[i];
+            if s.key_len == 0 {
+                return None;
+            }
+            let off = s.key_off as usize;
+            if s.fp == fp && key_matches(&self.keys[off..off + s.key_len as usize], key) {
+                return Some(s.eval);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// Memoize `eval` for `key`, which the caller has just missed on. A
-    /// shard whose entry list or key arena would pass [`Shard::limit`]
-    /// stores nothing.
+    /// shard whose key arena would pass [`Shard::limit`] stores nothing,
+    /// and neither does an empty key.
     fn insert(&mut self, fp: u64, key: &[KernelId], eval: GroupEval) {
         debug_assert!(self.get(fp, key).is_none(), "{key:?} memoized twice");
-        let idx = self.entries.len();
         let off = self.keys.len();
-        if idx >= self.limit || off.saturating_add(key.len()) > self.limit {
+        encode_key(key, &mut self.keys);
+        let len = self.keys.len() - off;
+        if len == 0 || self.keys.len() > self.limit {
+            self.keys.truncate(off);
             return;
         }
-        let next = self.heads.insert(fp, idx as u32).unwrap_or(NIL);
-        self.entries.push(Entry {
-            key_off: off as u32,
-            key_len: key.len() as u32,
-            next,
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let i = self.free_slot(fp);
+        self.slots[i] = Slot {
+            fp,
             eval,
-        });
-        self.keys.extend_from_slice(key);
+            key_off: off as u32,
+            key_len: len as u32,
+        };
+        self.len += 1;
     }
+
+    /// Double the table (or make the first one) and re-place every slot
+    /// by its stored fingerprint; keys are not touched.
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![FREE; cap]);
+        for s in old.into_iter().filter(|s| s.key_len != 0) {
+            let i = self.free_slot(s.fp);
+            self.slots[i] = s;
+        }
+    }
+
+    /// The first free slot on `fp`'s probe sequence.
+    fn free_slot(&self, fp: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = home(fp, mask);
+        while self.slots[i].key_len != 0 {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+}
+
+/// Home slot of fingerprint `fp` in a table of `mask + 1` slots: the bits
+/// above the shard index.
+fn home(fp: u64, mask: usize) -> usize {
+    (fp >> SHARD_BITS) as usize & mask
+}
+
+/// Append the sorted `key` to `out`: the first id, then each gap to the
+/// previous id, every number LEB128-encoded (low seven bits first, the
+/// high bit set on all but a number's last byte). Member ids of nearby
+/// kernels make most gaps one byte. Gaps wrap, so [`key_matches`] stays
+/// exact even for a key that is not sorted.
+fn encode_key(key: &[KernelId], out: &mut Vec<u8>) {
+    let mut prev = 0;
+    for &KernelId(k) in key {
+        let mut gap = k.wrapping_sub(prev);
+        prev = k;
+        while gap >= 0x80 {
+            out.push(gap as u8 | 0x80);
+            gap >>= 7;
+        }
+        out.push(gap as u8);
+    }
+}
+
+/// True if `bytes` is exactly [`encode_key`] of the sorted `key`: decoded
+/// against it member by member, with nothing left over.
+fn key_matches(mut bytes: &[u8], key: &[KernelId]) -> bool {
+    let mut prev = 0u32;
+    for &KernelId(k) in key {
+        let mut gap = 0u32;
+        let mut shift = 0;
+        loop {
+            let Some((&b, rest)) = bytes.split_first() else {
+                return false;
+            };
+            bytes = rest;
+            gap |= u32::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+            shift += 7;
+        }
+        prev = prev.wrapping_add(gap);
+        if prev != k {
+            return false;
+        }
+    }
+    bytes.is_empty()
 }
 
 /// The evaluator's reusable buffers. Every buffer is retained across
@@ -740,8 +830,37 @@ mod tests {
         GroupEval { time_s }
     }
 
+    /// Every stored key of `shard`, decoded, in slot order.
+    fn stored_keys(shard: &Shard) -> Vec<Vec<u32>> {
+        shard
+            .slots
+            .iter()
+            .filter(|s| s.key_len != 0)
+            .map(|s| {
+                let off = s.key_off as usize;
+                let mut bytes = &shard.keys[off..off + s.key_len as usize];
+                let mut key = Vec::new();
+                let mut prev = 0u32;
+                while !bytes.is_empty() {
+                    let (mut gap, mut shift) = (0u32, 0);
+                    while let Some((&b, rest)) = bytes.split_first() {
+                        bytes = rest;
+                        gap |= u32::from(b & 0x7f) << shift;
+                        shift += 7;
+                        if b < 0x80 {
+                            break;
+                        }
+                    }
+                    prev += gap;
+                    key.push(prev);
+                }
+                key
+            })
+            .collect()
+    }
+
     #[test]
-    fn colliding_fingerprints_chain_without_aliasing() {
+    fn colliding_fingerprints_probe_without_aliasing() {
         // Two distinct keys forced onto one fingerprint: both stay
         // retrievable, neither answers for the other or for a third key.
         let mut shard = Shard::new(OFFSET_LIMIT);
@@ -752,28 +871,102 @@ mod tests {
         assert_eq!(shard.get(7, &b), Some(t(2.0)));
         assert_eq!(shard.get(7, &c), None);
         assert_eq!(shard.get(8, &a), None);
-        assert_eq!((shard.heads.len(), shard.entries.len()), (1, 2));
-        assert_eq!(shard.keys, ids(&[1, 2, 3, 4, 5]));
+        assert_eq!(shard.len, 2);
+        // One home slot, so the second key sits in the next one.
+        let home = home(7, shard.slots.len() - 1);
+        assert_eq!(shard.slots[home].fp, 7);
+        assert_eq!(shard.slots[(home + 1) % shard.slots.len()].fp, 7);
+        assert_eq!(stored_keys(&shard), [vec![1, 2], vec![3, 4, 5]]);
+        // First id, then gaps: 1, 1 and 3, 1, 1.
+        assert_eq!(shard.keys, [1, 1, 3, 1, 1]);
+    }
+
+    #[test]
+    fn leb128_boundaries_round_trip_as_first_id_and_as_gap() {
+        // Each boundary value stored once as a key's first id and once as
+        // the gap after it, beside a one-byte number (gap 1, first id 0):
+        // every key answers for itself only, and takes exactly the bytes
+        // its numbers need.
+        let edges = [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (1 << 21, 4),
+            (u32::MAX - 1, 5),
+        ];
+        let mut shard = Shard::new(OFFSET_LIMIT);
+        let mut keys = Vec::new();
+        for (i, &(v, bytes)) in edges.iter().enumerate() {
+            let first = ids(&[v, v.saturating_add(1)]);
+            let gap = ids(&[0, v]);
+            for key in [first, gap] {
+                let before = shard.keys.len();
+                shard.insert(fingerprint(&key), &key, t(i as f64));
+                assert_eq!(shard.keys.len() - before, bytes + 1, "{key:?}");
+                keys.push((key, t(i as f64)));
+            }
+        }
+        assert_eq!(keys[0].0, ids(&[0, 1]));
+        assert_eq!(keys[1].0, ids(&[0, 0]));
+        for (key, eval) in &keys {
+            assert_eq!(shard.get(fingerprint(key), key), Some(*eval), "{key:?}");
+            // The same fingerprint with the last member moved by one misses.
+            let mut near = key.clone();
+            let last = near.last_mut().unwrap();
+            last.0 = last.0.wrapping_sub(1);
+            assert_eq!(shard.get(fingerprint(key), &near), None, "{near:?}");
+        }
+        let stored: Vec<Vec<u32>> = keys
+            .iter()
+            .map(|(k, _)| k.iter().map(|k| k.0).collect())
+            .collect();
+        let mut found = stored_keys(&shard);
+        found.sort();
+        let mut want = stored.clone();
+        want.sort();
+        assert_eq!(found, want);
+    }
+
+    #[test]
+    fn a_repeated_member_never_answers_for_the_set() {
+        // [3, 3, 5] encodes as 3, 0, 2 and [3, 5] as 3, 2: under one
+        // forced fingerprint neither answers for the other.
+        let (dup, set) = (ids(&[3, 3, 5]), ids(&[3, 5]));
+        let mut shard = Shard::new(OFFSET_LIMIT);
+        shard.insert(9, &dup, t(1.0));
+        assert_eq!(shard.get(9, &set), None);
+        shard.insert(9, &set, t(2.0));
+        assert_eq!(shard.get(9, &dup), Some(t(1.0)));
+        assert_eq!(shard.get(9, &set), Some(t(2.0)));
+        let mut shard = Shard::new(OFFSET_LIMIT);
+        shard.insert(9, &set, t(2.0));
+        assert_eq!(shard.get(9, &dup), None);
+        assert_eq!(shard.get(9, &ids(&[3, 5, 5])), None);
     }
 
     #[test]
     fn full_shard_returns_evals_without_memoizing() {
-        // A shard at its offset high-water mark (faked: the real one is
-        // u32::MAX) takes no further entries, and neither wraps nor panics.
+        // A shard at its arena high-water mark (faked: the real one is
+        // u32::MAX) takes no further keys, and neither wraps nor panics.
         let mut shard = Shard::new(4);
         shard.insert(1, &ids(&[0, 1, 2]), t(1.0));
         // Key arena would pass the limit (3 + 2 > 4).
         shard.insert(2, &ids(&[0, 1]), t(2.0));
         assert_eq!(shard.get(2, &ids(&[0, 1])), None);
-        assert_eq!(shard.heads.len(), 1, "no head may point at a refused entry");
+        assert_eq!(shard.len, 1, "no slot may point at a refused key");
+        assert_eq!(shard.keys.len(), 3);
         // What was stored before still answers.
         assert_eq!(shard.get(1, &ids(&[0, 1, 2])), Some(t(1.0)));
-        // Entry list at the limit, key arena not.
-        let mut shard = Shard::new(1);
-        shard.insert(1, &ids(&[0]), t(1.0));
-        shard.insert(2, &[], t(2.0));
-        assert_eq!(shard.get(2, &[]), None);
-        assert_eq!(shard.entries.len(), 1);
+        // An empty key would read as a free slot, so it is never stored.
+        shard.insert(3, &[], t(3.0));
+        assert_eq!((shard.get(3, &[]), shard.len), (None, 1));
+        // A shard with no room at all keeps no key and makes no table.
+        let mut shard = Shard::new(0);
+        shard.insert(1, &ids(&[0, 1]), t(1.0));
+        assert_eq!(shard.get(1, &ids(&[0, 1])), None);
+        assert_eq!((shard.slots.capacity(), shard.keys.len()), (0, 0));
 
         // Through the evaluator: every probe of the refused group is a
         // miss that recomputes the same eval.
@@ -787,10 +980,31 @@ mod tests {
         }
         let mut cands = CandidateBatch::new();
         let mut out = Vec::new();
-        cands.push(&ids(&[1, 0]));
-        ev.group_batch(&cands, &mut out);
-        assert_eq!((ev.group(&ids(&[0, 1])), out[0]), (expect, expect));
-        assert_eq!(ev.evaluations(), misses + 2);
+        for round in 1..=3 {
+            cands.clear();
+            cands.push(&ids(&[1, 0]));
+            ev.group_batch(&cands, &mut out);
+            assert_eq!((ev.group(&ids(&[0, 1])), out[0]), (expect, expect));
+            assert_eq!(ev.evaluations(), misses + 2 * round);
+        }
+    }
+
+    #[test]
+    fn slot_tables_grow_at_three_quarters_and_keep_every_key() {
+        // 1 000 distinct keys into one shard: the table stays a power of
+        // two at most three quarters full, and every key still answers.
+        let mut shard = Shard::new(OFFSET_LIMIT);
+        let keys: Vec<Vec<KernelId>> = (0..1000u32).map(|i| ids(&[i, i + 1 + i % 300])).collect();
+        for (i, key) in keys.iter().enumerate() {
+            shard.insert(fingerprint(key), key, t(i as f64));
+            let cap = shard.slots.len();
+            assert!(cap.is_power_of_two() && 4 * shard.len <= 3 * cap);
+        }
+        assert_eq!(shard.slots.len(), 2048);
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(shard.get(fingerprint(key), key), Some(t(i as f64)));
+        }
     }
 
     #[test]
@@ -831,9 +1045,10 @@ mod tests {
         let mut stored = std::collections::HashSet::new();
         for shard in &ev.shards {
             let shard = shard.borrow();
-            for e in &shard.entries {
-                let off = e.key_off as usize;
-                let key = shard.keys[off..off + e.key_len as usize].to_vec();
+            let keys = stored_keys(&shard);
+            assert_eq!(keys.len(), shard.len);
+            for key in keys {
+                assert_eq!(key.len(), 2);
                 assert!(stored.insert(key), "a key is stored twice");
             }
         }

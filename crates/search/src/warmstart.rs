@@ -27,7 +27,7 @@ use crate::partition::HggaHierSolver;
 use crate::plancache::{CacheEntry, PlanCache, CACHE_VERSION};
 use kfuse_core::model::PerfModel;
 use kfuse_core::pipeline::{SolveOutcome, SolveStats, Solver};
-use kfuse_core::plan::PlanContext;
+use kfuse_core::plan::{PlanContext, ScoreScratch};
 use kfuse_obs::{Counter, Gauge, MetricsRegistry, ObsHandle, SpanId};
 use kfuse_verify::{CheckerTables, PlanChecker};
 use std::path::PathBuf;
@@ -156,7 +156,7 @@ impl WarmSolver {
         // program is identified once per context (the daemon reads the
         // same identity for its response).
         if let Some(shared) = cache {
-            if let Some(served) = self.serve_exact(ctx, None, model, obs, shared) {
+            if let Some(served) = self.serve_exact(ctx, None, None, model, obs, shared) {
                 return served;
             }
             reg.incr(Counter::CacheProbes);
@@ -223,6 +223,8 @@ impl WarmSolver {
     /// that kept a context of the program can serve a repeat without
     /// preparing it again — the daemon does, and keeps the verifier's
     /// per-program `tables` beside it; without them they are built here.
+    /// It keeps the check's `scratch` there too: a repeat takes it when
+    /// no other worker holds it, and checks on a fresh one when one does.
     ///
     /// `None` when no entry serves; then nothing is counted or recorded,
     /// and the caller solving on counts its probe once.
@@ -230,6 +232,7 @@ impl WarmSolver {
         &self,
         ctx: &PlanContext,
         tables: Option<&CheckerTables>,
+        scratch: Option<&Mutex<ScoreScratch>>,
         model: &dyn PerfModel,
         obs: ObsHandle<'_>,
         cache: &Mutex<PlanCache>,
@@ -240,7 +243,14 @@ impl WarmSolver {
             let c = lock(cache);
             (c.lookup_exact(fp), c.len() as u64)
         };
-        let served = try_serve(ctx, tables, model, exact?.as_ref())?;
+        let entry = exact?;
+        let mut fresh = None;
+        let mut kept = scratch.and_then(|m| m.try_lock().ok());
+        let scratch = match kept.as_deref_mut() {
+            Some(kept) => kept,
+            None => fresh.insert(ScoreScratch::new()),
+        };
+        let served = try_serve(ctx, tables, scratch, model, &entry)?;
         let reg = MetricsRegistry::new();
         reg.incr(Counter::CacheProbes);
         reg.incr(Counter::CacheHits);
@@ -262,6 +272,7 @@ impl WarmSolver {
 fn try_serve(
     ctx: &PlanContext,
     tables: Option<&CheckerTables>,
+    scratch: &mut ScoreScratch,
     model: &dyn PerfModel,
     entry: &CacheEntry,
 ) -> Option<SolveOutcome> {
@@ -269,7 +280,7 @@ fn try_serve(
         return None;
     }
     let plan = entry.plan()?;
-    let objective = ctx.check_and_score(&plan, model).ok()?;
+    let objective = ctx.check_and_score(&plan, model, scratch).ok()?;
     let checker = match tables {
         Some(tables) => PlanChecker::with_tables(&ctx.info, tables),
         None => PlanChecker::new(&ctx.info),

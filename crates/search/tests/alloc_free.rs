@@ -6,9 +6,10 @@
 //! [`Evaluator::evaluate_uncached_batch`] (structure checks + synthesis +
 //! `project_batch` + profitability) — must not allocate at all, and
 //! neither must full eight-lane batches. Memo
-//! insertion is outside this unit and held to its own bound: a shard
-//! appends to three growable arrays, so a long sweep of distinct misses
-//! allocates only for their amortized growth.
+//! insertion is outside this unit and held to its own bounds: a shard
+//! appends to two growable arrays, so a long sweep of distinct misses
+//! allocates only for their amortized growth, and what it keeps per
+//! memoized group stays under a byte bound.
 //!
 //! The observability rework adds a second guarantee: with tracing
 //! disabled ([`ObsHandle::disabled`]), the memo *hit* path with its
@@ -16,11 +17,12 @@
 
 use kfuse_core::batch::{synthesize_batch, BatchScratch, CandidateBatch, LANES};
 use kfuse_core::model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};
-use kfuse_core::pipeline::prepare;
+use kfuse_core::pipeline::{prepare, Solver};
+use kfuse_core::plan::ScoreScratch;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::KernelId;
 use kfuse_obs::ObsHandle;
-use kfuse_search::Evaluator;
+use kfuse_search::{Evaluator, GreedySolver};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -33,18 +35,27 @@ thread_local! {
     // touching it from inside the allocator neither allocates nor
     // registers a destructor.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes the calling thread has allocated less the bytes it has freed.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn add_live(delta: i64) {
+    LIVE_BYTES.with(|c| c.set(c.get() + delta));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        add_live(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        add_live(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,6 +66,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations made by the calling thread so far.
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes the calling thread holds allocated right now.
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// Distinct member-sorted groups spanning singletons up to 32 members
@@ -219,15 +235,14 @@ fn memo_hit_path_with_disabled_obs_is_allocation_free() {
 fn distinct_misses_allocate_only_for_amortized_growth() {
     // 20 000 distinct multi-member groups over 60 kernels (every pair,
     // then triples). The first half warms the evaluator's queues and takes
-    // each shard's three arrays past their small sizes; the second half —
+    // each shard's two arrays past their small sizes; the second half —
     // 10 000 further distinct misses, every one published to the memo —
     // may then allocate only where an array doubles: at most once each
-    // for 16 shards x (head table, entry list, key arena). A memo that
-    // boxes its keys pays two allocations per miss, > 20 000 here.
+    // for 16 shards x (slot table, key arena). A memo that boxes its keys
+    // pays two allocations per miss, > 20 000 here.
     let p = kfuse_workloads::synth::scaling(60);
     let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
     let model = ProposedModel::default();
-    let ev = Evaluator::new(&ctx, &model);
     let n = ctx.n_kernels() as u32;
     let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| vec![KernelId(a), KernelId(b)]));
     let triples = (0..n).flat_map(|a| {
@@ -239,6 +254,8 @@ fn distinct_misses_allocate_only_for_amortized_growth() {
 
     let mut cands = CandidateBatch::new();
     let mut out = Vec::new();
+    let ev = Evaluator::new(&ctx, &model);
+    let live_empty = live_bytes();
     let mut sweep = |groups: &[Vec<KernelId>]| {
         for chunk in groups.chunks(48) {
             cands.clear();
@@ -258,6 +275,51 @@ fn distinct_misses_allocate_only_for_amortized_growth() {
         delta < 64,
         "10 000 distinct misses performed {delta} allocations"
     );
+
+    // What the memo holds for 20 000 groups of two and three members:
+    // everything the thread gained since the evaluator was built (its
+    // miss queues and the sweep's buffers are a few kilobytes of that),
+    // per memoized group. A slot table of
+    // 24-byte slots at most ¾ full plus a byte arena of delta-encoded
+    // keys measures 42.8 B; the layout it replaced — a fingerprint map,
+    // 24-byte chained entries and 4 bytes per member — measured 80.5 B.
+    let per_entry = (live_bytes() - live_empty) as f64 / 20_000.0;
+    assert!(
+        per_entry < 60.0,
+        "the memo holds {per_entry:.1} live bytes per memoized group"
+    );
+}
+
+#[test]
+fn a_repeat_plan_check_on_a_warm_scratch_is_allocation_free() {
+    // An exact hit re-checks its cached plan in one pass; on the scratch
+    // kept beside the program's context (the daemon keeps one), a repeat
+    // check allocates nothing: partition marks, re-sort buffer, lanes and
+    // condensation pass are all reused. One plan lists every group's
+    // members backwards, so the re-sort buffer is exercised too.
+    let model = ProposedModel::default();
+    for name in ["rk3", "scale-les"] {
+        let p = kfuse_workloads::by_name(name).unwrap();
+        let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+        let plan = GreedySolver.solve(&ctx, &model).plan;
+        assert!(plan.new_kernel_count() > 0, "{name}: nothing fused");
+        let mut backwards = plan.clone();
+        for g in &mut backwards.groups {
+            g.reverse();
+        }
+        let mut scratch = ScoreScratch::new();
+        for plan in [&plan, &backwards] {
+            let first = ctx.check_and_score(plan, &model, &mut scratch);
+            let first = first.expect("the greedy plan checks").to_bits();
+            let before = allocations();
+            for _ in 0..3 {
+                let again = ctx.check_and_score(plan, &model, &mut scratch);
+                assert_eq!(again.map(f64::to_bits), Ok(first));
+            }
+            let delta = allocations() - before;
+            assert_eq!(delta, 0, "{name}: a repeat check allocated {delta} times");
+        }
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use kfuse_core::model::ProposedModel;
 use kfuse_core::pipeline::{prepare, Solver};
-use kfuse_core::plan::{FusionPlan, PlanContext};
+use kfuse_core::plan::{FusionPlan, PlanContext, ScoreScratch};
 use kfuse_gpu::GpuSpec;
 use kfuse_ir::{Expr, KernelId, Program};
 use kfuse_obs::{Counter, ObsHandle};
@@ -290,7 +290,7 @@ fn planted_entry(ctx: &PlanContext, groups: Vec<Vec<u32>>) -> CacheEntry {
 }
 
 /// A parseable but wrong plan behind an exact hit is never served, with
-/// the verifier's tables built per call or kept: a repeated or missing
+/// the verifier's tables and the check's scratch built per call or kept: a repeated or missing
 /// kernel, a sync split, a path-closure violation, an SMEM overflow, an
 /// unprofitable merge and a cycle between two groups. A right plan behind
 /// the same hit is served with the objective the search scores it at.
@@ -349,10 +349,11 @@ fn a_planted_wrong_plan_behind_an_exact_hit_is_never_served() {
         );
         cache.insert(planted_entry(ctx, groups)).unwrap();
         let tables = CheckerTables::new(&ctx.info);
-        let tables = kept.then_some(&tables);
+        let scratch = Mutex::new(ScoreScratch::new());
         let out = solver.serve_exact(
             ctx,
-            tables,
+            kept.then_some(&tables),
+            kept.then_some(&scratch),
             &model,
             ObsHandle::disabled(),
             &Mutex::new(cache),
@@ -394,6 +395,40 @@ fn a_planted_wrong_plan_behind_an_exact_hit_is_never_served() {
             assert_eq!(out.metrics.get(Counter::CacheHits), 1);
         }
     }
+}
+
+/// A kept check scratch serves every repeat as a fresh one does, and a
+/// scratch another worker holds is not waited for: the repeat checks on a
+/// fresh one.
+#[test]
+fn a_kept_check_scratch_serves_repeats_alike_and_is_never_waited_for() {
+    let model = ProposedModel::default();
+    let ctx = prepared(&kfuse_workloads::by_name("scale-les").unwrap());
+    let plan = GreedySolver.solve(&ctx, &model).plan;
+    let dir = tmpdir("kept-scratch");
+    let precision = format!("{:?}", ctx.info.precision);
+    let mut cache = PlanCache::open(&dir, &ctx.info.gpu.name, &precision);
+    cache.insert(planted_entry(&ctx, groups_of(&plan))).unwrap();
+    let cache = Mutex::new(cache);
+    let tables = CheckerTables::new(&ctx.info);
+    let solver = WarmSolver::new(quick_hier(7, PartitionMode::Off), None, None);
+    let serve = |scratch: Option<&Mutex<ScoreScratch>>| {
+        let tables = Some(&tables);
+        let out = solver.serve_exact(&ctx, tables, scratch, &model, ObsHandle::disabled(), &cache);
+        let out = out.expect("the greedy plan is served");
+        let counters = Counter::ALL.map(|c| out.metrics.get(c));
+        (out.plan, out.objective.to_bits(), counters)
+    };
+    let fresh = serve(None);
+    assert_eq!(fresh.0, plan);
+    let scratch = Mutex::new(ScoreScratch::new());
+    for _ in 0..3 {
+        assert_eq!(serve(Some(&scratch)), fresh);
+    }
+    let held = scratch.lock().unwrap();
+    assert_eq!(serve(Some(&scratch)), fresh);
+    drop(held);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// True when `group` passes every group rule but profitability.

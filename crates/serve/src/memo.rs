@@ -19,7 +19,7 @@
 //! text was scanned, parsed as a program and served, so a request line
 //! that carries it again need not scan it again.
 
-use kfuse_core::plan::PlanContext;
+use kfuse_core::plan::{PlanContext, ScoreScratch};
 use kfuse_verify::CheckerTables;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -35,8 +35,9 @@ use std::sync::{Arc, Mutex};
 /// 4.7 MB for a 2 000-kernel clustered program. 32 MiB therefore holds
 /// several hundred programs of the benchmark's hot-set sizes (its 16
 /// programs take about 1.2 MB) or seven of the largest, and its worst
-/// case stays well below the 190–430 MiB peak of a single cold
-/// 100-kernel solve.
+/// case is about what a single cold 100-kernel solve peaks at: the whole
+/// `kfuse solve synth100` process holds 25–39 MiB at its peak
+/// (`hgga-hier`, seeds 101–103).
 pub const CONTEXT_MEMO_BYTES: usize = 32 << 20;
 
 /// How many leading bytes of a text its vouching index is keyed on. A
@@ -47,10 +48,13 @@ const PREFIX_BYTES: usize = 64;
 const VOUCH_CANDIDATES: usize = 4;
 
 /// What the memo keeps for one program: its planning context and the
-/// verifier's tables, both derived from its metadata.
+/// verifier's tables, both derived from its metadata, and the scratch an
+/// exact hit re-checks its plan on (empty until the first reuse; it grows
+/// to the program's size and is not counted against the bound).
 pub(crate) struct Kept {
     pub(crate) ctx: PlanContext,
     pub(crate) tables: CheckerTables,
+    pub(crate) scratch: Mutex<ScoreScratch>,
 }
 
 /// A lookup key: device name and program text, and their hash.
@@ -214,7 +218,11 @@ impl ContextMemo {
         let entry = Entry {
             gpu: key.gpu.into(),
             text: key.text.into(),
-            kept: Arc::new(Kept { ctx, tables }),
+            kept: Arc::new(Kept {
+                ctx,
+                tables,
+                scratch: Mutex::new(ScoreScratch::new()),
+            }),
             prefix,
             bytes,
             used: st.tick,

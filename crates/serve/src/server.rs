@@ -455,6 +455,7 @@ fn reuse_context(shared: &Shared, job: &Job, gpu: &GpuSpec, kept: &Kept) -> Opti
     let out = solver_for(shared, job).serve_exact(
         ctx,
         Some(&kept.tables),
+        Some(&kept.scratch),
         &model,
         ObsHandle::disabled(),
         &cache,
@@ -537,7 +538,7 @@ fn verify_job(job: &Job, ctx: &PlanContext) -> (String, Option<ErrorCode>) {
     let n = ctx.n_kernels() as u32;
     let mut seen = vec![false; n as usize];
     let mut groups: Vec<Vec<KernelId>> = Vec::with_capacity(raw.len());
-    for g in raw {
+    for (gi, g) in raw.iter().enumerate() {
         let mut members = Vec::with_capacity(g.len());
         for &k in g {
             let what = if k >= n {
@@ -548,18 +549,10 @@ fn verify_job(job: &Job, ctx: &PlanContext) -> (String, Option<ErrorCode>) {
                 members.push(KernelId(k));
                 continue;
             };
-            return (
-                error_response(
-                    id,
-                    ErrorCode::MalformedRequest,
-                    &format!("`plan` is not a partition of 0..{n}: {what}"),
-                    vec![],
-                ),
-                Some(ErrorCode::MalformedRequest),
-            );
+            return not_a_partition(id, n, &what);
         }
         if members.is_empty() {
-            continue;
+            return not_a_partition(id, n, &format!("group {gi} is empty"));
         }
         members.sort_unstable();
         groups.push(members);
@@ -595,6 +588,20 @@ fn verify_job(job: &Job, ctx: &PlanContext) -> (String, Option<ErrorCode>) {
         ("warnings", num_u64(warnings as u64)),
     ]);
     (ok_response(id, result), None)
+}
+
+/// The `malformed_request` answer to a `verify` plan that does not
+/// partition the program's `n` kernels, saying `what` is wrong.
+fn not_a_partition(id: Option<&str>, n: u32, what: &str) -> (String, Option<ErrorCode>) {
+    (
+        error_response(
+            id,
+            ErrorCode::MalformedRequest,
+            &format!("`plan` is not a partition of 0..{n}: {what}"),
+            vec![],
+        ),
+        Some(ErrorCode::MalformedRequest),
+    )
 }
 
 /// The `id` of a line that is JSON but does not fit [`Request`]: echoed

@@ -210,6 +210,17 @@ fn error_paths_return_structured_codes() {
         r.contains("not a partition of 0..18: bad kernel index 18"),
         "{r}"
     );
+    // An empty group is no part of a partition, wherever it stands.
+    for (plan, gi) in [("[[0,1],[]]", 1), ("[[],[0]]", 0)] {
+        let r = c.request(&format!(
+            r#"{{"id":"x","op":"verify","example":"rk3","plan":{plan}}}"#
+        ));
+        assert!(r.contains(r#""code":"malformed_request""#), "{r}");
+        assert!(
+            r.contains(&format!("not a partition of 0..18: group {gi} is empty")),
+            "{r}"
+        );
+    }
 
     // A plan the independent verifier rejects, with diagnostics attached.
     let r = c.request(r#"{"id":"x","op":"verify","example":"fig3","plan":[[0,1,2,3,4]]}"#);

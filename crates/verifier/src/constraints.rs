@@ -209,6 +209,15 @@ impl<'a> PlanChecker<'a> {
         let mut count = vec![0usize; n];
         let mut cover_ok = true;
         for (gi, g) in plan.groups.iter().enumerate() {
+            if g.is_empty() {
+                cover_ok = false;
+                diags.push(Diagnostic::error(
+                    diag::KF_EMPTY_GROUP,
+                    Span::group(gi),
+                    format!("group {gi} is empty"),
+                    "remove the empty group from the plan".to_string(),
+                ));
+            }
             for &k in g {
                 if k.index() >= n {
                     cover_ok = false;

@@ -7,7 +7,7 @@
 //! * `KF00xx` — plan-level constraint system (Fig. 4). `KF0001`–`KF0007`
 //!   map one-to-one onto constraints 1.1–1.7; `KF0008`–`KF0010` cover the
 //!   §II-C practical restrictions (host syncs, streams) and inter-group
-//!   ordering.
+//!   ordering; `KF0011` is an empty group (a partition has no empty part).
 //! * `KF01xx` — IR-level hazards on (fused) kernels and the expandable
 //!   read-write renaming of `relax.rs`.
 //! * `KF02xx` — lint findings on generated CUDA text.
@@ -281,6 +281,8 @@ pub const KF_SYNC_SPLIT: &str = "KF0008";
 pub const KF_STREAM_SPLIT: &str = "KF0009";
 /// The plan's group condensation has a cycle (no valid launch order).
 pub const KF_CONDENSATION_CYCLE: &str = "KF0010";
+/// 1.2: a group has no members (the parts of a partition are non-empty).
+pub const KF_EMPTY_GROUP: &str = "KF0011";
 
 // --- IR-level hazard codes -------------------------------------------------
 

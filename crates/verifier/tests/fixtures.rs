@@ -7,13 +7,13 @@
 use kfuse_core::metadata::ProgramInfo;
 use kfuse_core::model::{PerfModel, ProposedModel};
 use kfuse_core::pipeline;
-use kfuse_core::plan::{FusionPlan, PlanError};
+use kfuse_core::plan::{FusionPlan, PlanError, ScoreScratch};
 use kfuse_core::spec::GroupSpec;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::builder::ProgramBuilder;
 use kfuse_ir::stencil::Offset;
 use kfuse_ir::{ArrayId, Expr, KernelId, Program};
-use kfuse_verify::{check_plan, diag, PlanChecker};
+use kfuse_verify::{check_plan, diag, PlanChecker, Span};
 
 /// A chain k0 → k1 → k2 (arrays A→B→C→D, k1 reads B at radius 1) plus an
 /// unrelated same-epoch pair k3, k4 over X/Y/Z.
@@ -262,6 +262,30 @@ fn kf0010_condensation_cycle() {
     ]);
     let r = check_plan(&info, &plan, None);
     assert!(r.has_code(diag::KF_CONDENSATION_CYCLE));
+}
+
+#[test]
+fn kf0011_empty_group_is_named_and_rejected_by_the_core_validator() {
+    // The identity plan with an empty third group: one error naming that
+    // group, and the core's partition check rejects it the same way.
+    let p = chain_and_pair();
+    let (_, ctx) = pipeline::prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+    let mut plan = FusionPlan::identity(p.kernels.len());
+    plan.groups.insert(2, Vec::new());
+    let r = check_plan(&ctx.info, &plan, Some(&ProposedModel::default()));
+    assert_eq!(r.error_count(), 1, "{}", r.render_human());
+    let d = &r.diagnostics[0];
+    assert_eq!(d.code, diag::KF_EMPTY_GROUP);
+    assert_eq!(d.span, Span::group(2));
+    assert_eq!(d.explanation, "group 2 is empty");
+    let err = PlanError::EmptyGroup { group: 2 };
+    assert_eq!(ctx.validate(&plan).unwrap_err(), err);
+    let model = ProposedModel::default();
+    let scratch = &mut ScoreScratch::new();
+    assert_eq!(
+        ctx.check_and_score(&plan, &model, scratch).unwrap_err(),
+        err
+    );
 }
 
 #[test]

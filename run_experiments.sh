@@ -172,6 +172,15 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: boxed memo key found (see DESIGN.md §8.2)"
     exit 1
   fi
+  # One memo slot per group (DESIGN.md §8.2): a shard is an open-addressed
+  # slot table and a byte arena of delta-encoded keys. The fingerprint
+  # map, the chained entry list and the 4-byte-per-member key arena it
+  # replaced held twice the bytes per memoized group.
+  echo "== one memo slot per group"
+  if grep -nE 'FingerprintHasher|struct Entry|heads:' crates/search/src/eval.rs; then
+    echo "FAIL: the chained memo layout is coming back (see DESIGN.md §8.2)"
+    exit 1
+  fi
   # One thread per evaluator: each solve owns its evaluator, so the memo
   # and its scratch take no locks and no thread-local fallback.
   echo "== the evaluator takes no locks"

@@ -247,7 +247,8 @@ fn an_exact_hit_rechecks_in_a_constant_plus_a_constant_per_group() {
                 ctx.check_group_with(widest, 0, &mut scratch).map(|_| ())
             });
             let (out, hit) = counted(|| {
-                solver.serve_exact(&ctx, Some(&tables), &model, ObsHandle::disabled(), &cache)
+                let tables = Some(&tables);
+                solver.serve_exact(&ctx, tables, None, &model, ObsHandle::disabled(), &cache)
             });
             assert_eq!(out.expect("the plan is served").plan, plan);
             let groups = plan.groups.len() as u64;

@@ -163,6 +163,51 @@ fn verify_accepts_identity_and_rejects_bad_cover() {
 }
 
 #[test]
+fn verify_rejects_an_empty_group_without_panicking() {
+    // rk3's greedy plan is clean; the same plan plus an empty group is an
+    // error diagnostic naming that group, not a panic.
+    let path = tmp("rk3_empty_group.json");
+    let dump = kfuse(&["example", "rk3"]);
+    std::fs::write(&path, &dump.stdout).unwrap();
+    let plan = tmp("rk3_greedy_plan.json");
+    let out = kfuse(&[
+        "solve",
+        path.to_str().unwrap(),
+        "--solver",
+        "greedy",
+        "--plan-out",
+        plan.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&plan).unwrap();
+    let mut greedy: kernel_fusion::core::FusionPlan = serde_json::from_str(&text).unwrap();
+    let empty = greedy.groups.len();
+    greedy.groups.push(Vec::new());
+    std::fs::write(&plan, serde_json::to_string(&greedy).unwrap()).unwrap();
+
+    let out = kfuse(&[
+        "verify",
+        path.to_str().unwrap(),
+        "--plan",
+        plan.to_str().unwrap(),
+        "--json",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!out.status.success());
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON report");
+    let arr = v.as_array().expect("array of diagnostics");
+    let d = arr
+        .iter()
+        .find(|d| d["code"].as_str() == Some("KF0011"))
+        .expect("a KF0011 diagnostic");
+    assert_eq!(
+        d["explanation"].as_str(),
+        Some(format!("group {empty} is empty").as_str())
+    );
+}
+
+#[test]
 fn verify_json_output_is_machine_readable() {
     let path = tmp("quick_verify_json.json");
     let dump = kfuse(&["example", "quickstart"]);

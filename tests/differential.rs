@@ -18,7 +18,7 @@
 
 use kernel_fusion::prelude::*;
 use kfuse_core::fuse::condensation_order;
-use kfuse_core::plan::PlanError;
+use kfuse_core::plan::{PlanError, ScoreScratch};
 use kfuse_ir::stencil::Offset;
 use kfuse_search::Evaluator;
 use kfuse_verify::check_plan;
@@ -145,7 +145,7 @@ fn one_pass_agrees(
     memoized: f64,
 ) -> bool {
     let accepted = ctx.validate(plan).is_ok() && memoized.is_finite();
-    match ctx.check_and_score(plan, model) {
+    match ctx.check_and_score(plan, model, &mut ScoreScratch::new()) {
         Ok(x) => accepted && x.to_bits() == memoized.to_bits(),
         Err(_) => !accepted,
     }
@@ -262,13 +262,18 @@ fn the_one_pass_check_rejects_each_planted_plan_as_the_steps_did() {
     );
     let crossed = crossed();
     let smem = smem_heavy();
-    let cases: [(&str, &PlanContext, FusionPlan); 7] = [
+    let cases: [(&str, &PlanContext, FusionPlan); 8] = [
         (
             "repeated kernel",
             &structured,
             plan(&[&[0, 1], &[1, 2], &[3], &[4]]),
         ),
         ("missing kernel", &structured, plan(&[&[0, 1], &[3], &[4]])),
+        (
+            "empty group",
+            &structured,
+            plan(&[&[0, 1], &[2], &[], &[3], &[4]]),
+        ),
         (
             "sync split",
             &structured,
@@ -299,9 +304,11 @@ fn the_one_pass_check_rejects_each_planted_plan_as_the_steps_did() {
             !check_plan(&ctx.info, &plan, Some(&model)).is_clean(),
             "{name}"
         );
-        let err = ctx.check_and_score(&plan, &model).unwrap_err();
+        let err = ctx.check_and_score(&plan, &model, &mut ScoreScratch::new());
+        let err = err.unwrap_err();
         let expected = match err {
             PlanError::NotPartition { .. } => name.ends_with("kernel"),
+            PlanError::EmptyGroup { .. } => name == "empty group",
             PlanError::SyncSplit { .. } => name == "sync split",
             PlanError::PathClosure { .. } => name == "path closure",
             PlanError::SmemOverflow { .. } => name == "smem overflow",
@@ -316,7 +323,9 @@ fn the_one_pass_check_rejects_each_planted_plan_as_the_steps_did() {
     let memoized = Evaluator::new(&crossed, &model).plan(&apart);
     assert!(memoized.is_finite());
     assert_eq!(
-        crossed.check_and_score(&apart, &model).map(f64::to_bits),
+        crossed
+            .check_and_score(&apart, &model, &mut ScoreScratch::new())
+            .map(f64::to_bits),
         Ok(memoized.to_bits())
     );
 }
