@@ -50,9 +50,10 @@ pub struct SolveStats {
     pub miss_ns: u64,
     /// Nanoseconds of `miss_ns` spent inside group synthesis proper.
     pub synth_ns: u64,
-    /// Average candidate lanes per batched-evaluator sweep
+    /// Average candidate lanes per lane sweep over every memo-miss flush,
+    /// a lone miss's one-lane sweep included
     /// (`BatchLanesFilled / BatchesScored`): up to 8, 0.0 when the run
-    /// never scored a batch.
+    /// scored nothing.
     pub avg_batch_fill: f64,
 }
 

@@ -20,14 +20,9 @@ pub enum SpanId {
     InitialPopulation,
     /// One HGGA generation.
     Generation,
-    /// One evaluation-memo miss of a lone probe: group synthesis as a
-    /// one-lane batch + projection + insert.
-    MemoMiss,
-    /// The group-synthesis portion of a memo miss
-    /// (`kfuse_core::batch::synthesize_batch`).
-    Synthesis,
-    /// One lane-batched scoring flush: all distinct memo misses of a
-    /// probe batch synthesized and projected lane-per-candidate.
+    /// One evaluation-memo miss flush: every distinct miss of a probe (one
+    /// for a lone group, up to a whole batch's) synthesized and projected
+    /// lane-per-candidate, then inserted.
     BatchScore,
     /// One full pairwise-merge sweep of the greedy solver.
     GreedySweep,
@@ -65,8 +60,6 @@ impl SpanId {
             SpanId::Solve => "solve",
             SpanId::InitialPopulation => "initial_population",
             SpanId::Generation => "generation",
-            SpanId::MemoMiss => "memo_miss",
-            SpanId::Synthesis => "synthesis",
             SpanId::BatchScore => "batch_score",
             SpanId::GreedySweep => "greedy_sweep",
             SpanId::Enumeration => "enumeration",
@@ -86,7 +79,7 @@ impl SpanId {
         match self {
             SpanId::Solve | SpanId::InitialPopulation => "solver",
             SpanId::Generation => "ga",
-            SpanId::MemoMiss | SpanId::Synthesis | SpanId::BatchScore => "eval",
+            SpanId::BatchScore => "eval",
             SpanId::GreedySweep | SpanId::Enumeration => "solver",
             SpanId::ConstraintPass
             | SpanId::HazardPass
@@ -104,8 +97,6 @@ impl SpanId {
             SpanId::Solve => ("kernels", "_"),
             SpanId::InitialPopulation => ("individuals", "_"),
             SpanId::Generation => ("gen", "_"),
-            SpanId::MemoMiss => ("group_len", "_"),
-            SpanId::Synthesis => ("group_len", "_"),
             SpanId::BatchScore => ("groups", "lanes"),
             SpanId::GreedySweep => ("groups", "merged"),
             SpanId::Enumeration => ("kernels", "_"),
@@ -157,12 +148,14 @@ pub enum Counter {
     GreedyMerges,
     /// Complete set partitions scored by the exhaustive solver.
     PartitionsScored,
-    /// Lane sweeps executed by `group_batch` miss flushes (one per chunk
-    /// of up to `LANES` candidates). A lone `group` miss is a one-lane
-    /// sweep counted under `MemoMisses` only.
+    /// Lane sweeps executed by memo-miss flushes (one per chunk of up to
+    /// `LANES` structure-passing candidates). Every sweep counts: a lone
+    /// `group` miss is a one-lane sweep.
     BatchesScored,
     /// Candidate lanes actually filled across those sweeps.
-    /// `BatchLanesFilled / BatchesScored` is the average batch fill.
+    /// `BatchLanesFilled / BatchesScored` is the average batch fill; a
+    /// structurally infeasible miss takes no lane, so this is at most
+    /// `MemoMisses`.
     BatchLanesFilled,
     /// GPU modules run through the structured analysis passes
     /// (`kfuse-verify::analysis`).

@@ -29,8 +29,8 @@
 //!
 //! Chrome-trace `tid`s are logical tracks, not OS threads: track 0 is the
 //! coordinator/planner, track `region + 1` is a hierarchical region solve,
-//! and [`WORKER_TRACK_BASE`] hosts evaluator-internal spans (memo
-//! misses, synthesis, batch scoring). See `OBSERVABILITY.md` at the
+//! and [`WORKER_TRACK_BASE`] hosts evaluator-internal spans (memo-miss
+//! flushes). See `OBSERVABILITY.md` at the
 //! repository root for the full event taxonomy, exporter formats and a
 //! Perfetto walkthrough.
 

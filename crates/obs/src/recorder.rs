@@ -11,8 +11,7 @@ use crate::event::{Gauge, SpanId, TraceEvent};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// The track evaluator-internal spans (memo misses, synthesis, batch
-/// scoring) record on, exported as `eval worker 0`. It is the lowest of
+/// The track evaluator-internal spans (memo-miss flushes) record on, exported as `eval worker 0`. It is the lowest of
 /// the top eight track numbers, which stay clear of region tracks: region
 /// `i` records on track `i + 1` and a solve has fewer regions than
 /// kernels, so no program that fits in memory reaches them.

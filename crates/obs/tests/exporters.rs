@@ -26,11 +26,11 @@ fn populated_recorder() -> InMemoryRecorder {
         [24, 0], // kernels, region
     );
     rec.span(
-        SpanId::MemoMiss,
+        SpanId::BatchScore,
         WORKER_TRACK_BASE,
         t0 + Duration::from_micros(40),
         Duration::from_micros(7),
-        [5, 0], // group_len, unused
+        [5, 3], // groups, lanes
     );
     rec.value(
         Gauge::BestObjective,
@@ -88,14 +88,15 @@ fn chrome_trace_round_trips_through_serde_json() {
     assert_eq!(solve["args"].as_object().unwrap().len(), 1);
     assert!(solve["dur"].as_f64().unwrap() > 0.0);
 
-    // MemoMiss's second arg slot is "_" and must be omitted.
-    let miss = spans
+    // A miss flush records on the evaluator track with both arguments.
+    let flush = spans
         .iter()
-        .find(|e| e["name"].as_str() == Some("memo_miss"))
-        .expect("memo_miss span present");
-    assert_eq!(miss["tid"].as_u64(), Some(u64::from(WORKER_TRACK_BASE)));
-    assert_eq!(miss["args"]["group_len"].as_u64(), Some(5));
-    assert_eq!(miss["args"].as_object().unwrap().len(), 1);
+        .find(|e| e["name"].as_str() == Some("batch_score"))
+        .expect("batch_score span present");
+    assert_eq!(flush["cat"].as_str(), Some("eval"));
+    assert_eq!(flush["tid"].as_u64(), Some(u64::from(WORKER_TRACK_BASE)));
+    assert_eq!(flush["args"]["groups"].as_u64(), Some(5));
+    assert_eq!(flush["args"]["lanes"].as_u64(), Some(3));
 
     let best = counters[0];
     assert_eq!(best["name"].as_str(), Some("best_objective"));

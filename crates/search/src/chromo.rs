@@ -494,9 +494,9 @@ impl Chromosome {
         // multi-member groups must be feasible or dissolve.
         //
         // Every unresolved multi-member eval is gathered up front and
-        // scored as one lane batch: the loop below only appends slots past
-        // `initial` (splits), so the memberships probed here are exactly
-        // the ones the one-at-a-time loop would have probed.
+        // probed as one batch: the loop below only appends slots past
+        // `initial` (splits), so every multi-member group it visits is
+        // resolved here.
         let initial = self.order.len();
         scratch.cands.clear();
         scratch.descs.clear();
@@ -510,14 +510,12 @@ impl Chromosome {
                 scratch.descs.push([sid, 0, 0, 0, 0]);
             }
         }
-        if scratch.descs.len() >= 2 {
-            ev.group_batch(&scratch.cands, &mut scratch.bevals);
-            for (d, e) in scratch.descs.iter().zip(&scratch.bevals) {
-                let slot = &mut self.slots[d[0] as usize];
-                slot.eval = *e;
-                slot.eval_known = true;
-                ev.count(Counter::GroupsRescored, 1);
-            }
+        ev.group_batch(&scratch.cands, &mut scratch.bevals);
+        for (d, e) in scratch.descs.iter().zip(&scratch.bevals) {
+            let slot = &mut self.slots[d[0] as usize];
+            slot.eval = *e;
+            slot.eval_known = true;
+            ev.count(Counter::GroupsRescored, 1);
         }
         let mut killed = false;
         for pos in 0..initial {
@@ -533,18 +531,8 @@ impl Chromosome {
                 }
                 continue;
             }
-            let eval = if s.eval_known {
-                s.eval
-            } else {
-                let members = &self.arena[s.start as usize..(s.start + s.len) as usize];
-                let e = ev.group(members);
-                let slot = &mut self.slots[sid as usize];
-                slot.eval = e;
-                slot.eval_known = true;
-                ev.count(Counter::GroupsRescored, 1);
-                e
-            };
-            if !eval.feasible() {
+            debug_assert!(s.eval_known);
+            if !s.eval.feasible() {
                 self.split_slot(sid, ev);
                 ev.count(Counter::GroupsSplit, 1);
                 killed = true;

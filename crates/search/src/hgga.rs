@@ -99,18 +99,6 @@ impl HggaSolver {
     }
 }
 
-/// A finalized chromosome; its cost is the cached incremental objective.
-#[derive(Clone)]
-struct Individual {
-    chromo: Chromosome,
-}
-
-impl Individual {
-    fn cost(&self) -> f64 {
-        self.chromo.cost()
-    }
-}
-
 /// Debug-build cross-check: every chromosome accepted as a new global best
 /// is re-validated by the independent `kfuse-verify` constraint checker,
 /// so an evaluator bug cannot silently promote an infeasible plan.
@@ -225,18 +213,16 @@ impl HggaSolver {
         solve_span.set_arg(0, ctx.n_kernels() as u64);
 
         // Initial population: randomized constructive merges.
-        let mut pop: Vec<Individual> = {
+        let mut pop: Vec<Chromosome> = {
             let mut init_span = obs.span(SpanId::InitialPopulation);
             init_span.set_arg(0, cfg.population as u64);
             (0..cfg.population)
-                .map(|_| Individual {
-                    chromo: random_chromosome(&ev, &mut rng, &mut scratch),
-                })
+                .map(|_| random_chromosome(&ev, &mut rng, &mut scratch))
                 .collect()
         };
         pop.sort_by(|a, b| a.cost().total_cmp(&b.cost()));
 
-        let mut best = pop[0].chromo.to_plan();
+        let mut best = pop[0].to_plan();
         let mut best_cost = pop[0].cost();
         obs.value(Gauge::BestObjective, best_cost);
         let mut best_gen = 0u32;
@@ -259,7 +245,7 @@ impl HggaSolver {
 
             if pop[0].cost() < best_cost - 1e-15 {
                 best_cost = pop[0].cost();
-                best = pop[0].chromo.to_plan();
+                best = pop[0].to_plan();
                 debug_verify_best(ctx, model, &best, best_cost);
                 ev.count(Counter::BestImprovements, 1);
                 obs.value(Gauge::BestObjective, best_cost);
@@ -275,16 +261,13 @@ impl HggaSolver {
         }
 
         debug_analyze_best(ctx, &best, best_cost);
-        ev.metrics().set_gauge(Gauge::BestObjective, best_cost);
-        ev.metrics().set_gauge(Gauge::CacheHitRate, ev.hit_rate());
-        ev.metrics().set_gauge(Gauge::MissRate, ev.miss_rate());
-        let metrics = ev.snapshot();
+        let (metrics, stats) = ev.finish(best_cost);
         let stats = SolveStats {
             elapsed: start.elapsed(),
             time_to_best,
             best_generation: best_gen,
             generations,
-            ..SolveStats::from_metrics(&metrics)
+            ..stats
         };
         SolveOutcome {
             plan: best,
@@ -308,12 +291,12 @@ impl HggaSolver {
 fn step_generation(
     ev: &Evaluator<'_>,
     cfg: &HggaConfig,
-    pop: &mut Vec<Individual>,
+    pop: &mut Vec<Chromosome>,
     rng: &mut SmallRng,
     scratch: &mut OpScratch,
     deadline: Option<Instant>,
 ) {
-    let mut offspring: Vec<Individual> = Vec::with_capacity(cfg.population);
+    let mut offspring: Vec<Chromosome> = Vec::with_capacity(cfg.population);
     // Elites survive unchanged.
     for e in pop.iter().take(ELITISM) {
         offspring.push(e.clone());
@@ -325,9 +308,9 @@ fn step_generation(
         let pa = tournament(pop, rng);
         let pb = tournament(pop, rng);
         let mut child = if rng.gen_bool(CROSSOVER_RATE) {
-            crossover(ev, &pop[pa].chromo, &pop[pb].chromo, rng, scratch)
+            crossover(ev, &pop[pa], &pop[pb], rng, scratch)
         } else {
-            pop[pa.min(pb)].chromo.clone()
+            pop[pa.min(pb)].clone()
         };
         if rng.gen_bool(MUTATION_RATE) {
             child = mutate(ev, child, rng, scratch);
@@ -336,13 +319,13 @@ fn step_generation(
             child = local_search(ev, child, rng, scratch);
         }
         debug_check_sealed(ev, &child);
-        offspring.push(Individual { chromo: child });
+        offspring.push(child);
     }
     offspring.sort_by(|a, b| a.cost().total_cmp(&b.cost()));
     *pop = offspring;
 }
 
-fn tournament(pop: &[Individual], rng: &mut SmallRng) -> usize {
+fn tournament(pop: &[Chromosome], rng: &mut SmallRng) -> usize {
     (0..TOURNAMENT)
         .map(|_| rng.gen_range(0..pop.len()))
         .min_by(|&a, &b| pop[a].cost().total_cmp(&pop[b].cost()))
@@ -1050,9 +1033,9 @@ mod tests {
                 None => groups.push(vec![k]),
             }
 
-            let before = ev.probes();
+            let before = ev.metrics().get(Counter::MemoProbes);
             first_fit(&ev, &mut ch, &mut [k], &mut rng, &mut scratch);
-            let probes = ev.probes() - before;
+            let probes = ev.metrics().get(Counter::MemoProbes) - before;
 
             let host = ch.slot_members(ch.slot_of(k));
             if seat == Some(sample[0]) {

@@ -456,15 +456,12 @@ impl HggaHierSolver {
             }
         }
 
-        ev.metrics().set_gauge(Gauge::BestObjective, objective);
-        ev.metrics().set_gauge(Gauge::CacheHitRate, ev.hit_rate());
-        ev.metrics().set_gauge(Gauge::MissRate, ev.miss_rate());
         obs.value(Gauge::BestObjective, objective);
-        let metrics = ev.snapshot();
+        let (metrics, stats) = ev.finish(objective);
         let stats = SolveStats {
             elapsed: start.elapsed(),
             time_to_best: start.elapsed(),
-            ..SolveStats::from_metrics(&metrics)
+            ..stats
         };
         SolveOutcome {
             plan,
@@ -805,7 +802,10 @@ impl HggaHierSolver {
 
     /// [`Solver::solve_observed`] under a wall-clock `deadline`, threaded
     /// into the flat solve or every region solve. `None` is the plain
-    /// solve, bit for bit.
+    /// solve, bit for bit. Programs up to [`Self::GREEDY_FLOOR_LIMIT`]
+    /// never come back worse than greedy: the hierarchical path floors
+    /// every solve, the flat path a budgeted one, which may have stopped
+    /// before the GA caught the polynomial baseline.
     pub fn solve_controlled(
         &self,
         ctx: &PlanContext,
@@ -813,15 +813,23 @@ impl HggaHierSolver {
         obs: ObsHandle<'_>,
         deadline: Option<Instant>,
     ) -> SolveOutcome {
-        match self.effective_max_region(ctx.n_kernels()) {
-            // Flat delegation: identical to today's solver, bit for bit.
+        let n = ctx.n_kernels();
+        match self.effective_max_region(n) {
             // Region extraction needs the relaxed program; contexts built
-            // without one also fall back to the flat path.
-            None => self.flat().solve_controlled(ctx, model, obs, deadline),
-            Some(_) if ctx.program.is_none() => {
-                self.flat().solve_controlled(ctx, model, obs, deadline)
+            // without one solve flat.
+            Some(m) if ctx.program.is_some() => self.solve_hier(ctx, model, obs, m, deadline),
+            // Flat delegation: the flat solver's trajectory, bit for bit.
+            _ => {
+                let mut out = self.flat().solve_controlled(ctx, model, obs, deadline);
+                if deadline.is_some() && n <= Self::GREEDY_FLOOR_LIMIT {
+                    let greedy = GreedySolver.solve(ctx, model);
+                    if greedy.objective < out.objective - 1e-15 {
+                        out.plan = greedy.plan;
+                        out.objective = greedy.objective;
+                    }
+                }
+                out
             }
-            Some(m) => self.solve_hier(ctx, model, obs, m, deadline),
         }
     }
 }

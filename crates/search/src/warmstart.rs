@@ -14,15 +14,15 @@
 //!   cache for next time. A cache never steers a search.
 //!
 //! With a budget, the deadline threads through every generation loop, and
-//! the result is floored at the greedy plan (programs up to
-//! [`HggaHierSolver::GREEDY_FLOOR_LIMIT`]), so an arbitrarily small budget
-//! still returns a plan no worse than the polynomial baseline.
+//! [`HggaHierSolver::solve_controlled`] floors the result at the greedy
+//! plan (programs up to [`HggaHierSolver::GREEDY_FLOOR_LIMIT`]), so an
+//! arbitrarily small budget still returns a plan no worse than the
+//! polynomial baseline.
 //!
 //! Without a budget the wrapper passes no deadline through, which is bit
 //! for bit the plain hierarchical solve — cold-path determinism is
 //! untouched.
 
-use crate::greedy::GreedySolver;
 use crate::partition::HggaHierSolver;
 use crate::plancache::{CacheEntry, PlanCache, CACHE_VERSION};
 use kfuse_core::model::PerfModel;
@@ -172,18 +172,6 @@ impl WarmSolver {
         }
 
         let mut out = self.inner.solve_controlled(ctx, model, obs, deadline);
-
-        // Anytime quality bound: a budgeted run may have stopped before the
-        // GA caught the polynomial baseline, so floor it at greedy (bounded
-        // to sizes where greedy's quadratic sweep is effectively free —
-        // the same confinement the hierarchical global floor uses).
-        if deadline.is_some() && ctx.n_kernels() <= HggaHierSolver::GREEDY_FLOOR_LIMIT {
-            let greedy = GreedySolver.solve(ctx, model);
-            if greedy.objective < out.objective - 1e-15 {
-                out.plan = greedy.plan;
-                out.objective = greedy.objective;
-            }
-        }
 
         // Record the result for the next solve.
         if let Some(shared) = cache {

@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator wraps `System`; after warming the lane
 //! scratch once, re-scoring distinct groups one at a time — the one-lane
-//! batch a scalar memo miss runs through
-//! [`Evaluator::evaluate_uncached_batch`] (structure checks + synthesis +
+//! batch a lone memo miss flushes through
+//! [`kfuse_core::batch::score_into`] (structure checks + synthesis +
 //! `project_batch` + profitability) — must not allocate at all, and
 //! neither must full eight-lane batches. Memo
 //! insertion is outside this unit and held to its own bounds: a shard
@@ -15,13 +15,13 @@
 //! disabled ([`ObsHandle::disabled`]), the memo *hit* path with its
 //! always-on registry counters must also stay allocation-free.
 
-use kfuse_core::batch::{synthesize_batch, BatchScratch, CandidateBatch, LANES};
+use kfuse_core::batch::{score_into, synthesize_batch, BatchScratch, CandidateBatch, LANES};
 use kfuse_core::model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};
 use kfuse_core::pipeline::{prepare, Solver};
 use kfuse_core::plan::ScoreScratch;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::KernelId;
-use kfuse_obs::ObsHandle;
+use kfuse_obs::{Counter, ObsHandle};
 use kfuse_search::{Evaluator, GreedySolver};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,8 +73,8 @@ fn live_bytes() -> i64 {
     LIVE_BYTES.with(Cell::get)
 }
 
-/// Distinct member-sorted groups spanning singletons up to 32 members
-/// (the stack-key bound), deterministic in `n`.
+/// Distinct member-sorted groups spanning singletons up to 32 members,
+/// deterministic in `n`.
 fn group_pool(n: usize) -> Vec<Vec<KernelId>> {
     (0..200u64)
         .map(|i| {
@@ -96,7 +96,6 @@ fn miss_path_is_allocation_free_once_warm() {
     let p = kfuse_workloads::synth::scaling(60);
     let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
     let model = ProposedModel::default();
-    let ev = Evaluator::new(&ctx, &model);
     let models: [Box<dyn PerfModel>; 3] = [
         Box::new(RooflineModel),
         Box::new(SimpleModel),
@@ -115,7 +114,7 @@ fn miss_path_is_allocation_free_once_warm() {
     let mut score_alone = |g: &[KernelId], scratch: &mut BatchScratch| {
         one.clear();
         one.push(g);
-        ev.evaluate_uncached_batch(&one, scratch, &mut times);
+        score_into(&ctx, &model, &one, scratch, &mut times);
         std::hint::black_box(times[0]);
     };
     for g in &groups {
@@ -158,12 +157,11 @@ fn miss_path_is_allocation_free_once_warm() {
 fn batched_miss_path_is_allocation_free_once_warm() {
     // The eight-lane analogue of the one-lane guarantee above: once the
     // candidate queue, lane scratch, and output vector have sized
-    // themselves, re-scoring whole batches through
-    // [`Evaluator::evaluate_uncached_batch`] must not allocate.
+    // themselves, re-scoring whole batches through `score_into` must not
+    // allocate.
     let p = kfuse_workloads::synth::scaling(60);
     let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
     let model = ProposedModel::default();
-    let ev = Evaluator::new(&ctx, &model);
 
     // Distinct candidates built BEFORE the measured region, spanning
     // every ragged final-sweep fill (203 % 8 == 3).
@@ -175,12 +173,12 @@ fn batched_miss_path_is_allocation_free_once_warm() {
 
     let mut scratch = BatchScratch::new();
     let mut times: Vec<f64> = Vec::new();
-    std::hint::black_box(ev.evaluate_uncached_batch(&batch, &mut scratch, &mut times));
+    std::hint::black_box(score_into(&ctx, &model, &batch, &mut scratch, &mut times));
 
     let before = allocations();
     let mut stats = kfuse_core::batch::BatchStats::default();
     for _ in 0..3 {
-        stats.merge(ev.evaluate_uncached_batch(&batch, &mut scratch, &mut times));
+        stats.merge(score_into(&ctx, &model, &batch, &mut scratch, &mut times));
     }
     let delta = allocations() - before;
     assert_eq!(
@@ -198,7 +196,7 @@ fn batched_miss_path_is_allocation_free_once_warm() {
 fn memo_hit_path_with_disabled_obs_is_allocation_free() {
     // The observability layer must cost nothing when disabled: probing a
     // warm memo through an evaluator built with `ObsHandle::disabled()`
-    // (stack key + shard lookup + relaxed registry counters, no spans,
+    // (sorted key + shard lookup + relaxed registry counters, no spans,
     // no timestamps) allocates nothing in steady state.
     let p = kfuse_workloads::synth::scaling(40);
     let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
@@ -211,7 +209,7 @@ fn memo_hit_path_with_disabled_obs_is_allocation_free() {
         std::hint::black_box(ev.group(g));
     }
 
-    let probes_before = ev.probes();
+    let probes_before = ev.snapshot().get(Counter::MemoProbes);
     let before = allocations();
     for _ in 0..3 {
         for g in &groups {
@@ -224,11 +222,7 @@ fn memo_hit_path_with_disabled_obs_is_allocation_free() {
         "obs-disabled memo hit path must not allocate ({delta} allocations)"
     );
     // The registry still counted every multi-member probe.
-    assert!(ev.probes() > probes_before);
-    assert_eq!(
-        ev.evaluations(),
-        ev.snapshot().get(kfuse_obs::Counter::MemoMisses)
-    );
+    assert!(ev.snapshot().get(Counter::MemoProbes) > probes_before);
 }
 
 #[test]
@@ -266,11 +260,15 @@ fn distinct_misses_allocate_only_for_amortized_growth() {
         }
     };
     sweep(&groups[..10_000]);
-    let misses = ev.evaluations();
+    let misses = ev.snapshot().get(Counter::MemoMisses);
     let before = allocations();
     sweep(&groups[10_000..]);
     let delta = allocations() - before;
-    assert_eq!(ev.evaluations() - misses, 10_000, "every probe is a miss");
+    assert_eq!(
+        ev.snapshot().get(Counter::MemoMisses) - misses,
+        10_000,
+        "every probe is a miss"
+    );
     assert!(
         delta < 64,
         "10 000 distinct misses performed {delta} allocations"
@@ -324,9 +322,9 @@ fn a_repeat_plan_check_on_a_warm_scratch_is_allocation_free() {
 
 #[test]
 fn large_group_probes_are_allocation_free_once_warm() {
-    // Groups beyond the 32-member stack key (returned plans of synth100
-    // carry 34-member groups) sort into the evaluator's scratch on both
-    // probe paths, so re-probing them allocates nothing.
+    // Groups of 34–41 members (returned plans of synth100 carry 34-member
+    // groups) sort into the evaluator's one key buffer on both entry
+    // points, so re-probing them allocates nothing.
     let p = kfuse_workloads::synth::scaling(60);
     let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
     let model = ProposedModel::default();
@@ -352,5 +350,5 @@ fn large_group_probes_are_allocation_free_once_warm() {
     }
     let delta = allocations() - before;
     assert_eq!(delta, 0, "large-group probes allocated {delta} times");
-    assert_eq!(ev.evaluations(), groups.len() as u64);
+    assert_eq!(ev.snapshot().get(Counter::MemoMisses), groups.len() as u64);
 }

@@ -6,12 +6,13 @@
 //! [`PlanChecker::derive_spec`] → `project` → profitability gate; each
 //! synthesized lane also agrees field-for-field with `derive_spec`.
 
-use kfuse_core::batch::{synthesize_batch, BatchScratch, CandidateBatch, LANES};
+use kfuse_core::batch::{score_into, synthesize_batch, BatchScratch, CandidateBatch, LANES};
 use kfuse_core::model::{PerfModel, ProposedModel, RooflineModel, SimpleModel};
 use kfuse_core::pipeline::prepare;
 use kfuse_core::plan::PlanContext;
 use kfuse_gpu::{FpPrecision, GpuSpec};
 use kfuse_ir::KernelId;
+use kfuse_obs::Counter;
 use kfuse_search::eval::Evaluator;
 use kfuse_verify::PlanChecker;
 use kfuse_workloads::synth::{generate, SynthConfig};
@@ -93,7 +94,7 @@ fn assert_lanes_isolated(ev: &Evaluator<'_>, batch: &CandidateBatch, salt: u64, 
     let n = ev.ctx.n_kernels();
     let mut bs = BatchScratch::new();
     let mut times = Vec::new();
-    let stats = ev.evaluate_uncached_batch(batch, &mut bs, &mut times);
+    let stats = score_into(ev.ctx, ev.model, batch, &mut bs, &mut times);
     assert_eq!(times.len(), batch.len(), "{what}: one time per candidate");
     assert!(stats.batches >= 1 || batch.is_empty(), "{what}: stats");
     let mut probe = CandidateBatch::new();
@@ -107,7 +108,7 @@ fn assert_lanes_isolated(ev: &Evaluator<'_>, batch: &CandidateBatch, salt: u64, 
         );
         probe.clear();
         probe.push(g);
-        ev.evaluate_uncached_batch(&probe, &mut bs, &mut got);
+        score_into(ev.ctx, ev.model, &probe, &mut bs, &mut got);
         assert!(
             got[0].total_cmp(&batched).is_eq(),
             "{what}: candidate {i} ({g:?}) alone {} != batched {batched}",
@@ -130,7 +131,7 @@ fn assert_lanes_isolated(ev: &Evaluator<'_>, batch: &CandidateBatch, salt: u64, 
                     probe.push(&mate[..1]);
                 }
             }
-            ev.evaluate_uncached_batch(&probe, &mut bs, &mut got);
+            score_into(ev.ctx, ev.model, &probe, &mut bs, &mut got);
             assert!(
                 got[lane].total_cmp(&batched).is_eq(),
                 "{what}: candidate {i} ({g:?}) at lane {lane} {} != batched {batched}",
@@ -212,7 +213,8 @@ fn group_batch_matches_sequential_group_probes() {
         // The batched memo holds one entry per distinct multi-member key:
         // both evaluators agree on the miss count even though the batched
         // side saw in-batch duplicates.
-        assert_eq!(batched.evaluations(), sequential.evaluations());
+        let misses = |ev: &Evaluator<'_>| ev.snapshot().get(Counter::MemoMisses);
+        assert_eq!(misses(&batched), misses(&sequential));
     }
 }
 

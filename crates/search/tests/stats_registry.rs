@@ -7,11 +7,15 @@
 //! values each solver reports bit for bit (HGGA, greedy, exhaustive), and
 //! that rates normalize to 0.0 — never NaN — when no probe was issued.
 
+use kfuse_core::batch::LANES;
 use kfuse_core::model::ProposedModel;
 use kfuse_core::pipeline::{prepare, SolveOutcome, SolveStats, Solver};
 use kfuse_gpu::GpuSpec;
 use kfuse_obs::Counter;
-use kfuse_search::{Evaluator, ExhaustiveSolver, GreedySolver, HggaConfig, HggaSolver};
+use kfuse_search::{
+    Evaluator, ExhaustiveSolver, GreedySolver, HggaConfig, HggaHierSolver, HggaSolver,
+    PartitionMode,
+};
 
 fn context(kernels: usize) -> (kfuse_ir::Program, GpuSpec) {
     (kfuse_workloads::synth::scaling(kernels), GpuSpec::k20x())
@@ -104,15 +108,43 @@ fn hit_rate_is_zero_not_nan_when_no_probe_was_issued() {
     let (_, ctx) = prepare(&p, &gpu, gpu.default_precision());
     let model = ProposedModel::default();
 
-    let sharded = Evaluator::new(&ctx, &model);
-    assert_eq!(sharded.probes(), 0);
-    assert_eq!(sharded.hit_rate(), 0.0);
-    assert_eq!(sharded.miss_rate(), 0.0);
-
-    // And through the derived-stats path.
-    let stats = SolveStats::from_metrics(&sharded.snapshot());
+    let fresh = Evaluator::new(&ctx, &model).snapshot();
+    assert_eq!(fresh.get(Counter::MemoProbes), 0);
+    let stats = SolveStats::from_metrics(&fresh);
     assert_eq!(stats.cache_hit_rate, 0.0);
     assert_eq!(stats.miss_rate, 0.0);
+    assert_eq!(stats.avg_batch_fill, 0.0);
+}
+
+#[test]
+fn every_miss_flush_counts_its_sweeps() {
+    // One counter rule for every solver: each sweep fills at least one
+    // lane, a lane holds one distinct miss (a structurally infeasible miss
+    // takes none), and a sweep holds at most `LANES` of them.
+    let (p, gpu) = context(40);
+    let (_, ctx) = prepare(&p, &gpu, gpu.default_precision());
+    let model = ProposedModel::default();
+    let hier = HggaHierSolver {
+        config: cfg(),
+        partition: PartitionMode::MaxRegion(12),
+    };
+    let outs = [
+        ("greedy", GreedySolver.solve(&ctx, &model)),
+        ("hgga", HggaSolver { config: cfg() }.solve(&ctx, &model)),
+        ("hgga-hier", hier.solve(&ctx, &model)),
+    ];
+    for (name, out) in outs {
+        let m = &out.metrics;
+        let sweeps = m.get(Counter::BatchesScored);
+        let lanes = m.get(Counter::BatchLanesFilled);
+        let misses = m.get(Counter::MemoMisses);
+        assert!(sweeps > 0, "{name}: no sweep counted");
+        assert!(sweeps <= lanes, "{name}: {sweeps} sweeps, {lanes} lanes");
+        assert!(
+            lanes <= misses.min(LANES as u64 * sweeps),
+            "{name}: {lanes} lanes, {misses} misses, {sweeps} sweeps"
+        );
+    }
 }
 
 #[test]

@@ -173,27 +173,31 @@ fn budget_mode_never_returns_below_the_greedy_floor() {
     let greedy = kfuse_search::GreedySolver.solve(&ctx, &model);
 
     // A budget far too small for the GA to converge: the outcome must
-    // still be feasible and no worse than greedy. The deadline is checked
-    // at the top of every generation, so a budget that has already run
-    // out must run none — budget adherence without a clock in the
-    // assertion.
-    for budget_ms in [0u64, 1, 5, 50] {
-        let out = WarmSolver::new(
-            quick_hier(17, PartitionMode::Off),
-            None,
-            Some(Duration::from_millis(budget_ms)),
-        )
-        .solve(&ctx, &model);
-        if budget_ms == 0 {
-            assert_eq!(out.metrics.get(Counter::Generations), 0);
+    // still be feasible and no worse than greedy, flat or hierarchical,
+    // through the cache wrapper or straight from the solver (which holds
+    // the floor). The deadline is checked at the top of every generation,
+    // so a budget that has already run out must run none — budget
+    // adherence without a clock in the assertion.
+    for partition in [PartitionMode::Off, PartitionMode::MaxRegion(16)] {
+        for budget_ms in [0u64, 1, 5, 50] {
+            let budget = Duration::from_millis(budget_ms);
+            let solver = quick_hier(17, partition);
+            let wrapped = WarmSolver::new(solver.clone(), None, Some(budget)).solve(&ctx, &model);
+            let deadline = Some(std::time::Instant::now() + budget);
+            let direct = solver.solve_controlled(&ctx, &model, ObsHandle::disabled(), deadline);
+            for out in [wrapped, direct] {
+                if budget_ms == 0 {
+                    assert_eq!(out.metrics.get(Counter::Generations), 0);
+                }
+                assert_clean(&ctx, &model, &out);
+                assert!(
+                    out.objective <= greedy.objective + 1e-12,
+                    "{partition:?} budget {budget_ms}ms: {} vs greedy floor {}",
+                    out.objective,
+                    greedy.objective
+                );
+            }
         }
-        assert_clean(&ctx, &model, &out);
-        assert!(
-            out.objective <= greedy.objective + 1e-12,
-            "budget {budget_ms}ms: {} vs greedy floor {}",
-            out.objective,
-            greedy.objective
-        );
     }
 }
 

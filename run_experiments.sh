@@ -257,6 +257,17 @@ if [[ "${1:-}" != "--skip-checks" ]]; then
     echo "FAIL: kfuse-search checks the condensation on its own again (see DESIGN.md §10.2)"
     exit 1
   fi
+  # One memo probe (DESIGN.md §10.3): `Evaluator::group` and `group_batch`
+  # share one probe step and one miss flush, a lone miss being a
+  # one-candidate flush. `score_into` is called by that flush and by the
+  # singleton baseline only; the lone path's stack key, its two spans and
+  # the uncached test entry point were deleted.
+  echo "== one memo probe"
+  if grep -rnE 'STACK_KEY|SpanId::MemoMiss|SpanId::Synthesis|evaluate_uncached_batch' crates/*/src \
+    || [[ $(grep -c 'score_into(' crates/search/src/eval.rs) -gt 2 ]]; then
+    echo "FAIL: the evaluator grows a second miss path (see DESIGN.md §10.3)"
+    exit 1
+  fi
   # One experiment driver (DESIGN.md §4): every table and figure is a
   # subcommand of `repro` (crates/bench/src/main.rs), so no second binary
   # may appear beside it, and the block-size tuner's one study stays gone.
@@ -370,7 +381,7 @@ track = {e["tid"]: e["args"]["name"] for e in events if e.get("name") == "thread
 region_tracks = {track[e["tid"]] for e in events if e.get("name") == "region_solve"}
 assert all(re.fullmatch(r"region \d+", t) for t in region_tracks), region_tracks
 assert len(region_tracks) >= 2, f"expected >= 2 region tracks, got {region_tracks}"
-eval_spans = ("memo_miss", "synthesis", "batch_score")
+eval_spans = ("batch_score",)
 eval_tracks = {track[e["tid"]] for e in events if e.get("name") in eval_spans}
 assert eval_tracks == {"eval worker 0"}, f"evaluator spans on {eval_tracks}"
 solved = json.load(open(sys.argv[2]))["counters"]["regions_solved"]
